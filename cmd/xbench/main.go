@@ -55,7 +55,6 @@ func run() int {
 	equiv := flag.Bool("equiv", false, "verify surviving mutants by randomized equivalence testing")
 	trials := flag.Int("trials", 120, "randomized equivalence trials per surviving mutant")
 	parallel := flag.Int("parallel", 0, "workers for generation and kill-matrix evaluation (0 = all CPUs, 1 = sequential)")
-	solverParallel := flag.Int("solver-parallel", 0, "intra-goal solver workers: component-level parallelism and speculative restarts (0/1 = sequential solves; clamped so goal x solver workers never exceed -parallel)")
 	scaling := flag.Bool("scaling", true, "include parallel-scaling rows (workers 1/2/4) in -table bench")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = unlimited); partial results are printed on expiry")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON report (see EXPERIMENTS.md) instead of text tables")
@@ -114,12 +113,11 @@ func run() int {
 	}
 
 	opts := xbench.Options{
-		SkipQuantified:    *fast,
-		CheckEquivalence:  *equiv,
-		EquivTrials:       *trials,
-		Parallelism:       *parallel,
-		SolverParallelism: *solverParallel,
-		Context:           ctx,
+		SkipQuantified:   *fast,
+		CheckEquivalence: *equiv,
+		EquivTrials:      *trials,
+		Parallelism:      *parallel,
+		Context:          ctx,
 	}
 	report := xbench.NewReport(*parallel)
 

@@ -66,7 +66,6 @@ func run() int {
 	minimize := flag.Bool("minimize", false, "prune datasets whose kills are covered by others (greedy set cover)")
 	engineMode := flag.String("engine", "compiled", "kill-matrix executor for -minimize: compiled (columnar) or interp (reference interpreter); output is identical for either")
 	parallel := flag.Int("parallel", 0, "kill-goal solver workers (0 = all CPUs, 1 = sequential); output is identical for every value")
-	solverParallel := flag.Int("solver-parallel", 0, "intra-goal solver workers per kill goal (component-parallel search and speculative restarts), clamped so goal workers x intra-goal workers never exceed -parallel; 0 or 1 = sequential solves")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for generation (0 = unlimited); on expiry the partial suite is printed and the exit code is 3")
 	goalTimeout := flag.Duration("goal-timeout", 0, "wall-clock budget per kill goal (0 = unlimited)")
 	goalNodes := flag.Int64("goal-nodes", 0, "solver node budget per kill goal, with escalating 1x/4x/16x retries (0 = unlimited)")
@@ -137,7 +136,6 @@ func run() int {
 	opts := xdata.DefaultOptions()
 	opts.Unfold = !*noUnfold
 	opts.Parallelism = *parallel
-	opts.SolverParallelism = *solverParallel
 	opts.GoalTimeout = *goalTimeout
 	opts.GoalNodeLimit = *goalNodes
 	if *inputDB != "" {
@@ -167,7 +165,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "xdata:", err)
 		} else {
 			// Option-validation rejections (e.g. a negative
-			// -solver-parallel) are flag misuse: exit 2, not 1.
+			// -parallel) are flag misuse: exit 2, not 1.
 			return inputFail(err)
 		}
 	}

@@ -63,18 +63,6 @@ type Options struct {
 	// governance backstop against adversarial constant sets and huge
 	// input databases. 0 = uncapped (the library default).
 	MaxDomainSize int
-	// SolverParallelism is the number of intra-goal solver workers each
-	// kill-goal solve may use: component-parallel search in the kernel
-	// path (solver.Options.Parallel) and speculative parallel restarts
-	// in the legacy paths (solver.Options.Speculate). <= 1 keeps every
-	// solve fully sequential (the default). The combined budget is
-	// clamped so goal-level workers times intra-goal workers never
-	// exceeds Parallelism: with G goals solving concurrently each solve
-	// gets at most max(1, Parallelism/G) intra-goal workers. The
-	// generated Suite is byte-identical for every value; aggregate
-	// SolverNodes additionally stays invariant except under speculative
-	// restarts (see Stats.SpeculativeRuns).
-	SolverParallelism int
 	// GoalNodeLimit, when positive, bounds solver search nodes per
 	// solver call of a kill goal's first attempt and arms the
 	// escalating-retry ladder: a goal whose solve exhausts the budget is
@@ -105,14 +93,6 @@ type Options struct {
 	// NoComponentCache disables memoizing solved components across kill
 	// goals (solver.Options.Cache) while keeping decomposition itself.
 	NoComponentCache bool
-	// NoComponentParallel disables intra-goal component-parallel search
-	// (solver.Options.Parallel) while leaving SolverParallelism to feed
-	// speculative restarts in the legacy paths.
-	NoComponentParallel bool
-	// NoSpeculative disables speculative parallel restarts
-	// (solver.Options.Speculate) while leaving SolverParallelism to feed
-	// component-parallel kernel search.
-	NoSpeculative bool
 
 	// FailureHook, when set, is called once for each kill goal the
 	// generator abandons (budget exhaustion, recovered panic,
@@ -169,13 +149,6 @@ type Stats struct {
 	// for a shared component depends on worker scheduling — the nodes
 	// total stays invariant because a hit costs zero nodes.
 	ComponentCacheHits int64
-	// SpeculativeRuns counts restart attempts launched by speculative
-	// parallel restarts (solver.Options.Speculate), including losers
-	// canceled when a sibling won: the honest measure of extra search
-	// work speculation burned for its wall-clock win. 0 unless
-	// SolverParallelism > 1 on a legacy-path (quantified or
-	// no-heuristics/no-decompose) solve.
-	SpeculativeRuns int64
 	// BasePropagationNodes is the propagation work performed once per
 	// shared database-constraint core (solver.PrepareBase fixed points)
 	// and reused by every goal attached to it. Counted at build time,
@@ -757,7 +730,6 @@ func (g *Generator) tryBuild(gb *goalBudget, suite *Suite, purpose string, tuple
 	suite.Stats.SolverProblemSize += p.s.ProblemSize()
 	suite.Stats.ComponentCount += st.ComponentCount
 	suite.Stats.ComponentCacheHits += st.ComponentCacheHits
-	suite.Stats.SpeculativeRuns += st.SpeculativeRuns
 	switch {
 	case err == nil:
 		suite.Stats.SatCount++

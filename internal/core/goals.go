@@ -66,11 +66,6 @@ type goalBudget struct {
 	// unfold, when non-nil, overrides Options.Unfold for this attempt
 	// (the quantified-mode fallback flips to unfolded solving).
 	unfold *bool
-	// solverPar is the intra-goal solver worker share granted to this
-	// attempt's solves (Options.SolverParallelism clamped against the
-	// goal-level worker count; see solverParallelism). <= 1 keeps the
-	// solves sequential.
-	solverPar int
 }
 
 // backgroundBudget is the no-budget, no-cancellation default used by the
@@ -144,39 +139,12 @@ func (g *Generator) goalAttempts() []goalAttempt {
 	return ladder
 }
 
-// solverParallelism resolves the intra-goal solver worker share for a
-// run using goalWorkers goal-level workers: Options.SolverParallelism
-// clamped so the product of the two levels never oversubscribes the
-// Options.Parallelism budget (each of G concurrent goals gets at most
-// max(1, budget/G) intra-goal workers).
-func (g *Generator) solverParallelism(goalWorkers int) int {
-	sp := g.opts.SolverParallelism
-	if sp <= 1 {
-		return 1
-	}
-	budget := g.opts.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if goalWorkers < 1 {
-		goalWorkers = 1
-	}
-	if share := budget / goalWorkers; sp > share {
-		sp = share
-	}
-	if sp < 1 {
-		sp = 1
-	}
-	return sp
-}
-
 // runGoal executes one kill goal under the robustness envelope:
 // per-goal timeout, escalating node-limit retries, and panic recovery.
 // It returns the goal's sub-suite — which, for an abandoned goal, holds
 // exactly one Incomplete entry plus the stats of the failed attempts —
-// and a non-nil error only for hard (fatal) failures. solverPar is the
-// attempt's intra-goal solver worker share (see solverParallelism).
-func (g *Generator) runGoal(ctx context.Context, goal killGoal, solverPar int) (*Suite, error) {
+// and a non-nil error only for hard (fatal) failures.
+func (g *Generator) runGoal(ctx context.Context, goal killGoal) (*Suite, error) {
 	gctx := ctx
 	if g.opts.GoalTimeout > 0 {
 		var cancel context.CancelFunc
@@ -191,7 +159,7 @@ func (g *Generator) runGoal(ctx context.Context, goal killGoal, solverPar int) (
 	for ai, at := range attempts {
 		made = ai + 1
 		sub := &Suite{}
-		err := g.runGoalAttempt(gctx, at, goal, sub, solverPar)
+		err := g.runGoalAttempt(gctx, at, goal, sub)
 		if err == nil {
 			sub.Stats = addStats(acc, sub.Stats)
 			// Absolute, not +=: acc already carries the running count from
@@ -258,7 +226,7 @@ func (g *Generator) abandonGoal(goal killGoal, reason string, attempts int, star
 // panic anywhere in constraint generation, solving or extraction is
 // recovered into a *GoalError carrying the goal's purpose and the
 // panicking stack.
-func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal killGoal, sub *Suite, solverPar int) (err error) {
+func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal killGoal, sub *Suite) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &GoalError{Purpose: goal.purpose, Value: r, Stack: debug.Stack()}
@@ -267,7 +235,7 @@ func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal kil
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("%w: %w", solver.ErrCanceled, cerr)
 	}
-	gb := &goalBudget{ctx: ctx, nodeLimit: at.nodeLimit, unfold: at.unfold, solverPar: solverPar}
+	gb := &goalBudget{ctx: ctx, nodeLimit: at.nodeLimit, unfold: at.unfold}
 	return goal.run(g, gb, sub)
 }
 
@@ -284,11 +252,10 @@ func (g *Generator) runGoals(ctx context.Context, goals []killGoal) ([]*Suite, e
 		workers = len(goals)
 	}
 	subs := make([]*Suite, len(goals))
-	solverPar := g.solverParallelism(workers)
 
 	if workers <= 1 {
 		for i := range goals {
-			sub, err := g.runGoal(ctx, goals[i], solverPar)
+			sub, err := g.runGoal(ctx, goals[i])
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +277,7 @@ func (g *Generator) runGoals(ctx context.Context, goals []killGoal) ([]*Suite, e
 				if i >= len(goals) || failed.Load() {
 					return
 				}
-				sub, err := g.runGoal(ctx, goals[i], solverPar)
+				sub, err := g.runGoal(ctx, goals[i])
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -349,7 +316,6 @@ func addStats(a, b Stats) Stats {
 
 		ComponentCount:       a.ComponentCount + b.ComponentCount,
 		ComponentCacheHits:   a.ComponentCacheHits + b.ComponentCacheHits,
-		SpeculativeRuns:      a.SpeculativeRuns + b.SpeculativeRuns,
 		BasePropagationNodes: a.BasePropagationNodes + b.BasePropagationNodes,
 	}
 }

@@ -32,9 +32,6 @@ func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return badOption("Parallelism", "negative worker count %d (0 selects all CPUs)", o.Parallelism)
 	}
-	if o.SolverParallelism < 0 {
-		return badOption("SolverParallelism", "negative intra-goal worker count %d (0 or 1 keeps solves sequential)", o.SolverParallelism)
-	}
 	if o.SolverNodeLimit < 0 {
 		return badOption("SolverNodeLimit", "negative node limit %d (0 selects the solver default)", o.SolverNodeLimit)
 	}

@@ -819,18 +819,6 @@ func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 	if gb.unfold != nil {
 		opts.Unfold = *gb.unfold
 	}
-	// Intra-goal parallelism (see Options.SolverParallelism): the
-	// goal-budget carries the clamped per-solve worker share; the two
-	// ablation flags choose which layer consumes it (the kernel ignores
-	// Speculate, the legacy paths ignore Parallel, so both can be set).
-	if gb.solverPar > 1 {
-		if !p.g.opts.NoComponentParallel {
-			opts.Parallel = gb.solverPar
-		}
-		if !p.g.opts.NoSpeculative {
-			opts.Speculate = gb.solverPar
-		}
-	}
 	// Check an arena out around the call: the solve runs entirely on
 	// this goroutine (cancellation is cooperative), so the arena is free
 	// for the next checkout as soon as SolveContext returns.

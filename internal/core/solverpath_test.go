@@ -1,16 +1,11 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/mutation"
 	"repro/internal/solver"
-	"repro/internal/testutil"
 )
 
 // Tests for the solver-microarchitecture integration: the stats the
@@ -45,16 +40,13 @@ func TestSolverMicroarchStats(t *testing.T) {
 	}
 }
 
-// TestAblationFlagAgreement runs the same query under all 64
-// combinations of the six solver ablation flags and checks the
+// TestAblationFlagAgreement runs the same query under all 16
+// combinations of the four solver ablation flags and checks the
 // observable contract: identical goal structure (same dataset purposes
 // in the same order), schema-valid datasets, and identical SAT/UNSAT
 // outcomes per goal. Dataset contents may differ between search
 // strategies (any valid witness kills the mutant); the suite shape
-// must not. Every run grants an intra-goal worker share
-// (SolverParallelism 4 under an oversized Parallelism budget) so the
-// wave-2 flags NoComponentParallel and NoSpeculative actually gate
-// live machinery. The grid is extended with the executor ablation:
+// must not. The grid is extended with the executor ablation:
 // every generated suite's kill matrix must be cell-identical whether
 // scored by the compiled columnar executor or the reference
 // interpreter (NoCompiledEngine), closing the loop between solver-side
@@ -112,43 +104,37 @@ func TestAblationFlagAgreement(t *testing.T) {
 		t.Fatal("baseline produced no datasets")
 	}
 
-	for mask := 0; mask < 64; mask++ {
+	for mask := 0; mask < 16; mask++ {
 		opts := DefaultOptions()
 		opts.NoSolverHeuristics = mask&1 != 0
 		opts.NoDecompose = mask&2 != 0
 		opts.NoSharedCore = mask&4 != 0
 		opts.NoComponentCache = mask&8 != 0
-		opts.NoComponentParallel = mask&16 != 0
-		opts.NoSpeculative = mask&32 != 0
-		// An oversized budget so the goal-level clamp leaves each goal a
-		// real intra-goal share (see Generator.solverParallelism).
-		opts.Parallelism = 32
-		opts.SolverParallelism = 4
 		suite := generate(t, q, opts)
 		got := purposes(suite)
 		if len(got) != len(want) {
-			t.Fatalf("mask %06b: %d outcomes, want %d:\n%v\nvs\n%v", mask, len(got), len(want), got, want)
+			t.Fatalf("mask %04b: %d outcomes, want %d:\n%v\nvs\n%v", mask, len(got), len(want), got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("mask %06b: outcome %d = %q, want %q", mask, i, got[i], want[i])
+				t.Errorf("mask %04b: outcome %d = %q, want %q", mask, i, got[i], want[i])
 			}
 		}
 		for _, ds := range suite.All() {
 			if err := q.Schema.CheckDataset(ds); err != nil {
-				t.Errorf("mask %06b: invalid dataset %q: %v", mask, ds.Purpose, err)
+				t.Errorf("mask %04b: invalid dataset %q: %v", mask, ds.Purpose, err)
 			}
 		}
 		// Ablations toggle *which* machinery runs; the counters must
 		// reflect that honestly.
 		if opts.NoDecompose && suite.Stats.ComponentCount != 0 {
-			t.Errorf("mask %06b: ComponentCount = %d with NoDecompose", mask, suite.Stats.ComponentCount)
+			t.Errorf("mask %04b: ComponentCount = %d with NoDecompose", mask, suite.Stats.ComponentCount)
 		}
 		if (opts.NoComponentCache || opts.NoDecompose) && suite.Stats.ComponentCacheHits != 0 {
-			t.Errorf("mask %06b: ComponentCacheHits = %d with cache disabled", mask, suite.Stats.ComponentCacheHits)
+			t.Errorf("mask %04b: ComponentCacheHits = %d with cache disabled", mask, suite.Stats.ComponentCacheHits)
 		}
 		if opts.NoSharedCore && suite.Stats.BasePropagationNodes != 0 {
-			t.Errorf("mask %06b: BasePropagationNodes = %d with NoSharedCore", mask, suite.Stats.BasePropagationNodes)
+			t.Errorf("mask %04b: BasePropagationNodes = %d with NoSharedCore", mask, suite.Stats.BasePropagationNodes)
 		}
 		checkEngines(mask, suite)
 	}
@@ -214,154 +200,4 @@ func TestComponentCacheFaultRelease(t *testing.T) {
 			t.Errorf("post-fault dataset %q differs from uninjected run", ds.Purpose)
 		}
 	}
-}
-
-// TestSolverParallelismSuiteDeterministic is the wave-2 determinism
-// acceptance test (run under -race in CI): granting goals an intra-goal
-// component-parallel worker share must leave the generated suite
-// byte-identical to the sequential run, including the solver node
-// count; and the speculative legacy path must be reproducible
-// run-to-run (its models are a pure function of the problem and K,
-// though they may differ from the sequential ladder's).
-func TestSolverParallelismSuiteDeterministic(t *testing.T) {
-	q := buildQuery(t, ddlFK, microarchSQL)
-	render := func(s *Suite) []string {
-		out := make([]string, 0, len(s.Datasets))
-		for _, ds := range s.All() {
-			out = append(out, ds.Purpose+"\n"+ds.String())
-		}
-		return out
-	}
-
-	seq := generate(t, q, DefaultOptions())
-	par4 := DefaultOptions()
-	par4.Parallelism = 32 // oversized budget: each goal keeps a share of 4
-	par4.SolverParallelism = 4
-	par := generate(t, q, par4)
-
-	want, got := render(seq), render(par)
-	if len(want) != len(got) {
-		t.Fatalf("parallel suite has %d datasets, sequential %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("dataset %d differs between sequential and parallel runs:\n--- sequential\n%s\n--- parallel\n%s", i, want[i], got[i])
-		}
-	}
-	if seq.Stats.SolverNodes != par.Stats.SolverNodes {
-		t.Errorf("SolverNodes: sequential=%d parallel=%d, want identical (kernel path ignores Speculate)",
-			seq.Stats.SolverNodes, par.Stats.SolverNodes)
-	}
-
-	// Legacy path with speculation live: two runs of the same
-	// configuration must agree byte for byte.
-	spec := DefaultOptions()
-	spec.NoSolverHeuristics = true
-	spec.NoDecompose = true // forces the legacy unfolded path, where Speculate applies
-	spec.Parallelism = 32
-	spec.SolverParallelism = 4
-	s1 := generate(t, q, spec)
-	s2 := generate(t, q, spec)
-	w1, w2 := render(s1), render(s2)
-	if len(w1) != len(w2) {
-		t.Fatalf("speculative runs produced %d vs %d datasets", len(w1), len(w2))
-	}
-	for i := range w1 {
-		if w1[i] != w2[i] {
-			t.Errorf("speculative dataset %d differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s", i, w1[i], w2[i])
-		}
-	}
-}
-
-// TestComponentWorkerFaultPanicIncomplete lands a panic *inside a
-// component worker* (the hook passes the SolveContext-entry
-// consultation and fires on the first worker consultation) and
-// requires the goal to surface as one Suite.Incomplete entry carrying
-// the worker's stack — the driver must re-raise on the solve goroutine
-// so the goal-level recovery sees it, never hang or kill the process.
-func TestComponentWorkerFaultPanicIncomplete(t *testing.T) {
-	q := buildQuery(t, ddlNoFK, robustSQL)
-	opts := DefaultOptions()
-	opts.Parallelism = 32
-	opts.SolverParallelism = 4
-
-	var matched atomic.Int64
-	defer solver.SetFaultHook(nil)
-	solver.SetFaultHook(func(label string, call int64) solver.Fault {
-		if strings.Contains(label, panicLabelPat) && matched.Add(1) >= 2 {
-			return solver.FaultPanic
-		}
-		return solver.FaultNone
-	})
-
-	suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
-	if !errors.Is(err, ErrPartialSuite) {
-		t.Fatalf("worker panic: got error %v, want ErrPartialSuite", err)
-	}
-	if len(suite.Incomplete) != 1 {
-		t.Fatalf("Incomplete: got %v, want exactly the panicked goal", suite.Incomplete)
-	}
-	f := suite.Incomplete[0]
-	if f.Purpose != panicPurpose || f.Reason != ReasonPanic {
-		t.Errorf("failure: got %q/%q, want %q/%q", f.Purpose, f.Reason, panicPurpose, ReasonPanic)
-	}
-	var gerr *GoalError
-	if !errors.As(f.Err, &gerr) {
-		t.Fatalf("Err: got %T (%v), want *GoalError", f.Err, f.Err)
-	}
-	// The panic must have originated inside a component worker (the
-	// injected value carries the worker tag) and reached the goal's
-	// recovery via the driver's re-raise, not at SolveContext entry.
-	if v, ok := gerr.Value.(string); !ok || !strings.Contains(v, "component worker") {
-		t.Errorf("panic value %v does not carry the component-worker tag", gerr.Value)
-	}
-	if !strings.Contains(string(gerr.Stack), "solveComponentsParallel") {
-		t.Errorf("panic stack does not pass through the parallel component driver:\n%s", gerr.Stack)
-	}
-	if suite.Stats.PanicCount != 1 {
-		t.Errorf("PanicCount = %d, want 1", suite.Stats.PanicCount)
-	}
-}
-
-// TestComponentWorkerFaultSlowIncomplete hangs a component worker
-// (FaultSlow after the entry consultation) under a per-goal timeout:
-// the goal must land in Suite.Incomplete as a budget failure, the rest
-// of the suite must complete, and every worker goroutine must be
-// reaped.
-func TestComponentWorkerFaultSlowIncomplete(t *testing.T) {
-	q := buildQuery(t, ddlNoFK, robustSQL)
-	opts := DefaultOptions()
-	opts.Parallelism = 32
-	opts.SolverParallelism = 4
-	opts.GoalTimeout = 100 * time.Millisecond
-
-	var matched atomic.Int64
-	defer solver.SetFaultHook(nil)
-	solver.SetFaultHook(func(label string, call int64) solver.Fault {
-		if strings.Contains(label, panicLabelPat) && matched.Add(1) >= 2 {
-			return solver.FaultSlow
-		}
-		return solver.FaultNone
-	})
-
-	before := testutil.GoroutineSnapshot()
-	start := time.Now()
-	suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("hung component worker not bounded by GoalTimeout: run took %v", elapsed)
-	}
-	if !errors.Is(err, ErrPartialSuite) {
-		t.Fatalf("hung worker: got error %v, want ErrPartialSuite", err)
-	}
-	if len(suite.Incomplete) != 1 {
-		t.Fatalf("Incomplete: got %v, want exactly the hung goal", suite.Incomplete)
-	}
-	f := suite.Incomplete[0]
-	if f.Purpose != panicPurpose || f.Reason != ReasonBudget {
-		t.Errorf("failure: got %q/%q, want %q/%q", f.Purpose, f.Reason, panicPurpose, ReasonBudget)
-	}
-	if len(suite.Datasets) == 0 {
-		t.Error("untargeted goals should have completed")
-	}
-	testutil.RequireNoGoroutineLeak(t, before, 0)
 }

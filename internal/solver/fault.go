@@ -63,48 +63,6 @@ func FaultHookActive() bool {
 	return faultHook.Load() != nil
 }
 
-// injectComponentFault is injectFault's sibling for the parallel
-// component driver: each worker consults the hook before searching a
-// claimed component, so robustness tests can land a fault *inside* a
-// component worker (after fan-out) rather than at SolveContext entry.
-// FaultPanic panics on the worker goroutine, exercising the driver's
-// recover/re-raise path; FaultSlow blocks until the worker's done
-// channel (fail-fast stop or the solve's own cancellation) or the
-// solve deadline fires. Only the parallel driver consults this — the
-// sequential driver has no post-entry fault point — so installations
-// that never set Options.Parallel observe the exact historical call
-// sequence.
-func injectComponentFault(done <-chan struct{}, deadline time.Time, label string) (error, bool) {
-	p := faultHook.Load()
-	if p == nil {
-		return nil, false
-	}
-	call := faultSeq.Add(1)
-	switch (*p)(label, call) {
-	case FaultLimit:
-		return fmt.Errorf("injected fault (component worker, call %d, label %q): %w", call, label, ErrLimit), true
-	case FaultPanic:
-		panic(fmt.Sprintf("solver: injected fault panic (component worker, call %d, label %q)", call, label))
-	case FaultSlow:
-		var timer <-chan time.Time
-		if !deadline.IsZero() {
-			t := time.NewTimer(time.Until(deadline))
-			defer t.Stop()
-			timer = t.C
-		}
-		if done == nil && timer == nil {
-			return fmt.Errorf("injected slow fault with no budget (component worker, call %d, label %q): %w", call, label, ErrLimit), true
-		}
-		select {
-		case <-done:
-			return ErrCanceled, true
-		case <-timer:
-			return fmt.Errorf("injected slow fault timed out (component worker, call %d, label %q): %w", call, label, ErrLimit), true
-		}
-	}
-	return nil, false
-}
-
 // injectFault consults the hook, if any, and performs the selected
 // fault. It reports whether a fault was injected (in which case the
 // returned model/error are the call's final result).

@@ -115,12 +115,6 @@ type kstate struct {
 	compOf    []int32
 	stamp     []int32
 	cmark     []int32
-	clOf      []int32
-	// cacheHits counts components answered from Options.Cache during
-	// this solve. It lives on the (per-worker) kstate rather than
-	// Solver.last so component-parallel workers can count without
-	// racing; solveKernel folds it into Stats afterwards.
-	cacheHits int64
 	// Budgets.
 	nodes      int64
 	ceil       int64 // current (restart-attempt) node ceiling
@@ -980,7 +974,7 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	}
 
 	if opts.Decompose {
-		err = s.solveComponents(st, a, opts)
+		err = s.solveComponents(st, opts.Cache)
 	} else {
 		vars := a.searchVs[:0]
 		for v := 0; v < nvars; v++ {
@@ -996,7 +990,6 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 		err = st.searchVars(vars)
 	}
 	s.last.Nodes += st.nodes
-	s.last.ComponentCacheHits += st.cacheHits
 	if err != nil {
 		return nil, err
 	}

@@ -348,6 +348,99 @@ func BenchmarkTrailUndo(b *testing.B) {
 	}
 }
 
+// --- steady-state allocation lock ----------------------------------------
+
+// newSearchFixture builds a warm kernel state over a chain of
+// not-equal constraints: easy enough to solve greedily on the first
+// restart attempt (no shuffle rng), hard enough to exercise
+// propagation, the trail, and per-depth value buffers.
+func newSearchFixture() (*kstate, []VarID) {
+	s := New()
+	d := dom(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	const n = 6
+	vars := make([]VarID, n)
+	for i := range vars {
+		vars[i] = s.NewVar(fmt.Sprintf("v%d", i), d)
+	}
+	for i := 0; i+1 < n; i++ {
+		s.Assert(NewCmp(sqltypes.OpNE, V(vars[i]), V(vars[i+1])))
+	}
+	s.Assert(NewCmp(sqltypes.OpLT, V(vars[0]), C(8)))
+
+	ks := newKstoreLayout(s.domains)
+	rep := make([]VarID, n)
+	count := make([]int32, n)
+	for v := range rep {
+		rep[v] = VarID(v)
+		count[v] = int32(len(s.domains[v]))
+	}
+	st := &kstate{
+		cand:     ks.cand,
+		off:      ks.off,
+		rep:      rep,
+		words:    ks.words,
+		count:    count,
+		assigned: make([]bool, n),
+		value:    make([]int64, n),
+		limit:    1 << 62,
+	}
+	var sc kcScratch
+	for _, c := range s.cons {
+		cl, cvs := kcompile(c, rep, &sc)
+		st.clauses = append(st.clauses, cl)
+		st.cvars = append(st.cvars, cvs)
+	}
+	st.buildWatch()
+	st.degree = make([]int32, n)
+	for v := range st.degree {
+		st.degree[v] = int32(len(st.watch[v]))
+	}
+	if conflict, err := st.setupPropagate(0, nil); conflict || err != nil {
+		panic(fmt.Sprintf("fixture setup: conflict=%v err=%v", conflict, err))
+	}
+	return st, rep
+}
+
+// searchCycle runs one full solve/undo cycle on the fixture: searchVars
+// assigns every variable, then the trail and assignments are rolled
+// back to the post-setup state so the next cycle replays identically.
+func searchCycle(st *kstate, vars []VarID) {
+	mark := st.tr.mark()
+	if err := st.searchVars(vars); err != nil {
+		panic(err)
+	}
+	st.undoTo(mark)
+	for _, v := range vars {
+		st.assigned[v] = false
+	}
+	st.impl = st.impl[:0]
+	st.nodes = 0
+}
+
+// TestSearchSteadyStateAllocs is the hard 0-allocs/op lock on the
+// kernel search loop: after one warm-up cycle (trail, propagation
+// queue, and per-depth value buffers grown), a complete search + undo
+// of the fixture must not allocate. Guarded in CI alongside
+// TestTrailUndoAllocs.
+func TestSearchSteadyStateAllocs(t *testing.T) {
+	st, vars := newSearchFixture()
+	searchCycle(st, vars) // warm-up: grow all reusable scratch
+	allocs := testing.AllocsPerRun(100, func() { searchCycle(st, vars) })
+	if allocs != 0 {
+		t.Fatalf("steady-state search cycle allocates %v/op, want 0", allocs)
+	}
+}
+
+func BenchmarkSearchSteadyState(b *testing.B) {
+	st, vars := newSearchFixture()
+	searchCycle(st, vars)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		searchCycle(st, vars)
+	}
+}
+
 // --- component cache semantics -------------------------------------------
 
 // TestComponentCacheSingleflight exercises the claim/publish/release

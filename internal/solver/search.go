@@ -141,10 +141,7 @@ func evalCmpBounds(op sqltypes.CmpOp, lo, hi int64) sqltypes.Tristate {
 // constraints — foreign keys, NOT-EXISTS nullifications, input-database
 // tuple constraints — which is exactly the overhead that unfolding all
 // quantifiers up front (the paper's optimization) eliminates.
-//
-// spec > 1 runs each ground solve through the speculative restart
-// ladder (see speculate.go) instead of the sequential one.
-func (s *Solver) solveQuantified(done <-chan struct{}, limit int64, deadline time.Time, spec int) (Model, error) {
+func (s *Solver) solveQuantified(done <-chan struct{}, limit int64, deadline time.Time) (Model, error) {
 	var ground, quantified []Con
 	var split func(c Con)
 	split = func(c Con) {
@@ -192,15 +189,8 @@ func (s *Solver) solveQuantified(done <-chan struct{}, limit int64, deadline tim
 			return nil, ErrLimit
 		}
 		sub := &Solver{domains: s.domains, names: s.names, cons: active}
-		var m Model
-		var err error
-		if spec > 1 {
-			m, err = sub.solveUnfoldedSpec(done, remaining, deadline, spec)
-		} else {
-			m, err = sub.solveUnfolded(done, remaining, deadline)
-		}
+		m, err := sub.solveUnfolded(done, remaining, deadline)
 		s.last.Nodes += sub.last.Nodes
-		s.last.SpeculativeRuns += sub.last.SpeculativeRuns
 		if err != nil {
 			// UNSAT of a subset of the implied constraints is UNSAT of
 			// the whole problem (lemmas are implied by the quantifiers).
@@ -483,9 +473,197 @@ func (t *trail) undo(st *state, mark int) {
 	t.entries = t.entries[:mark]
 }
 
+// uprob is a preprocessed unfolded problem: the output of flattening,
+// equality preprocessing, compilation and watch-list construction,
+// built once per solve and read by every restart attempt (each attempt
+// copies the domain table and owns its trail).
+type uprob struct {
+	// root[v] is v's union-find representative, frozen at prep time so
+	// attempts resolve non-representatives with a table lookup.
+	root    []VarID
+	domains [][]int64
+	clauses []clause
+	reps    []VarID
+	nonReps []VarID
+	watch   [][]int32
+}
+
+// prepUnfolded performs the unfolded-mode front end once: flatten and
+// split conjunctions, merge/pin top-level equalities, normalize onto
+// representatives, compile, and build watch lists. Returns ErrUnsat
+// when preprocessing alone refutes the system.
+func (s *Solver) prepUnfolded() (*uprob, error) {
+	// Flatten quantifiers and split top-level conjunctions into raw
+	// conjunct constraints.
+	var conjuncts []Con
+	var split func(c Con)
+	split = func(c Con) {
+		if a, ok := c.(*And); ok {
+			for _, x := range a.Cs {
+				split(x)
+			}
+			return
+		}
+		conjuncts = append(conjuncts, c)
+	}
+	for _, c := range s.cons {
+		split(flatten(c))
+	}
+
+	// Equality preprocessing: top-level x = y conjuncts merge variables
+	// via union-find, and x = c conjuncts pin domains. After unfolding,
+	// the paper's constraint systems are dominated by such equalities
+	// (§V-H), which is what makes the unfolded mode fast.
+	uf := newVarUF(len(s.domains))
+	domains := make([][]int64, len(s.domains))
+	copy(domains, s.domains)
+	var remaining []Con
+	for _, c := range conjuncts {
+		cmp, ok := c.(*Cmp)
+		if !ok || cmp.Op != sqltypes.OpEQ {
+			remaining = append(remaining, c)
+			continue
+		}
+		d := cmp.L.Minus(cmp.R)
+		switch {
+		case len(d.Terms) == 0:
+			if d.Const != 0 {
+				return nil, ErrUnsat
+			}
+		case len(d.Terms) == 1 && (d.Terms[0].Coef == 1 || d.Terms[0].Coef == -1):
+			// coef*x + const = 0  =>  x = -const/coef
+			v := uf.find(d.Terms[0].V)
+			val := -d.Const / d.Terms[0].Coef
+			nd := intersect(domains[v], []int64{val})
+			if len(nd) == 0 {
+				return nil, ErrUnsat
+			}
+			domains[v] = nd
+		case len(d.Terms) == 2 && d.Const == 0 && d.Terms[0].Coef == -d.Terms[1].Coef &&
+			(d.Terms[0].Coef == 1 || d.Terms[0].Coef == -1):
+			a, b := uf.find(d.Terms[0].V), uf.find(d.Terms[1].V)
+			if a != b {
+				nd := intersect(domains[a], domains[b])
+				if len(nd) == 0 {
+					return nil, ErrUnsat
+				}
+				root := uf.union(a, b)
+				domains[root] = nd
+			}
+		default:
+			remaining = append(remaining, c)
+		}
+	}
+	// Normalize domains onto roots (a non-root may have been pinned
+	// before being merged).
+	for v := range domains {
+		r := uf.find(VarID(v))
+		if r != VarID(v) {
+			nd := intersect(domains[r], domains[v])
+			if len(nd) == 0 {
+				return nil, ErrUnsat
+			}
+			domains[r] = nd
+		}
+	}
+
+	// Compile remaining constraints with variables substituted by their
+	// representatives.
+	var clauses []clause
+	for _, c := range remaining {
+		clauses = append(clauses, compile(substitute(c, uf)))
+	}
+
+	// Non-representative variables are resolved from their roots at the
+	// end; exclude them from search.
+	root := make([]VarID, len(s.domains))
+	reps := make([]VarID, 0, len(s.domains))
+	nonReps := make([]VarID, 0)
+	for v := range s.domains {
+		root[v] = uf.find(VarID(v))
+		if root[v] == VarID(v) {
+			reps = append(reps, VarID(v))
+		} else {
+			nonReps = append(nonReps, VarID(v))
+		}
+	}
+
+	// Watch lists: clause indices per representative variable.
+	watch := make([][]int32, len(s.domains))
+	for ci, cl := range clauses {
+		vars := map[VarID]bool{}
+		clauseVars(cl, vars)
+		for v := range vars {
+			watch[v] = append(watch[v], int32(ci))
+		}
+	}
+
+	return &uprob{
+		root:    root,
+		domains: domains,
+		clauses: clauses,
+		reps:    reps,
+		nonReps: nonReps,
+		watch:   watch,
+	}, nil
+}
+
+// attemptUnfolded runs one restart attempt over the preprocessed
+// problem: copy the domain table, shuffle representative value orders
+// with the given rng (nil = preference order), run the initial
+// conflict pre-pass and the DFS. Returns the SAT model, the node
+// count, and nil / ErrUnsat (exhausted) / ErrLimit / ErrCanceled.
+func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64,
+	deadline time.Time, done <-chan struct{}) (Model, int64, error) {
+	cur := p.domains
+	if rng != nil {
+		cur = make([][]int64, len(p.domains))
+		copy(cur, p.domains)
+		for _, v := range p.reps {
+			d := append([]int64(nil), cur[v]...)
+			rng.Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
+			cur[v] = d
+		}
+	}
+	st := &state{
+		domains:  make([][]int64, len(cur)),
+		assigned: make([]bool, len(cur)),
+		value:    make([]int64, len(cur)),
+		limit:    budget,
+		deadline: deadline,
+		done:     done,
+	}
+	copy(st.domains, cur)
+	for _, v := range p.nonReps {
+		st.assigned[v] = true // placeholder; filled from root later
+	}
+
+	tr := &trail{}
+	for _, cl := range p.clauses {
+		if cl.eval(st) == sqltypes.False || cl.prune(st, tr) {
+			return nil, st.nodes, ErrUnsat
+		}
+	}
+	found, err := s.dfsUnfolded(st, p.clauses, p.watch, tr, p.reps)
+	switch {
+	case err == nil && found:
+		for v := range st.value {
+			if r := p.root[v]; r != VarID(v) {
+				st.value[v] = st.value[r]
+			}
+		}
+		return Model(st.value), st.nodes, nil
+	case err == nil:
+		return nil, st.nodes, ErrUnsat // search space exhausted
+	default:
+		return nil, st.nodes, err
+	}
+}
+
+// solveUnfolded is the legacy list kernel: prepUnfolded runs the front
+// end once, then attemptUnfolded runs each rung of the restart ladder
+// over it.
 func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64, deadline time.Time) (Model, error) {
-	// The front end (flatten, equality preprocessing, compilation, watch
-	// lists) is shared with the speculative ladder; see speculate.go.
 	p, err := s.prepUnfolded()
 	if err != nil {
 		return nil, err
@@ -503,8 +681,7 @@ func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64, deadline time.
 	// of solves succeed on attempt 0 — seeding it eagerly showed up as
 	// ~13% of generation CPU in profiles, so it is created lazily. The
 	// stream is shared across attempts (attempt N+1's shuffles continue
-	// where N's stopped), which speculative attempts deliberately do not
-	// reproduce — their seeds are per-attempt (see specSeed).
+	// where N's stopped).
 	var rng *rand.Rand
 	for attempt := 0; ; attempt++ {
 		// Cooperative cancellation between restarts (the DFS itself

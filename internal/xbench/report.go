@@ -41,9 +41,9 @@ type Benchmark struct {
 	// worker budget — the parallel-scaling rows).
 	Name  string `json:"name"`
 	Iters int    `json:"iters"`
-	// Workers is the total worker budget the iteration ran with
-	// (core Options.Parallelism and SolverParallelism; 1 = the
-	// sequential headline configuration).
+	// Workers is the worker count the iteration ran with
+	// (core Options.Parallelism; 1 = the sequential headline
+	// configuration).
 	Workers int `json:"workers"`
 	// NsPerOp is the mean wall time of one workload iteration.
 	NsPerOp int64 `json:"ns_per_op"`
@@ -141,11 +141,9 @@ func RunUniversityBench(ctx context.Context, iters int) (Benchmark, error) {
 }
 
 // RunUniversityScaling measures the parallel-scaling rows: the same
-// university workload at total worker budgets of 1, 2, and 4 (both
-// goal-level Parallelism and the intra-goal SolverParallelism share are
-// set to the budget; the generator's clamp divides it so the product
-// never oversubscribes). Interpret the rows against
-// Environment.GOMAXPROCS — with one schedulable CPU every row is ~1x.
+// university workload at goal-level Parallelism 1, 2, and 4. Interpret
+// the rows against Environment.GOMAXPROCS — with one schedulable CPU
+// every row is ~1x.
 func RunUniversityScaling(ctx context.Context, iters int, workers []int) ([]Benchmark, error) {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4}
@@ -197,7 +195,6 @@ func runUniversity(ctx context.Context, name string, iters, workers int) (Benchm
 		for _, c := range cells {
 			opts := core.DefaultOptions()
 			opts.Parallelism = workers
-			opts.SolverParallelism = workers
 			suite, err := core.NewGenerator(c.q, opts).GenerateContext(ctx)
 			if err != nil {
 				return b, err

@@ -71,10 +71,69 @@ func suiteFingerprint(s *core.Suite) []string {
 	return out
 }
 
+// legacySolverPaths are the generator configurations that bypass the
+// bitset kernel: quantified mode (no unfolding, the paper's §VI-B
+// ablation) and the legacy list kernel behind the kernel's ablation
+// flags. Each solve on them runs a sequential restart ladder, so their
+// suites and node counts must not depend on the goal worker count
+// either.
+func legacySolverPaths() []struct {
+	name string
+	opts core.Options
+} {
+	quantified := core.DefaultOptions()
+	quantified.Unfold = false
+	listKernel := core.DefaultOptions()
+	listKernel.NoSolverHeuristics = true
+	listKernel.NoDecompose = true
+	return []struct {
+		name string
+		opts core.Options
+	}{{"quantified", quantified}, {"list-kernel", listKernel}}
+}
+
+// generateSeqPar generates q under opts at Parallelism 1 and 8 and
+// fails unless both runs give identical suite fingerprints and
+// deterministic work counters.
+func generateSeqPar(t *testing.T, q *qtree.Query, opts core.Options) (seq, par *core.Suite) {
+	t.Helper()
+	seqOpts, parOpts := opts, opts
+	seqOpts.Parallelism = 1
+	parOpts.Parallelism = 8
+
+	seq, err := core.NewGenerator(q, seqOpts).Generate()
+	if err != nil {
+		t.Fatalf("sequential generate: %v", err)
+	}
+	par, err = core.NewGenerator(q, parOpts).Generate()
+	if err != nil {
+		t.Fatalf("parallel generate: %v", err)
+	}
+
+	sf, pf := suiteFingerprint(seq), suiteFingerprint(par)
+	if !reflect.DeepEqual(sf, pf) {
+		t.Fatalf("suite fingerprints differ between Parallelism=1 and 8:\n--- sequential (%d entries)\n%v\n--- parallel (%d entries)\n%v",
+			len(sf), sf, len(pf), pf)
+	}
+
+	// Deterministic work counters must match too (solve wall times
+	// legitimately differ).
+	type counters struct {
+		Calls, Sat, Unsat     int
+		Nodes, Restarts, Size int64
+	}
+	sc := counters{seq.Stats.SolverCalls, seq.Stats.SatCount, seq.Stats.UnsatCount, seq.Stats.SolverNodes, seq.Stats.SolverRestarts, seq.Stats.SolverProblemSize}
+	pc := counters{par.Stats.SolverCalls, par.Stats.SatCount, par.Stats.UnsatCount, par.Stats.SolverNodes, par.Stats.SolverRestarts, par.Stats.SolverProblemSize}
+	if sc != pc {
+		t.Fatalf("solver work counters differ: sequential %+v, parallel %+v", sc, pc)
+	}
+	return seq, par
+}
+
 // TestParallelGenerateDeterminism asserts that Generate() with
 // Parallelism=1 and Parallelism=8 produce identical Suite.Datasets,
 // Skipped, work counters, and kill matrices for the university bench
-// queries.
+// queries, on the default solver path and on each legacy one.
 func TestParallelGenerateDeterminism(t *testing.T) {
 	for _, tc := range benchQueriesUnderTest(t) {
 		tc := tc
@@ -84,37 +143,7 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqOpts := core.DefaultOptions()
-			seqOpts.Parallelism = 1
-			parOpts := core.DefaultOptions()
-			parOpts.Parallelism = 8
-
-			seq, err := core.NewGenerator(q, seqOpts).Generate()
-			if err != nil {
-				t.Fatalf("sequential generate: %v", err)
-			}
-			par, err := core.NewGenerator(q, parOpts).Generate()
-			if err != nil {
-				t.Fatalf("parallel generate: %v", err)
-			}
-
-			sf, pf := suiteFingerprint(seq), suiteFingerprint(par)
-			if !reflect.DeepEqual(sf, pf) {
-				t.Fatalf("suite fingerprints differ between Parallelism=1 and 8:\n--- sequential (%d entries)\n%v\n--- parallel (%d entries)\n%v",
-					len(sf), sf, len(pf), pf)
-			}
-
-			// Deterministic work counters must match too (solve wall
-			// times legitimately differ).
-			type counters struct {
-				Calls, Sat, Unsat     int
-				Nodes, Restarts, Size int64
-			}
-			sc := counters{seq.Stats.SolverCalls, seq.Stats.SatCount, seq.Stats.UnsatCount, seq.Stats.SolverNodes, seq.Stats.SolverRestarts, seq.Stats.SolverProblemSize}
-			pc := counters{par.Stats.SolverCalls, par.Stats.SatCount, par.Stats.UnsatCount, par.Stats.SolverNodes, par.Stats.SolverRestarts, par.Stats.SolverProblemSize}
-			if sc != pc {
-				t.Fatalf("solver work counters differ: sequential %+v, parallel %+v", sc, pc)
-			}
+			seq, par := generateSeqPar(t, q, core.DefaultOptions())
 
 			// Kill matrices: byte-identical across generation AND
 			// evaluation parallelism.
@@ -132,6 +161,10 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 			}
 			if !reflect.DeepEqual(seqRep.Killed, parRep.Killed) {
 				t.Fatalf("kill matrices differ between sequential and parallel evaluation")
+			}
+
+			for _, lp := range legacySolverPaths() {
+				t.Run(lp.name, func(t *testing.T) { generateSeqPar(t, q, lp.opts) })
 			}
 		})
 	}
