@@ -15,8 +15,10 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,13 +40,13 @@ type Plan struct {
 	Aggs   []qtree.AggCall    // defaults to Query.Agg.Calls (if aggregated)
 	Having []qtree.HavingCond // defaults to Query.Agg.Having (if aggregated)
 
-	// Compiled execution state, built on first Run and reused across
-	// datasets. A kill matrix runs every mutant plan against every
-	// dataset of a suite; recomputing the dataset-independent parts
-	// (column layouts, join-condition placement, projection targets)
-	// on each run dominated the evaluation profile. sync.Once makes
-	// the lazy compile safe under the parallel evaluator, which runs
-	// one plan against several datasets concurrently.
+	// Compiled execution state, built once and reused across datasets:
+	// column layouts, join-condition placement and projection targets do
+	// not depend on the dataset. The kill-matrix evaluator compiles a
+	// whole mutant family up front through CompilePlans; every other
+	// caller compiles lazily on the first Run. sync.Once makes the
+	// compile exactly-once whichever of the two reaches it first, and
+	// safe for callers that run one plan from several goroutines.
 	compileOnce sync.Once
 	comp        *compiledPlan
 	compErr     error
@@ -243,8 +245,9 @@ func (r *Result) String() string {
 // compiledPlan is the dataset-independent execution state of a Plan:
 // per-node column layouts, join conditions resolved to row indices, and
 // projection / aggregation targets resolved against the root layout. It
-// is immutable after compile() and therefore safe to share across
-// concurrent Run calls on different datasets.
+// is immutable after compilation and therefore safe to share across
+// concurrent Run calls on different datasets; its tree's nodes may be
+// shared with other plans compiled through the same memo.
 type compiledPlan struct {
 	root *cnode
 
@@ -292,11 +295,18 @@ type compiledPlan struct {
 	havingIdx []int
 }
 
-// cnode is one compiled node of the join tree.
+// cnode is one compiled node of the join tree. It is immutable once
+// built: a family compile hands the same cnode to every plan whose tree
+// contains the subtree.
 type cnode struct {
-	cols     map[qtree.AttrRef]int
-	nullable map[qtree.AttrRef]bool // attrs under an outer join's null-padded side
-	width    int
+	cols  map[qtree.AttrRef]int
+	width int
+
+	// placed records which predicates of the plan's predicate slice this
+	// subtree applies (selections at its leaves, join predicates at its
+	// joins). It is derived from the children alone (see compileJoin), so
+	// a memoized node is exactly the node a fresh compile would build.
+	placed predSet
 
 	// opID is the interned id of this node's local operation signature:
 	// relation name plus selections for a leaf; join type, pair shape
@@ -332,34 +342,123 @@ type cnode struct {
 // right-row index r (both child-local).
 type pairIdx struct{ l, r int }
 
+// Plan compilation. A kill matrix compiles the original query and every
+// mutant of its space, and the mutants of one family differ in a single
+// component: their join trees — every equivalent join order, each with
+// every join-type mutation — overlap heavily. CompilePlans compiles a
+// family through one memo that hash-conses compiled nodes, so each
+// distinct subtree is built once per evaluation; a lazy compile runs the
+// same code through a private memo.
+
+// CompilePlans compiles every plan not compiled yet, through one memo per
+// (query, predicate slice) that builds each distinct subtree once. The
+// memos live only for the call: a plan keeps just its own compiled tree,
+// whose nodes it may share with the other plans of the call. A compile
+// error stays on its plan and is returned by the plan's runs, as a lazy
+// compile's would be. CompilePlans itself fails only when ctx is done,
+// which it checks between plans.
+func CompilePlans(ctx context.Context, plans []*Plan) error {
+	memos := memoSet{}
+	for _, p := range plans {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
+		}
+		p.compileOnce.Do(func() { p.comp, p.compErr = memos.compile(p) })
+	}
+	return nil
+}
+
+// memoKey identifies the plans that can share compiled nodes. A node's
+// compiled form depends on the query (occurrences, equivalence classes)
+// and on the predicate slice (which conjuncts it places), never on the
+// rest of the plan. Slices are compared by identity: the plans derived by
+// WithTree, WithAggReplaced, WithSubReplaced and WithHavingReplaced share
+// their parent's slice, while each WithPredReplaced plan gets a memo of
+// its own.
+type memoKey struct {
+	q     *qtree.Query
+	preds **qtree.Pred // first element; nil for an empty slice
+	n     int
+}
+
+// memoSet holds the memos of one CompilePlans call.
+type memoSet map[memoKey]*compileMemo
+
+// compile compiles p through the memo of its key, creating the memo on
+// first use.
+func (s memoSet) compile(p *Plan) (*compiledPlan, error) {
+	k := memoKey{q: p.Query, n: len(p.Preds)}
+	if len(p.Preds) > 0 {
+		k.preds = &p.Preds[0]
+	}
+	m := s[k]
+	if m == nil {
+		m = newCompileMemo(p)
+		s[k] = m
+	}
+	return p.doCompile(m)
+}
+
+// compileMemo hash-conses the compiled nodes of the plans sharing one
+// memoKey: leaves are keyed by occurrence, joins by (join type, left
+// node, right node). Children are memoized first, so node pointers are
+// canonical and a join key identifies its whole subtree.
+type compileMemo struct {
+	q     *qtree.Query
+	preds []*qtree.Pred
+	// constEmpty is set when a constant conjunct is not true (see
+	// compiledPlan.empty).
+	constEmpty bool
+	leaves     map[*qtree.Occurrence]*cnode
+	joins      map[joinKey]*cnode
+	// proj and projNames are the non-aggregate output columns and header.
+	// They depend on the query alone; built on first use.
+	proj      []outputColumn
+	projNames []string
+}
+
+type joinKey struct {
+	jt   sqlparser.JoinType
+	l, r *cnode
+}
+
+func newCompileMemo(p *Plan) *compileMemo {
+	m := &compileMemo{
+		q:      p.Query,
+		preds:  p.Preds,
+		leaves: map[*qtree.Occurrence]*cnode{},
+		joins:  map[joinKey]*cnode{},
+	}
+	// Constant predicates (no attribute references) are WHERE conjuncts
+	// that hold for every row or for none; they are decided once, for
+	// every plan of the memo, and never placed in the tree.
+	for _, pr := range p.Preds {
+		if len(pr.Occs) == 0 && pr.Eval(func(qtree.AttrRef) sqltypes.Value { return sqltypes.Null() }) != sqltypes.True {
+			m.constEmpty = true
+		}
+	}
+	return m
+}
+
+// compile returns the plan's compiled state, compiling it through a
+// private memo unless CompilePlans already has.
 func (p *Plan) compile() (*compiledPlan, error) {
-	p.compileOnce.Do(func() { p.comp, p.compErr = p.doCompile() })
+	p.compileOnce.Do(func() { p.comp, p.compErr = p.doCompile(newCompileMemo(p)) })
 	return p.comp, p.compErr
 }
 
-func (p *Plan) doCompile() (*compiledPlan, error) {
-	applied := make([]bool, len(p.Preds))
-	// Constant predicates (no attribute references) are WHERE conjuncts
-	// that hold for every row or for none; they are decided once, for the
-	// whole plan, before the tree is compiled.
-	constEmpty := false
-	for i, pr := range p.Preds {
-		if len(pr.Occs) == 0 {
-			applied[i] = true
-			if pr.Eval(func(qtree.AttrRef) sqltypes.Value { return sqltypes.Null() }) != sqltypes.True {
-				constEmpty = true
-			}
-		}
-	}
-	root := p.compileNode(p.Tree, applied)
+func (p *Plan) doCompile(m *compileMemo) (*compiledPlan, error) {
+	root := m.node(p.Tree)
 	// Any predicate not placed inside the tree (possible only if its
 	// occurrences never co-occur, which build rejects) would be a bug.
-	for i, a := range applied {
-		if !a {
-			return nil, fmt.Errorf("engine: predicate %s was never applied", p.Preds[i])
+	for i, pr := range p.Preds {
+		if len(pr.Occs) > 0 && !root.placed.has(i) {
+			return nil, fmt.Errorf("engine: predicate %s was never applied", pr)
 		}
 	}
-	cp := &compiledPlan{root: root, empty: constEmpty}
+	cp := &compiledPlan{root: root, empty: m.constEmpty}
 	if p.Query.Agg != nil {
 		spec := p.Query.Agg
 		cp.groupIdx = make([]int, len(spec.GroupBy))
@@ -387,7 +486,14 @@ func (p *Plan) doCompile() (*compiledPlan, error) {
 			cp.colNames = append(cp.colNames, c.String())
 		}
 	} else {
-		cp.proj = p.projColumns()
+		if m.proj == nil {
+			m.proj = projColumns(m.q)
+			m.projNames = make([]string, len(m.proj))
+			for i, c := range m.proj {
+				m.projNames[i] = c.name
+			}
+		}
+		cp.proj, cp.colNames = m.proj, m.projNames
 		cp.projIdx = make([][]int, len(cp.proj))
 		simple := make([]int, len(cp.proj))
 		for i, c := range cp.proj {
@@ -401,24 +507,35 @@ func (p *Plan) doCompile() (*compiledPlan, error) {
 			} else {
 				simple = nil
 			}
-			cp.colNames = append(cp.colNames, c.name)
 		}
 		cp.simpleProj = simple
 	}
-	// Render the projection signature: everything that determines the
-	// output given a root batch. Aggregate calls render with function,
-	// argument and DISTINCT; resolved indices pin the root layout
-	// bindings; the header is included so memoized Results carry the
-	// right column names.
-	var sb strings.Builder
+	cp.projID = intern(&opIntern, string(p.projSignature(cp)))
+	return cp, nil
+}
+
+// projSignature renders everything that determines the output given a
+// root batch. Aggregate calls render with function, argument and
+// DISTINCT; resolved indices pin the root layout bindings; the header is
+// included so memoized Results carry the right column names.
+func (p *Plan) projSignature(cp *compiledPlan) []byte {
+	b := make([]byte, 0, 128)
 	if p.Query.Agg != nil {
-		fmt.Fprintf(&sb, "A(%v;%v", cp.groupIdx, cp.aggIdx)
+		b = append(b, "A("...)
+		b = appendInts(b, cp.groupIdx)
+		b = append(b, ';')
+		b = appendInts(b, cp.aggIdx)
 	} else {
-		fmt.Fprintf(&sb, "P(%v;%t", cp.projIdx, p.Query.Distinct)
+		b = append(b, "P("...)
+		for _, idx := range cp.projIdx {
+			b = appendInts(b, idx)
+		}
+		b = append(b, ';')
+		b = strconv.AppendBool(b, p.Query.Distinct)
 	}
 	for _, n := range cp.colNames {
-		sb.WriteByte('|')
-		sb.WriteString(n)
+		b = append(b, '|')
+		b = append(b, n...)
 	}
 	// Retained subqueries filter root rows before the finisher, and
 	// HAVING filters groups after it: both change the output of an
@@ -426,16 +543,26 @@ func (p *Plan) doCompile() (*compiledPlan, error) {
 	// signature (else a connective or HAVING mutant would alias the
 	// original in the whole-result memo).
 	for _, s := range p.Subs {
-		sb.WriteByte('~')
-		sb.WriteString(s.String())
+		b = append(b, '~')
+		b = append(b, s.String()...)
 	}
 	for _, h := range p.Having {
-		sb.WriteByte('~')
-		sb.WriteString(h.String())
+		b = append(b, '~')
+		b = append(b, h.String()...)
 	}
-	sb.WriteByte(')')
-	cp.projID = internOp(sb.String())
-	return cp, nil
+	return append(b, ')')
+}
+
+// appendInts renders xs as a bracketed, space-separated list.
+func appendInts(b []byte, xs []int) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 func colIndex(cols map[qtree.AttrRef]int, a qtree.AttrRef) int {
@@ -445,63 +572,79 @@ func colIndex(cols map[qtree.AttrRef]int, a qtree.AttrRef) int {
 	return -1
 }
 
-func (p *Plan) compileNode(n *qtree.Node, applied []bool) *cnode {
+// node returns the compiled node for a plan subtree, building it (and
+// any missing descendants) on first sight.
+func (m *compileMemo) node(n *qtree.Node) *cnode {
 	if n.IsLeaf() {
-		return p.compileLeaf(n.Occ, applied)
+		c := m.leaves[n.Occ]
+		if c == nil {
+			c = m.compileLeaf(n.Occ)
+			m.leaves[n.Occ] = c
+		}
+		return c
 	}
-	left := p.compileNode(n.Left, applied)
-	right := p.compileNode(n.Right, applied)
-	return p.compileJoin(n, left, right, applied)
+	k := joinKey{jt: n.Type, l: m.node(n.Left), r: m.node(n.Right)}
+	c := m.joins[k]
+	if c == nil {
+		c = m.compileJoin(k)
+		m.joins[k] = c
+	}
+	return c
 }
 
-func (p *Plan) compileLeaf(occ *qtree.Occurrence, applied []bool) *cnode {
+// compileLeaf compiles one occurrence's scan and the selections on it.
+func (m *compileMemo) compileLeaf(occ *qtree.Occurrence) *cnode {
 	c := &cnode{
-		leaf:     true,
-		relName:  occ.Rel.Name,
-		cols:     map[qtree.AttrRef]int{},
-		nullable: map[qtree.AttrRef]bool{},
-		width:    occ.Rel.Arity(),
+		leaf:    true,
+		relName: occ.Rel.Name,
+		cols:    make(map[qtree.AttrRef]int, len(occ.Rel.Attrs)),
+		width:   occ.Rel.Arity(),
+		placed:  newPredSet(len(m.preds)),
 	}
 	for i, a := range occ.Rel.Attrs {
 		c.cols[qtree.AttrRef{Occ: occ.Name, Attr: a.Name}] = i
 	}
 	// Selections on this occurrence are applied at the leaf (paper §II:
-	// selections pushed to the lowest level). Constant predicates were
-	// already decided plan-wide in doCompile.
-	for i, pr := range p.Preds {
+	// selections pushed to the lowest level).
+	for i, pr := range m.preds {
 		if len(pr.Occs) == 1 && pr.Occs[0] == occ.Name {
 			c.sels = append(c.sels, compilePred(pr, c.cols))
-			applied[i] = true
+			c.placed.add(i)
 		}
 	}
-	var sb strings.Builder
-	sb.WriteString("L(")
-	sb.WriteString(c.relName)
+	b := append(make([]byte, 0, 64), "L("...)
+	b = append(b, c.relName...)
 	for i := range c.sels {
-		sb.WriteByte(';')
-		sb.WriteString(c.sels[i].src.String())
+		b = append(b, ';')
+		b = append(b, c.sels[i].src.String()...)
 	}
-	sb.WriteByte(')')
-	c.opID = internOp(sb.String())
+	c.opID = intern(&opIntern, string(append(b, ')')))
 	c.subID = c.opID // a leaf is its own subtree
 	return c
 }
 
-// opIntern maps operation signature strings to small process-wide ids,
-// assigned at compile time. Equal signatures from independently
-// compiled plans get equal ids, so a SharedCache key is three ints and
-// a lookup never touches the signature string. The table's footprint is
-// one string per distinct operation shape ever compiled.
+// The intern tables map operation signature strings, and join subtree
+// keys, to small process-wide ids assigned at compile time. Equal
+// signatures from independently compiled plans — through different
+// memos, in different calls — get equal ids, so a SharedCache key is
+// three ints and a lookup never touches the signature string. Both
+// tables draw from one counter: a leaf's subtree id is its op id, and a
+// join's is keyed by its op id and its children's subtree ids. The
+// tables' footprint is one entry per distinct operation or subtree
+// shape ever compiled.
 var (
 	opIntern  sync.Map // string -> int32
+	subIntern sync.Map // subKey -> int32
 	opInternN atomic.Int32
 )
 
-func internOp(s string) int32 {
-	if v, ok := opIntern.Load(s); ok {
+type subKey struct{ op, l, r int32 }
+
+func intern(table *sync.Map, k any) int32 {
+	if v, ok := table.Load(k); ok {
 		return v.(int32)
 	}
-	v, _ := opIntern.LoadOrStore(s, opInternN.Add(1))
+	v, _ := table.LoadOrStore(k, opInternN.Add(1))
 	return v.(int32)
 }
 
@@ -513,48 +656,39 @@ func internedOps() int {
 }
 
 // compileJoin computes the join conditions applied at a node — for every
-// equivalence class, all cross-side member pairs; plus every non-equi
-// predicate whose occurrence set spans the node for the first time — and
-// resolves them against the children's row layouts.
-func (p *Plan) compileJoin(n *qtree.Node, left, right *cnode, applied []bool) *cnode {
+// equivalence class, all cross-side member pairs; plus every predicate
+// neither child placed whose occurrence set this node is the first to
+// span — and resolves them against the children's row layouts.
+//
+// Placement looks only at the subtree: occurrences are disjoint between
+// sibling subtrees, so a predicate placed elsewhere in the tree is never
+// in scope here, and the result is the node a whole-tree traversal
+// would build.
+func (m *compileMemo) compileJoin(k joinKey) *cnode {
+	left, right := k.l, k.r
 	c := &cnode{
-		jt:       n.Type,
-		left:     left,
-		right:    right,
-		width:    left.width + right.width,
-		cols:     map[qtree.AttrRef]int{},
-		nullable: map[qtree.AttrRef]bool{},
+		jt:     k.jt,
+		left:   left,
+		right:  right,
+		width:  left.width + right.width,
+		cols:   make(map[qtree.AttrRef]int, len(left.cols)+len(right.cols)),
+		placed: newPredSet(len(m.preds)),
 	}
 	for a, i := range left.cols {
 		c.cols[a] = i
-		if left.nullable[a] {
-			c.nullable[a] = true
-		}
 	}
 	for a, i := range right.cols {
 		c.cols[a] = left.width + i
-		if right.nullable[a] {
-			c.nullable[a] = true
-		}
 	}
-	switch n.Type {
-	case sqlparser.LeftOuterJoin, sqlparser.FullOuterJoin:
-		for a := range right.cols {
-			c.nullable[a] = true
-		}
+	for w := range c.placed {
+		c.placed[w] = left.placed[w] | right.placed[w]
 	}
-	switch n.Type {
-	case sqlparser.RightOuterJoin, sqlparser.FullOuterJoin:
-		for a := range left.cols {
-			c.nullable[a] = true
-		}
-	}
-	for _, ec := range p.Query.Classes {
+	for _, ec := range m.q.Classes {
 		var ls, rs []int
-		for _, m := range ec.Members {
-			if i, ok := left.cols[m]; ok {
+		for _, mem := range ec.Members {
+			if i, ok := left.cols[mem]; ok {
 				ls = append(ls, i)
-			} else if i, ok := right.cols[m]; ok {
+			} else if i, ok := right.cols[mem]; ok {
 				rs = append(rs, i)
 			}
 		}
@@ -566,8 +700,8 @@ func (p *Plan) compileJoin(n *qtree.Node, left, right *cnode, applied []bool) *c
 			}
 		}
 	}
-	for i, pr := range p.Preds {
-		if applied[i] || len(pr.Occs) < 2 {
+	for i, pr := range m.preds {
+		if len(pr.Occs) < 2 || c.placed.has(i) {
 			continue
 		}
 		inScope, touchesL, touchesR := true, false, false
@@ -588,23 +722,33 @@ func (p *Plan) compileJoin(n *qtree.Node, left, right *cnode, applied []bool) *c
 		// that first co-occurred here).
 		if inScope && (touchesL || touchesR) {
 			c.preds = append(c.preds, compilePred(pr, c.cols))
-			applied[i] = true
+			c.placed.add(i)
 		}
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "J%d(", int(c.jt))
+	b := append(make([]byte, 0, 64), 'J')
+	b = strconv.AppendInt(b, int64(c.jt), 10)
+	b = append(b, '(')
 	for _, pr := range c.pairs {
-		fmt.Fprintf(&sb, "|%d=%d", pr.l, pr.r)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(pr.l), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(pr.r), 10)
 	}
 	for i := range c.preds {
-		sb.WriteByte(';')
-		sb.WriteString(c.preds[i].src.String())
+		b = append(b, ';')
+		b = append(b, c.preds[i].src.String()...)
 	}
-	sb.WriteByte(')')
-	c.opID = internOp(sb.String())
-	c.subID = internOp(fmt.Sprintf("S(%d,%d,%d)", c.opID, left.subID, right.subID))
+	c.opID = intern(&opIntern, string(append(b, ')')))
+	c.subID = intern(&subIntern, subKey{op: c.opID, l: left.subID, r: right.subID})
 	return c
 }
+
+// predSet is a bitset over the indices of a plan's predicate slice.
+type predSet []uint64
+
+func newPredSet(n int) predSet   { return make(predSet, (n+63)/64) }
+func (s predSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s predSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // RunOptions selects the execution strategy for one plan run.
 type RunOptions struct {
@@ -821,8 +965,7 @@ type outputColumn struct {
 // projColumns computes the output columns for non-aggregate queries,
 // coalescing natural-join common attributes under SELECT * (standard SQL
 // star expansion; this is what makes assumption A8 necessary).
-func (p *Plan) projColumns() []outputColumn {
-	q := p.Query
+func projColumns(q *qtree.Query) []outputColumn {
 	if !q.Proj.Star {
 		out := make([]outputColumn, len(q.Proj.Attrs))
 		for i, a := range q.Proj.Attrs {

@@ -177,10 +177,18 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 	}
 	defer func() { rep.Exec = stats.Counts() }()
 
+	// Compile the original and every unique plan before any cell runs,
+	// through one transient memo: the family's join trees overlap, and
+	// each distinct subtree is compiled once per evaluation. A plan's
+	// compile error surfaces from its first cell, naming the mutant.
+	origPlan := engine.NewPlan(q)
+	if err := engine.CompilePlans(ctx, append([]*engine.Plan{origPlan}, plans...)); err != nil {
+		return nil, fmt.Errorf("mutation: evaluation canceled: %w", err)
+	}
+
 	// Original-query results, one per dataset, computed lazily by
 	// whichever cell needs them first (hoisted out of every retry/mutant
 	// path: exactly one run per dataset).
-	origPlan := engine.NewPlan(q)
 	wants := make([]*engine.Result, len(datasets))
 	wantErrs := make([]error, len(datasets))
 	wantOnce := make([]sync.Once, len(datasets))

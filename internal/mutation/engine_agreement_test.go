@@ -2,6 +2,8 @@ package mutation
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/schema"
@@ -75,5 +77,56 @@ func TestKillMatrixEngineMetamorphic(t *testing.T) {
 	}
 	if compiled.Exec.FamilyPrefixHits == 0 {
 		t.Errorf("FamilyPrefixHits = 0 across a mutant family, want sharing")
+	}
+}
+
+// TestEvaluateConcurrentSharedSpace runs several evaluations of one
+// uncompiled mutant space at once. Each compiles the space through its
+// own family memo, racing the others for every plan's first compile,
+// and reads trees another evaluation may have built; every report must
+// equal a sequential evaluation of a fresh space. Run under -race.
+func TestEvaluateConcurrentSharedSpace(t *testing.T) {
+	query := q(t, testDDL, `SELECT i.name, c.title FROM instructor i, teaches t, course c
+		WHERE i.id = t.id AND t.course_id = c.course_id AND i.salary > 70000`)
+	rng := rand.New(rand.NewSource(5))
+	var datasets []*schema.Dataset
+	for i := 0; i < 4; i++ {
+		ds, err := RandomDataset(query, rng, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasets = append(datasets, ds)
+	}
+	fresh, err := Space(query, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EvaluateOpts(query, fresh, datasets, EvalOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shared, err := Space(query, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]*Report, 4)
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
+	for g := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[g], errs[g] = EvaluateOpts(query, shared, datasets, EvalOptions{Parallelism: 2})
+		}()
+	}
+	wg.Wait()
+	for g, rep := range reps {
+		if errs[g] != nil {
+			t.Fatalf("evaluation %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(rep.Killed, want.Killed) || rep.Exec != want.Exec {
+			t.Errorf("evaluation %d differs from the sequential one: exec %+v, want %+v", g, rep.Exec, want.Exec)
+		}
 	}
 }

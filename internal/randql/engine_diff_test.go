@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mutation"
+	"repro/internal/refeval"
 	"repro/internal/schema"
 )
 
@@ -17,6 +18,13 @@ var flagEngineDiff = flag.Int("randql.engine-diff", 25, "number of compiled-vs-i
 // This is the corpus-wide form of the NoCompiledEngine ablation
 // guarantee — TestDifferentialOracle checks single results, this checks
 // the matrix the generator's fitness signal is built from.
+//
+// The interpreter walks the same compiled nodes as the columnar
+// executor, so it cannot catch a compile fault such as a misplaced
+// predicate. Every cell is therefore also checked against refeval,
+// which shares no code with the engine: a cell is killed there when the
+// multisets of refeval.Eval (the original) and refeval.EvalPlan (the
+// mutant) differ.
 func TestCompiledInterpDifferential(t *testing.T) {
 	cfg := DefaultConfig()
 	const datasetsPerCase = 2
@@ -56,19 +64,30 @@ func TestCompiledInterpDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: interpreted evaluation: %v", seed, err)
 		}
-		for mi := range ms {
-			for di := range datasets {
-				if compiled.Killed[mi][di] != interp.Killed[mi][di] {
-					saveFailure(t, seed, c.Repro(datasets[di]))
-					t.Fatalf("seed %d: kill-matrix disagreement: mutant %q dataset %d: compiled=%v interpreted=%v\nquery: %s",
-						seed, ms[mi].Desc, di, compiled.Killed[mi][di], interp.Killed[mi][di], c.SQL)
+		for di, ds := range datasets {
+			want, err := refeval.Eval(c.Query, ds)
+			if err != nil {
+				t.Fatalf("seed %d dataset %d: refeval original: %v", seed, di, err)
+			}
+			wantMS := want.Multiset()
+			for mi, m := range ms {
+				p := m.Plan
+				got, err := refeval.EvalPlan(p.Query, p.Tree, p.Preds, p.Subs, p.Aggs, p.Having, ds)
+				if err != nil {
+					t.Fatalf("seed %d dataset %d: refeval mutant %q: %v", seed, di, m.Desc, err)
+				}
+				ref := !multisetEqual(wantMS, got.Multiset())
+				if compiled.Killed[mi][di] != interp.Killed[mi][di] || compiled.Killed[mi][di] != ref {
+					saveFailure(t, seed, c.Repro(ds))
+					t.Fatalf("seed %d: kill-matrix disagreement: mutant %q dataset %d: compiled=%v interpreted=%v refeval=%v\nquery: %s",
+						seed, m.Desc, di, compiled.Killed[mi][di], interp.Killed[mi][di], ref, c.SQL)
 				}
 			}
 		}
 		cases++
 		cells += int64(len(ms)) * int64(len(datasets))
 	}
-	t.Logf("engine differential: %d cases, %d kill-matrix cells, zero divergences", cases, cells)
+	t.Logf("engine differential: %d cases, %d kill-matrix cells, zero divergences from the interpreter or refeval", cases, cells)
 	if cases < 10 {
 		t.Errorf("only %d cases with non-empty mutant spaces, want >= 10", cases)
 	}
