@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,7 +49,6 @@ func run() int {
 	trials := flag.Int("trials", 120, "randomized trials per surviving mutant")
 	fullOuter := flag.Bool("full-outer", false, "include mutations to FULL OUTER JOIN (the paper's tables exclude them)")
 	parallel := flag.Int("parallel", 0, "workers for generation and kill-matrix evaluation (0 = all CPUs, 1 = sequential); output is identical for every value")
-	engineMode := flag.String("engine", "compiled", "kill-matrix executor: compiled (columnar, family prefix sharing) or interp (row-at-a-time reference); the report is identical for either")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = unlimited); on expiry the partial results are reported and the exit code is 3")
 	goalTimeout := flag.Duration("goal-timeout", 0, "wall-clock budget per kill goal (0 = unlimited)")
 	goalNodes := flag.Int64("goal-nodes", 0, "solver node budget per kill goal, with escalating 1x/4x/16x retries (0 = unlimited)")
@@ -56,10 +56,6 @@ func run() int {
 
 	if *schemaPath == "" || *query == "" {
 		flag.Usage()
-		return 2
-	}
-	if *engineMode != "compiled" && *engineMode != "interp" {
-		fmt.Fprintf(os.Stderr, "mutcheck: -engine must be compiled or interp, got %q\n", *engineMode)
 		return 2
 	}
 	ddl, err := os.ReadFile(*schemaPath)
@@ -112,7 +108,7 @@ func run() int {
 	if partial && ctx.Err() != nil {
 		evalCtx = context.Background()
 	}
-	eopts := xdata.EvalOptions{Parallelism: *parallel, NoCompiledEngine: *engineMode == "interp"}
+	eopts := xdata.EvalOptions{Parallelism: *parallel}
 	rep, err := xdata.AnalyzeOptsContext(evalCtx, q, suite, mopts, eopts)
 	if err != nil {
 		fatal(err)
@@ -120,8 +116,12 @@ func run() int {
 
 	fmt.Printf("query: %s\n", *query)
 	fmt.Printf("datasets: %d (+original), skipped as equivalent: %d\n", len(suite.Datasets), len(suite.Skipped))
-	fmt.Printf("engine: %s (%d compiled runs, %d interpreted runs, %d prefix-cache hits, %d hash joins, %d nested-loop joins)\n",
-		*engineMode, rep.Exec.CompiledRuns, rep.Exec.InterpretedRuns, rep.Exec.FamilyPrefixHits, rep.Exec.HashJoins, rep.Exec.NestedLoopJoins)
+	// Every engine counter, under its /statsz JSON name.
+	exec, err := json.Marshal(rep.Exec)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("engine: %s\n", exec)
 	if len(suite.Incomplete) > 0 {
 		fmt.Printf("incomplete kill goals: %d (kill counts are a lower bound)\n", len(suite.Incomplete))
 		for _, f := range suite.Incomplete {

@@ -64,7 +64,6 @@ func run() int {
 	inputDB := flag.String("inputdb", "", "optional SQL file of INSERT statements providing an input database (§VI-A)")
 	forceInput := flag.Bool("force-input-tuples", false, "constrain generated tuples to come from the input database")
 	minimize := flag.Bool("minimize", false, "prune datasets whose kills are covered by others (greedy set cover)")
-	engineMode := flag.String("engine", "compiled", "kill-matrix executor for -minimize: compiled (columnar) or interp (reference interpreter); output is identical for either")
 	parallel := flag.Int("parallel", 0, "kill-goal solver workers (0 = all CPUs, 1 = sequential); output is identical for every value")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for generation (0 = unlimited); on expiry the partial suite is printed and the exit code is 3")
 	goalTimeout := flag.Duration("goal-timeout", 0, "wall-clock budget per kill goal (0 = unlimited)")
@@ -81,10 +80,6 @@ func run() int {
 	}
 	if *schemaPath == "" || (*query == "" && *queryFile == "") {
 		flag.Usage()
-		return 2
-	}
-	if *engineMode != "compiled" && *engineMode != "interp" {
-		fmt.Fprintf(os.Stderr, "xdata: -engine must be compiled or interp, got %q\n", *engineMode)
 		return 2
 	}
 	if *cpuprofile != "" {
@@ -175,7 +170,7 @@ func run() int {
 		len(suite.Datasets), len(suite.Skipped))
 	datasets := suite.All()
 	if *minimize {
-		eopts := xdata.EvalOptions{Parallelism: *parallel, NoCompiledEngine: *engineMode == "interp"}
+		eopts := xdata.EvalOptions{Parallelism: *parallel}
 		datasets, err = xdata.MinimizeOpts(q, suite, xdata.DefaultMutationOptions(), eopts)
 		if err != nil {
 			fatal(err)

@@ -46,11 +46,10 @@ func TestSolverMicroarchStats(t *testing.T) {
 // in the same order), schema-valid datasets, and identical SAT/UNSAT
 // outcomes per goal. Dataset contents may differ between search
 // strategies (any valid witness kills the mutant); the suite shape
-// must not. The grid is extended with the executor ablation:
-// every generated suite's kill matrix must be cell-identical whether
-// scored by the compiled columnar executor or the reference
-// interpreter (NoCompiledEngine), closing the loop between solver-side
-// and engine-side ablations.
+// must not. Every generated suite is also scored against refeval: its
+// kill matrix under the compiled executor must be cell-identical to
+// the independent reference evaluator's, closing the loop between
+// solver-side ablations and the engine.
 func TestAblationFlagAgreement(t *testing.T) {
 	q := buildQuery(t, ddlFK, microarchSQL)
 
@@ -61,8 +60,8 @@ func TestAblationFlagAgreement(t *testing.T) {
 	if len(ms) == 0 {
 		t.Fatal("empty mutant space")
 	}
-	// checkEngines scores a suite's kill matrix under both executors and
-	// fails on any cell difference.
+	// checkEngines scores a suite's kill matrix under the compiled
+	// executor and under refeval and fails on any cell difference.
 	checkEngines := func(mask int, suite *Suite) {
 		t.Helper()
 		datasets := suite.All()
@@ -73,17 +72,13 @@ func TestAblationFlagAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mask %04b: compiled evaluation: %v", mask, err)
 		}
-		interp, err := mutation.EvaluateOpts(q, ms, datasets, mutation.EvalOptions{Parallelism: 1, NoCompiledEngine: true})
+		ref, err := mutation.ReferenceKills(q, ms, datasets)
 		if err != nil {
-			t.Fatalf("mask %04b: interpreted evaluation: %v", mask, err)
+			t.Fatalf("mask %04b: %v", mask, err)
 		}
-		for mi := range ms {
-			for di := range datasets {
-				if compiled.Killed[mi][di] != interp.Killed[mi][di] {
-					t.Errorf("mask %04b: kill-matrix disagreement: mutant %q dataset %d: compiled=%v interpreted=%v",
-						mask, ms[mi].Desc, di, compiled.Killed[mi][di], interp.Killed[mi][di])
-				}
-			}
+		if mi, di, bad := compiled.FirstDisagreement(ref); bad {
+			t.Errorf("mask %04b: kill-matrix disagreement: mutant %q dataset %d: compiled=%v refeval=%v",
+				mask, ms[mi].Desc, di, compiled.Killed[mi][di], ref[mi][di])
 		}
 	}
 

@@ -11,15 +11,17 @@ import (
 // row-at-a-time []sqltypes.Row materialization. A batch is virtual
 // wherever possible — leaves reference the dataset's memoized columnar
 // view (schema.Column vectors with NULL bitmaps) zero-copy, selections
-// and joins are index vectors over their children, and values are only
-// read (never copied into new storage) until projection or aggregation
-// consumes the root. On the kill-matrix workload batches are tiny (the
-// paper's datasets are 1-4 rows per table), so per-node materialization
-// cost dominates everything; the virtual representation makes a join
-// node cost two []int32 and a shared-cache hit cost zero allocation.
-// Output row order, group order and padding order match the
-// tree-walking interpreter exactly, so the two executors produce
-// identical Results, not merely multiset-equal ones.
+// (leaf predicates and retained subqueries) and joins are index vectors
+// over their children, and values are only read (never copied into new
+// storage) until projection or aggregation consumes the root. On the
+// kill-matrix workload batches are tiny (the paper's datasets are 1-4
+// rows per table), so per-node materialization cost dominates
+// everything; the virtual representation makes a join node cost two
+// []int32 and a shared-cache hit cost zero allocation. Join output
+// order is deterministic — each left row in order with its matches in
+// right order (or its NULL padding), then the unmatched right rows —
+// and the same with or without a SharedCache, so a run's Result never
+// depends on its options.
 
 type batchKind uint8
 
@@ -188,15 +190,6 @@ func int32SlicesEqual(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-// row materializes row i (diagnostics only; hot paths stay columnar).
-func (b *batch) row(i int) sqltypes.Row {
-	out := make(sqltypes.Row, b.width())
-	for c := range out {
-		out[c] = b.value(c, i)
-	}
-	return out
 }
 
 func (b *batch) width() int {

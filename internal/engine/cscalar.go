@@ -8,11 +8,10 @@ import (
 )
 
 // Compiled scalar expressions and predicates: qtree forms with every
-// attribute reference resolved to a row-layout index at compile time.
-// The interpreter previously resolved attributes through a map lookup
-// per attribute per row (the colAt closure); both executors now index
-// straight into the row or batch. Resolution failures keep the lazy
-// panic semantics of the interpreter: a -1 index panics only when a row
+// attribute reference resolved to a batch-layout index at compile time,
+// so evaluation indexes straight into a batch (or a virtual pair of
+// batches at a join) instead of looking attributes up by name.
+// Resolution failures are lazy: a -1 index panics only when a row
 // actually reaches the predicate.
 
 // cscalar is a compiled qtree.Scalar.
@@ -42,18 +41,6 @@ func (s *cscalar) colOrPanic() int {
 		panic(fmt.Sprintf("engine: attribute %s not in scope", s.attr))
 	}
 	return s.col
-}
-
-// eval evaluates against a row in the compiled layout.
-func (s *cscalar) eval(row sqltypes.Row) sqltypes.Value {
-	switch s.kind {
-	case qtree.SAttr:
-		return row[s.colOrPanic()]
-	case qtree.SConst:
-		return s.konst
-	default:
-		return arithOp(s.op, s.l.eval(row), s.r.eval(row))
-	}
 }
 
 // evalB evaluates against row i of a columnar batch.
@@ -112,13 +99,6 @@ type cpred struct {
 func compilePred(p *qtree.Pred, cols map[qtree.AttrRef]int) cpred {
 	return cpred{op: p.Op, l: compileScalar(p.L, cols), r: compileScalar(p.R, cols),
 		like: p.Like, src: p}
-}
-
-func (p *cpred) eval(row sqltypes.Row) sqltypes.Tristate {
-	if p.like != nil {
-		return sqltypes.TriLike(p.l.eval(row), p.like.Pattern, p.like.Not)
-	}
-	return sqltypes.TriCompare(p.op, p.l.eval(row), p.r.eval(row))
 }
 
 func (p *cpred) evalB(b *batch, i int) sqltypes.Tristate {

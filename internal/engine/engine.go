@@ -264,19 +264,18 @@ type compiledPlan struct {
 	// Non-aggregate projection: output columns plus, per column, the
 	// root-layout indices of its coalesce attributes. An index of -1
 	// (attribute missing from the root layout) only surfaces when a row
-	// is actually projected, matching the lazy lookup the interpreter
-	// performed per row.
+	// is actually projected.
 	proj    []outputColumn
 	projIdx [][]int
 
 	// simpleProj is the common projection shape — every output column
 	// is exactly one resolved root-layout index, no coalescing and no
-	// unresolved attributes — flattened for the columnar executor's
-	// fast path. nil when any column needs the general loop.
+	// unresolved attributes — flattened for projectB's fast path. nil
+	// when any column needs the general loop.
 	simpleProj []int
 
 	// colNames is the output header, rendered once at compile time and
-	// shared (read-only) by every Result the columnar executor builds.
+	// shared (read-only) by every Result the plan builds.
 	colNames []string
 
 	// projID is the interned id of the full projection/aggregation
@@ -750,46 +749,29 @@ func newPredSet(n int) predSet   { return make(predSet, (n+63)/64) }
 func (s predSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s predSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
-// RunOptions selects the execution strategy for one plan run.
+// RunOptions configures one plan run.
 type RunOptions struct {
-	// Interpret runs the row-at-a-time tree-walking interpreter (the
-	// reference implementation) instead of the compiled columnar
-	// executor. Corresponds to the NoCompiledEngine ablation flag.
-	Interpret bool
 	// Cache shares node batches and whole results across plans of one
-	// mutant family on one dataset (compiled path only). Nil disables
-	// sharing. A cache must be confined to one goroutine at a time:
-	// callers that parallelize partition their work per dataset.
+	// mutant family on one dataset. Nil disables sharing. A cache must
+	// be confined to one goroutine at a time: callers that parallelize
+	// partition their work per dataset.
 	Cache *SharedCache
 	// Stats receives execution counters; nil counts nothing.
 	Stats *ExecStats
 }
 
-// Run executes the plan against a dataset with the default strategy
-// (compiled columnar executor, no cross-plan sharing).
+// Run executes the plan against a dataset without cross-plan sharing.
 func (p *Plan) Run(ds *schema.Dataset) (*Result, error) {
 	return p.RunOpts(ds, RunOptions{})
 }
 
 // RunOpts executes the plan against a dataset under explicit options.
-// Both strategies produce identical Results — not merely multiset-equal:
-// row order, group order and padding order all match.
+// The options never change the Result: with or without a cache, row
+// order, group order and padding order all match.
 func (p *Plan) RunOpts(ds *schema.Dataset, opt RunOptions) (*Result, error) {
 	cp, err := p.compile()
 	if err != nil {
 		return nil, err
-	}
-	if opt.Interpret {
-		opt.Stats.addInterpretedRun()
-		var rows []sqltypes.Row
-		if !cp.empty {
-			rows = cp.root.run(ds)
-		}
-		rows = p.filterSubs(cp, ds, rows)
-		if p.Query.Agg != nil {
-			return p.aggregate(cp, rows)
-		}
-		return p.project(cp, rows)
 	}
 	opt.Stats.addCompiledRun()
 	env := &execEnv{ds: ds, cache: opt.Cache, stats: opt.Stats}
@@ -822,137 +804,15 @@ func (p *Plan) RunOpts(ds *schema.Dataset, opt RunOptions) (*Result, error) {
 	return p.finishB(cp, b, ds)
 }
 
+// finishB turns the root batch into the plan's Result: retained
+// subqueries select root rows, then projection or aggregation reads the
+// surviving rows straight from the batch.
 func (p *Plan) finishB(cp *compiledPlan, b *batch, ds *schema.Dataset) (*Result, error) {
-	// Retained subqueries are evaluated row-at-a-time: the root batch is
-	// materialized (in batch order, so both executors stay byte-identical)
-	// and filtered, then finished by the interpreter's project/aggregate.
-	if len(p.Subs) > 0 {
-		rows := p.filterSubs(cp, ds, materializeRows(cp, b))
-		if p.Query.Agg != nil {
-			return p.aggregate(cp, rows)
-		}
-		return p.project(cp, rows)
-	}
+	b = p.filterSubs(cp, ds, b)
 	if p.Query.Agg != nil {
 		return p.aggregateB(cp, b)
 	}
 	return p.projectB(cp, b)
-}
-
-// materializeRows expands a columnar batch into full-width rows sharing
-// one flat backing array.
-func materializeRows(cp *compiledPlan, b *batch) []sqltypes.Row {
-	w := cp.root.width
-	rows := make([]sqltypes.Row, b.n)
-	flat := make(sqltypes.Row, b.n*w)
-	for ri := 0; ri < b.n; ri++ {
-		row := flat[ri*w : (ri+1)*w : (ri+1)*w]
-		for ci := 0; ci < w; ci++ {
-			row[ci] = b.value(ci, ri)
-		}
-		rows[ri] = row
-	}
-	return rows
-}
-
-func (c *cnode) run(ds *schema.Dataset) []sqltypes.Row {
-	if c.leaf {
-		return c.runLeaf(ds)
-	}
-	left := c.left.run(ds)
-	right := c.right.run(ds)
-	return c.runJoin(left, right)
-}
-
-func (c *cnode) runLeaf(ds *schema.Dataset) []sqltypes.Row {
-	src := ds.Rows(c.relName)
-	if len(c.sels) == 0 {
-		// No selection: the dataset's row slice is shared read-only.
-		return src
-	}
-	var out []sqltypes.Row
-	for _, row := range src {
-		keep := true
-		for i := range c.sels {
-			if c.sels[i].eval(row) != sqltypes.True {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-func (c *cnode) runJoin(left, right []sqltypes.Row) []sqltypes.Row {
-	lw := c.left.width
-	// The probe loop visits |L|x|R| pairs per node per plan run — the
-	// interpreter hot path — so per-pair allocation is hoisted out of
-	// it: pair equalities and compiled predicates index straight into a
-	// scratch row; attribute positions were resolved at compile time.
-	// Evaluating pairs before predicates is sound because the node
-	// condition is a conjunction: order cannot change the result.
-	var scratch sqltypes.Row
-	if len(c.preds) > 0 {
-		scratch = make(sqltypes.Row, c.width)
-	}
-	match := func(lr, rr sqltypes.Row) bool {
-		for _, p := range c.pairs {
-			if sqltypes.TriCompare(sqltypes.OpEQ, lr[p.l], rr[p.r]) != sqltypes.True {
-				return false
-			}
-		}
-		if len(c.preds) > 0 {
-			copy(scratch, lr)
-			copy(scratch[lw:], rr)
-			for i := range c.preds {
-				if c.preds[i].eval(scratch) != sqltypes.True {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	var out []sqltypes.Row
-	rightMatched := make([]bool, len(right))
-	for _, lr := range left {
-		found := false
-		for ri, rr := range right {
-			if match(lr, rr) {
-				found = true
-				rightMatched[ri] = true
-				row := make(sqltypes.Row, 0, c.width)
-				row = append(row, lr...)
-				row = append(row, rr...)
-				out = append(out, row)
-			}
-		}
-		if !found && (c.jt == sqlparser.LeftOuterJoin || c.jt == sqlparser.FullOuterJoin) {
-			row := make(sqltypes.Row, 0, c.width)
-			row = append(row, lr...)
-			for i := 0; i < c.right.width; i++ {
-				row = append(row, sqltypes.Null())
-			}
-			out = append(out, row)
-		}
-	}
-	if c.jt == sqlparser.RightOuterJoin || c.jt == sqlparser.FullOuterJoin {
-		for ri, rr := range right {
-			if rightMatched[ri] {
-				continue
-			}
-			row := make(sqltypes.Row, 0, c.width)
-			for i := 0; i < lw; i++ {
-				row = append(row, sqltypes.Null())
-			}
-			row = append(row, rr...)
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // outputColumn is a projection target: a single attribute or a coalesce
@@ -1036,40 +896,12 @@ func naturalPairs(n *qtree.Node) [][2]qtree.AttrRef {
 	return out
 }
 
-func (p *Plan) project(cp *compiledPlan, rows []sqltypes.Row) (*Result, error) {
-	res := &Result{}
-	for _, c := range cp.proj {
-		res.Cols = append(res.Cols, c.name)
-	}
-	for _, row := range rows {
-		out := make(sqltypes.Row, len(cp.projIdx))
-		for i, idx := range cp.projIdx {
-			v := sqltypes.Null()
-			for j, ci := range idx {
-				if ci < 0 {
-					panic(fmt.Sprintf("engine: attribute %s not in scope", cp.proj[i].attrs[j]))
-				}
-				if cv := row[ci]; !cv.IsNull() {
-					v = cv
-					break
-				}
-			}
-			out[i] = v
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	if p.Query.Distinct {
-		res.Rows = dedupRows(res.Rows)
-	}
-	return res, nil
-}
-
-// projectB is project over a columnar root batch: output values are read
-// straight from the batch columns, so the full-width intermediate rows
-// the interpreter materializes are never built. All output rows share
-// one flat backing array and the precompiled header, and small results
-// carve the Result and row headers out of one allocation, so a run
-// costs two allocations regardless of row count.
+// projectB projects a columnar root batch: output values are read
+// straight from the batch columns, so full-width intermediate rows are
+// never built. All output rows share one flat backing array and the
+// precompiled header, and small results carve the Result and row
+// headers out of one allocation, so a run costs two allocations
+// regardless of row count.
 func (p *Plan) projectB(cp *compiledPlan, b *batch) (*Result, error) {
 	n, w := b.n, len(cp.projIdx)
 	ra := &resultAlloc{r: Result{Cols: cp.colNames}}
@@ -1170,16 +1002,15 @@ func groupBucket(groups map[uint64][]*aggGroup, order []*aggGroup, key sqltypes.
 	return g, append(order, g)
 }
 
-// aggRows renders the grouped output: one row per group in
+// aggRows renders the grouped output of batch b: one row per group in
 // first-occurrence order, or the single aggEmpty row for a global
-// aggregate over empty input. arg(c, ri) reads aggregate argument column
-// c of input row ri.
-func (p *Plan) aggRows(cp *compiledPlan, res *Result, order []*aggGroup, nrows int, arg func(c, ri int) sqltypes.Value) (*Result, error) {
+// aggregate over empty input.
+func (p *Plan) aggRows(cp *compiledPlan, res *Result, order []*aggGroup, b *batch) (*Result, error) {
 	spec := p.Query.Agg
-	if nrows == 0 && len(spec.GroupBy) == 0 {
+	if b.n == 0 && len(spec.GroupBy) == 0 {
 		// The synthetic empty global group is still subject to HAVING
 		// (SELECT COUNT(*) FROM t HAVING COUNT(*) > 0 is empty on empty t).
-		keep, err := p.havingKeep(cp, nil, arg)
+		keep, err := p.havingKeep(cp, nil, b)
 		if err != nil {
 			return nil, err
 		}
@@ -1193,7 +1024,7 @@ func (p *Plan) aggRows(cp *compiledPlan, res *Result, order []*aggGroup, nrows i
 		return res, nil
 	}
 	for _, g := range order {
-		keep, err := p.havingKeep(cp, g.rows, arg)
+		keep, err := p.havingKeep(cp, g.rows, b)
 		if err != nil {
 			return nil, err
 		}
@@ -1203,7 +1034,7 @@ func (p *Plan) aggRows(cp *compiledPlan, res *Result, order []*aggGroup, nrows i
 		out := make(sqltypes.Row, 0, len(cp.groupIdx)+len(p.Aggs))
 		out = append(out, g.key...)
 		for i, c := range p.Aggs {
-			v, err := evalAgg(c, g.rows, cp.aggIdx[i], arg)
+			v, err := evalAgg(c, g.rows, cp.aggIdx[i], b)
 			if err != nil {
 				return nil, err
 			}
@@ -1217,9 +1048,9 @@ func (p *Plan) aggRows(cp *compiledPlan, res *Result, order []*aggGroup, nrows i
 // havingKeep evaluates the plan's HAVING conjuncts over one group (rows
 // may be empty for the synthetic global group). A group survives only
 // when every conjunct is True in three-valued logic.
-func (p *Plan) havingKeep(cp *compiledPlan, rows []int, arg func(c, ri int) sqltypes.Value) (bool, error) {
+func (p *Plan) havingKeep(cp *compiledPlan, rows []int, b *batch) (bool, error) {
 	for i, h := range p.Having {
-		v, err := evalAgg(h.Call, rows, cp.havingIdx[i], arg)
+		v, err := evalAgg(h.Call, rows, cp.havingIdx[i], b)
 		if err != nil {
 			return false, err
 		}
@@ -1230,39 +1061,7 @@ func (p *Plan) havingKeep(cp *compiledPlan, rows []int, arg func(c, ri int) sqlt
 	return true, nil
 }
 
-func (p *Plan) aggHeader() *Result {
-	res := &Result{}
-	for _, g := range p.Query.Agg.GroupBy {
-		res.Cols = append(res.Cols, g.String())
-	}
-	for _, c := range p.Aggs {
-		res.Cols = append(res.Cols, c.String())
-	}
-	return res
-}
-
-func (p *Plan) aggregate(cp *compiledPlan, rows []sqltypes.Row) (*Result, error) {
-	spec := p.Query.Agg
-	groups := map[uint64][]*aggGroup{}
-	var order []*aggGroup
-	for ri, row := range rows {
-		key := make(sqltypes.Row, len(cp.groupIdx))
-		for i, gi := range cp.groupIdx {
-			if gi < 0 {
-				panic(fmt.Sprintf("engine: attribute %s not in scope", spec.GroupBy[i]))
-			}
-			key[i] = row[gi]
-		}
-		var g *aggGroup
-		g, order = groupBucket(groups, order, key)
-		g.rows = append(g.rows, ri)
-	}
-	return p.aggRows(cp, p.aggHeader(), order, len(rows), func(c, ri int) sqltypes.Value {
-		return rows[ri][c]
-	})
-}
-
-// aggregateB is aggregate over a columnar root batch: group keys and
+// aggregateB groups and aggregates a columnar root batch: group keys and
 // aggregate arguments are read from the batch columns, and only the
 // group keys are materialized as rows. A global aggregate (no GROUP BY)
 // skips the grouping structures entirely: its single group is the whole
@@ -1272,13 +1071,13 @@ func (p *Plan) aggregateB(cp *compiledPlan, b *batch) (*Result, error) {
 	res := &Result{Cols: cp.colNames}
 	if len(cp.groupIdx) == 0 {
 		if b.n == 0 {
-			return p.aggRows(cp, res, nil, 0, b.value)
+			return p.aggRows(cp, res, nil, b)
 		}
 		all := aggGroup{rows: make([]int, b.n)}
 		for ri := range all.rows {
 			all.rows[ri] = ri
 		}
-		return p.aggRows(cp, res, []*aggGroup{&all}, b.n, b.value)
+		return p.aggRows(cp, res, []*aggGroup{&all}, b)
 	}
 	groups := map[uint64][]*aggGroup{}
 	var order []*aggGroup
@@ -1294,7 +1093,7 @@ func (p *Plan) aggregateB(cp *compiledPlan, b *batch) (*Result, error) {
 		g, order = groupBucket(groups, order, key)
 		g.rows = append(g.rows, ri)
 	}
-	return p.aggRows(cp, res, order, b.n, b.value)
+	return p.aggRows(cp, res, order, b)
 }
 
 func aggEmpty(c qtree.AggCall) sqltypes.Value {
@@ -1304,7 +1103,9 @@ func aggEmpty(c qtree.AggCall) sqltypes.Value {
 	return sqltypes.Null()
 }
 
-func evalAgg(c qtree.AggCall, rows []int, idx int, arg func(c, ri int) sqltypes.Value) (sqltypes.Value, error) {
+// evalAgg evaluates one aggregate call over the given rows of b; idx is
+// the argument's column (-1 when it is not in scope).
+func evalAgg(c qtree.AggCall, rows []int, idx int, b *batch) (sqltypes.Value, error) {
 	if c.Star {
 		return sqltypes.NewInt(int64(len(rows))), nil
 	}
@@ -1316,7 +1117,7 @@ func evalAgg(c qtree.AggCall, rows []int, idx int, arg func(c, ri int) sqltypes.
 	var buf [16]sqltypes.Value
 	vals := buf[:0]
 	for _, ri := range rows {
-		if v := arg(idx, ri); !v.IsNull() {
+		if v := b.value(idx, ri); !v.IsNull() {
 			vals = append(vals, v)
 		}
 	}

@@ -8,12 +8,11 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// ExecStats counts what the executors did. All fields are atomic so one
+// ExecStats counts what the executor did. All fields are atomic so one
 // stats block can be shared by the parallel kill-matrix evaluator; the
 // nil *ExecStats is valid everywhere and counts nothing.
 type ExecStats struct {
-	CompiledRuns     atomic.Int64 // plan executions on the columnar path
-	InterpretedRuns  atomic.Int64 // plan executions on the reference interpreter
+	CompiledRuns     atomic.Int64 // plan executions
 	CompiledBatches  atomic.Int64 // batches actually built (cache hits excluded)
 	HashJoins        atomic.Int64 // join nodes executed by hash join
 	SmallJoins       atomic.Int64 // equi-joins below the hash threshold: direct pair loop
@@ -28,15 +27,14 @@ func (s *ExecStats) addCompiledRun() {
 	}
 }
 
-func (s *ExecStats) addInterpretedRun() {
-	if s != nil {
-		s.InterpretedRuns.Add(1)
-	}
-}
-
 // ExecCounts is a plain snapshot of ExecStats, for reports and JSON.
 type ExecCounts struct {
-	CompiledRuns     int64 `json:"compiled_runs"`
+	CompiledRuns int64 `json:"compiled_runs"`
+	// InterpretedRuns is always zero: the row interpreter it counted is
+	// gone.
+	//
+	// Deprecated: kept only because the perfbench module sums it, and
+	// that module changes only together with the benchmark.
 	InterpretedRuns  int64 `json:"interpreted_runs"`
 	CompiledBatches  int64 `json:"compiled_batches"`
 	HashJoins        int64 `json:"hash_joins"`
@@ -53,7 +51,6 @@ func (s *ExecStats) Counts() ExecCounts {
 	}
 	return ExecCounts{
 		CompiledRuns:     s.CompiledRuns.Load(),
-		InterpretedRuns:  s.InterpretedRuns.Load(),
 		CompiledBatches:  s.CompiledBatches.Load(),
 		HashJoins:        s.HashJoins.Load(),
 		SmallJoins:       s.SmallJoins.Load(),
@@ -63,7 +60,22 @@ func (s *ExecStats) Counts() ExecCounts {
 	}
 }
 
-// Add folds another snapshot into this one.
+// Add folds a snapshot into the live counters, for totals kept across
+// evaluations (the service's /statsz). Safe on nil.
+func (s *ExecStats) Add(c ExecCounts) {
+	if s == nil {
+		return
+	}
+	s.CompiledRuns.Add(c.CompiledRuns)
+	s.CompiledBatches.Add(c.CompiledBatches)
+	s.HashJoins.Add(c.HashJoins)
+	s.SmallJoins.Add(c.SmallJoins)
+	s.NestedLoopJoins.Add(c.NestedLoopJoins)
+	s.FamilyPrefixHits.Add(c.FamilyPrefixHits)
+	s.ResultMemoHits.Add(c.ResultMemoHits)
+}
+
+// Add folds another snapshot into this one, every field included.
 func (c *ExecCounts) Add(o ExecCounts) {
 	c.CompiledRuns += o.CompiledRuns
 	c.InterpretedRuns += o.InterpretedRuns
@@ -290,8 +302,8 @@ func (v *nodeVal) serve(env *execEnv) *batch {
 
 // nodeFor returns the memoized evaluation of node c over the given
 // child batches, building and unifying it on first use. A build that
-// panics (attribute-resolution failures keep the interpreter's lazy
-// panic semantics) records the panic value and re-panics it for every
+// panics (attribute-resolution failures panic lazily, when a row first
+// reaches them) records the panic value and re-panics it for every
 // later consumer of the same node: those plans would fail identically
 // had they built it themselves.
 func (sc *SharedCache) nodeFor(c *cnode, env *execEnv, lb, rb *batch) (*nodeVal, bool) {
@@ -322,7 +334,7 @@ func (sc *SharedCache) nodeFor(c *cnode, env *execEnv, lb, rb *batch) (*nodeVal,
 	return v, false
 }
 
-// execEnv carries the per-run execution context of the columnar path.
+// execEnv carries the per-run execution context.
 // Counters accumulate as plain ints and are folded into the shared
 // atomic stats once per run (see flush), not once per node.
 type execEnv struct {
@@ -485,8 +497,8 @@ const hashJoinMinWork = 64
 // candidates are verified with the exact pair comparisons plus any
 // non-equi predicates. Because equal keys imply equal hashes and bucket
 // entries keep right-row order, the emitted (left, right) pair sequence
-// — including outer padding — is identical to the nested-loop
-// interpreter's, so compiled and interpreted results match row for row.
+// — including outer padding — is the nested loop's, whichever path
+// builds it.
 func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 	lw := c.left.width
 	ok := func(li, ri int32) bool {

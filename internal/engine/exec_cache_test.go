@@ -1,16 +1,20 @@
 package engine
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 
+	"repro/internal/qtree"
+	"repro/internal/refeval"
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 )
 
-// Tests for the shared-cache machinery behind the compiled executor:
-// content unification (confluence sharing), the whole-result memo,
-// Reset reuse, and the allocation guarantees of Result.Equal.
+// Tests for the execution machinery: content unification (confluence
+// sharing), the whole-result memo, Reset reuse checked against refeval,
+// the counter folds, and the allocation guarantees of Result.Equal.
 
 // matchedDS is a dataset on which every instructor row has a matching
 // teaches row, so INNER JOIN and LEFT OUTER JOIN produce identical
@@ -101,33 +105,141 @@ func TestCacheDivergentMutantNotMemoized(t *testing.T) {
 	}
 }
 
+// resetReuseDatasets are two differently shaped datasets over every
+// test relation. A has a non-teaching instructor and no NULL in r2.y;
+// B has several non-teaching instructors sharing a department and a
+// NULL in r2.y, which turns every NOT IN over r2.y Unknown.
+func resetReuseDatasets() (a, b *schema.Dataset) {
+	a = schema.NewDataset("A")
+	a.Insert("instructor", sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("alice"), sqltypes.NewString("CS"), sqltypes.NewInt(90000)})
+	a.Insert("instructor", sqltypes.Row{sqltypes.NewInt(2), sqltypes.NewString("bob"), sqltypes.NewString("Bio"), sqltypes.NewInt(60000)})
+	a.Insert("instructor", sqltypes.Row{sqltypes.NewInt(3), sqltypes.NewString("carol"), sqltypes.NewString("Math"), sqltypes.NewInt(70000)})
+	a.Insert("teaches", ints(1, 10))
+	a.Insert("teaches", ints(2, 20))
+	a.Insert("course", sqltypes.Row{sqltypes.NewInt(10), sqltypes.NewString("db")})
+	a.Insert("course", sqltypes.Row{sqltypes.NewInt(20), sqltypes.NewString("os")})
+	a.Insert("r1", ints(1, 5))
+	a.Insert("r1", ints(2, 6))
+	a.Insert("r1", sqltypes.Row{sqltypes.NewInt(3), sqltypes.Null()})
+	a.Insert("r2", ints(1, 5))
+	a.Insert("r2", ints(2, 7))
+
+	b = schema.NewDataset("B")
+	b.Insert("instructor", sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewString("zoe"), sqltypes.NewString("CS"), sqltypes.NewInt(80000)})
+	b.Insert("instructor", sqltypes.Row{sqltypes.NewInt(10), sqltypes.NewString("yan"), sqltypes.NewString("CS"), sqltypes.NewInt(50000)})
+	b.Insert("instructor", sqltypes.Row{sqltypes.NewInt(11), sqltypes.NewString("xi"), sqltypes.NewString("Bio"), sqltypes.Null()})
+	b.Insert("instructor", sqltypes.Row{sqltypes.NewInt(12), sqltypes.NewString("wu"), sqltypes.NewString("CS"), sqltypes.NewInt(40000)})
+	b.Insert("teaches", ints(9, 30))
+	b.Insert("course", sqltypes.Row{sqltypes.NewInt(30), sqltypes.NewString("os")})
+	b.Insert("course", sqltypes.Row{sqltypes.NewInt(40), sqltypes.Null()})
+	b.Insert("r1", ints(1, 5))
+	b.Insert("r1", ints(2, 6))
+	b.Insert("r2", sqltypes.Row{sqltypes.NewInt(1), sqltypes.Null()})
+	return a, b
+}
+
 // TestCacheResetReuse pins the Reset contract: one cache object reused
 // across datasets (the kill-matrix evaluator's per-worker pattern)
-// produces the same results as fresh caches, with no state bleeding
-// between datasets.
+// produces the same results as a fresh cache and as no cache, with no
+// state bleeding between datasets, and every result matches refeval's
+// multiset. The plans are a join with a selection plus one per
+// retained-subquery shape the finisher selects rows for: NOT IN against
+// a NULL inner value, correlated NOT EXISTS, the IN connective mutant
+// under GROUP BY + HAVING, and DISTINCT over a subquery filter.
 func TestCacheResetReuse(t *testing.T) {
-	query := q(t, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 70000")
-	plan := NewPlan(query)
+	grouped := NewPlan(q(t, `SELECT i.dept_name, COUNT(*) FROM instructor i, teaches t
+		WHERE i.id = t.id AND t.course_id NOT IN (SELECT c.course_id FROM course c WHERE c.title = 'os')
+		GROUP BY i.dept_name HAVING COUNT(*) > 0`))
+	cases := []struct {
+		name   string
+		plan   *Plan
+		nA, nB int // result rows on datasets A and B
+	}{
+		{"join", NewPlan(q(t, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 70000")), 1, 1},
+		{"not-in-null", NewPlan(q(t, "SELECT a.x, a.y FROM r1 a WHERE a.y NOT IN (SELECT b.y FROM r2 b)")), 1, 0},
+		{"correlated-not-exists", NewPlan(q(t, "SELECT i.name FROM instructor i WHERE NOT EXISTS (SELECT * FROM teaches t WHERE t.id = i.id)")), 1, 3},
+		{"in-group-having", grouped.WithSubReplaced(0, grouped.Subs[0].WithKind(qtree.SubIn)), 1, 1},
+		{"distinct", NewPlan(q(t, "SELECT DISTINCT i.dept_name FROM instructor i WHERE i.id NOT IN (SELECT t.id FROM teaches t)")), 1, 2},
+	}
+	dsA, dsB := resetReuseDatasets()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.plan
+			sc := NewSharedCache()
+			for i, round := range []struct {
+				ds *schema.Dataset
+				n  int
+			}{{dsA, tc.nA}, {dsB, tc.nB}, {dsA, tc.nA}} {
+				sc.Reset()
+				got, err := p.RunOpts(round.ds, RunOptions{Cache: sc})
+				if err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+				fresh, err := p.RunOpts(round.ds, RunOptions{Cache: NewSharedCache()})
+				if err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+				plain, err := p.Run(round.ds)
+				if err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+				if !sameRows(got, fresh) || !sameRows(got, plain) {
+					t.Errorf("round %d: reused cache, fresh cache and no cache disagree:\n%v\nvs\n%v\nvs\n%v", i, got, fresh, plain)
+				}
+				want, err := refeval.EvalPlan(p.Query, p.Tree, p.Preds, p.Subs, p.Aggs, p.Having, round.ds)
+				if err != nil {
+					t.Fatalf("round %d: refeval: %v", i, err)
+				}
+				if !maps.Equal(got.Multiset(), want.Multiset()) {
+					t.Errorf("round %d: result differs from refeval:\n%v\nvs\n%v", i, got, want)
+				}
+				if len(got.Rows) != round.n {
+					t.Errorf("round %d: %d rows, want %d:\n%v", i, len(got.Rows), round.n, got)
+				}
+			}
+		})
+	}
+}
 
-	dsA := matchedDS()
-	dsB := schema.NewDataset("different")
-	dsB.Insert("instructor", sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewString("zoe"), sqltypes.NewString("CS"), sqltypes.NewInt(80000)})
-	dsB.Insert("teaches", ints(9, 30))
+// sameRows reports whether two results hold identical rows in identical
+// order.
+func sameRows(a, b *Result) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if !a.Rows[i].Identical(b.Rows[i]) {
+			return false
+		}
+	}
+	return true
+}
 
-	sc := NewSharedCache()
-	for i, ds := range []*schema.Dataset{dsA, dsB, dsA} {
-		sc.Reset()
-		got, err := plan.RunOpts(ds, RunOptions{Cache: sc})
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
+// TestExecCountsFold fills every ExecCounts field by reflection and
+// requires ExecCounts.Add, and ExecStats.Add then Counts, to carry each
+// one, so a counter missing from one of the hand-written folds fails
+// here. ExecStats has no live counter for the deprecated
+// InterpretedRuns, so its snapshot always reads zero there.
+func TestExecCountsFold(t *testing.T) {
+	var in ExecCounts
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("ExecCounts.%s is not an int64 counter", v.Type().Field(i).Name)
 		}
-		want, err := plan.RunOpts(ds, RunOptions{Interpret: true})
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		if !want.Equal(got) {
-			t.Errorf("round %d: cached result differs from interpreter:\n%v\nvs\n%v", i, got, want)
-		}
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	var sum ExecCounts
+	sum.Add(in)
+	if sum != in {
+		t.Errorf("ExecCounts.Add = %+v, want %+v", sum, in)
+	}
+	want := in
+	want.InterpretedRuns = 0
+	var s ExecStats
+	s.Add(in)
+	if got := s.Counts(); got != want {
+		t.Errorf("ExecStats.Add then Counts = %+v, want %+v", got, want)
 	}
 }
 

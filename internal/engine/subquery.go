@@ -24,20 +24,23 @@ import (
 //
 // The outer WHERE keeps a row only when every connective is True.
 
-// filterSubs keeps the root rows for which every retained subquery
-// evaluates to True. Rows are in the root layout (cp.root.cols).
-func (p *Plan) filterSubs(cp *compiledPlan, ds *schema.Dataset, rows []sqltypes.Row) []sqltypes.Row {
-	if len(p.Subs) == 0 || len(rows) == 0 {
-		return rows
+// filterSubs selects the rows of root batch b for which every retained
+// subquery evaluates to True, as a selection batch over b in b's row
+// order (b itself when no row is dropped). The selection is private to
+// the run: it is never unified into a SharedCache, whose whole-result
+// memo keys on the root batch and the subqueries (projSignature).
+func (p *Plan) filterSubs(cp *compiledPlan, ds *schema.Dataset, b *batch) *batch {
+	if len(p.Subs) == 0 || b.n == 0 {
+		return b
 	}
-	out := make([]sqltypes.Row, 0, len(rows))
-	for _, row := range rows {
+	idx := make([]int32, 0, b.n)
+	for ri := 0; ri < b.n; ri++ {
 		lookup := func(a qtree.AttrRef) sqltypes.Value {
 			ci := colIndex(cp.root.cols, a)
 			if ci < 0 {
 				panic(fmt.Sprintf("engine: attribute %s not in scope", a))
 			}
-			return row[ci]
+			return b.value(ci, ri)
 		}
 		keep := true
 		for _, s := range p.Subs {
@@ -47,10 +50,13 @@ func (p *Plan) filterSubs(cp *compiledPlan, ds *schema.Dataset, rows []sqltypes.
 			}
 		}
 		if keep {
-			out = append(out, row)
+			idx = append(idx, int32(ri))
 		}
 	}
-	return out
+	if len(idx) == b.n {
+		return b
+	}
+	return &batch{n: len(idx), kind: bFilter, src: b, idx: idx}
 }
 
 // evalSub evaluates one subquery connective for one outer row, given a

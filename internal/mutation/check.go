@@ -24,8 +24,9 @@ type Report struct {
 	Datasets []*schema.Dataset
 	// Killed[m][d] is true when dataset d kills mutant m.
 	Killed [][]bool
-	// Exec counts what the engine did during evaluation (compiled vs
-	// interpreted runs, hash joins, family-prefix cache hits, ...).
+	// Exec counts what the engine did during evaluation (plan runs,
+	// batches built, join strategies, family-prefix and result-memo
+	// cache hits).
 	Exec engine.ExecCounts
 }
 
@@ -36,11 +37,6 @@ type EvalOptions struct {
 	// 1 evaluates sequentially. The Report is identical for every
 	// value.
 	Parallelism int
-	// NoCompiledEngine ablates the compiled columnar executor and the
-	// family prefix cache: every cell runs on the row-at-a-time
-	// reference interpreter. Kill matrices are cell-identical either
-	// way; the flag exists for differential testing and benchmarks.
-	NoCompiledEngine bool
 }
 
 // EvalError reports a query-execution failure during kill-matrix
@@ -156,24 +152,18 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 		planOf[mi] = ui
 	}
 
-	// Engine strategy: one stats block for the whole evaluation and, on
-	// the compiled path, one shared subtree cache per worker, reset
-	// between datasets. The plans of a mutant family differ in a single
-	// component, so their compiled trees overlap heavily; the cache
-	// evaluates each distinct subtree once per dataset and every plan
-	// sharing it — including the original query — reuses the batch.
-	// Reusing one cache per worker (instead of one per dataset) keeps
-	// the map storage warm: after the worker's largest family the cache
-	// allocates no new buckets.
+	// Engine strategy: one stats block for the whole evaluation and one
+	// shared subtree cache per worker, reset between datasets. The
+	// plans of a mutant family differ in a single component, so their
+	// compiled trees overlap heavily; the cache evaluates each distinct
+	// subtree once per dataset and every plan sharing it — including
+	// the original query — reuses the batch. Reusing one cache per
+	// worker (instead of one per dataset) keeps the map storage warm:
+	// after the worker's largest family the cache allocates no new
+	// buckets.
 	stats := &engine.ExecStats{}
-	newCache := func() *engine.SharedCache {
-		if opts.NoCompiledEngine {
-			return nil
-		}
-		return engine.NewSharedCacheSized(len(plans))
-	}
 	runOpts := func(sc *engine.SharedCache) engine.RunOptions {
-		return engine.RunOptions{Interpret: opts.NoCompiledEngine, Stats: stats, Cache: sc}
+		return engine.RunOptions{Stats: stats, Cache: sc}
 	}
 	defer func() { rep.Exec = stats.Counts() }()
 
@@ -233,9 +223,7 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 	// contract), reset at each dataset boundary, and the family's
 	// sharing is maximal within the unit.
 	runDataset := func(di int, sc *engine.SharedCache) error {
-		if sc != nil {
-			sc.Reset()
-		}
+		sc.Reset()
 		for ui := range plans {
 			if err := runCell(di, ui, sc); err != nil {
 				return err
@@ -252,7 +240,7 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 		workers = len(datasets)
 	}
 	if workers <= 1 {
-		sc := newCache()
+		sc := engine.NewSharedCacheSized(len(plans))
 		for di := range datasets {
 			if err := runDataset(di, sc); err != nil {
 				return nil, err
@@ -267,7 +255,7 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := newCache()
+				sc := engine.NewSharedCacheSized(len(plans))
 				for {
 					di := int(atomic.AddInt64(&next, 1))
 					if di >= len(datasets) || failed.Load() {

@@ -9,12 +9,12 @@ import (
 	"repro/internal/schema"
 )
 
-// TestKillMatrixEngineMetamorphic pins the ablation guarantee at the
-// kill-matrix level: the compiled columnar executor (with family
-// sharing and the whole-result memo), the reference interpreter
-// (NoCompiledEngine), and a parallel compiled run must produce
-// cell-identical kill matrices on the same (space, suite) input, and
-// the per-engine counters must reflect which executor actually ran.
+// TestKillMatrixEngineMetamorphic pins the engine's kill matrix against
+// refeval, the independent reference evaluator: the compiled executor
+// run serially (with family sharing and the whole-result memo) and in
+// parallel must produce the same kill matrix as ReferenceKills on the
+// same (space, suite) input, and the counters must show the family
+// sharing at work.
 func TestKillMatrixEngineMetamorphic(t *testing.T) {
 	query := q(t, testDDL, `SELECT i.name, c.title FROM instructor i, teaches t, course c
 		WHERE i.id = t.id AND t.course_id = c.course_id AND i.salary > 70000`)
@@ -36,11 +36,7 @@ func TestKillMatrixEngineMetamorphic(t *testing.T) {
 		datasets = append(datasets, ds)
 	}
 
-	compiled, err := EvaluateOpts(query, ms, datasets, EvalOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	interp, err := EvaluateOpts(query, ms, datasets, EvalOptions{Parallelism: 1, NoCompiledEngine: true})
+	serial, err := EvaluateOpts(query, ms, datasets, EvalOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,34 +44,24 @@ func TestKillMatrixEngineMetamorphic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	diff := 0
-	for mi := range ms {
-		for di := range datasets {
-			if compiled.Killed[mi][di] != interp.Killed[mi][di] {
-				if diff == 0 {
-					t.Errorf("first disagreement: mutant %q dataset %d: compiled=%v interpreted=%v",
-						ms[mi].Desc, di, compiled.Killed[mi][di], interp.Killed[mi][di])
-				}
-				diff++
-			}
-			if compiled.Killed[mi][di] != parallel.Killed[mi][di] {
-				t.Fatalf("parallel compiled run diverged: mutant %q dataset %d", ms[mi].Desc, di)
-			}
+	ref, err := ReferenceKills(query, ms, datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		rep  *Report
+	}{{"serial", serial}, {"parallel", parallel}} {
+		if mi, di, bad := run.rep.FirstDisagreement(ref); bad {
+			t.Errorf("%s compiled run disagrees with refeval: mutant %q dataset %d: compiled=%v refeval=%v",
+				run.name, ms[mi].Desc, di, run.rep.Killed[mi][di], ref[mi][di])
 		}
 	}
-	if diff > 0 {
-		t.Errorf("%d of %d kill-matrix cells disagree between executors", diff, len(ms)*len(datasets))
-	}
 
-	// The counters must name the executor that ran.
-	if compiled.Exec.CompiledRuns == 0 || compiled.Exec.InterpretedRuns != 0 {
-		t.Errorf("compiled run counters = %+v, want compiled-only", compiled.Exec)
+	if serial.Exec.CompiledRuns == 0 {
+		t.Errorf("CompiledRuns = 0, want one per executed cell")
 	}
-	if interp.Exec.InterpretedRuns == 0 || interp.Exec.CompiledRuns != 0 {
-		t.Errorf("interpreted run counters = %+v, want interpreter-only", interp.Exec)
-	}
-	if compiled.Exec.FamilyPrefixHits == 0 {
+	if serial.Exec.FamilyPrefixHits == 0 {
 		t.Errorf("FamilyPrefixHits = 0 across a mutant family, want sharing")
 	}
 }

@@ -551,7 +551,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, fmt.Errorf("kill matrix: %w", err)
 		}
-		s.ctr.addExec(report.Exec)
+		s.ctr.engine.Add(report.Exec)
 		a := AnalyzeResponse{
 			GenerateResponse: resp,
 			Mutants:          len(mutants),

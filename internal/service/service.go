@@ -201,9 +201,9 @@ type Counters struct {
 	// execution slot.
 	InFlight int64 `json:"in_flight"`
 	// Engine aggregates the executor counters of every kill-matrix
-	// evaluation served by /v1/analyze: compiled vs interpreted runs,
-	// hash-join and nested-loop node executions, and family
-	// prefix-cache hits.
+	// evaluation served by /v1/analyze: each is the sum of the
+	// evaluations' mutation.Report.Exec (plan runs, batches built, join
+	// strategies, family-prefix and result-memo cache hits).
 	Engine engine.ExecCounts `json:"engine"`
 	// DegradedServes counts fleet requests solved locally because every
 	// path to the key's owning node was exhausted (breaker open,
@@ -270,17 +270,6 @@ type counters struct {
 	drained, inFlight, degraded        atomic.Int64
 	bundles, bundleErrs                atomic.Int64
 	engine                             engine.ExecStats
-}
-
-// addExec folds one kill-matrix evaluation's engine counters into the
-// service totals.
-func (c *counters) addExec(e engine.ExecCounts) {
-	c.engine.CompiledRuns.Add(e.CompiledRuns)
-	c.engine.InterpretedRuns.Add(e.InterpretedRuns)
-	c.engine.CompiledBatches.Add(e.CompiledBatches)
-	c.engine.HashJoins.Add(e.HashJoins)
-	c.engine.NestedLoopJoins.Add(e.NestedLoopJoins)
-	c.engine.FamilyPrefixHits.Add(e.FamilyPrefixHits)
 }
 
 // Server is the xdatad HTTP service. Create with New, mount via

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/limits"
+	"repro/internal/mutation"
 	"repro/internal/qtree"
 	"repro/internal/solver"
 	"repro/internal/sqlparser"
@@ -69,10 +70,9 @@ func post(t *testing.T, url string, body any, out any) (int, http.Header) {
 	return resp.StatusCode, resp.Header
 }
 
-// libraryExpect runs the library pipeline with the exact options the
-// server would clamp a zero-valued request onto, returning the wire
-// encoding for byte-identical comparison.
-func libraryExpect(t *testing.T, s *Server, ddl, query string) GenerateResponse {
+// librarySuite runs the library pipeline with the exact options the
+// server would clamp a zero-valued request onto.
+func librarySuite(t *testing.T, s *Server, ddl, query string) (*qtree.Query, *core.Suite) {
 	t.Helper()
 	sch, err := sqlparser.ParseSchemaLimits(ddl, s.cfg.Limits)
 	if err != nil {
@@ -87,7 +87,15 @@ func libraryExpect(t *testing.T, s *Server, ddl, query string) GenerateResponse 
 	if err != nil {
 		t.Fatalf("library generate: %v", err)
 	}
-	return encodeSuite(suite, sch)
+	return q, suite
+}
+
+// libraryExpect is librarySuite's suite in its wire encoding, for
+// byte-identical comparison.
+func libraryExpect(t *testing.T, s *Server, ddl, query string) GenerateResponse {
+	t.Helper()
+	q, suite := librarySuite(t, s, ddl, query)
+	return encodeSuite(suite, q.Schema)
 }
 
 // requireSameSuite asserts got matches want dataset-for-dataset, byte
@@ -363,6 +371,46 @@ func TestStatszEndpoint(t *testing.T) {
 	}
 	if c.Received != 1 || c.Completed != 1 || c.InFlight != 0 {
 		t.Errorf("statsz counters: %+v", c)
+	}
+}
+
+// TestStatszEngineCounters: after one /v1/analyze, /statsz's engine
+// counters equal the library Report.Exec of the same analysis, field
+// for field, so a counter the service's fold drops fails here.
+func TestStatszEngineCounters(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	status, _ := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{GenerateRequest: GenerateRequest{DDL: testDDL, Query: testSQL}}, nil)
+	if status != http.StatusOK {
+		t.Fatalf("analyze status %d, want 200", status)
+	}
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var c Counters
+	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
+		t.Fatalf("decode statsz: %v", err)
+	}
+
+	// The library analysis of a zero-valued AnalyzeRequest.
+	q, suite := librarySuite(t, s, testDDL, testSQL)
+	mopts := mutation.DefaultOptions()
+	mopts.IncludeFullOuter = false
+	mopts.AllJoinOrders = true
+	ms, err := mutation.Space(q, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mutation.EvaluateOpts(q, ms, suite.All(), mutation.EvalOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Engine != rep.Exec {
+		t.Errorf("/statsz engine = %+v, want the library Report.Exec %+v", c.Engine, rep.Exec)
+	}
+	if rep.Exec.SmallJoins == 0 || rep.Exec.ResultMemoHits == 0 {
+		t.Errorf("library Report.Exec = %+v: the analysis must exercise small joins and the result memo", rep.Exec)
 	}
 }
 

@@ -16,10 +16,8 @@ import (
 // KillMatrixBench pins the kill-matrix evaluation throughput tracked
 // across PRs: the full university mutation workload — every Table I and
 // Table II cell's mutant space against its generated suite — evaluated
-// on the compiled columnar engine and on the row-at-a-time reference
-// interpreter. Suites and mutant spaces are prepared once outside the
-// timed region, so the two numbers isolate executor cost; Speedup is
-// the headline ratio the tentpole optimization is measured by.
+// by the engine. Suites and mutant spaces are prepared once outside the
+// timed region, so the number isolates executor cost.
 //
 // The timed passes exclude plan compilation: a plan compiles once, and
 // the untimed agreement pass has already compiled every mutant plan
@@ -39,11 +37,9 @@ type KillMatrixBench struct {
 	Mutants     int64 `json:"mutants"`
 	Datasets    int64 `json:"datasets"`
 	MatrixCells int64 `json:"matrix_cells"`
-	// CompiledNsPerOp / InterpretedNsPerOp are mean wall times of one
-	// full-workload evaluation pass under each executor.
-	CompiledNsPerOp    int64   `json:"compiled_ns_per_op"`
-	InterpretedNsPerOp int64   `json:"interpreted_ns_per_op"`
-	Speedup            float64 `json:"speedup"` // interpreted / compiled
+	// CompiledNsPerOp is the mean wall time of one full-workload
+	// evaluation pass.
+	CompiledNsPerOp int64 `json:"compiled_ns_per_op"`
 	// Exec holds the engine counters of one compiled evaluation pass
 	// (deterministic per pass): hash joins taken, batches built, family
 	// prefix-cache hits.
@@ -86,11 +82,10 @@ func prepareKillMatrixCells(ctx context.Context) ([]kmCell, error) {
 	return cells, nil
 }
 
-// RunKillMatrixBench measures kill-matrix evaluation under both
-// executors and cross-checks them: on the first pass the compiled and
-// interpreted kill matrices of every cell are compared bit for bit, and
-// any disagreement is an error (the ablation guarantee, enforced even
-// in benchmark runs).
+// RunKillMatrixBench measures kill-matrix evaluation and cross-checks
+// it: the first, untimed pass's kill matrix is compared cell by cell
+// with refeval's (mutation.ReferenceKills), and any disagreement is an
+// error, enforced even in benchmark runs.
 func RunKillMatrixBench(ctx context.Context, iters int) (KillMatrixBench, error) {
 	if iters <= 0 {
 		iters = 10
@@ -108,12 +103,11 @@ func RunKillMatrixBench(ctx context.Context, iters int) (KillMatrixBench, error)
 		b.MatrixCells += int64(len(c.ms)) * nd
 	}
 
-	evalPass := func(noCompiled bool) ([]*mutation.Report, engine.ExecCounts, error) {
+	evalPass := func() ([]*mutation.Report, engine.ExecCounts, error) {
 		var reps []*mutation.Report
 		var exec engine.ExecCounts
 		for _, c := range cells {
-			rep, err := mutation.EvaluateContext(ctx, c.q, c.ms, c.suite.All(),
-				mutation.EvalOptions{Parallelism: 1, NoCompiledEngine: noCompiled})
+			rep, err := mutation.EvaluateContext(ctx, c.q, c.ms, c.suite.All(), mutation.EvalOptions{Parallelism: 1})
 			if err != nil {
 				return nil, exec, err
 			}
@@ -123,56 +117,40 @@ func RunKillMatrixBench(ctx context.Context, iters int) (KillMatrixBench, error)
 		return reps, exec, nil
 	}
 
-	// Agreement check (untimed): compiled and interpreted matrices must
-	// be cell-identical.
-	compiledReps, exec, err := evalPass(false)
+	// Agreement check (untimed): every cell must match refeval.
+	reps, exec, err := evalPass()
 	if err != nil {
 		return b, err
 	}
 	b.Exec = exec
-	interpReps, _, err := evalPass(true)
-	if err != nil {
-		return b, err
-	}
-	for ci := range cells {
-		for mi := range compiledReps[ci].Killed {
-			for di := range compiledReps[ci].Killed[mi] {
-				if compiledReps[ci].Killed[mi][di] != interpReps[ci].Killed[mi][di] {
-					return b, fmt.Errorf("kill-matrix disagreement: cell %d mutant %q dataset %d: compiled=%v interpreted=%v",
-						ci, cells[ci].ms[mi].Desc, di,
-						compiledReps[ci].Killed[mi][di], interpReps[ci].Killed[mi][di])
-				}
-			}
+	for ci, c := range cells {
+		if err := ctx.Err(); err != nil {
+			return b, err
+		}
+		ref, err := mutation.ReferenceKills(c.q, c.ms, c.suite.All())
+		if err != nil {
+			return b, fmt.Errorf("cell %d: %w", ci, err)
+		}
+		if mi, di, bad := reps[ci].FirstDisagreement(ref); bad {
+			return b, fmt.Errorf("kill-matrix disagreement: cell %d mutant %q dataset %d: compiled=%v refeval=%v",
+				ci, c.ms[mi].Desc, di, reps[ci].Killed[mi][di], ref[mi][di])
 		}
 	}
 
-	// Timed passes alternate executors so slow phases of a shared
-	// machine hit both sides equally instead of skewing the ratio. Each
-	// section starts from a collected heap (the boundary GC is untimed:
-	// its cost is marking the long-lived workload data — suites, mutant
-	// plans — which is a constant unrelated to either executor), while
-	// collector cycles an executor's own allocation rate triggers still
-	// run, and are charged, inside its own section.
-	var compiledNs, interpNs int64
+	// Each timed pass starts from a collected heap (the boundary GC is
+	// untimed: its cost is marking the long-lived workload data —
+	// suites, mutant plans — which is a constant unrelated to the
+	// executor), while collector cycles the executor's own allocation
+	// rate triggers still run, and are charged, inside the pass.
+	var ns int64
 	for i := 0; i < iters; i++ {
 		runtime.GC()
 		t0 := time.Now()
-		if _, _, err := evalPass(false); err != nil {
+		if _, _, err := evalPass(); err != nil {
 			return b, err
 		}
-		compiledNs += time.Since(t0).Nanoseconds()
-		runtime.GC()
-		t1 := time.Now()
-		if _, _, err := evalPass(true); err != nil {
-			return b, err
-		}
-		interpNs += time.Since(t1).Nanoseconds()
-		runtime.GC()
+		ns += time.Since(t0).Nanoseconds()
 	}
-	b.CompiledNsPerOp = compiledNs / int64(iters)
-	b.InterpretedNsPerOp = interpNs / int64(iters)
-	if b.CompiledNsPerOp > 0 {
-		b.Speedup = float64(b.InterpretedNsPerOp) / float64(b.CompiledNsPerOp)
-	}
+	b.CompiledNsPerOp = ns / int64(iters)
 	return b, nil
 }

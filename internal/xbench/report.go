@@ -85,8 +85,8 @@ type Report struct {
 	// the workload through xdatad's HTTP stack plus the final /statsz
 	// counters, so the trajectory tracks service behavior too.
 	Service *ServiceBench `json:"service,omitempty"`
-	// KillMatrix is the compiled-vs-interpreted kill-matrix throughput
-	// measurement (see RunKillMatrixBench).
+	// KillMatrix is the kill-matrix throughput measurement, checked
+	// against refeval (see RunKillMatrixBench).
 	KillMatrix  *KillMatrixBench `json:"kill_matrix,omitempty"`
 	Baseline    *BaselineRef     `json:"baseline,omitempty"`
 	TableI      []Row            `json:"table1,omitempty"`
@@ -141,9 +141,9 @@ func RunUniversityBench(ctx context.Context, iters int) (Benchmark, error) {
 }
 
 // RunUniversityScaling measures the parallel-scaling rows: the same
-// university workload at goal-level Parallelism 1, 2, and 4. Interpret
-// the rows against Environment.GOMAXPROCS — with one schedulable CPU
-// every row is ~1x.
+// university workload at goal-level Parallelism 1, 2, and 4. Read the
+// rows against Environment.GOMAXPROCS — with one schedulable CPU every
+// row is ~1x.
 func RunUniversityScaling(ctx context.Context, iters int, workers []int) ([]Benchmark, error) {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4}

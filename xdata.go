@@ -72,8 +72,7 @@ type (
 	Mutant = mutation.Mutant
 	// MutationOptions configure the mutant space.
 	MutationOptions = mutation.Options
-	// EvalOptions configure kill-matrix evaluation (worker count and
-	// the NoCompiledEngine ablation).
+	// EvalOptions configure kill-matrix evaluation (worker count).
 	EvalOptions = mutation.EvalOptions
 	// Report is the kill matrix of a mutant space against a suite.
 	Report = mutation.Report
@@ -222,11 +221,9 @@ func AnalyzeContext(ctx context.Context, q *Query, suite *Suite, opts MutationOp
 	return AnalyzeOptsContext(ctx, q, suite, opts, EvalOptions{Parallelism: workers})
 }
 
-// AnalyzeOpts is Analyze with full evaluation options: worker count and
-// the NoCompiledEngine ablation (row-at-a-time reference interpreter
-// instead of the compiled columnar executor). The Report — including
-// every kill bit — is identical under either engine; only Report.Exec
-// and wall-clock time differ.
+// AnalyzeOpts is Analyze with full evaluation options (worker count).
+// The Report is identical for every worker count; only wall-clock time
+// differs.
 func AnalyzeOpts(q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) (*Report, error) {
 	return AnalyzeOptsContext(context.Background(), q, suite, opts, eopts)
 }
