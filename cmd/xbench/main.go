@@ -1,12 +1,13 @@
 // Command xbench regenerates the tables of the paper's evaluation
 // (§VI-C) on this machine:
 //
-//	xbench -table 1         # Table I: inner-join queries
-//	xbench -table 2         # Table II: selection/aggregation queries
-//	xbench -table inputdb   # §VI-C.3: input-database experiment
-//	xbench -table baseline  # §VI-C.1: comparison with the [14] algorithm
-//	xbench -table bench     # headline single-thread generation benchmark
-//	xbench -table all       # everything
+//	xbench -table 1          # Table I: inner-join queries
+//	xbench -table 2          # Table II: selection/aggregation queries
+//	xbench -table inputdb    # §VI-C.3: input-database experiment
+//	xbench -table baseline   # §VI-C.1: comparison with the [14] algorithm
+//	xbench -table bench      # headline single-thread generation benchmark
+//	xbench -table killmatrix # kill-matrix throughput, checked against refeval
+//	xbench -table all        # everything
 //
 // Flags tune thoroughness: -fast skips the slow "without unfolding"
 // column, -equiv verifies surviving mutants by randomized equivalence
@@ -50,7 +51,7 @@ func main() {
 }
 
 func run() int {
-	table := flag.String("table", "all", "which experiment to run: 1, 2, inputdb, baseline, bench, killmatrix, service, all")
+	table := flag.String("table", "all", "which experiment to run: 1, 2, inputdb, baseline, bench, killmatrix, all")
 	fast := flag.Bool("fast", false, "skip the quantified (without-unfolding) timing column")
 	equiv := flag.Bool("equiv", false, "verify surviving mutants by randomized equivalence testing")
 	trials := flag.Int("trials", 120, "randomized equivalence trials per surviving mutant")
@@ -61,16 +62,13 @@ func run() int {
 	iters := flag.Int("iters", 50, "iterations for -table bench (the headline single-thread benchmark)")
 	kmIters := flag.Int("killmatrix-iters", 10, "timed evaluation passes for -table killmatrix")
 	baseNs := flag.Int64("baseline-ns", 0, "previous pinned headline ns/op to embed as the trajectory baseline (0 = none)")
-	svcClients := flag.Int("service-clients", 8, "client goroutines for -table service")
-	svcRequests := flag.Int("service-requests", 32, "total requests for -table service")
-	svcFleet := flag.Int("service-fleet", 0, "fleet members for -table service (0/1 = standalone daemon, >=2 = consistent-hash fleet)")
 	baseLabel := flag.String("baseline-label", "", "label for -baseline-ns (e.g. BENCH_3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
 	switch *table {
-	case "1", "2", "inputdb", "baseline", "bench", "killmatrix", "service", "all":
+	case "1", "2", "inputdb", "baseline", "bench", "killmatrix", "all":
 	default:
 		flag.Usage()
 		return 2
@@ -241,31 +239,6 @@ func run() int {
 				fmt.Printf("compiled %d ns/op\n", kb.CompiledNsPerOp)
 				fmt.Printf("exec: %d compiled runs, %d batches, %d hash joins, %d small joins, %d nested-loop joins, %d prefix-cache hits, %d result-memo hits\n\n",
 					kb.Exec.CompiledRuns, kb.Exec.CompiledBatches, kb.Exec.HashJoins, kb.Exec.SmallJoins, kb.Exec.NestedLoopJoins, kb.Exec.FamilyPrefixHits, kb.Exec.ResultMemoHits)
-			}
-			return nil
-		})
-	}
-
-	if want("service") {
-		run("service", func() error {
-			sb, err := xbench.RunServiceBench(ctx, *svcClients, *svcRequests, *svcFleet)
-			if err != nil {
-				return err
-			}
-			report.Service = &sb
-			if text {
-				fmt.Println("=== daemon path: /v1/generate over xdatad's HTTP stack ===")
-				fmt.Printf("%s: %d requests x %d clients, %d ns/request (admitted %d, shed %d, completed %d, partial %d, panics %d, budget-expired %d, drained %d)\n",
-					sb.Name, sb.Requests, sb.Concurrency, sb.NsPerRequest,
-					sb.Counters.Admitted, sb.Counters.Shed, sb.Counters.Completed, sb.Counters.Partial,
-					sb.Counters.PanicsRecovered, sb.Counters.BudgetExpired, sb.Counters.Drained)
-				fmt.Printf("fleet/cache: %d cache hits (%d disk), %d collapsed, %d entries (%d bytes), %d evictions, %d corrupt drops, %d forwards, %d hedges, %d breaker opens, %d degraded serves\n\n",
-					sb.Counters.CacheCounters.Hits, sb.Counters.CacheCounters.DiskHits,
-					sb.Counters.CacheCounters.Collapsed,
-					sb.Counters.CacheCounters.Entries, sb.Counters.CacheCounters.Bytes,
-					sb.Counters.CacheCounters.Evictions, sb.Counters.CacheCounters.CorruptDrops,
-					sb.Counters.RouterCounters.Forwards, sb.Counters.RouterCounters.Hedges,
-					sb.Counters.RouterCounters.BreakerOpens, sb.Counters.DegradedServes)
 			}
 			return nil
 		})

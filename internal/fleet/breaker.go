@@ -52,15 +52,9 @@ type Breaker struct {
 }
 
 // NewBreaker builds a breaker tripping after threshold consecutive
-// failures (<=0 selects 3) and holding open for cooldown (<=0 selects
-// 5s).
+// failures and holding open for cooldown. Callers pass positive
+// values: the router passes its Config's after withDefaults.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 

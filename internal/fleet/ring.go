@@ -7,13 +7,13 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per physical node. 128
-// vnodes keep the maximum arc imbalance under a few percent for small
-// fleets while the ring stays a trivially searchable few-KB slice.
-const defaultReplicas = 128
+// vnodes is the virtual-node count per physical node. 128 vnodes keep
+// the maximum arc imbalance under a few percent for small fleets while
+// the ring stays a trivially searchable few-KB slice.
+const vnodes = 128
 
 // Ring is an immutable consistent-hash ring over a fixed node set:
-// each node is hashed at Replicas points, a key is owned by the first
+// each node is hashed at vnodes points, a key is owned by the first
 // point clockwise from its Hash64. Losing a node remaps only the keys
 // on its own arcs to their clockwise successors; every other key keeps
 // its owner — which is what keeps the fleet's caches coherent through
@@ -23,7 +23,6 @@ const defaultReplicas = 128
 // flags, not discovery); a changed fleet is a new Ring.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	nodes  []string    // deduplicated, sorted (stable iteration)
 }
 
 type ringPoint struct {
@@ -31,14 +30,10 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds a ring over nodes (duplicates ignored) with replicas
-// virtual nodes each (<=0 selects defaultReplicas). An empty node set
-// is an error: a router without members is a configuration bug, not a
-// degraded state.
-func NewRing(nodes []string, replicas int) (*Ring, error) {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+// NewRing builds a ring over nodes (duplicates ignored) with vnodes
+// virtual nodes each. An empty node set is an error: a router without
+// members is a configuration bug, not a degraded state.
+func NewRing(nodes []string) (*Ring, error) {
 	seen := make(map[string]bool, len(nodes))
 	var uniq []string
 	for _, n := range nodes {
@@ -53,10 +48,9 @@ func NewRing(nodes []string, replicas int) (*Ring, error) {
 	if len(uniq) == 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one node")
 	}
-	sort.Strings(uniq)
-	r := &Ring{nodes: uniq, points: make([]ringPoint, 0, len(uniq)*replicas)}
+	r := &Ring{points: make([]ringPoint, 0, len(uniq)*vnodes)}
 	for _, n := range uniq {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < vnodes; i++ {
 			// SHA-256 for the vnode points: FNV's avalanche is too
 			// weak for near-identical "node#i" strings and produces
 			// visibly unbalanced arcs. Construction-time only.
@@ -75,9 +69,6 @@ func NewRing(nodes []string, replicas int) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the ring members in sorted order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Owner returns the node owning k: the first ring point at or
 // clockwise after k's hash.
 func (r *Ring) Owner(k Key) string { return r.ownerOf(k.Hash64()) }
@@ -88,24 +79,4 @@ func (r *Ring) ownerOf(h uint64) string {
 		i = 0
 	}
 	return r.points[i].node
-}
-
-// Successors returns k's owner followed by the remaining nodes in
-// clockwise-first-encounter order. It is the fail-over preference
-// order: when the owner is unreachable the next distinct node
-// clockwise is the natural fallback (and is the node that would own
-// the key if the owner left the ring).
-func (r *Ring) Successors(k Key) []string {
-	h := k.Hash64()
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, len(r.nodes))
-	seen := make(map[string]bool, len(r.nodes))
-	for i := 0; i < len(r.points) && len(out) < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
 }

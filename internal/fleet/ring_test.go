@@ -73,13 +73,13 @@ func TestContentKeyCanonical(t *testing.T) {
 // owner for every key, and the key space spreads over all nodes.
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1"}
-	r1, err := NewRing(nodes, 0)
+	r1, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second ring built from a shuffled member list must agree on
 	// every owner: that is what makes routing coherent fleet-wide.
-	r2, err := NewRing([]string{"c:1", "a:1", "b:1"}, 0)
+	r2, err := NewRing([]string{"c:1", "a:1", "b:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // TestRingMinimalRemap: removing one node remaps only its own keys;
 // every key owned by a surviving node keeps its owner.
 func TestRingMinimalRemap(t *testing.T) {
-	full, err := NewRing([]string{"a:1", "b:1", "c:1"}, 0)
+	full, err := NewRing([]string{"a:1", "b:1", "c:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"a:1", "b:1"}, 0)
+	reduced, err := NewRing([]string{"a:1", "b:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,50 +129,12 @@ func TestRingMinimalRemap(t *testing.T) {
 	}
 }
 
-// TestRingSuccessors: the fail-over order starts at the owner, covers
-// every node exactly once, and its second entry is the owner after the
-// first node's removal.
-func TestRingSuccessors(t *testing.T) {
-	r, err := NewRing([]string{"a:1", "b:1", "c:1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey("some-key")
-	succ := r.Successors(k)
-	if len(succ) != 3 {
-		t.Fatalf("successors %v, want all 3 nodes", succ)
-	}
-	if succ[0] != r.Owner(k) {
-		t.Fatalf("successors must start at the owner: %v vs %s", succ, r.Owner(k))
-	}
-	seen := map[string]bool{}
-	for _, n := range succ {
-		if seen[n] {
-			t.Fatalf("duplicate node in successors: %v", succ)
-		}
-		seen[n] = true
-	}
-	var survivors []string
-	for _, n := range []string{"a:1", "b:1", "c:1"} {
-		if n != succ[0] {
-			survivors = append(survivors, n)
-		}
-	}
-	reduced, err := NewRing(survivors, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reduced.Owner(k); got != succ[1] {
-		t.Fatalf("after owner loss the key must move to successors[1]=%s, got %s", succ[1], got)
-	}
-}
-
 // TestRingRejectsEmpty: a memberless ring is a configuration error.
 func TestRingRejectsEmpty(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring must be rejected")
 	}
-	if _, err := NewRing([]string{""}, 0); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Fatal("empty node name must be rejected")
 	}
 }

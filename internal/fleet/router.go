@@ -28,6 +28,10 @@ var ErrPeerUnavailable = errors.New("fleet: peer unavailable")
 // maxForwardBytes bounds a relayed peer response body.
 const maxForwardBytes = 64 << 20
 
+// maxAttempts bounds forwarding attempts per request, first try
+// included: the 1x/4x/16x ladder.
+const maxAttempts = 3
+
 // Config tunes a Router. Zero fields select the documented defaults.
 type Config struct {
 	// Self is this node's advertised address ("host:port"); it names
@@ -35,33 +39,19 @@ type Config struct {
 	Self string
 	// Peers are the other fleet members' advertised addresses.
 	Peers []string
-	// Replicas is the virtual-node count per member (0 = 128).
-	Replicas int
 	// HopTimeout is the base per-hop deadline for the first forwarding
 	// attempt; retries escalate it 4x then 16x, always clamped by the
 	// request context's remaining budget (0 = 2s).
 	HopTimeout time.Duration
-	// MaxAttempts bounds forwarding attempts per request, first try
-	// included (0 = 3: the 1x/4x/16x ladder).
-	MaxAttempts int
 	// RetryBudget bounds retries (attempts beyond the first) per
-	// request, independent of MaxAttempts (0 = 2; negative = none).
+	// request (0 = 2; negative = none). The ladder has three rungs, so
+	// a budget above 2 still sends at most 3 attempts.
 	RetryBudget int
 	// BackoffBase/BackoffCap shape the full-jitter backoff between
 	// attempts: sleep = rand(0, min(cap, base<<attempt))
 	// (0 = 25ms / 1s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// HedgeAfter fixes the hedging threshold: when the first attempt
-	// has not answered within it, a second identical request is sent
-	// and the first answer wins. 0 derives the threshold from the
-	// tracked p99 forward latency (clamped to [HedgeMin, HedgeMax]);
-	// negative disables hedging.
-	HedgeAfter time.Duration
-	// HedgeMin/HedgeMax clamp the p99-derived hedge threshold
-	// (0 = 50ms / 2s).
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// peer's breaker (0 = 3); BreakerCooldown how long it stays open
 	// before the half-open probe (0 = 2s).
@@ -76,14 +66,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = defaultReplicas
-	}
 	if c.HopTimeout <= 0 {
 		c.HopTimeout = 2 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
 	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 2
@@ -93,12 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = time.Second
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 50 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -121,10 +99,6 @@ type RouterCounters struct {
 	ForwardErrors int64 `json:"forward_errors"`
 	// Retries counts forwarding attempts beyond each request's first.
 	Retries int64 `json:"forward_retries"`
-	// Hedges counts hedged second requests sent; HedgeWins how many
-	// were answered before their primary.
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedge_wins"`
 	// BreakerOpens counts peer-breaker trips to open; BreakerSkips
 	// requests refused locally because a breaker was open.
 	BreakerOpens int64 `json:"breaker_opens"`
@@ -143,23 +117,20 @@ type peerState struct {
 // ring, with the failure handling every cross-node hop needs: per-hop
 // deadlines clamped by the request budget, the escalating 1x/4x/16x
 // retry ladder with full-jitter backoff under a per-request retry
-// budget, hedged second requests after the p99-tracking threshold with
-// first-winner cancellation, and a per-peer circuit breaker fed by
-// both request outcomes and a background /readyz health poll. Create
-// with NewRouter, stop with Close.
+// budget, and a per-peer circuit breaker fed by both request outcomes
+// and a background /readyz health poll. Create with NewRouter, stop
+// with Close.
 type Router struct {
 	cfg    Config
 	ring   *Ring
 	peers  map[string]*peerState
 	client *http.Client
-	lat    *latencyTracker
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	forwards, forwardErrors, retries atomic.Int64
-	hedges, hedgeWins, breakerSkips  atomic.Int64
+	forwards, forwardErrors, retries, breakerSkips atomic.Int64
 }
 
 // NewRouter validates cfg, builds the ring over Self plus Peers, and
@@ -170,7 +141,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: router needs a Self address")
 	}
 	members := append([]string{cfg.Self}, cfg.Peers...)
-	ring, err := NewRing(members, cfg.Replicas)
+	ring, err := NewRing(members)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +149,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:   cfg,
 		ring:  ring,
 		peers: make(map[string]*peerState, len(cfg.Peers)),
-		lat:   newLatencyTracker(128),
 		stop:  make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
@@ -218,17 +188,12 @@ func (r *Router) Self() string { return r.cfg.Self }
 // Owner returns the node owning k on the ring.
 func (r *Router) Owner(k Key) string { return r.ring.Owner(k) }
 
-// Ring exposes the membership ring (read-only use).
-func (r *Router) Ring() *Ring { return r.ring }
-
 // Counters snapshots the router counters.
 func (r *Router) Counters() RouterCounters {
 	c := RouterCounters{
 		Forwards:      r.forwards.Load(),
 		ForwardErrors: r.forwardErrors.Load(),
 		Retries:       r.retries.Load(),
-		Hedges:        r.hedges.Load(),
-		HedgeWins:     r.hedgeWins.Load(),
 		BreakerSkips:  r.breakerSkips.Load(),
 	}
 	for _, ps := range r.peers {
@@ -249,7 +214,7 @@ func retryableStatus(status int) bool {
 }
 
 // Forward sends body to node's path (e.g. "/v1/forward") under ctx,
-// applying the hop ladder, backoff, hedging and breaker. On success it
+// applying the hop ladder, backoff and breaker. On success it
 // returns the peer's status and body (which may be a relayable 4xx).
 // On ErrPeerUnavailable the caller must degrade to a local solve; ctx
 // errors are returned as-is when the request budget itself expired.
@@ -261,7 +226,7 @@ func (r *Router) Forward(ctx context.Context, node, path string, body []byte) (i
 	url := "http://" + node + path
 	retryBudget := r.cfg.RetryBudget
 	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			if retryBudget <= 0 {
 				break
@@ -289,12 +254,10 @@ func (r *Router) Forward(ctx context.Context, node, path string, body []byte) (i
 			lastErr = fmt.Errorf("breaker open for %s", node)
 			break
 		}
-		start := time.Now()
-		status, payload, err := r.hedgedSend(ctx, url, body, hop, attempt == 0)
+		status, payload, err := r.send(ctx, url, body, hop)
 		if err == nil && !retryableStatus(status) {
 			ps.breaker.Success()
 			ps.healthy.Store(true)
-			r.lat.record(time.Since(start))
 			r.forwards.Add(1)
 			return status, payload, nil
 		}
@@ -333,83 +296,11 @@ func (r *Router) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// hedgeDelay returns the current hedging threshold, or <0 when
-// hedging is disabled.
-func (r *Router) hedgeDelay() time.Duration {
-	if r.cfg.HedgeAfter != 0 {
-		return r.cfg.HedgeAfter // fixed (negative = disabled)
-	}
-	p99, ok := r.lat.p99()
-	if !ok {
-		return r.cfg.HedgeMax // no samples yet: hedge late, not never
-	}
-	if p99 < r.cfg.HedgeMin {
-		return r.cfg.HedgeMin
-	}
-	if p99 > r.cfg.HedgeMax {
-		return r.cfg.HedgeMax
-	}
-	return p99
-}
-
-type sendResult struct {
-	status  int
-	payload []byte
-	err     error
-	hedged  bool
-}
-
-// hedgedSend performs one ladder attempt bounded by hop: the primary
-// request goes out immediately and, when hedging is armed and the
-// primary has not answered within the hedge threshold, an identical
-// second request races it. The first acceptable answer wins and the
-// shared sub-context cancels the loser. Results always flow through a
-// buffered channel, so the losing goroutine never blocks or leaks.
-func (r *Router) hedgedSend(ctx context.Context, url string, body []byte, hop time.Duration, allowHedge bool) (int, []byte, error) {
-	sub, cancel := context.WithTimeout(ctx, hop)
+// send performs one ladder attempt: an HTTP POST with the hop header
+// set, bounded by the hop deadline.
+func (r *Router) send(ctx context.Context, url string, body []byte, hop time.Duration) (int, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, hop)
 	defer cancel()
-	ch := make(chan sendResult, 2)
-	send := func(hedged bool) {
-		status, payload, err := r.send(sub, url, body)
-		ch <- sendResult{status: status, payload: payload, err: err, hedged: hedged}
-	}
-	go send(false)
-	launched := 1
-
-	var hedgeC <-chan time.Time
-	if delay := r.hedgeDelay(); allowHedge && delay >= 0 && delay < hop {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var last sendResult
-	for received := 0; received < launched; {
-		select {
-		case res := <-ch:
-			received++
-			if res.err == nil && !retryableStatus(res.status) {
-				if res.hedged {
-					r.hedgeWins.Add(1)
-				}
-				return res.status, res.payload, nil
-			}
-			last = res
-		case <-hedgeC:
-			hedgeC = nil
-			r.hedges.Add(1)
-			launched++
-			go send(true)
-		}
-	}
-	if last.err != nil {
-		return 0, nil, last.err
-	}
-	return last.status, last.payload, nil
-}
-
-// send performs one HTTP POST with the hop header set.
-func (r *Router) send(ctx context.Context, url string, body []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
@@ -499,51 +390,4 @@ func (r *Router) probeReady(node string) bool {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// latencyTracker keeps a fixed-size ring of recent successful forward
-// latencies and reports their p99 for the hedge threshold.
-type latencyTracker struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	next    int
-	filled  bool
-}
-
-func newLatencyTracker(size int) *latencyTracker {
-	return &latencyTracker{samples: make([]time.Duration, size)}
-}
-
-func (l *latencyTracker) record(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.samples[l.next] = d
-	l.next++
-	if l.next == len(l.samples) {
-		l.next = 0
-		l.filled = true
-	}
-}
-
-// p99 returns the 99th-percentile sample; ok is false until at least 8
-// samples exist (too little signal to beat the clamp defaults).
-func (l *latencyTracker) p99() (time.Duration, bool) {
-	l.mu.Lock()
-	n := l.next
-	if l.filled {
-		n = len(l.samples)
-	}
-	if n < 8 {
-		l.mu.Unlock()
-		return 0, false
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, l.samples[:n])
-	l.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := (99*n - 1) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return buf[idx], true
 }

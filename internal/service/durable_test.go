@@ -178,8 +178,8 @@ func TestDurableUnusableDirDegrades(t *testing.T) {
 }
 
 // TestDurableStatusJSONRoundTrip: the Counters JSON round-trips both
-// shapes of the durable field — xbench re-decodes /statsz into
-// service.Counters, so an asymmetric encoding would break it.
+// shapes of the durable field — the /statsz tests decode the body into
+// Counters, so an asymmetric encoding would break them.
 func TestDurableStatusJSONRoundTrip(t *testing.T) {
 	for _, c := range []Counters{
 		{},

@@ -108,7 +108,6 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 				RetryBudget:      2,
 				BackoffBase:      time.Millisecond,
 				BackoffCap:       10 * time.Millisecond,
-				HedgeAfter:       -1, // hedging is unit-tested; keep the soak deterministic
 				BreakerThreshold: 2,
 				BreakerCooldown:  150 * time.Millisecond,
 				HealthInterval:   25 * time.Millisecond,

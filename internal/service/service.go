@@ -119,10 +119,10 @@ type Config struct {
 	Advertise string
 	// Peers are the other fleet members' advertised addresses.
 	Peers []string
-	// Fleet optionally tunes the router (retry ladder, hedging,
-	// breaker, health-poll interval, transport injection for partition
-	// tests). Self and Peers inside it are overwritten from Advertise
-	// and Peers above; nil selects the fleet.Config defaults.
+	// Fleet optionally tunes the router (retry ladder, breaker,
+	// health-poll interval, transport injection for partition tests).
+	// Self and Peers inside it are overwritten from Advertise and Peers
+	// above; nil selects the fleet.Config defaults.
 	Fleet *fleet.Config
 }
 
@@ -163,8 +163,10 @@ func (c Config) Normalize() Config {
 }
 
 // Counters is a point-in-time snapshot of the service counters exposed
-// at /statsz and consumed by the xbench trajectory. All fields are
-// monotonic over a server's lifetime.
+// at /statsz. Every field is monotonic over a server's lifetime except
+// the gauges draining, in_flight, cache_bytes, cache_entries,
+// cache_epoch and unhealthy_peers; durable.Counters marks the disk
+// tier's own gauges.
 type Counters struct {
 	// Received counts requests that reached /v1/generate or
 	// /v1/analyze (including those later shed or rejected).
@@ -220,7 +222,7 @@ type Counters struct {
 	// store's counters.
 	Durable DurableStatus `json:"durable"`
 	// The embedded fleet counters flatten into /statsz: cache_hits,
-	// cache_evictions, ... from the suite cache; forwards, hedges,
+	// cache_evictions, ... from the suite cache; forwards,
 	// breaker_opens, ... from the router (zero when standalone).
 	fleet.CacheCounters
 	fleet.RouterCounters
@@ -229,7 +231,8 @@ type Counters struct {
 // DurableStatus is the /statsz image of the disk tier. It marshals to
 // the literal string "disabled" when the tier is off (the satellite
 // contract operators probe for), else to {"dir": ..., "counters":
-// {...}}; it unmarshals both shapes so xbench can round-trip Counters.
+// {...}}; it unmarshals both shapes so a /statsz body decodes back
+// into Counters (the service tests decode it).
 type DurableStatus struct {
 	Enabled  bool
 	Dir      string

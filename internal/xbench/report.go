@@ -81,10 +81,6 @@ type Report struct {
 	Environment   Environment `json:"environment"`
 	Parallelism   int         `json:"parallelism"` // worker setting for table sections (0 = all CPUs)
 	Benchmarks    []Benchmark `json:"benchmarks,omitempty"`
-	// Service is the daemon-path measurement (see RunServiceBench):
-	// the workload through xdatad's HTTP stack plus the final /statsz
-	// counters, so the trajectory tracks service behavior too.
-	Service *ServiceBench `json:"service,omitempty"`
 	// KillMatrix is the kill-matrix throughput measurement, checked
 	// against refeval (see RunKillMatrixBench).
 	KillMatrix  *KillMatrixBench `json:"kill_matrix,omitempty"`
