@@ -237,8 +237,8 @@ func run() int {
 					kb.Name, kb.Iters, kb.Cells, kb.Mutants, kb.Datasets, kb.MatrixCells)
 				fmt.Printf("refeval agreement: %d matrix cells, 0 disagreements\n", kb.MatrixCells)
 				fmt.Printf("compiled %d ns/op\n", kb.CompiledNsPerOp)
-				fmt.Printf("exec: %d compiled runs, %d batches, %d hash joins, %d small joins, %d nested-loop joins, %d prefix-cache hits, %d result-memo hits\n\n",
-					kb.Exec.CompiledRuns, kb.Exec.CompiledBatches, kb.Exec.HashJoins, kb.Exec.SmallJoins, kb.Exec.NestedLoopJoins, kb.Exec.FamilyPrefixHits, kb.Exec.ResultMemoHits)
+				fmt.Printf("exec: %d compiled runs, %d batches, %d small joins, %d nested-loop joins, %d prefix-cache hits, %d result-memo hits\n\n",
+					kb.Exec.CompiledRuns, kb.Exec.CompiledBatches, kb.Exec.SmallJoins, kb.Exec.NestedLoopJoins, kb.Exec.FamilyPrefixHits, kb.Exec.ResultMemoHits)
 			}
 			return nil
 		})

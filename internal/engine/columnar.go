@@ -202,20 +202,3 @@ func (b *batch) width() int {
 		return b.lw + b.right.width()
 	}
 }
-
-// keyHash computes the equi-join key hash of row i over the given
-// column indices, in canonical value encoding (1 and 1.0 hash
-// identically, matching TriCompare equality). ok is false when any key
-// column is NULL: such rows match nothing under SQL three-valued
-// equality and are excluded from both hash-join sides.
-func (b *batch) keyHash(i int, cols []int) (uint64, bool) {
-	h := sqltypes.HashSeed
-	for _, c := range cols {
-		v := b.value(c, i)
-		if v.IsNull() {
-			return 0, false
-		}
-		h = sqltypes.HashValue(h, v)
-	}
-	return h, true
-}

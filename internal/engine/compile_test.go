@@ -73,12 +73,16 @@ func predsID(p *engine.Plan) **qtree.Pred {
 
 // TestFamilyCompileMatchesPrivate pins the family compile against the
 // lazy one. Every plan of every family, compiled through one shared
-// memo, must build the node a private compile builds — the same op and
-// subtree ids, equi-pairs and predicate sources at every node, and the
-// same projection id — so a memo hit can never change what a cell runs.
-// The shared compile must also build each distinct node once: one leaf
-// per (predicate slice, occurrence) and one join per (predicate slice,
-// join type, left node, right node).
+// memo set, must build the node a private compile builds — the same op
+// id, column layout, equi-pairs, predicate sources and compiled column
+// indices at every node, and the same projection id and output indices
+// — so a memo hit can never change what a cell runs. Subtree slots are
+// numbered per family, so they are not compared across the two
+// compiles; instead, within the shared family two nodes must have equal
+// slots exactly when they have equal (op, left slot, right slot), and
+// the slots must be dense. The shared compile must also build each
+// distinct node once: one leaf per (predicate slice, occurrence) and
+// one join per (predicate slice, join type, left node, right node).
 func TestFamilyCompileMatchesPrivate(t *testing.T) {
 	type nodeKey struct {
 		preds       **qtree.Pred
@@ -86,11 +90,14 @@ func TestFamilyCompileMatchesPrivate(t *testing.T) {
 		jt          sqlparser.JoinType
 		left, right any
 	}
+	type subKey struct{ op, l, r int32 }
 	for _, fq := range familyQueries() {
 		t.Run(fq.name, func(t *testing.T) {
 			_, plans := familyPlans(t, fq.sql)
 			shared, errs := engine.CompileShared(plans)
 			built := map[nodeKey]any{}
+			slotOf := map[subKey]int32{}
+			keyOf := map[int32]subKey{}
 			total := 0
 			for pi, p := range plans {
 				if errs[pi] != nil {
@@ -101,19 +108,31 @@ func TestFamilyCompileMatchesPrivate(t *testing.T) {
 					t.Fatalf("plan %d: private compile: %v", pi, err)
 				}
 				s := shared[pi]
-				if s.ProjID != private.ProjID {
-					t.Fatalf("plan %d: projection id %d shared, %d private", pi, s.ProjID, private.ProjID)
+				if s.ProjID != private.ProjID || !reflect.DeepEqual(s.Cols, private.Cols) {
+					t.Fatalf("plan %d: projection id %d, output indices %v shared; %d, %v private",
+						pi, s.ProjID, s.Cols, private.ProjID, private.Cols)
 				}
 				if len(s.Nodes) != len(private.Nodes) {
 					t.Fatalf("plan %d: %d nodes shared, %d private", pi, len(s.Nodes), len(private.Nodes))
 				}
 				for ni, sn := range s.Nodes {
 					pn := private.Nodes[ni]
-					if sn.Op != pn.Op || sn.Sub != pn.Sub || sn.Type != pn.Type || sn.Occ != pn.Occ ||
-						!reflect.DeepEqual(sn.Pairs, pn.Pairs) || !reflect.DeepEqual(sn.Preds, pn.Preds) {
-						t.Fatalf("plan %d node %d differs:\nshared  op=%d sub=%d type=%v pairs=%v preds=%v\nprivate op=%d sub=%d type=%v pairs=%v preds=%v",
-							pi, ni, sn.Op, sn.Sub, sn.Type, sn.Pairs, sn.Preds, pn.Op, pn.Sub, pn.Type, pn.Pairs, pn.Preds)
+					if sn.Op != pn.Op || sn.Type != pn.Type || sn.Occ != pn.Occ || !reflect.DeepEqual(sn.Off, pn.Off) ||
+						!reflect.DeepEqual(sn.Pairs, pn.Pairs) || !reflect.DeepEqual(sn.Preds, pn.Preds) ||
+						!reflect.DeepEqual(sn.PredCols, pn.PredCols) {
+						t.Fatalf("plan %d node %d differs:\nshared  op=%d type=%v off=%v pairs=%v preds=%v cols=%v\nprivate op=%d type=%v off=%v pairs=%v preds=%v cols=%v",
+							pi, ni, sn.Op, sn.Type, sn.Off, sn.Pairs, sn.Preds, sn.PredCols,
+							pn.Op, pn.Type, pn.Off, pn.Pairs, pn.Preds, pn.PredCols)
 					}
+					sk := subKey{sn.Op, sn.LeftSlot, sn.RightSlot}
+					if slot, ok := slotOf[sk]; ok && slot != sn.Slot {
+						t.Fatalf("plan %d node %d: subtree (op %d, slots %d, %d) has slots %d and %d",
+							pi, ni, sk.op, sk.l, sk.r, slot, sn.Slot)
+					}
+					if k, ok := keyOf[sn.Slot]; ok && k != sk {
+						t.Fatalf("plan %d node %d: slot %d holds subtrees %+v and %+v", pi, ni, sn.Slot, k, sk)
+					}
+					slotOf[sk], keyOf[sn.Slot] = sn.Slot, sk
 					k := nodeKey{preds: predsID(p), occ: sn.Occ, jt: sn.Type, left: sn.Left, right: sn.Right}
 					if prev, ok := built[k]; ok && prev != sn.Node {
 						t.Fatalf("plan %d node %d: the shared memo built (type %v, left, right) twice", pi, ni, sn.Type)
@@ -122,7 +141,12 @@ func TestFamilyCompileMatchesPrivate(t *testing.T) {
 					total++
 				}
 			}
-			t.Logf("%d plans: %d tree nodes, %d built", len(plans), total, len(built))
+			for slot := range keyOf {
+				if slot < 0 || int(slot) >= len(keyOf) {
+					t.Errorf("slot %d outside [0, %d): family slots must be dense", slot, len(keyOf))
+				}
+			}
+			t.Logf("%d plans: %d tree nodes, %d built, %d slots", len(plans), total, len(built), len(keyOf))
 			if len(plans) > 2 && len(built) >= total {
 				t.Errorf("no node shared across %d plans (%d nodes)", len(plans), total)
 			}
@@ -167,11 +191,11 @@ func TestCompileNeverAppliedError(t *testing.T) {
 	ds.Insert("instructor", sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("a"), sqltypes.NewString("CS"), sqltypes.NewInt(10)})
 	_, err = badPlan().Run(ds)
 	check("lazy Run", err)
-	p := badPlan()
-	if err := engine.CompilePlans(context.Background(), []*engine.Plan{p}); err != nil {
+	compiled, err := engine.CompilePlans(context.Background(), []*engine.Plan{badPlan()})
+	if err != nil {
 		t.Fatalf("CompilePlans must keep a compile error on its plan, got %v", err)
 	}
-	_, err = p.Run(ds)
+	_, err = compiled[0].Run(ds)
 	check("Run after CompilePlans", err)
 
 	m := &mutation.Mutant{Key: "drop-t", Kind: mutation.KindJoinType, Desc: "tree without t", Plan: badPlan()}
@@ -185,25 +209,31 @@ func TestCompileNeverAppliedError(t *testing.T) {
 
 // TestCompilePlansCanceled pins cancellation of the family compile: a
 // done context stops CompilePlans before it compiles anything, and a
-// live one compiles every plan.
+// live one returns a compiled copy of every plan, in order, leaving the
+// plans it was given uncompiled.
 func TestCompilePlansCanceled(t *testing.T) {
 	_, plans := familyPlans(t, university.TableIQueries()[2].SQL)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := engine.CompilePlans(ctx, plans); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled CompilePlans: got %v, want context.Canceled", err)
+	if out, err := engine.CompilePlans(ctx, plans); !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("canceled CompilePlans: got %d plans, %v; want none, context.Canceled", len(out), err)
 	}
-	for i, p := range plans {
-		if engine.Compiled(p) {
-			t.Fatalf("plan %d compiled after cancellation", i)
-		}
-	}
-	if err := engine.CompilePlans(context.Background(), plans); err != nil {
+	compiled, err := engine.CompilePlans(context.Background(), plans)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(compiled) != len(plans) {
+		t.Fatalf("%d compiled plans for %d inputs", len(compiled), len(plans))
+	}
 	for i, p := range plans {
-		if !engine.Compiled(p) {
-			t.Fatalf("plan %d not compiled", i)
+		c := compiled[i]
+		if c == p || !engine.Compiled(c) || engine.Compiled(p) {
+			t.Fatalf("plan %d: copy %v, copy compiled %v, input compiled %v; want a compiled copy of an uncompiled input",
+				i, c != p, engine.Compiled(c), engine.Compiled(p))
+		}
+		if c.Query != p.Query || c.Tree != p.Tree || !reflect.DeepEqual(c.Preds, p.Preds) || !reflect.DeepEqual(c.Aggs, p.Aggs) ||
+			!reflect.DeepEqual(c.Subs, p.Subs) || !reflect.DeepEqual(c.Having, p.Having) {
+			t.Fatalf("plan %d: the copy differs from its input", i)
 		}
 	}
 }

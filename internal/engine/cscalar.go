@@ -24,15 +24,17 @@ type cscalar struct {
 	l, r  *cscalar       // SArith
 }
 
-func compileScalar(s *qtree.Scalar, cols map[qtree.AttrRef]int) *cscalar {
+// compileScalar resolves s against the layout off through the query's
+// attribute table.
+func compileScalar(s *qtree.Scalar, tab *attrTable, off []int32) *cscalar {
 	switch s.Kind {
 	case qtree.SAttr:
-		return &cscalar{kind: qtree.SAttr, col: colIndex(cols, s.Attr), attr: s.Attr}
+		return &cscalar{kind: qtree.SAttr, col: tab.col(off, s.Attr), attr: s.Attr}
 	case qtree.SConst:
 		return &cscalar{kind: qtree.SConst, konst: s.Const}
 	default:
 		return &cscalar{kind: qtree.SArith, op: s.Op,
-			l: compileScalar(s.L, cols), r: compileScalar(s.R, cols)}
+			l: compileScalar(s.L, tab, off), r: compileScalar(s.R, tab, off)}
 	}
 }
 
@@ -96,8 +98,8 @@ type cpred struct {
 	src  *qtree.Pred
 }
 
-func compilePred(p *qtree.Pred, cols map[qtree.AttrRef]int) cpred {
-	return cpred{op: p.Op, l: compileScalar(p.L, cols), r: compileScalar(p.R, cols),
+func compilePred(p *qtree.Pred, tab *attrTable, off []int32) cpred {
+	return cpred{op: p.Op, l: compileScalar(p.L, tab, off), r: compileScalar(p.R, tab, off),
 		like: p.Like, src: p}
 }
 

@@ -16,12 +16,13 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/qtree"
 	"repro/internal/schema"
@@ -42,11 +43,10 @@ type Plan struct {
 
 	// Compiled execution state, built once and reused across datasets:
 	// column layouts, join-condition placement and projection targets do
-	// not depend on the dataset. The kill-matrix evaluator compiles a
-	// whole mutant family up front through CompilePlans; every other
-	// caller compiles lazily on the first Run. sync.Once makes the
-	// compile exactly-once whichever of the two reaches it first, and
-	// safe for callers that run one plan from several goroutines.
+	// not depend on the dataset. A plan compiles lazily on its first
+	// Run; the kill-matrix evaluator instead runs the compiled copies
+	// CompilePlans returns. sync.Once makes the lazy compile exactly-once
+	// and safe for callers that run one plan from several goroutines.
 	compileOnce sync.Once
 	comp        *compiledPlan
 	compErr     error
@@ -250,6 +250,12 @@ func (r *Result) String() string {
 // shared with other plans compiled through the same memo.
 type compiledPlan struct {
 	root *cnode
+	// fam is the compile call the plan came from; its node slots index
+	// a SharedCache's subtree index.
+	fam *family
+	// attrs resolves the query's attribute references against root's
+	// layout (retained subqueries read outer attributes through it).
+	attrs *attrTable
 
 	// empty is set when a constant predicate (a WHERE conjunct referencing
 	// no attribute, e.g. 1 = 2) evaluated to non-true: the conjunct fails
@@ -261,6 +267,15 @@ type compiledPlan struct {
 	// oracle design review; see TestConstantFalseWhereUnderOuterJoin).
 	empty bool
 
+	// The output stage is shared by the plans of a memo that have the
+	// same root layout and the same aggregate, subquery and HAVING
+	// slices: it depends on nothing else.
+	*output
+}
+
+// output is a plan's projection or aggregation, resolved against its
+// root layout.
+type output struct {
 	// Non-aggregate projection: output columns plus, per column, the
 	// root-layout indices of its coalesce attributes. An index of -1
 	// (attribute missing from the root layout) only surfaces when a row
@@ -298,7 +313,14 @@ type compiledPlan struct {
 // built: a family compile hands the same cnode to every plan whose tree
 // contains the subtree.
 type cnode struct {
-	cols  map[qtree.AttrRef]int
+	// off is the node's column layout, indexed by position in
+	// Query.Occs: an occurrence in the subtree starts at column off[i]
+	// (its attributes follow in relation order), and an occurrence
+	// outside it has off[i] = -1. The query's attrTable turns an
+	// attribute reference into (occurrence, attribute position), so a
+	// reference's column is one table lookup plus an addition. Nodes of
+	// one compile call with equal layouts share the slice.
+	off   []int32
 	width int
 
 	// placed records which predicates of the plan's predicate slice this
@@ -317,13 +339,15 @@ type cnode struct {
 	// from mutated subtrees that happen to produce the same rows on
 	// this dataset (confluence sharing).
 	opID int32
-	// subID is the interned id of the whole subtree rooted here (opID
-	// plus the children's subIDs). It short-circuits the cache walk:
-	// a subtree the cache has already evaluated resolves in one lookup
-	// without recursing to its leaves. Only nodes on a mutant's
-	// changed path miss and fall through to the (opID, children)
-	// level keys.
-	subID int32
+	// slot numbers the whole subtree rooted here within its compile
+	// family: two nodes of one family share a slot exactly when they
+	// have equal op ids and their children share slots. It indexes the
+	// SharedCache's subtree index, which short-circuits the cache walk:
+	// a subtree the cache has already evaluated resolves in one array
+	// load without recursing to its leaves. Only nodes on a mutant's
+	// changed path miss and fall through to the (opID, children) level
+	// keys.
+	slot int32
 
 	// Leaf fields.
 	leaf    bool
@@ -345,28 +369,37 @@ type pairIdx struct{ l, r int }
 // mutant of its space, and the mutants of one family differ in a single
 // component: their join trees — every equivalent join order, each with
 // every join-type mutation — overlap heavily. CompilePlans compiles a
-// family through one memo that hash-conses compiled nodes, so each
+// family through one memo set that hash-conses compiled nodes, so each
 // distinct subtree is built once per evaluation; a lazy compile runs the
-// same code through a private memo.
+// same code through a memo set of its own.
 
-// CompilePlans compiles every plan not compiled yet, through one memo per
-// (query, predicate slice) that builds each distinct subtree once. The
-// memos live only for the call: a plan keeps just its own compiled tree,
-// whose nodes it may share with the other plans of the call. A compile
-// error stays on its plan and is returned by the plan's runs, as a lazy
-// compile's would be. CompilePlans itself fails only when ctx is done,
-// which it checks between plans.
-func CompilePlans(ctx context.Context, plans []*Plan) error {
-	memos := memoSet{}
-	for _, p := range plans {
+// CompilePlans returns compiled copies of plans, in order, compiled as
+// one family: through one memo per (query, predicate slice) that builds
+// each distinct subtree once, with the family's distinct subtrees
+// numbered densely so a SharedCache running them indexes evaluated
+// subtrees by a slice of the family's size. The plans given are never
+// compiled or modified; a copy shares their tree, predicate, subquery,
+// aggregate and HAVING slices. A compile error stays on its copy and is
+// returned by the copy's runs, as a lazy compile's would be.
+// CompilePlans itself fails only when ctx is done, which it checks
+// between plans.
+func CompilePlans(ctx context.Context, plans []*Plan) ([]*Plan, error) {
+	s := newMemoSet()
+	copies := make([]Plan, len(plans))
+	out := make([]*Plan, len(plans))
+	for i, p := range plans {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		default:
 		}
-		p.compileOnce.Do(func() { p.comp, p.compErr = memos.compile(p) })
+		c := &copies[i]
+		c.Query, c.Tree, c.Preds, c.Subs, c.Aggs, c.Having = p.Query, p.Tree, p.Preds, p.Subs, p.Aggs, p.Having
+		c.compileOnce.Do(func() { c.comp, c.compErr = s.compile(c) })
+		out[i] = c
 	}
-	return nil
+	s.seal()
+	return out, nil
 }
 
 // memoKey identifies the plans that can share compiled nodes. A node's
@@ -382,22 +415,159 @@ type memoKey struct {
 	n     int
 }
 
-// memoSet holds the memos of one CompilePlans call.
-type memoSet map[memoKey]*compileMemo
+// family is the set of plans one memo set compiled. slots is the number
+// of distinct subtrees among them, final once the compile call returns.
+type family struct{ slots int }
+
+// memoSet holds the memos of one compile call, one attribute table per
+// query, and the family's subtree numbering.
+type memoSet struct {
+	memos map[memoKey]*compileMemo
+	tabs  map[*qtree.Query]*attrTable
+	// slots numbers distinct subtrees by (op id, left slot, right
+	// slot); a leaf's children are -1. Op ids are process-wide, so equal
+	// keys from different memos of the family mean the same subtree.
+	slots map[subKey]int32
+	fam   *family
+	// layouts holds one copy of each distinct column layout, by its
+	// bytes.
+	layouts map[string][]int32
+}
+
+type subKey struct{ op, l, r int32 }
+
+func newMemoSet() *memoSet {
+	return &memoSet{
+		memos:   map[memoKey]*compileMemo{},
+		tabs:    map[*qtree.Query]*attrTable{},
+		slots:   map[subKey]int32{},
+		fam:     &family{},
+		layouts: map[string][]int32{},
+	}
+}
 
 // compile compiles p through the memo of its key, creating the memo on
 // first use.
-func (s memoSet) compile(p *Plan) (*compiledPlan, error) {
+func (s *memoSet) compile(p *Plan) (*compiledPlan, error) {
 	k := memoKey{q: p.Query, n: len(p.Preds)}
 	if len(p.Preds) > 0 {
 		k.preds = &p.Preds[0]
 	}
-	m := s[k]
+	m := s.memos[k]
 	if m == nil {
-		m = newCompileMemo(p)
-		s[k] = m
+		tab := s.tabs[p.Query]
+		if tab == nil {
+			tab = newAttrTable(p.Query)
+			s.tabs[p.Query] = tab
+		}
+		m = newCompileMemo(p, s, tab)
+		s.memos[k] = m
 	}
 	return p.doCompile(m)
+}
+
+// seal records the family's final slot count.
+func (s *memoSet) seal() { s.fam.slots = len(s.slots) }
+
+// layout returns the call's copy of the column layout off.
+func (s *memoSet) layout(off []int32) []int32 {
+	var buf [64]byte
+	k := buf[:0]
+	for _, o := range off {
+		k = binary.LittleEndian.AppendUint32(k, uint32(o))
+	}
+	c, ok := s.layouts[string(k)]
+	if !ok {
+		c = slices.Clone(off)
+		s.layouts[string(k)] = c
+	}
+	return c
+}
+
+// slot returns the family slot of the subtree (op, l, r).
+func (s *memoSet) slot(op, l, r int32) int32 {
+	k := subKey{op: op, l: l, r: r}
+	v, ok := s.slots[k]
+	if !ok {
+		v = int32(len(s.slots))
+		s.slots[k] = v
+	}
+	return v
+}
+
+// attrTable resolves a query's attribute references: each maps to its
+// occurrence's position in Query.Occs and its position within the
+// occurrence's relation. A node's column for the reference is the
+// occurrence's offset in the node's layout plus the attribute position.
+type attrTable struct {
+	locs map[qtree.AttrRef]attrLoc
+	// classes holds the locations of each equivalence class's members,
+	// in member order.
+	classes [][]attrLoc
+}
+
+// attrLoc locates an attribute; occ is -1 for a reference the query
+// cannot resolve.
+type attrLoc struct{ occ, pos int32 }
+
+func newAttrTable(q *qtree.Query) *attrTable {
+	n := 0
+	for _, o := range q.Occs {
+		n += len(o.Rel.Attrs)
+	}
+	t := &attrTable{locs: make(map[qtree.AttrRef]attrLoc, n), classes: make([][]attrLoc, len(q.Classes))}
+	for oi, o := range q.Occs {
+		for ai, a := range o.Rel.Attrs {
+			t.locs[qtree.AttrRef{Occ: o.Name, Attr: a.Name}] = attrLoc{occ: int32(oi), pos: int32(ai)}
+		}
+	}
+	for i, ec := range q.Classes {
+		for _, a := range ec.Members {
+			t.classes[i] = append(t.classes[i], t.loc(a))
+		}
+	}
+	return t
+}
+
+func (t *attrTable) loc(a qtree.AttrRef) attrLoc {
+	if l, ok := t.locs[a]; ok {
+		return l
+	}
+	return attrLoc{occ: -1}
+}
+
+// col returns a's column in layout off, or -1 when a is not in scope.
+func (t *attrTable) col(off []int32, a qtree.AttrRef) int { return t.loc(a).in(off) }
+
+// in returns the location's column in layout off, or -1 when it is not
+// in scope.
+func (l attrLoc) in(off []int32) int {
+	if l.occ >= 0 && off[l.occ] >= 0 {
+		return int(off[l.occ] + l.pos)
+	}
+	return -1
+}
+
+// sides records in touch which of the layouts l and r hold the
+// attributes of s, and reports whether every attribute is in one of
+// them.
+func (t *attrTable) sides(s *qtree.Scalar, l, r []int32, touch *[2]bool) bool {
+	switch s.Kind {
+	case qtree.SAttr:
+		switch loc := t.loc(s.Attr); {
+		case loc.in(l) >= 0:
+			touch[0] = true
+		case loc.in(r) >= 0:
+			touch[1] = true
+		default:
+			return false
+		}
+		return true
+	case qtree.SConst:
+		return true
+	default:
+		return t.sides(s.L, l, r, touch) && t.sides(s.R, l, r, touch)
+	}
 }
 
 // compileMemo hash-conses the compiled nodes of the plans sharing one
@@ -407,11 +577,14 @@ func (s memoSet) compile(p *Plan) (*compiledPlan, error) {
 type compileMemo struct {
 	q     *qtree.Query
 	preds []*qtree.Pred
+	set   *memoSet
+	tab   *attrTable
 	// constEmpty is set when a constant conjunct is not true (see
 	// compiledPlan.empty).
 	constEmpty bool
 	leaves     map[*qtree.Occurrence]*cnode
 	joins      map[joinKey]*cnode
+	outs       map[outKey]*output
 	// proj and projNames are the non-aggregate output columns and header.
 	// They depend on the query alone; built on first use.
 	proj      []outputColumn
@@ -423,12 +596,27 @@ type joinKey struct {
 	l, r *cnode
 }
 
-func newCompileMemo(p *Plan) *compileMemo {
+// outKey identifies the plans of a memo that share an output stage: the
+// root layout (the call's copy, by its first element) plus the
+// aggregate, subquery and HAVING slices, compared by identity (first
+// element and length) as memoKey compares predicate slices.
+type outKey struct {
+	layout                *int32
+	aggs                  *qtree.AggCall
+	subs                  **qtree.SubQuery
+	having                *qtree.HavingCond
+	naggs, nsubs, nhaving int
+}
+
+func newCompileMemo(p *Plan, s *memoSet, tab *attrTable) *compileMemo {
 	m := &compileMemo{
 		q:      p.Query,
 		preds:  p.Preds,
+		set:    s,
+		tab:    tab,
 		leaves: map[*qtree.Occurrence]*cnode{},
 		joins:  map[joinKey]*cnode{},
+		outs:   map[outKey]*output{},
 	}
 	// Constant predicates (no attribute references) are WHERE conjuncts
 	// that hold for every row or for none; they are decided once, for
@@ -441,10 +629,14 @@ func newCompileMemo(p *Plan) *compileMemo {
 	return m
 }
 
-// compile returns the plan's compiled state, compiling it through a
-// private memo unless CompilePlans already has.
+// compile returns the plan's compiled state, compiling it as a family
+// of its own unless it already has been.
 func (p *Plan) compile() (*compiledPlan, error) {
-	p.compileOnce.Do(func() { p.comp, p.compErr = p.doCompile(newCompileMemo(p)) })
+	p.compileOnce.Do(func() {
+		s := newMemoSet()
+		p.comp, p.compErr = s.compile(p)
+		s.seal()
+	})
 	return p.comp, p.compErr
 }
 
@@ -457,32 +649,52 @@ func (p *Plan) doCompile(m *compileMemo) (*compiledPlan, error) {
 			return nil, fmt.Errorf("engine: predicate %s was never applied", pr)
 		}
 	}
-	cp := &compiledPlan{root: root, empty: m.constEmpty}
+	return &compiledPlan{root: root, fam: m.set.fam, attrs: m.tab, empty: m.constEmpty, output: m.output(p, root)}, nil
+}
+
+// output returns p's output stage over root's layout, compiling it on
+// its key's first use.
+func (m *compileMemo) output(p *Plan, root *cnode) *output {
+	k := outKey{layout: &root.off[0], naggs: len(p.Aggs), nsubs: len(p.Subs), nhaving: len(p.Having)}
+	if len(p.Aggs) > 0 {
+		k.aggs = &p.Aggs[0]
+	}
+	if len(p.Subs) > 0 {
+		k.subs = &p.Subs[0]
+	}
+	if len(p.Having) > 0 {
+		k.having = &p.Having[0]
+	}
+	if o := m.outs[k]; o != nil {
+		return o
+	}
+	o := &output{}
+	col := func(a qtree.AttrRef) int { return m.tab.col(root.off, a) }
 	if p.Query.Agg != nil {
 		spec := p.Query.Agg
-		cp.groupIdx = make([]int, len(spec.GroupBy))
+		o.groupIdx = make([]int, len(spec.GroupBy))
 		for i, g := range spec.GroupBy {
-			cp.groupIdx[i] = colIndex(root.cols, g)
+			o.groupIdx[i] = col(g)
 		}
-		cp.aggIdx = make([]int, len(p.Aggs))
+		o.aggIdx = make([]int, len(p.Aggs))
 		for i, c := range p.Aggs {
-			cp.aggIdx[i] = -1
+			o.aggIdx[i] = -1
 			if !c.Star {
-				cp.aggIdx[i] = colIndex(root.cols, c.Arg)
+				o.aggIdx[i] = col(c.Arg)
 			}
 		}
-		cp.havingIdx = make([]int, len(p.Having))
+		o.havingIdx = make([]int, len(p.Having))
 		for i, h := range p.Having {
-			cp.havingIdx[i] = -1
+			o.havingIdx[i] = -1
 			if !h.Call.Star {
-				cp.havingIdx[i] = colIndex(root.cols, h.Call.Arg)
+				o.havingIdx[i] = col(h.Call.Arg)
 			}
 		}
 		for _, g := range spec.GroupBy {
-			cp.colNames = append(cp.colNames, g.String())
+			o.colNames = append(o.colNames, g.String())
 		}
 		for _, c := range p.Aggs {
-			cp.colNames = append(cp.colNames, c.String())
+			o.colNames = append(o.colNames, c.String())
 		}
 	} else {
 		if m.proj == nil {
@@ -492,47 +704,48 @@ func (p *Plan) doCompile(m *compileMemo) (*compiledPlan, error) {
 				m.projNames[i] = c.name
 			}
 		}
-		cp.proj, cp.colNames = m.proj, m.projNames
-		cp.projIdx = make([][]int, len(cp.proj))
-		simple := make([]int, len(cp.proj))
-		for i, c := range cp.proj {
+		o.proj, o.colNames = m.proj, m.projNames
+		o.projIdx = make([][]int, len(o.proj))
+		simple := make([]int, len(o.proj))
+		for i, c := range o.proj {
 			idx := make([]int, len(c.attrs))
 			for j, a := range c.attrs {
-				idx[j] = colIndex(root.cols, a)
+				idx[j] = col(a)
 			}
-			cp.projIdx[i] = idx
+			o.projIdx[i] = idx
 			if simple != nil && len(idx) == 1 && idx[0] >= 0 {
 				simple[i] = idx[0]
 			} else {
 				simple = nil
 			}
 		}
-		cp.simpleProj = simple
+		o.simpleProj = simple
 	}
-	cp.projID = intern(&opIntern, string(p.projSignature(cp)))
-	return cp, nil
+	var buf [256]byte
+	o.projID = intern(p.appendSignature(buf[:0], o))
+	m.outs[k] = o
+	return o
 }
 
-// projSignature renders everything that determines the output given a
-// root batch. Aggregate calls render with function, argument and
+// appendSignature appends everything that determines the output given
+// a root batch. Aggregate calls render with function, argument and
 // DISTINCT; resolved indices pin the root layout bindings; the header is
 // included so memoized Results carry the right column names.
-func (p *Plan) projSignature(cp *compiledPlan) []byte {
-	b := make([]byte, 0, 128)
+func (p *Plan) appendSignature(b []byte, o *output) []byte {
 	if p.Query.Agg != nil {
 		b = append(b, "A("...)
-		b = appendInts(b, cp.groupIdx)
+		b = appendInts(b, o.groupIdx)
 		b = append(b, ';')
-		b = appendInts(b, cp.aggIdx)
+		b = appendInts(b, o.aggIdx)
 	} else {
 		b = append(b, "P("...)
-		for _, idx := range cp.projIdx {
+		for _, idx := range o.projIdx {
 			b = appendInts(b, idx)
 		}
 		b = append(b, ';')
 		b = strconv.AppendBool(b, p.Query.Distinct)
 	}
-	for _, n := range cp.colNames {
+	for _, n := range o.colNames {
 		b = append(b, '|')
 		b = append(b, n...)
 	}
@@ -564,13 +777,6 @@ func appendInts(b []byte, xs []int) []byte {
 	return append(b, ']')
 }
 
-func colIndex(cols map[qtree.AttrRef]int, a qtree.AttrRef) int {
-	if i, ok := cols[a]; ok {
-		return i
-	}
-	return -1
-}
-
 // node returns the compiled node for a plan subtree, building it (and
 // any missing descendants) on first sight.
 func (m *compileMemo) node(n *qtree.Node) *cnode {
@@ -596,18 +802,24 @@ func (m *compileMemo) compileLeaf(occ *qtree.Occurrence) *cnode {
 	c := &cnode{
 		leaf:    true,
 		relName: occ.Rel.Name,
-		cols:    make(map[qtree.AttrRef]int, len(occ.Rel.Attrs)),
 		width:   occ.Rel.Arity(),
 		placed:  newPredSet(len(m.preds)),
 	}
-	for i, a := range occ.Rel.Attrs {
-		c.cols[qtree.AttrRef{Occ: occ.Name, Attr: a.Name}] = i
+	var buf [16]int32
+	off := buf[:0]
+	for _, o := range m.q.Occs {
+		if o.Name == occ.Name {
+			off = append(off, 0)
+		} else {
+			off = append(off, -1)
+		}
 	}
+	c.off = m.set.layout(off)
 	// Selections on this occurrence are applied at the leaf (paper §II:
 	// selections pushed to the lowest level).
 	for i, pr := range m.preds {
 		if len(pr.Occs) == 1 && pr.Occs[0] == occ.Name {
-			c.sels = append(c.sels, compilePred(pr, c.cols))
+			c.sels = append(c.sels, compilePred(pr, m.tab, c.off))
 			c.placed.add(i)
 		}
 	}
@@ -617,41 +829,33 @@ func (m *compileMemo) compileLeaf(occ *qtree.Occurrence) *cnode {
 		b = append(b, ';')
 		b = append(b, c.sels[i].src.String()...)
 	}
-	c.opID = intern(&opIntern, string(append(b, ')')))
-	c.subID = c.opID // a leaf is its own subtree
+	c.opID = intern(append(b, ')'))
+	c.slot = m.set.slot(c.opID, -1, -1)
 	return c
 }
 
-// The intern tables map operation signature strings, and join subtree
-// keys, to small process-wide ids assigned at compile time. Equal
-// signatures from independently compiled plans — through different
-// memos, in different calls — get equal ids, so a SharedCache key is
-// three ints and a lookup never touches the signature string. Both
-// tables draw from one counter: a leaf's subtree id is its op id, and a
-// join's is keyed by its op id and its children's subtree ids. The
-// tables' footprint is one entry per distinct operation or subtree
-// shape ever compiled.
+// The intern table maps operation and projection signatures to small
+// process-wide ids assigned at compile time. Equal signatures from
+// independently compiled plans — through different memos, in different
+// calls — get equal ids, so a SharedCache level key is three ints and a
+// lookup never touches the signature. The table's footprint is one
+// entry per distinct operation or projection ever compiled.
 var (
-	opIntern  sync.Map // string -> int32
-	subIntern sync.Map // subKey -> int32
-	opInternN atomic.Int32
+	internMu  sync.Mutex
+	internIDs = map[string]int32{}
 )
 
-type subKey struct{ op, l, r int32 }
-
-func intern(table *sync.Map, k any) int32 {
-	if v, ok := table.Load(k); ok {
-		return v.(int32)
+// intern returns the id of signature k, assigning the next one on first
+// sight. A lookup does not allocate.
+func intern(k []byte) int32 {
+	internMu.Lock()
+	defer internMu.Unlock()
+	id, ok := internIDs[string(k)]
+	if !ok {
+		id = int32(len(internIDs) + 1)
+		internIDs[string(k)] = id
 	}
-	v, _ := table.LoadOrStore(k, opInternN.Add(1))
-	return v.(int32)
-}
-
-// internedOps returns an upper bound on the ids handed out so far
-// (racing interns may leave unused ids below it). New caches size their
-// subtree index from it.
-func internedOps() int {
-	return int(opInternN.Load())
+	return id
 }
 
 // compileJoin computes the join conditions applied at a node — for every
@@ -670,24 +874,31 @@ func (m *compileMemo) compileJoin(k joinKey) *cnode {
 		left:   left,
 		right:  right,
 		width:  left.width + right.width,
-		cols:   make(map[qtree.AttrRef]int, len(left.cols)+len(right.cols)),
 		placed: newPredSet(len(m.preds)),
 	}
-	for a, i := range left.cols {
-		c.cols[a] = i
+	var buf [16]int32
+	off := buf[:0]
+	for i, lo := range left.off {
+		switch ro := right.off[i]; {
+		case lo >= 0:
+			off = append(off, lo)
+		case ro >= 0:
+			off = append(off, int32(left.width)+ro)
+		default:
+			off = append(off, -1)
+		}
 	}
-	for a, i := range right.cols {
-		c.cols[a] = left.width + i
-	}
+	c.off = m.set.layout(off)
 	for w := range c.placed {
 		c.placed[w] = left.placed[w] | right.placed[w]
 	}
-	for _, ec := range m.q.Classes {
-		var ls, rs []int
-		for _, mem := range ec.Members {
-			if i, ok := left.cols[mem]; ok {
+	for _, members := range m.tab.classes {
+		var lbuf, rbuf [8]int
+		ls, rs := lbuf[:0], rbuf[:0]
+		for _, loc := range members {
+			if i := loc.in(left.off); i >= 0 {
 				ls = append(ls, i)
-			} else if i, ok := right.cols[mem]; ok {
+			} else if i := loc.in(right.off); i >= 0 {
 				rs = append(rs, i)
 			}
 		}
@@ -703,24 +914,15 @@ func (m *compileMemo) compileJoin(k joinKey) *cnode {
 		if len(pr.Occs) < 2 || c.placed.has(i) {
 			continue
 		}
-		inScope, touchesL, touchesR := true, false, false
-		for _, a := range pr.Attrs() {
-			if _, ok := left.cols[a]; ok {
-				touchesL = true
-			} else if _, ok := right.cols[a]; ok {
-				touchesR = true
-			} else {
-				inScope = false
-				break
-			}
-		}
 		// Both sides touched: the first node spanning the predicate.
 		// One side only: should have been applied deeper; placed
 		// defensively (can happen only for predicates whose occurrences
 		// all sit in one subtree but involve more than one occurrence
 		// that first co-occurred here).
-		if inScope && (touchesL || touchesR) {
-			c.preds = append(c.preds, compilePred(pr, c.cols))
+		var touch [2]bool
+		if m.tab.sides(pr.L, left.off, right.off, &touch) && m.tab.sides(pr.R, left.off, right.off, &touch) &&
+			(touch[0] || touch[1]) {
+			c.preds = append(c.preds, compilePred(pr, m.tab, c.off))
 			c.placed.add(i)
 		}
 	}
@@ -737,8 +939,8 @@ func (m *compileMemo) compileJoin(k joinKey) *cnode {
 		b = append(b, ';')
 		b = append(b, c.preds[i].src.String()...)
 	}
-	c.opID = intern(&opIntern, string(append(b, ')')))
-	c.subID = intern(&subIntern, subKey{op: c.opID, l: left.subID, r: right.subID})
+	c.opID = intern(append(b, ')'))
+	c.slot = m.set.slot(c.opID, left.slot, right.slot)
 	return c
 }
 
@@ -774,6 +976,9 @@ func (p *Plan) RunOpts(ds *schema.Dataset, opt RunOptions) (*Result, error) {
 		return nil, err
 	}
 	opt.Stats.addCompiledRun()
+	if opt.Cache != nil {
+		opt.Cache.bind(cp.fam)
+	}
 	env := &execEnv{ds: ds, cache: opt.Cache, stats: opt.Stats}
 	defer env.flush()
 	var b *batch

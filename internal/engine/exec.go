@@ -14,9 +14,8 @@ import (
 type ExecStats struct {
 	CompiledRuns     atomic.Int64 // plan executions
 	CompiledBatches  atomic.Int64 // batches actually built (cache hits excluded)
-	HashJoins        atomic.Int64 // join nodes executed by hash join
-	SmallJoins       atomic.Int64 // equi-joins below the hash threshold: direct pair loop
-	NestedLoopJoins  atomic.Int64 // join nodes without equi-pairs: nested-loop fallback
+	SmallJoins       atomic.Int64 // join nodes with equi-pairs
+	NestedLoopJoins  atomic.Int64 // join nodes without equi-pairs
 	FamilyPrefixHits atomic.Int64 // node batches served from a SharedCache
 	ResultMemoHits   atomic.Int64 // whole plan results served from a SharedCache
 }
@@ -35,8 +34,13 @@ type ExecCounts struct {
 	//
 	// Deprecated: kept only because the perfbench module sums it, and
 	// that module changes only together with the benchmark.
-	InterpretedRuns  int64 `json:"interpreted_runs"`
-	CompiledBatches  int64 `json:"compiled_batches"`
+	InterpretedRuns int64 `json:"interpreted_runs"`
+	CompiledBatches int64 `json:"compiled_batches"`
+	// HashJoins is always zero: every equi-join runs the direct pair
+	// loop and counts in SmallJoins.
+	//
+	// Deprecated: kept only because the perfbench module sums it, and
+	// that module changes only together with the benchmark.
 	HashJoins        int64 `json:"hash_joins"`
 	SmallJoins       int64 `json:"small_joins"`
 	NestedLoopJoins  int64 `json:"nested_loop_joins"`
@@ -52,7 +56,6 @@ func (s *ExecStats) Counts() ExecCounts {
 	return ExecCounts{
 		CompiledRuns:     s.CompiledRuns.Load(),
 		CompiledBatches:  s.CompiledBatches.Load(),
-		HashJoins:        s.HashJoins.Load(),
 		SmallJoins:       s.SmallJoins.Load(),
 		NestedLoopJoins:  s.NestedLoopJoins.Load(),
 		FamilyPrefixHits: s.FamilyPrefixHits.Load(),
@@ -68,7 +71,6 @@ func (s *ExecStats) Add(c ExecCounts) {
 	}
 	s.CompiledRuns.Add(c.CompiledRuns)
 	s.CompiledBatches.Add(c.CompiledBatches)
-	s.HashJoins.Add(c.HashJoins)
 	s.SmallJoins.Add(c.SmallJoins)
 	s.NestedLoopJoins.Add(c.NestedLoopJoins)
 	s.FamilyPrefixHits.Add(c.FamilyPrefixHits)
@@ -111,30 +113,48 @@ func (c *ExecCounts) Add(o ExecCounts) {
 // by dataset, so each cache has exactly one owner.
 type SharedCache struct {
 	leaves map[string]*batch // base table scans by relation name
-	// subs resolves whole-subtree ids to evaluations. Subtree ids are
-	// small dense integers from the process-wide intern table, so the
-	// index is a flat slice — the hottest lookup in the executor (one
-	// per plan node per run) costs an array load instead of a map probe.
+	// subs resolves whole-subtree slots to evaluations. Slots number
+	// the distinct subtrees of one compile family densely, so the index
+	// is a flat slice of the family's size — the hottest lookup in the
+	// executor (one per plan node per run) costs an array load instead
+	// of a map probe. fam is the family the index is bound to.
 	subs    []*nodeVal
+	fam     *family
 	nodes   map[nodeKey]*nodeVal
 	ids     map[uint64][]*batch // content hash -> unified batches
 	results map[resKey]*Result
 	nextID  int32
-	// slab block-allocates node values: one allocation per block.
-	// Pointers into a block stay valid when append rolls over.
-	slab []nodeVal
-	// jblock/fblock block-allocate join and filter batches, which live
-	// exactly as long as the cache's current contents: one allocation
-	// per slabBlock builds instead of one each. Blocks are indexed, not
-	// appended, because batch embeds an atomic.Pointer and must not be
-	// copied; Reset drops them wholesale.
-	jblock []joinBatch
-	jn     int
-	fblock []filterBatch
-	fn     int
+	// vals, joins and filters block-allocate node values and the join
+	// and selection batches, which live exactly as long as the cache's
+	// current contents: one allocation per slabBlock values. Reset
+	// hands the same slots out again, so a worker that resets one cache
+	// per dataset stops allocating them once it has seen its largest
+	// dataset.
+	vals    arena[nodeVal]
+	joins   arena[joinBatch]
+	filters arena[filterBatch]
 }
 
 const slabBlock = 64
+
+// arena is a block allocator whose slots are reused after a reset.
+// Blocks sit behind pointers, so a slot's address stays valid as blocks
+// are added; a reused slot keeps its old contents, and each caller
+// re-initializes what it reads.
+type arena[T any] struct {
+	blocks []*[slabBlock]T
+	n      int // slots handed out since the last reset
+}
+
+func (a *arena[T]) next() *T {
+	bi := a.n / slabBlock
+	if bi == len(a.blocks) {
+		a.blocks = append(a.blocks, new([slabBlock]T))
+	}
+	v := &a.blocks[bi][a.n%slabBlock]
+	a.n++
+	return v
+}
 
 // nodeKey identifies one node evaluation: the compile-time-interned
 // local operation (relation + selections for leaves; join type, pairs
@@ -142,7 +162,7 @@ const slabBlock = 64
 // The key is exact — op ids and content ids are canonical, so no
 // hash-collision handling is needed.
 type nodeKey struct {
-	op   int32 // interned local op signature (see internOp)
+	op   int32 // interned local op signature (see intern)
 	l, r int32 // child batch content ids (0 for leaves)
 }
 
@@ -169,45 +189,42 @@ func NewSharedCache() *SharedCache {
 // distinct node evaluations. Callers that know the family size (the
 // kill-matrix evaluator dedups plans before running) pass it here so
 // the cache's maps never rehash mid-evaluation; n <= 0 selects the
-// defaults.
+// defaults. The subtree index is sized by the first plan's family.
 func NewSharedCacheSized(n int) *SharedCache {
 	if n < 128 {
 		n = 128
 	}
 	return &SharedCache{
 		leaves: make(map[string]*batch, 8),
-		subs:   make([]*nodeVal, internedOps()+1),
 		nodes:  make(map[nodeKey]*nodeVal, n),
 		ids:    make(map[uint64][]*batch, n),
 	}
 }
 
-// getSub returns the evaluation recorded for subtree id sub, if any.
-func (sc *SharedCache) getSub(sub int32) *nodeVal {
-	if int(sub) < len(sc.subs) {
-		return sc.subs[sub]
+// bind points the subtree index at family f. Slots are numbered per
+// family, so a plan from another family than the last one run (plans
+// compiled lazily, one family each) clears the index first; the level
+// keys stay valid, since op ids are process-wide.
+func (sc *SharedCache) bind(f *family) {
+	if sc.fam == f {
+		return
 	}
-	return nil
+	sc.fam = f
+	clear(sc.subs[:cap(sc.subs)])
+	if f.slots <= cap(sc.subs) {
+		sc.subs = sc.subs[:f.slots]
+	} else {
+		sc.subs = make([]*nodeVal, f.slots)
+	}
 }
 
-// setSub records v as the evaluation of subtree id sub, growing the
-// index if plans compiled after the cache was created introduced new
-// ids.
-func (sc *SharedCache) setSub(sub int32, v *nodeVal) {
-	if int(sub) >= len(sc.subs) {
-		grown := make([]*nodeVal, internedOps()+1+int(sub))
-		copy(grown, sc.subs)
-		sc.subs = grown
-	}
-	sc.subs[sub] = v
-}
-
-// Reset empties the cache for reuse with a different dataset. The map
-// storage grown by previous evaluations is kept, so a worker that
-// resets one cache per dataset stops allocating buckets once it has
-// seen its largest family. Reset leaves the cache in the same state as
-// NewSharedCache: it must only be called between evaluations, never
-// while batches served from the cache are still in use.
+// Reset empties the cache for reuse with a different dataset. It keeps
+// the map storage, the subtree index and its family binding, and the
+// value and batch blocks, whose slots it hands out again; so a worker
+// that resets one cache per dataset stops allocating once it has seen
+// its largest family and dataset. Reset must only be called between
+// evaluations, never while batches served from the cache are still in
+// use.
 func (sc *SharedCache) Reset() {
 	clear(sc.leaves)
 	clear(sc.subs)
@@ -215,25 +232,20 @@ func (sc *SharedCache) Reset() {
 	clear(sc.ids)
 	clear(sc.results)
 	sc.nextID = 0
-	sc.slab = sc.slab[:0]
-	// Batch blocks hold stale inter-batch pointers; drop them instead
-	// of zeroing (assignment would copy the embedded atomic.Pointer).
-	sc.jblock, sc.jn = nil, 0
-	sc.fblock, sc.fn = nil, 0
+	sc.vals.n, sc.joins.n, sc.filters.n = 0, 0, 0
 }
 
-// newJoinBatch carves a zeroed joinBatch out of the cache's current
-// block; a nil cache (the cache-less build path) heap-allocates.
+// newJoinBatch carves a join batch out of the cache's blocks, with its
+// content id, materialized matrix and right-match bitmap zeroed; a nil
+// cache (the cache-less build path) heap-allocates.
 func (sc *SharedCache) newJoinBatch() *joinBatch {
 	if sc == nil {
 		return &joinBatch{}
 	}
-	if sc.jn == len(sc.jblock) {
-		sc.jblock = make([]joinBatch, slabBlock)
-		sc.jn = 0
-	}
-	jb := &sc.jblock[sc.jn]
-	sc.jn++
+	jb := sc.joins.next()
+	jb.b.id = 0
+	jb.b.mat.Store(nil)
+	jb.matched = [len(jb.matched)]bool{}
 	return jb
 }
 
@@ -242,21 +254,16 @@ func (sc *SharedCache) newFilterBatch() *filterBatch {
 	if sc == nil {
 		return &filterBatch{}
 	}
-	if sc.fn == len(sc.fblock) {
-		sc.fblock = make([]filterBatch, slabBlock)
-		sc.fn = 0
-	}
-	fb := &sc.fblock[sc.fn]
-	sc.fn++
+	fb := sc.filters.next()
+	fb.b.id = 0
+	fb.b.mat.Store(nil)
 	return fb
 }
 
 func (sc *SharedCache) newVal() *nodeVal {
-	if len(sc.slab) == cap(sc.slab) {
-		sc.slab = make([]nodeVal, 0, slabBlock)
-	}
-	sc.slab = append(sc.slab, nodeVal{})
-	return &sc.slab[len(sc.slab)-1]
+	v := sc.vals.next()
+	*v = nodeVal{}
+	return v
 }
 
 // unify assigns b a content id, returning an existing batch instead if
@@ -343,7 +350,6 @@ type execEnv struct {
 	stats *ExecStats   // nil: no counting
 
 	batches     int64
-	hashJoins   int64
 	smallJoins  int64
 	nestedLoops int64
 	prefixHits  int64
@@ -358,9 +364,6 @@ func (env *execEnv) flush() {
 	}
 	if env.batches > 0 {
 		s.CompiledBatches.Add(env.batches)
-	}
-	if env.hashJoins > 0 {
-		s.HashJoins.Add(env.hashJoins)
 	}
 	if env.smallJoins > 0 {
 		s.SmallJoins.Add(env.smallJoins)
@@ -378,7 +381,7 @@ func (env *execEnv) flush() {
 
 // runB produces the node's batch, consulting the shared cache when one
 // is installed. An already-evaluated subtree resolves in a single
-// lookup by its compile-time subtree id; otherwise children resolve
+// lookup by its family slot; otherwise children resolve
 // bottom-up first, so their content ids are known before this node's
 // level key is formed: a plan whose node differs from an
 // already-evaluated family member's still reuses every cached child,
@@ -390,7 +393,7 @@ func (c *cnode) runB(env *execEnv) *batch {
 	if sc == nil {
 		return c.buildB(env)
 	}
-	if v := sc.getSub(c.subID); v != nil {
+	if v := sc.subs[c.slot]; v != nil {
 		return v.serve(env)
 	}
 	var lb, rb *batch
@@ -399,7 +402,7 @@ func (c *cnode) runB(env *execEnv) *batch {
 		rb = c.right.runB(env)
 	}
 	v, hit := sc.nodeFor(c, env, lb, rb)
-	sc.setSub(c.subID, v)
+	sc.subs[c.slot] = v
 	if hit {
 		return v.serve(env)
 	}
@@ -477,28 +480,19 @@ func (c *cnode) buildLeafB(env *execEnv) *batch {
 }
 
 // filterBatch bundles a selection's output batch with inline storage
-// for its index vector, so a small filtered leaf costs one allocation.
+// for its index vector, so a small filtered leaf needs nothing beyond
+// its block slot.
 type filterBatch struct {
 	b   batch
 	buf [8]int32
 }
 
-// hashJoinMinWork is the |L|x|R| pair count above which an equi-join
-// builds a hash table instead of nested-looping. Below it (the paper's
-// datasets are 1-4 rows per table) the loop's handful of comparisons is
-// cheaper than one map allocation.
-const hashJoinMinWork = 64
-
-// joinB joins two child batches into a virtual pair batch. Equi-join
-// nodes above the size threshold run as a hash join: the right side is
-// keyed by the canonical hash of its pair columns (NULL-key rows
-// excluded on both sides — they cannot satisfy an equality under
-// three-valued logic), the left side probes in row order, and
-// candidates are verified with the exact pair comparisons plus any
-// non-equi predicates. Because equal keys imply equal hashes and bucket
-// entries keep right-row order, the emitted (left, right) pair sequence
-// — including outer padding — is the nested loop's, whichever path
-// builds it.
+// joinB joins two child batches into a virtual pair batch: each left
+// row in order with its matching right rows in right-row order (or its
+// NULL padding), then the unmatched right rows of a right or full outer
+// join. A pair matches when every equi-pair compares True and every
+// non-equi predicate evaluates True, so a NULL join key matches nothing,
+// as three-valued equality requires.
 func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 	lw := c.left.width
 	ok := func(li, ri int32) bool {
@@ -518,7 +512,7 @@ func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 	rightPad := c.jt == sqlparser.RightOuterJoin || c.jt == sqlparser.FullOuterJoin
 
 	// The output batch, its index vectors, and the right-match bitmap
-	// come out of one allocation when the inputs are small (the common
+	// come out of one block slot when the inputs are small (the common
 	// case: the paper's tables are 1-4 rows). One backing array serves
 	// both index vectors; if an append outgrows its half, that slice
 	// moves to fresh storage and the other is untouched.
@@ -540,89 +534,26 @@ func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 			rightMatched = make([]bool, rb.n)
 		}
 	}
-	if len(c.pairs) > 0 && lb.n*rb.n >= hashJoinMinWork {
-		env.hashJoins++
-		lcols := make([]int, len(c.pairs))
-		rcols := make([]int, len(c.pairs))
-		for i, pr := range c.pairs {
-			lcols[i] = pr.l
-			rcols[i] = pr.r
-		}
-		ht := make(map[uint64][]int32, rb.n)
-		for ri := 0; ri < rb.n; ri++ {
-			if h, keyOK := rb.keyHash(ri, rcols); keyOK {
-				ht[h] = append(ht[h], int32(ri))
-			}
-		}
-		for li := 0; li < lb.n; li++ {
-			found := false
-			if h, keyOK := lb.keyHash(li, lcols); keyOK {
-				for _, ri := range ht[h] {
-					if ok(int32(li), ri) {
-						found = true
-						if rightMatched != nil {
-							rightMatched[ri] = true
-						}
-						lidx = append(lidx, int32(li))
-						ridx = append(ridx, ri)
-					}
-				}
-			}
-			if !found && leftPad {
-				lidx = append(lidx, int32(li))
-				ridx = append(ridx, -1)
-			}
-		}
-	} else if len(c.pairs) == 1 && len(c.preds) == 0 && rb.n <= 16 {
-		// Single equi-pair, no residual predicates: hoist the virtual
-		// column reads so each side's key is resolved once per row
-		// (O(L+R) indirection walks) instead of once per pair (O(L*R)).
+	if len(c.pairs) > 0 {
 		env.smallJoins++
-		pl, pr := c.pairs[0].l, c.pairs[0].r
-		var rvals [16]sqltypes.Value
-		for ri := 0; ri < rb.n; ri++ {
-			rvals[ri] = rb.value(pr, ri)
-		}
-		for li := 0; li < lb.n; li++ {
-			lv := lb.value(pl, li)
-			found := false
-			for ri := 0; ri < rb.n; ri++ {
-				if sqltypes.TriCompare(sqltypes.OpEQ, lv, rvals[ri]) == sqltypes.True {
-					found = true
-					if rightMatched != nil {
-						rightMatched[ri] = true
-					}
-					lidx = append(lidx, int32(li))
-					ridx = append(ridx, int32(ri))
-				}
-			}
-			if !found && leftPad {
-				lidx = append(lidx, int32(li))
-				ridx = append(ridx, -1)
-			}
-		}
 	} else {
-		if len(c.pairs) > 0 {
-			env.smallJoins++
-		} else {
-			env.nestedLoops++
-		}
-		for li := 0; li < lb.n; li++ {
-			found := false
-			for ri := 0; ri < rb.n; ri++ {
-				if ok(int32(li), int32(ri)) {
-					found = true
-					if rightMatched != nil {
-						rightMatched[ri] = true
-					}
-					lidx = append(lidx, int32(li))
-					ridx = append(ridx, int32(ri))
+		env.nestedLoops++
+	}
+	for li := 0; li < lb.n; li++ {
+		found := false
+		for ri := 0; ri < rb.n; ri++ {
+			if ok(int32(li), int32(ri)) {
+				found = true
+				if rightMatched != nil {
+					rightMatched[ri] = true
 				}
-			}
-			if !found && leftPad {
 				lidx = append(lidx, int32(li))
-				ridx = append(ridx, -1)
+				ridx = append(ridx, int32(ri))
 			}
+		}
+		if !found && leftPad {
+			lidx = append(lidx, int32(li))
+			ridx = append(ridx, -1)
 		}
 	}
 	if rightPad {
@@ -645,8 +576,8 @@ func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 }
 
 // joinBatch bundles a join's output batch with inline storage for its
-// index vectors and right-match bitmap, so building a small join costs
-// a single allocation. The batch field is populated member-wise (it
+// index vectors and right-match bitmap, so a small join needs nothing
+// beyond its block slot. The batch field is populated member-wise (it
 // embeds an atomic.Pointer and must not be copied).
 type joinBatch struct {
 	b       batch

@@ -138,33 +138,69 @@ func resetReuseDatasets() (a, b *schema.Dataset) {
 	return a, b
 }
 
+// largeJoinDatasets are two differently shaped r1/r2 datasets for
+// equi-joins past the single-pair fast path: more than 16 right rows,
+// hundreds of row pairs, and NULL join keys on both sides.
+func largeJoinDatasets() (a, b *schema.Dataset) {
+	rows := func(ds *schema.Dataset, rel string, n, mod, nullEvery int64) {
+		for x := int64(1); x <= n; x++ {
+			y := sqltypes.NewInt(x % mod)
+			if x%nullEvery == 0 {
+				y = sqltypes.Null()
+			}
+			ds.Insert(rel, sqltypes.Row{sqltypes.NewInt(x), y})
+		}
+	}
+	a = schema.NewDataset("large A")
+	rows(a, "r1", 20, 4, 7)
+	rows(a, "r2", 24, 3, 5)
+	b = schema.NewDataset("large B")
+	rows(b, "r1", 18, 5, 3)
+	rows(b, "r2", 30, 2, 4)
+	return a, b
+}
+
 // TestCacheResetReuse pins the Reset contract: one cache object reused
 // across datasets (the kill-matrix evaluator's per-worker pattern)
 // produces the same results as a fresh cache and as no cache, with no
-// state bleeding between datasets, and every result matches refeval's
-// multiset. The plans are a join with a selection plus one per
-// retained-subquery shape the finisher selects rows for: NOT IN against
-// a NULL inner value, correlated NOT EXISTS, the IN connective mutant
-// under GROUP BY + HAVING, and DISTINCT over a subquery filter.
+// state bleeding between datasets (Reset hands out the same batch block
+// slots again), and every result matches refeval's multiset. The plans
+// are a join with a selection plus one per retained-subquery shape the
+// finisher selects rows for: NOT IN against a NULL inner value,
+// correlated NOT EXISTS, the IN connective mutant under GROUP BY +
+// HAVING, and DISTINCT over a subquery filter; then equi-joins with a
+// residual non-equi predicate over large inputs with NULL join keys,
+// under every join type, plus one without the residual predicate.
 func TestCacheResetReuse(t *testing.T) {
 	grouped := NewPlan(q(t, `SELECT i.dept_name, COUNT(*) FROM instructor i, teaches t
 		WHERE i.id = t.id AND t.course_id NOT IN (SELECT c.course_id FROM course c WHERE c.title = 'os')
 		GROUP BY i.dept_name HAVING COUNT(*) > 0`))
+	largeA, largeB := largeJoinDatasets()
 	cases := []struct {
 		name   string
 		plan   *Plan
-		nA, nB int // result rows on datasets A and B
+		nA, nB int             // result rows on datasets A and B
+		dsA    *schema.Dataset // nil: resetReuseDatasets
+		dsB    *schema.Dataset
 	}{
-		{"join", NewPlan(q(t, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 70000")), 1, 1},
-		{"not-in-null", NewPlan(q(t, "SELECT a.x, a.y FROM r1 a WHERE a.y NOT IN (SELECT b.y FROM r2 b)")), 1, 0},
-		{"correlated-not-exists", NewPlan(q(t, "SELECT i.name FROM instructor i WHERE NOT EXISTS (SELECT * FROM teaches t WHERE t.id = i.id)")), 1, 3},
-		{"in-group-having", grouped.WithSubReplaced(0, grouped.Subs[0].WithKind(qtree.SubIn)), 1, 1},
-		{"distinct", NewPlan(q(t, "SELECT DISTINCT i.dept_name FROM instructor i WHERE i.id NOT IN (SELECT t.id FROM teaches t)")), 1, 2},
+		{"join", NewPlan(q(t, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 70000")), 1, 1, nil, nil},
+		{"not-in-null", NewPlan(q(t, "SELECT a.x, a.y FROM r1 a WHERE a.y NOT IN (SELECT b.y FROM r2 b)")), 1, 0, nil, nil},
+		{"correlated-not-exists", NewPlan(q(t, "SELECT i.name FROM instructor i WHERE NOT EXISTS (SELECT * FROM teaches t WHERE t.id = i.id)")), 1, 3, nil, nil},
+		{"in-group-having", grouped.WithSubReplaced(0, grouped.Subs[0].WithKind(qtree.SubIn)), 1, 1, nil, nil},
+		{"distinct", NewPlan(q(t, "SELECT DISTINCT i.dept_name FROM instructor i WHERE i.id NOT IN (SELECT t.id FROM teaches t)")), 1, 2, nil, nil},
+		{"large-inner", NewPlan(q(t, "SELECT a.x, b.x FROM r1 a, r2 b WHERE a.y = b.y AND a.x < b.x")), 54, 42, largeA, largeB},
+		{"large-left", NewPlan(q(t, "SELECT a.x, b.x FROM r1 a LEFT OUTER JOIN r2 b ON a.y = b.y AND a.x < b.x")), 60, 55, largeA, largeB},
+		{"large-right", NewPlan(q(t, "SELECT a.x, b.x FROM r1 a RIGHT OUTER JOIN r2 b ON a.y = b.y AND a.x < b.x")), 61, 51, largeA, largeB},
+		{"large-full", NewPlan(q(t, "SELECT a.x, b.x FROM r1 a FULL OUTER JOIN r2 b ON a.y = b.y AND a.x < b.x")), 67, 64, largeA, largeB},
+		{"large-equi-only", NewPlan(q(t, "SELECT a.x, b.x FROM r1 a FULL OUTER JOIN r2 b ON a.y = b.y")), 104, 81, largeA, largeB},
 	}
-	dsA, dsB := resetReuseDatasets()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tc.plan
+			dsA, dsB := tc.dsA, tc.dsB
+			if dsA == nil {
+				dsA, dsB = resetReuseDatasets()
+			}
 			sc := NewSharedCache()
 			for i, round := range []struct {
 				ds *schema.Dataset
@@ -219,7 +255,8 @@ func sameRows(a, b *Result) bool {
 // requires ExecCounts.Add, and ExecStats.Add then Counts, to carry each
 // one, so a counter missing from one of the hand-written folds fails
 // here. ExecStats has no live counter for the deprecated
-// InterpretedRuns, so its snapshot always reads zero there.
+// InterpretedRuns and HashJoins, so its snapshot always reads zero
+// there.
 func TestExecCountsFold(t *testing.T) {
 	var in ExecCounts
 	v := reflect.ValueOf(&in).Elem()
@@ -236,6 +273,7 @@ func TestExecCountsFold(t *testing.T) {
 	}
 	want := in
 	want.InterpretedRuns = 0
+	want.HashJoins = 0
 	var s ExecStats
 	s.Add(in)
 	if got := s.Counts(); got != want {

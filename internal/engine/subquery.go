@@ -36,7 +36,7 @@ func (p *Plan) filterSubs(cp *compiledPlan, ds *schema.Dataset, b *batch) *batch
 	idx := make([]int32, 0, b.n)
 	for ri := 0; ri < b.n; ri++ {
 		lookup := func(a qtree.AttrRef) sqltypes.Value {
-			ci := colIndex(cp.root.cols, a)
+			ci := cp.attrs.col(cp.root.off, a)
 			if ci < 0 {
 				panic(fmt.Sprintf("engine: attribute %s not in scope", a))
 			}

@@ -168,13 +168,16 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 	defer func() { rep.Exec = stats.Counts() }()
 
 	// Compile the original and every unique plan before any cell runs,
-	// through one transient memo: the family's join trees overlap, and
-	// each distinct subtree is compiled once per evaluation. A plan's
-	// compile error surfaces from its first cell, naming the mutant.
-	origPlan := engine.NewPlan(q)
-	if err := engine.CompilePlans(ctx, append([]*engine.Plan{origPlan}, plans...)); err != nil {
+	// as one family: the family's join trees overlap, and each distinct
+	// subtree is compiled once per evaluation. The cells run the
+	// compiled copies, so the family is this evaluation's alone, however
+	// many evaluations share the mutants. A plan's compile error
+	// surfaces from its first cell, naming the mutant.
+	compiled, err := engine.CompilePlans(ctx, append([]*engine.Plan{engine.NewPlan(q)}, plans...))
+	if err != nil {
 		return nil, fmt.Errorf("mutation: evaluation canceled: %w", err)
 	}
+	origPlan, plans := compiled[0], compiled[1:]
 
 	// Original-query results, one per dataset, computed lazily by
 	// whichever cell needs them first (hoisted out of every retry/mutant

@@ -67,10 +67,11 @@ func TestKillMatrixEngineMetamorphic(t *testing.T) {
 }
 
 // TestEvaluateConcurrentSharedSpace runs several evaluations of one
-// uncompiled mutant space at once. Each compiles the space through its
-// own family memo, racing the others for every plan's first compile,
-// and reads trees another evaluation may have built; every report must
-// equal a sequential evaluation of a fresh space. Run under -race.
+// mutant space at once. Each compiles its own copies of the space's
+// plans as one family while the others read the same plans and trees;
+// every report must equal a sequential evaluation of a fresh space, and
+// so must a re-evaluation of the already-evaluated space. Run under
+// -race.
 func TestEvaluateConcurrentSharedSpace(t *testing.T) {
 	query := q(t, testDDL, `SELECT i.name, c.title FROM instructor i, teaches t, course c
 		WHERE i.id = t.id AND t.course_id = c.course_id AND i.salary > 70000`)
@@ -113,6 +114,18 @@ func TestEvaluateConcurrentSharedSpace(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rep.Killed, want.Killed) || rep.Exec != want.Exec {
 			t.Errorf("evaluation %d differs from the sequential one: exec %+v, want %+v", g, rep.Exec, want.Exec)
+		}
+	}
+
+	// Re-evaluating the already-evaluated space compiles it afresh as
+	// one family, so it does exactly the sequential run's work.
+	for _, par := range []int{1, 2} {
+		again, err := EvaluateOpts(query, shared, datasets, EvalOptions{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Killed, want.Killed) || again.Exec != want.Exec {
+			t.Errorf("re-evaluation at parallelism %d differs from the sequential one: exec %+v, want %+v", par, again.Exec, want.Exec)
 		}
 	}
 }

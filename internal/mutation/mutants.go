@@ -96,32 +96,26 @@ func JoinTypeMutants(q *qtree.Query, opts Options) ([]*Mutant, error) {
 	seen := map[string]bool{Canon(q.Root): true}
 	var out []*Mutant
 
+	// Each candidate's key is computed on the unmutated tree, so only
+	// new mutants are cloned.
 	addTreeMutants := func(tree *qtree.Node) {
-		nodes := tree.Nodes(nil)
-		for ni := range nodes {
-			var types []sqlparser.JoinType
+		for ni, n := range tree.Nodes(nil) {
 			for _, jt := range sqlparser.AllJoinTypes {
-				if jt == nodes[ni].Type {
+				if jt == n.Type || (jt == sqlparser.FullOuterJoin && !opts.IncludeFullOuter) {
 					continue
 				}
-				if jt == sqlparser.FullOuterJoin && !opts.IncludeFullOuter {
-					continue
-				}
-				types = append(types, jt)
-			}
-			for _, jt := range types {
-				mt := tree.Clone()
-				mNodes := mt.Nodes(nil)
-				mNodes[ni].Type = jt
-				key := Canon(mt)
+				key := canon(tree, n, jt)
 				if seen[key] {
 					continue
 				}
 				seen[key] = true
+				mt := tree.Clone()
+				mt.Nodes(nil)[ni].Type = jt
 				out = append(out, &Mutant{
 					Key:  key,
 					Kind: KindJoinType,
-					Desc: fmt.Sprintf("%s at [%s]|[%s] in %s", jt.Symbol(), strings.Join(sortedNames(mNodes[ni].Left), ","), strings.Join(sortedNames(mNodes[ni].Right), ","), mt),
+					Desc: jt.Symbol() + " at [" + strings.Join(sortedNames(n.Left), ",") + "]|[" +
+						strings.Join(sortedNames(n.Right), ",") + "] in " + mt.String(),
 					Plan: basePlan.WithTree(mt),
 				})
 			}

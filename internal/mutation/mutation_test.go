@@ -195,6 +195,58 @@ func TestJoinTypeMutantsFixedTreeForOuterQueries(t *testing.T) {
 	}
 }
 
+// TestJoinTypeMutantsExactStrings pins the exact Key, Desc and tree
+// rendering of every join-type mutant, in order, for an all-inner
+// three-relation query (every join order enumerated) and an outer-join
+// query (the written tree, full outer joins included). Keys feed
+// de-duplication and reports, and Descs name mutants in every report,
+// so their bytes must not drift.
+func TestJoinTypeMutantsExactStrings(t *testing.T) {
+	cases := []struct {
+		sql  string
+		opts Options
+		want [][3]string // key, desc, tree
+	}{
+		{`SELECT * FROM instructor i, teaches t, course c WHERE i.id = t.id AND t.course_id = c.course_id`,
+			DefaultOptions(), [][3]string{
+				{"((i*t)=>c)", "LOJ at [i,t]|[c] in ((i JOIN t) LOJ c)", "((i JOIN t) LOJ c)"},
+				{"(c=>(i*t))", "ROJ at [i,t]|[c] in ((i JOIN t) ROJ c)", "((i JOIN t) ROJ c)"},
+				{"((i=>t)*c)", "LOJ at [i]|[t] in ((i LOJ t) JOIN c)", "((i LOJ t) JOIN c)"},
+				{"((t=>i)*c)", "ROJ at [i]|[t] in ((i ROJ t) JOIN c)", "((i ROJ t) JOIN c)"},
+				{"(i=>(c*t))", "LOJ at [i]|[c,t] in (i LOJ (t JOIN c))", "(i LOJ (t JOIN c))"},
+				{"((c*t)=>i)", "ROJ at [i]|[c,t] in (i ROJ (t JOIN c))", "(i ROJ (t JOIN c))"},
+				{"((t=>c)*i)", "LOJ at [t]|[c] in (i JOIN (t LOJ c))", "(i JOIN (t LOJ c))"},
+				{"((c=>t)*i)", "ROJ at [t]|[c] in (i JOIN (t ROJ c))", "(i JOIN (t ROJ c))"},
+			}},
+		{`SELECT i.name, c.title FROM (instructor i LEFT OUTER JOIN teaches t ON i.id = t.id)
+			FULL OUTER JOIN course c ON t.course_id = c.course_id`,
+			Options{IncludeFullOuter: true, AllJoinOrders: true}, [][3]string{
+				{"((i=>t)*c)", "JOIN at [i,t]|[c] in ((i LOJ t) JOIN c)", "((i LOJ t) JOIN c)"},
+				{"((i=>t)=>c)", "LOJ at [i,t]|[c] in ((i LOJ t) LOJ c)", "((i LOJ t) LOJ c)"},
+				{"(c=>(i=>t))", "ROJ at [i,t]|[c] in ((i LOJ t) ROJ c)", "((i LOJ t) ROJ c)"},
+				{"((i*t)<=>c)", "JOIN at [i]|[t] in ((i JOIN t) FOJ c)", "((i JOIN t) FOJ c)"},
+				{"((t=>i)<=>c)", "ROJ at [i]|[t] in ((i ROJ t) FOJ c)", "((i ROJ t) FOJ c)"},
+				{"((i<=>t)<=>c)", "FOJ at [i]|[t] in ((i FOJ t) FOJ c)", "((i FOJ t) FOJ c)"},
+			}},
+	}
+	for _, tc := range cases {
+		ms, err := JoinTypeMutants(q(t, testDDL, tc.sql), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][3]string
+		for _, m := range ms {
+			if m.Kind != KindJoinType {
+				t.Errorf("mutant %q has kind %s", m.Key, m.Kind)
+			}
+			got = append(got, [3]string{m.Key, m.Desc, m.Plan.Tree.String()})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s:\ngot  %q\nwant %q", tc.sql, got, tc.want)
+		}
+	}
+}
+
 func TestComparisonMutants(t *testing.T) {
 	query := q(t, testDDL, "SELECT * FROM instructor WHERE salary > 70000")
 	ms := ComparisonMutants(query)

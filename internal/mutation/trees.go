@@ -156,35 +156,37 @@ func CountTrees(q *qtree.Query) (int64, error) {
 // Two trees with equal canonical strings are semantically identical
 // mutants.
 func Canon(n *qtree.Node) string {
-	s, _ := canon(n)
-	return s
+	return canon(n, nil, 0)
 }
 
-func canon(n *qtree.Node) (string, string) {
+// canon is Canon with node mut's join type read as jt (mut nil: every
+// node as written), so a candidate mutant's key is known before its
+// tree is cloned.
+func canon(n, mut *qtree.Node, jt sqlparser.JoinType) string {
 	if n.IsLeaf() {
-		return n.Occ.Name, n.Occ.Name
+		return n.Occ.Name
 	}
-	l, lmin := canon(n.Left)
-	r, rmin := canon(n.Right)
-	mn := lmin
-	if rmin < mn {
-		mn = rmin
+	l := canon(n.Left, mut, jt)
+	r := canon(n.Right, mut, jt)
+	t := n.Type
+	if n == mut {
+		t = jt
 	}
-	switch n.Type {
+	switch t {
 	case sqlparser.InnerJoin:
 		if r < l {
 			l, r = r, l
 		}
-		return "(" + l + "*" + r + ")", mn
+		return "(" + l + "*" + r + ")"
 	case sqlparser.LeftOuterJoin:
-		return "(" + l + "=>" + r + ")", mn
+		return "(" + l + "=>" + r + ")"
 	case sqlparser.RightOuterJoin:
-		return "(" + r + "=>" + l + ")", mn
+		return "(" + r + "=>" + l + ")"
 	default: // full outer
 		if r < l {
 			l, r = r, l
 		}
-		return "(" + l + "<=>" + r + ")", mn
+		return "(" + l + "<=>" + r + ")"
 	}
 }
 

@@ -196,6 +196,23 @@ func TestTreeShapeExplicitOuterJoin(t *testing.T) {
 	}
 }
 
+// TestTreeStringOuterJoins pins the algebra rendering of nested outer
+// joins of every type: mutant descriptions embed it byte for byte.
+func TestTreeStringOuterJoins(t *testing.T) {
+	for _, tc := range []struct{ sql, want string }{
+		{`SELECT * FROM (instructor i RIGHT OUTER JOIN teaches t ON i.id = t.id)
+			FULL OUTER JOIN course c ON t.course_id = c.course_id`, "((i ROJ t) FOJ c)"},
+		{`SELECT * FROM instructor i LEFT OUTER JOIN
+			(teaches t JOIN course c ON t.course_id = c.course_id) ON i.id = t.id`, "(i LOJ (t JOIN c))"},
+		{`SELECT * FROM (instructor i FULL OUTER JOIN teaches t ON i.id = t.id)
+			LEFT OUTER JOIN course c ON t.course_id = c.course_id`, "((i FOJ t) LOJ c)"},
+	} {
+		if got := buildQ(t, tc.sql).Root.String(); got != tc.want {
+			t.Errorf("tree = %s, want %s", got, tc.want)
+		}
+	}
+}
+
 func TestOuterJoinWithoutConditionRejected(t *testing.T) {
 	// Parser requires ON for outer joins; an ON that doesn't link the
 	// sides must be caught semantically.

@@ -93,10 +93,17 @@ func (n *Node) AllInner() bool {
 
 // String renders the tree in compact algebra notation.
 func (n *Node) String() string {
+	return string(n.appendTo(make([]byte, 0, 64)))
+}
+
+// appendTo appends String's rendering of the subtree to b.
+func (n *Node) appendTo(b []byte) []byte {
 	if n.IsLeaf() {
-		return n.Occ.Name
+		return append(b, n.Occ.Name...)
 	}
-	return fmt.Sprintf("(%s %s %s)", n.Left, n.Type.Symbol(), n.Right)
+	b = n.Left.appendTo(append(b, '('))
+	b = append(append(append(b, ' '), n.Type.Symbol()...), ' ')
+	return append(n.Right.appendTo(b), ')')
 }
 
 // AggCall is one aggregate in the select list.

@@ -17,14 +17,14 @@ import (
 // across PRs: the full university mutation workload — every Table I and
 // Table II cell's mutant space against its generated suite — evaluated
 // by the engine. Suites and mutant spaces are prepared once outside the
-// timed region, so the number isolates executor cost.
+// timed region.
 //
-// The timed passes exclude plan compilation: a plan compiles once, and
-// the untimed agreement pass has already compiled every mutant plan
-// (only each evaluation's fresh original-query plan compiles inside a
-// timed pass). A request that brings a new query and mutant space pays
-// for compiling it as well; perfbench's grading_analyze workload
-// measures that cost.
+// The timed passes include plan compilation: every evaluation compiles
+// its original query and mutant plans as one family, as a request
+// does, so a pass measures compile plus execution. (Before family
+// compiles returned copies, timed passes reused the plans the untimed
+// agreement pass had compiled and measured execution alone; ns/op from
+// those versions is not comparable.)
 type KillMatrixBench struct {
 	// Name identifies the workload ("university_kill_matrix": every
 	// Table I and Table II cell, Parallelism=1).
@@ -41,8 +41,8 @@ type KillMatrixBench struct {
 	// evaluation pass.
 	CompiledNsPerOp int64 `json:"compiled_ns_per_op"`
 	// Exec holds the engine counters of one compiled evaluation pass
-	// (deterministic per pass): hash joins taken, batches built, family
-	// prefix-cache hits.
+	// (deterministic per pass): plan runs, batches built, joins by
+	// strategy, family prefix-cache and result-memo hits.
 	Exec engine.ExecCounts `json:"exec"`
 }
 
