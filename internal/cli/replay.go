@@ -53,7 +53,7 @@ func Replay(ctx context.Context, bundlePath string, stdout, stderr io.Writer) in
 	}
 	fmt.Fprintf(stdout, "-- content key: %s\n", b.ContentKey)
 
-	suite, err := core.NewGenerator(q, b.Options.CoreOptions()).GenerateContext(ctx)
+	suite, err := core.NewGenerator(q, b.Options).GenerateContext(ctx)
 	switch {
 	case err == nil, errors.Is(err, core.ErrPartialSuite):
 	default:

@@ -61,11 +61,17 @@ func (o Options) Validate() error {
 // pool bound every per-attribute candidate domain, and solver work
 // grows superlinearly in their width. Oversized pools — driven by
 // adversarial constant sets or huge input databases — are rejected
-// with a typed limits.ErrResourceLimit before any solving starts.
+// with a typed limits.ErrResourceLimit before any solving starts. A
+// FreshValues over the ceiling is rejected first: the integer pool
+// holds at least that many values, and NewGenerator skips building
+// pools it could only reject.
 func (g *Generator) checkDomainCeiling() error {
 	max := g.opts.MaxDomainSize
 	if max <= 0 {
 		return nil
+	}
+	if n := g.opts.FreshValues; n > max {
+		return fmt.Errorf("core: %w", limits.Exceeded("candidate domain size (fresh values)", n, max))
 	}
 	if n := len(g.intPool); n > max {
 		return fmt.Errorf("core: %w", limits.Exceeded("candidate domain size (integer pool)", n, max))

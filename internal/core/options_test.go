@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,9 +86,10 @@ func TestGenerateDomainCeiling(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50")
 	tight := DefaultOptions()
 	tight.MaxDomainSize = 4 // the constant 50 alone contributes boundaries/sums beyond this
+	tight.FreshValues = 2   // under the ceiling, so the built pool is what exceeds it
 	suite, err := NewGenerator(q, tight).Generate()
-	if !errors.Is(err, limits.ErrResourceLimit) {
-		t.Fatalf("tight domain ceiling: got %v, want ErrResourceLimit", err)
+	if !errors.Is(err, limits.ErrResourceLimit) || !strings.Contains(err.Error(), "integer pool") {
+		t.Fatalf("tight domain ceiling: got %v, want ErrResourceLimit on the integer pool", err)
 	}
 	if suite != nil {
 		t.Fatal("over-ceiling generation must not produce a suite")
@@ -102,5 +104,27 @@ func TestGenerateDomainCeiling(t *testing.T) {
 	uncapped := generate(t, q, DefaultOptions())
 	if len(capped.Datasets) != len(uncapped.Datasets) {
 		t.Fatalf("ceiling changed output: %d vs %d datasets", len(capped.Datasets), len(uncapped.Datasets))
+	}
+}
+
+// TestFreshValuesOverCeiling: a FreshValues wider than MaxDomainSize is
+// rejected with limits.ErrResourceLimit before the value pools are
+// built. The string pool's fresh names grow quadratically in bytes:
+// building the pools before the check allocated 160 MB already at
+// FreshValues 60,000.
+func TestFreshValuesOverCeiling(t *testing.T) {
+	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id")
+	opts := DefaultOptions()
+	opts.FreshValues = 200_000
+	opts.MaxDomainSize = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, limits.ErrResourceLimit) || suite != nil {
+		t.Fatalf("FreshValues over the ceiling: got suite=%v err=%v, want ErrResourceLimit", suite != nil, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("rejection allocated %d MB, want under 64 MB", alloc>>20)
 	}
 }

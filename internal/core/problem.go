@@ -804,14 +804,7 @@ func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 		NodeLimit: p.g.opts.SolverNodeLimit,
 		Timeout:   p.g.opts.SolverTimeout,
 		Label:     label,
-		// Solver microarchitecture: on by default, individually
-		// disabled by the ablation flags (see Options). Quantified
-		// solves ignore them.
-		Heuristics: !p.g.opts.NoSolverHeuristics,
-		Decompose:  !p.g.opts.NoDecompose,
-	}
-	if opts.Decompose && !p.g.opts.NoComponentCache {
-		opts.Cache = p.g.comp
+		Cache:     p.g.comp,
 	}
 	if gb.nodeLimit > 0 && (opts.NodeLimit <= 0 || gb.nodeLimit < opts.NodeLimit) {
 		opts.NodeLimit = gb.nodeLimit

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // Tests for the solver-microarchitecture integration: the stats the
-// optimized path must surface, agreement across every ablation-flag
-// combination, and component-cache behaviour under injected faults.
+// default path must surface, agreement between the two solver paths,
+// and component-cache behaviour under injected faults.
 
 // microarchSQL is a three-relation join with a selection: enough kill
 // goals to exercise the shared core, decomposition, and repeated
@@ -40,17 +41,17 @@ func TestSolverMicroarchStats(t *testing.T) {
 	}
 }
 
-// TestAblationFlagAgreement runs the same query under all 16
-// combinations of the four solver ablation flags and checks the
-// observable contract: identical goal structure (same dataset purposes
-// in the same order), schema-valid datasets, and identical SAT/UNSAT
-// outcomes per goal. Dataset contents may differ between search
-// strategies (any valid witness kills the mutant); the suite shape
-// must not. Every generated suite is also scored against refeval: its
-// kill matrix under the compiled executor must be cell-identical to
-// the independent reference evaluator's, closing the loop between
-// solver-side ablations and the engine.
-func TestAblationFlagAgreement(t *testing.T) {
+// TestSolverPathAgreement runs the same query down both solver paths —
+// the default (unfolded: bitset kernel with decomposition, the
+// component cache and the shared core) and quantified mode (lazy
+// instantiation over the list kernel) — and checks the observable
+// contract: the same dataset/skip sequence, schema-valid datasets, and
+// counters that honestly report which machinery ran. Every suite is
+// also scored against refeval: its kill matrix under the compiled
+// executor must be cell-identical to the independent reference
+// evaluator's, closing the loop between the solver paths and the
+// engine.
+func TestSolverPathAgreement(t *testing.T) {
 	q := buildQuery(t, ddlFK, microarchSQL)
 
 	ms, err := mutation.Space(q, mutation.DefaultOptions())
@@ -62,77 +63,65 @@ func TestAblationFlagAgreement(t *testing.T) {
 	}
 	// checkEngines scores a suite's kill matrix under the compiled
 	// executor and under refeval and fails on any cell difference.
-	checkEngines := func(mask int, suite *Suite) {
+	checkEngines := func(path string, suite *Suite) {
 		t.Helper()
 		datasets := suite.All()
-		if len(datasets) == 0 {
-			return
-		}
 		compiled, err := mutation.EvaluateOpts(q, ms, datasets, mutation.EvalOptions{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("mask %04b: compiled evaluation: %v", mask, err)
+			t.Fatalf("%s: compiled evaluation: %v", path, err)
 		}
 		ref, err := mutation.ReferenceKills(q, ms, datasets)
 		if err != nil {
-			t.Fatalf("mask %04b: %v", mask, err)
+			t.Fatalf("%s: %v", path, err)
 		}
 		if mi, di, bad := compiled.FirstDisagreement(ref); bad {
-			t.Errorf("mask %04b: kill-matrix disagreement: mutant %q dataset %d: compiled=%v refeval=%v",
-				mask, ms[mi].Desc, di, compiled.Killed[mi][di], ref[mi][di])
+			t.Errorf("%s: kill-matrix disagreement: mutant %q dataset %d: compiled=%v refeval=%v",
+				path, ms[mi].Desc, di, compiled.Killed[mi][di], ref[mi][di])
 		}
-	}
-
-	purposes := func(s *Suite) []string {
-		out := make([]string, 0, len(s.Datasets)+len(s.Skipped))
-		for _, ds := range s.Datasets {
-			out = append(out, "dataset: "+ds.Purpose)
-		}
-		for _, sk := range s.Skipped {
-			out = append(out, "skipped: "+sk.Purpose)
-		}
-		return out
 	}
 
 	base := generate(t, q, DefaultOptions())
-	want := purposes(base)
+	want := outcomes(base)
 	if len(base.Datasets) == 0 {
-		t.Fatal("baseline produced no datasets")
+		t.Fatal("default path produced no datasets")
 	}
-
-	for mask := 0; mask < 16; mask++ {
-		opts := DefaultOptions()
-		opts.NoSolverHeuristics = mask&1 != 0
-		opts.NoDecompose = mask&2 != 0
-		opts.NoSharedCore = mask&4 != 0
-		opts.NoComponentCache = mask&8 != 0
-		suite := generate(t, q, opts)
-		got := purposes(suite)
-		if len(got) != len(want) {
-			t.Fatalf("mask %04b: %d outcomes, want %d:\n%v\nvs\n%v", mask, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("mask %04b: outcome %d = %q, want %q", mask, i, got[i], want[i])
-			}
-		}
-		for _, ds := range suite.All() {
+	quantifiedOpts := DefaultOptions()
+	quantifiedOpts.Unfold = false
+	quantified := generate(t, q, quantifiedOpts)
+	if got := outcomes(quantified); !slices.Equal(got, want) {
+		t.Fatalf("quantified outcomes differ from the default's:\n%v\nvs\n%v", got, want)
+	}
+	for _, run := range []struct {
+		path  string
+		suite *Suite
+	}{{"default", base}, {"quantified", quantified}} {
+		for _, ds := range run.suite.All() {
 			if err := q.Schema.CheckDataset(ds); err != nil {
-				t.Errorf("mask %04b: invalid dataset %q: %v", mask, ds.Purpose, err)
+				t.Errorf("%s: invalid dataset %q: %v", run.path, ds.Purpose, err)
 			}
 		}
-		// Ablations toggle *which* machinery runs; the counters must
-		// reflect that honestly.
-		if opts.NoDecompose && suite.Stats.ComponentCount != 0 {
-			t.Errorf("mask %04b: ComponentCount = %d with NoDecompose", mask, suite.Stats.ComponentCount)
-		}
-		if (opts.NoComponentCache || opts.NoDecompose) && suite.Stats.ComponentCacheHits != 0 {
-			t.Errorf("mask %04b: ComponentCacheHits = %d with cache disabled", mask, suite.Stats.ComponentCacheHits)
-		}
-		if opts.NoSharedCore && suite.Stats.BasePropagationNodes != 0 {
-			t.Errorf("mask %04b: BasePropagationNodes = %d with NoSharedCore", mask, suite.Stats.BasePropagationNodes)
-		}
-		checkEngines(mask, suite)
+		checkEngines(run.path, run.suite)
 	}
+	// Quantified mode never decomposes, caches components or attaches
+	// the shared core; its counters must say so.
+	if st := quantified.Stats; st.ComponentCount != 0 || st.ComponentCacheHits != 0 || st.BasePropagationNodes != 0 {
+		t.Errorf("quantified: ComponentCount %d, ComponentCacheHits %d, BasePropagationNodes %d; want all 0",
+			st.ComponentCount, st.ComponentCacheHits, st.BasePropagationNodes)
+	}
+}
+
+// outcomes lists a suite's goal outcomes in order: each dataset's and
+// each skip's purpose. Dataset contents may differ between solver
+// paths (any valid witness kills the mutant); this sequence must not.
+func outcomes(s *Suite) []string {
+	out := make([]string, 0, len(s.Datasets)+len(s.Skipped))
+	for _, ds := range s.Datasets {
+		out = append(out, "dataset: "+ds.Purpose)
+	}
+	for _, sk := range s.Skipped {
+		out = append(out, "skipped: "+sk.Purpose)
+	}
+	return out
 }
 
 // TestComponentCacheFaultRelease checks that a panic unwinding through

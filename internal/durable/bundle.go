@@ -23,7 +23,7 @@ import (
 //	bundle-<hash12>/
 //	  schema.sql    the canonical schema rendering (schema.String())
 //	  query.sql     the normalized query (qtree.Query.SQLString())
-//	  bundle.json   the Bundle metadata + replay options below
+//	  bundle.json   the Bundle metadata + the generation options
 //
 // Bundles are written on goal abandonment (panic, budget exhaustion,
 // cancellation) and on handler panics, and replayed with
@@ -35,69 +35,9 @@ import (
 // under the advertised name.
 
 // BundleVersion is bumped whenever the bundle.json shape changes.
-const BundleVersion = 1
-
-// ReplayOptions is the JSON image of the core.Options fields that can
-// influence generated bytes (the same set the fleet content key folds
-// in), plus the determinism-irrelevant budgets so a replay spends what
-// the original run spent. Function-valued and dataset-valued fields
-// (FailureHook, InputDB) are deliberately absent: a bundle is
-// self-contained or it is not a bundle.
-type ReplayOptions struct {
-	Unfold           bool  `json:"unfold"`
-	FreshValues      int   `json:"fresh_values"`
-	NoJointNullify   bool  `json:"no_joint_nullify,omitempty"`
-	ForceInputTuples bool  `json:"force_input_tuples,omitempty"`
-	MaxDomainSize    int   `json:"max_domain_size,omitempty"`
-	GoalNodeLimit    int64 `json:"goal_node_limit,omitempty"`
-	SolverNodeLimit  int64 `json:"solver_node_limit,omitempty"`
-	GoalTimeoutMS    int64 `json:"goal_timeout_ms,omitempty"`
-	SolverTimeoutMS  int64 `json:"solver_timeout_ms,omitempty"`
-
-	NoSolverHeuristics bool `json:"no_solver_heuristics,omitempty"`
-	NoDecompose        bool `json:"no_decompose,omitempty"`
-	NoSharedCore       bool `json:"no_shared_core,omitempty"`
-	NoComponentCache   bool `json:"no_component_cache,omitempty"`
-}
-
-func replayOptionsFrom(o core.Options) ReplayOptions {
-	return ReplayOptions{
-		Unfold:             o.Unfold,
-		FreshValues:        o.FreshValues,
-		NoJointNullify:     o.NoJointNullify,
-		ForceInputTuples:   o.ForceInputTuples,
-		MaxDomainSize:      o.MaxDomainSize,
-		GoalNodeLimit:      o.GoalNodeLimit,
-		SolverNodeLimit:    o.SolverNodeLimit,
-		GoalTimeoutMS:      o.GoalTimeout.Milliseconds(),
-		SolverTimeoutMS:    o.SolverTimeout.Milliseconds(),
-		NoSolverHeuristics: o.NoSolverHeuristics,
-		NoDecompose:        o.NoDecompose,
-		NoSharedCore:       o.NoSharedCore,
-		NoComponentCache:   o.NoComponentCache,
-	}
-}
-
-// CoreOptions converts back for replay. Parallelism is left 0 (all
-// CPUs): the generator documents byte-identical suites for every worker
-// count, so it is not part of the reproduction.
-func (r ReplayOptions) CoreOptions() core.Options {
-	return core.Options{
-		Unfold:             r.Unfold,
-		FreshValues:        r.FreshValues,
-		NoJointNullify:     r.NoJointNullify,
-		ForceInputTuples:   r.ForceInputTuples,
-		MaxDomainSize:      r.MaxDomainSize,
-		GoalNodeLimit:      r.GoalNodeLimit,
-		SolverNodeLimit:    r.SolverNodeLimit,
-		GoalTimeout:        time.Duration(r.GoalTimeoutMS) * time.Millisecond,
-		SolverTimeout:      time.Duration(r.SolverTimeoutMS) * time.Millisecond,
-		NoSolverHeuristics: r.NoSolverHeuristics,
-		NoDecompose:        r.NoDecompose,
-		NoSharedCore:       r.NoSharedCore,
-		NoComponentCache:   r.NoComponentCache,
-	}
-}
+// Version 2 stores the options as core.Options' own JSON encoding
+// (durations in nanoseconds); version-1 bundles are refused.
+const BundleVersion = 2
 
 // BundleEvent is the failure evidence a capture site supplies: either a
 // goal abandonment (core.Failure) or a handler panic.
@@ -160,7 +100,11 @@ type Bundle struct {
 	// injection hook was installed (test evidence, not organic).
 	FaultInjected bool `json:"fault_injected,omitempty"`
 
-	Options ReplayOptions `json:"options"`
+	// Options are the generation options in core.Options' JSON
+	// encoding, the same encoding ContentKey hashes: every field a
+	// suite depends on, and none that a self-contained bundle cannot
+	// carry (Parallelism, InputDB, FailureHook).
+	Options core.Options `json:"options"`
 
 	// SchemaSQL/QuerySQL are loaded from the bundle's schema.sql and
 	// query.sql by ReadBundle; WriteBundle stores them as files, not in
@@ -191,7 +135,7 @@ func WriteBundle(dir string, sch *schema.Schema, q *qtree.Query, opts core.Optio
 		Stack:         ev.Stack,
 		ContentKey:    fleet.ContentKey(sch, q, opts).String(),
 		FaultInjected: solver.FaultHookActive(),
-		Options:       replayOptionsFrom(opts),
+		Options:       opts,
 	}
 	meta, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/qtree"
 	"repro/internal/sqlparser"
 )
@@ -66,7 +68,7 @@ func TestBundleWriteReadRoundTrip(t *testing.T) {
 	if b.ContentKey == "" || len(b.ContentKey) != 64 {
 		t.Fatalf("content key = %q, want 64 hex chars", b.ContentKey)
 	}
-	if b.Options.GoalNodeLimit != 1234 || b.Options.GoalTimeoutMS != 250 {
+	if b.Options.GoalNodeLimit != 1234 || b.Options.GoalTimeout != 250*time.Millisecond {
 		t.Fatalf("replay options lost budgets: %+v", b.Options)
 	}
 
@@ -83,9 +85,100 @@ func TestBundleWriteReadRoundTrip(t *testing.T) {
 	if q2.SQLString() != q.SQLString() {
 		t.Fatalf("round-tripped query differs:\n  %s\n  %s", q2.SQLString(), q.SQLString())
 	}
-	ropts := b.Options.CoreOptions()
-	if ropts.GoalNodeLimit != opts.GoalNodeLimit || ropts.GoalTimeout != opts.GoalTimeout || ropts.Unfold != opts.Unfold {
-		t.Fatalf("CoreOptions round trip lost fields: %+v", ropts)
+}
+
+// excludedOptions classifies the core.Options fields its JSON encoding
+// leaves out ("-"), one reason each. A field newly tagged "-" fails
+// TestBundleOptionsRoundTrip until it is listed here.
+var excludedOptions = map[string]string{
+	"Parallelism": "suites are byte-identical for every worker count",
+	"InputDB":     "data, not a setting: InputDB-seeded generation is never cached, routed or bundled",
+	"FailureHook": "a callback that only observes abandoned goals",
+}
+
+// TestBundleOptionsRoundTrip keeps core.Options' JSON encoding honest
+// as the one declaration of what a suite depends on. It walks the
+// struct by reflection: every encoded field, set to a non-zero value,
+// must change the content key, come back from WriteBundle/ReadBundle
+// equal to what was written, and let the bundle's recorded key be
+// recomputed from the bundle alone; every excluded field must be
+// classified in excludedOptions and leave the key unchanged.
+// Durations are sub-millisecond so no whole-unit truncation survives.
+func TestBundleOptionsRoundTrip(t *testing.T) {
+	q, _ := bundleFixture(t)
+	var zero core.Options
+	zeroKey := fleet.ContentKey(q.Schema, q, zero)
+	rt := reflect.TypeOf(zero)
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		opts := zero
+		setNonZero(t, f, reflect.ValueOf(&opts).Elem().Field(i))
+		key := fleet.ContentKey(q.Schema, q, opts)
+
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch name {
+		case "-":
+			if _, ok := excludedOptions[f.Name]; !ok {
+				t.Errorf("core.Options.%s is excluded from the encoding but not classified in excludedOptions", f.Name)
+			}
+			if key != zeroKey {
+				t.Errorf("excluded field %s changes the content key", f.Name)
+			}
+			continue
+		case "":
+			t.Errorf("core.Options.%s has no JSON name: encode it or exclude it with a reason", f.Name)
+			continue
+		}
+		if key == zeroKey {
+			t.Errorf("setting %s does not change the content key", f.Name)
+		}
+
+		path, err := WriteBundle(t.TempDir(), q.Schema, q, opts, BundleEvent{Kind: "goal", Purpose: f.Name, Reason: core.ReasonBudget})
+		if err != nil {
+			t.Fatalf("%s: WriteBundle: %v", f.Name, err)
+		}
+		b, err := ReadBundle(path)
+		if err != nil {
+			t.Fatalf("%s: ReadBundle: %v", f.Name, err)
+		}
+		if !reflect.DeepEqual(b.Options, opts) {
+			t.Errorf("%s: bundle options %+v, wrote %+v", f.Name, b.Options, opts)
+		}
+		sch2, err := sqlparser.ParseSchema(b.SchemaSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2, err := qtree.BuildSQL(sch2, b.QuerySQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fleet.ContentKey(sch2, q2, b.Options).String(); got != b.ContentKey || got != key.String() {
+			t.Errorf("%s: key recomputed from the bundle = %s, recorded %s, written %s", f.Name, got, b.ContentKey, key)
+		}
+	}
+	for name := range excludedOptions {
+		if _, ok := rt.FieldByName(name); !ok {
+			t.Errorf("excludedOptions names %s, which core.Options no longer has", name)
+		}
+	}
+}
+
+// setNonZero stores a non-zero value of f's type in v.
+func setNonZero(t *testing.T, f reflect.StructField, v reflect.Value) {
+	t.Helper()
+	switch {
+	case f.Type == reflect.TypeOf(time.Duration(0)):
+		v.SetInt(int64(1500 * time.Microsecond))
+	case f.Type.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case f.Type.Kind() == reflect.Int, f.Type.Kind() == reflect.Int64:
+		v.SetInt(7)
+	case f.Type.Kind() == reflect.Pointer:
+		v.Set(reflect.New(f.Type.Elem()))
+	case f.Type.Kind() == reflect.Func:
+		v.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { return nil }))
+	default:
+		t.Fatalf("core.Options.%s: no non-zero value for kind %s; extend setNonZero", f.Name, f.Type.Kind())
 	}
 }
 
@@ -139,5 +232,12 @@ func TestReadBundleRejectsDamage(t *testing.T) {
 	}
 	if _, err := ReadBundle(filepath.Join(dir, "no-such-bundle")); err == nil {
 		t.Fatal("missing bundle accepted")
+	}
+	// A bundle of the previous shape is refused, not misread.
+	if err := os.WriteFile(filepath.Join(path, "bundle.json"), []byte(`{"version":1,"kind":"goal","options":{"goal_timeout_ms":1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBundle(path); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Fatalf("version-1 bundle: err = %v, want the version error", err)
 	}
 }

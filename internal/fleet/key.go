@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -60,7 +61,7 @@ func (k Key) Hash64() uint64 { return binary.BigEndian.Uint64(k.sum[:8]) }
 // keySchemaVersion is bumped whenever the canonical rendering below
 // changes shape, so stale cache entries from an older binary can never
 // collide with new keys.
-const keySchemaVersion = 1
+const keySchemaVersion = 2
 
 // ContentKey derives the canonical content key for generating a suite
 // from q against sch under opts.
@@ -71,30 +72,32 @@ const keySchemaVersion = 1
 // single-block rendering — reparsing it yields the same query, so any
 // two spellings of the same normalized query share a key).
 //
-// Every option that could influence the generated bytes is folded in.
-// That deliberately includes the budget fields: a *complete* suite is
-// budget-independent (the solver is deterministic, so a goal solved
-// within its budget returns the same dataset as an unbudgeted run, and
-// only complete suites are ever cached), but keying on the clamped
-// budgets costs hits only when clients vary their asks and makes the
-// key auditable without that argument. Parallelism is excluded: the
-// generator documents byte-identical suites for every worker count.
+// The options are folded in as their JSON encoding, which core.Options
+// declares as the fields a suite depends on, so a new option joins the
+// key without a change here. That deliberately includes the budget
+// fields: a *complete* suite is budget-independent (the
+// solver is deterministic, so a goal solved within its budget returns
+// the same dataset as an unbudgeted run, and only complete suites are
+// ever cached), but keying on the clamped budgets costs hits only when
+// clients vary their asks and makes the key auditable without that
+// argument. Parallelism is excluded by the encoding: the generator
+// documents byte-identical suites for every worker count.
 //
 // InputDB-seeded generation is not content-addressable by this key
-// (the dataset bytes are not folded in); callers must not cache or
-// route such requests. The service never sets InputDB.
+// (the encoding excludes the dataset); callers must not cache or route
+// such requests. The service never sets InputDB.
 func ContentKey(sch *schema.Schema, q *qtree.Query, opts core.Options) Key {
+	enc, err := json.Marshal(opts)
+	if err != nil {
+		// Only a field neither scalar nor tagged "-" can fail to encode.
+		panic(fmt.Sprintf("fleet: encode options: %v", err))
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "xdata-key-v%d\x00", keySchemaVersion)
 	sb.WriteString(sch.String())
 	sb.WriteByte(0)
 	sb.WriteString(q.SQLString())
 	sb.WriteByte(0)
-	fmt.Fprintf(&sb, "unfold=%t;fresh=%d;jointnull=%t;forceinput=%t;domain=%d;",
-		opts.Unfold, opts.FreshValues, opts.NoJointNullify, opts.ForceInputTuples, opts.MaxDomainSize)
-	fmt.Fprintf(&sb, "goalnodes=%d;solvernodes=%d;goaltimeout=%d;solvertimeout=%d;",
-		opts.GoalNodeLimit, opts.SolverNodeLimit, opts.GoalTimeout, opts.SolverTimeout)
-	fmt.Fprintf(&sb, "noheur=%t;nodecomp=%t;noshared=%t;nocompcache=%t",
-		opts.NoSolverHeuristics, opts.NoDecompose, opts.NoSharedCore, opts.NoComponentCache)
+	sb.Write(enc)
 	return Key{sum: sha256.Sum256([]byte(sb.String()))}
 }

@@ -184,6 +184,8 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"resource limit", GenerateRequest{DDL: testDDL, Query: deep}, http.StatusUnprocessableEntity, "resource-limit"},
 		{"bad options", GenerateRequest{DDL: testDDL, Query: testSQL,
 			Options: RequestOptions{Parallelism: -4}}, http.StatusUnprocessableEntity, "bad-options"},
+		{"fresh values over the domain ceiling", GenerateRequest{DDL: testDDL, Query: testSQL,
+			Options: RequestOptions{FreshValues: 10_000_000}}, http.StatusUnprocessableEntity, "resource-limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

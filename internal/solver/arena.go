@@ -31,7 +31,6 @@ type Arena struct {
 	clauses   []kclause
 	cvars     [][]VarID
 	watch     [][]int32
-	searchVs  []VarID
 	kcsc      kcScratch
 	// st is the recycled kstate shell: its embedded search scratch
 	// (propagation queue, implied stack, per-depth value buffers, LCV

@@ -10,12 +10,12 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// Connected-component decomposition (Options.Decompose): after setup
-// propagation, the constraint graph — unassigned representative
-// variables, connected when a live clause mentions both — is
-// partitioned into components that are solved independently,
-// smallest-first, so a tiny UNSAT component fails the whole goal before
-// any time is spent on the large SAT ones. Each component is canonically
+// Connected-component decomposition: after setup propagation, the
+// constraint graph — unassigned representative variables, connected
+// when a live clause mentions both — is partitioned into components
+// that are solved independently, smallest-first, so a tiny UNSAT
+// component fails the whole goal before any time is spent on the large
+// SAT ones. Each component is canonically
 // encoded (local variable ids by first appearance, assigned variables
 // folded into constants, surviving domains appended), and the encoding
 // doubles as an exact memoization key: the kill goals of one Generate
@@ -159,9 +159,9 @@ func kwalkVars(cl kclause, fn func(VarID)) {
 // canonicalKey encodes a component canonically: clauses in global index
 // order with local variable ids by first appearance (matching
 // comp.vars) and assigned variables folded into constants, followed by
-// each local variable's surviving candidate values in preference order
-// and the heuristics flags that influence model choice. The encoding is
-// used directly as the (exact, collision-free) cache key.
+// each local variable's surviving candidate values in preference order.
+// The encoding is used directly as the (exact, collision-free) cache
+// key.
 // The returned byte slice is kstate scratch, valid only until the next
 // canonicalKey call on the same kstate.
 func (st *kstate) canonicalKey(c *kcomp) []byte {
@@ -254,12 +254,6 @@ func (st *kstate) canonicalKey(c *kcomp) []byte {
 				buf = binary.AppendVarint(buf, cand[wi*64+bit])
 			}
 		}
-	}
-	buf = append(buf, 'F')
-	if st.lcv {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
 	}
 	st.keyBuf = buf
 	st.keyTerms = terms[:0]
@@ -386,7 +380,7 @@ func (c *ComponentCache) release(key string) {
 	close(e.done)
 }
 
-// solveComponents is the Decompose solve driver.
+// solveComponents is the kernel's solve driver.
 func (s *Solver) solveComponents(st *kstate, cache *ComponentCache) error {
 	comps, conflict := st.componentize()
 	if conflict {

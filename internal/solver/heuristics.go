@@ -41,19 +41,19 @@ func (st *kstate) pickVar(vars []VarID) VarID {
 }
 
 // orderValues reorders vals (the live candidates of v, preference
-// order) by least-constraining-value score when enabled and affordable.
+// order) by least-constraining-value score when affordable.
 func (st *kstate) orderValues(v VarID, vals []int64) {
-	if !st.lcv || len(vals) < 2 {
+	if len(vals) < 2 {
 		return
 	}
 	deg := int(st.degree[v])
 	if deg == 0 || len(vals)*deg > lcvBudget {
 		return
 	}
-	if cap(st.lcvScores) < len(vals) {
-		st.lcvScores = make([]int, len(vals))
+	if cap(st.valueScores) < len(vals) {
+		st.valueScores = make([]int, len(vals))
 	}
-	scores := st.lcvScores[:len(vals)]
+	scores := st.valueScores[:len(vals)]
 	st.assigned[v] = true
 	for i, val := range vals {
 		st.value[v] = val

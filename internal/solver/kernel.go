@@ -10,14 +10,13 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// This file is the bitset search kernel (Options.Heuristics /
-// Options.Decompose): the unfolded solve path rebuilt around packed
+// This file is the bitset search kernel, the unfolded solve path: packed
 // uint64-word domain stores with a word-granular copy-on-write trail,
 // precompiled shared-base clauses (see store.go), MRV + degree variable
 // ordering and least-constraining-value ordering (heuristics.go), and
 // connected-component decomposition with memoization (components.go).
-// The legacy list-based path in search.go is kept verbatim as the
-// default and as the metamorphic-testing oracle.
+// The list kernel in search.go is quantified mode's ground solver and
+// the metamorphic-testing oracle.
 
 // kclause is a compiled constraint for the kernel. Clauses are compiled
 // once (for the shared base: once per Generate) and evaluated through
@@ -88,18 +87,16 @@ type kstate struct {
 	bver []uint64
 	bmin []int64
 	bmax []int64
-	// Search configuration.
-	lcv bool
 	// Reusable search scratch (per-solve, never escapes): pq is
 	// kpropagate's BFS queue; impl is the implied-assignment stack
 	// (callers record their mark and pop back to it after recursion);
-	// vbufs holds one candidate-value buffer per dfs depth; lcvScores
+	// vbufs holds one candidate-value buffer per dfs depth; valueScores
 	// backs orderValues' stable insertion sort.
-	pq        []VarID
-	impl      []VarID
-	vbufs     [][]int64
-	depth     int
-	lcvScores []int
+	pq          []VarID
+	impl        []VarID
+	vbufs       [][]int64
+	depth       int
+	valueScores []int
 	// Canonical-key scratch (components.go): lidOf maps representative
 	// -> local id for the component being encoded; keyBuf/keyTerms back
 	// the encoding.
@@ -600,7 +597,7 @@ func (st *kstate) setupPropagate(firstDelta int, dirty []VarID) (bool, error) {
 // every clause watching a changed variable is re-evaluated and
 // re-pruned; domains narrowed to singletons trigger assignments. Only
 // used during setup — search-time propagation (kpropagate) uses the
-// lighter assigned-variable discipline matching the legacy kernel.
+// lighter assigned-variable discipline matching the list kernel.
 func (st *kstate) drainChanged(queue []VarID) (bool, error) {
 	for len(queue) > 0 {
 		cur := st.rep[queue[0]]
@@ -768,7 +765,7 @@ func (st *kstate) searchVars(vars []VarID) error {
 
 // solveKernel is the kernel solve entry point: equality preprocessing
 // of the delta on top of the (optional) shared base, compilation, setup
-// propagation, then either monolithic search or component decomposition.
+// propagation, then component decomposition and search.
 func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Time, opts Options) (Model, error) {
 	if s.base != nil && s.base.unsat {
 		return nil, ErrUnsat
@@ -931,7 +928,6 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	st.value = value
 	st.clauses = clauses
 	st.cvars = cvars
-	st.lcv = opts.Heuristics
 	st.limit = limit
 	st.deadline = deadline
 	st.done = done
@@ -973,22 +969,7 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 		return nil, ErrUnsat
 	}
 
-	if opts.Decompose {
-		err = s.solveComponents(st, opts.Cache)
-	} else {
-		vars := a.searchVs[:0]
-		for v := 0; v < nvars; v++ {
-			if rep[v] == VarID(v) && !st.assigned[v] {
-				vars = append(vars, VarID(v))
-			}
-		}
-		a.searchVs = vars
-		st.degree = grow(st.degree, nvars)
-		for v := range st.degree {
-			st.degree[v] = int32(len(st.watch[v]))
-		}
-		err = st.searchVars(vars)
-	}
+	err = s.solveComponents(st, opts.Cache)
 	s.last.Nodes += st.nodes
 	if err != nil {
 		return nil, err

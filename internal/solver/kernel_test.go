@@ -78,10 +78,10 @@ func checkModel(t *testing.T, iter int, name string, s *Solver, cons []Con, m Mo
 }
 
 // TestKernelMetamorphic solves thousands of seeded random instances
-// with the legacy unfolded kernel (the oracle) and every new-kernel
-// configuration — heuristics, decomposition, decomposition+cache, and
-// shared-base incremental solving — asserting SAT/UNSAT agreement and
-// model validity everywhere. The component cache is shared across all
+// with the list kernel (the oracle) and every bitset-kernel
+// configuration — plain, with the component cache, and shared-base
+// incremental solving — asserting SAT/UNSAT agreement and model
+// validity everywhere. The component cache is shared across all
 // instances, stressing the canonical-key purity guarantee (a replayed
 // model must be valid wherever the key matches).
 func TestKernelMetamorphic(t *testing.T) {
@@ -91,15 +91,14 @@ func TestKernelMetamorphic(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"heuristics", Options{Unfold: true, Heuristics: true}},
-		{"decompose", Options{Unfold: true, Decompose: true}},
-		{"decompose+cache", Options{Unfold: true, Heuristics: true, Decompose: true, Cache: cache}},
+		{"kernel", Options{Unfold: true}},
+		{"kernel+cache", Options{Unfold: true, Cache: cache}},
 	}
 	const iters = 2500
 	sat, unsat := 0, 0
 	for iter := 0; iter < iters; iter++ {
 		s, cons := randInstance(rng)
-		mo, eo := s.Solve(Options{Unfold: true})
+		mo, eo := solveList(s, Options{})
 		if eo == nil {
 			sat++
 			checkModel(t, iter, "oracle", s, cons, mo)
@@ -128,7 +127,7 @@ func TestKernelMetamorphic(t *testing.T) {
 		for _, c := range cons[half:] {
 			sb.Assert(c)
 		}
-		mb, eb := sb.Solve(Options{Unfold: true, Heuristics: true, Decompose: true, Cache: cache})
+		mb, eb := sb.Solve(Options{Unfold: true, Cache: cache})
 		if (eb == nil) != (eo == nil) {
 			t.Fatalf("iter %d: shared-base disagrees with oracle: base=%v oracle=%v", iter, eb, eo)
 		}
@@ -151,7 +150,7 @@ func TestKernelDeterministic(t *testing.T) {
 		var firstModel Model
 		var firstNodes int64
 		for rep := 0; rep < 3; rep++ {
-			opts := Options{Unfold: true, Heuristics: true, Decompose: true, Cache: NewComponentCache()}
+			opts := Options{Unfold: true, Cache: NewComponentCache()}
 			m, err := s.Solve(opts)
 			if err != nil && !errors.Is(err, ErrUnsat) {
 				t.Fatal(err)
@@ -175,7 +174,7 @@ func TestKernelDeterministic(t *testing.T) {
 		}
 		// Warm-cache replay must be byte-identical too.
 		cache := NewComponentCache()
-		opts := Options{Unfold: true, Heuristics: true, Decompose: true, Cache: cache}
+		opts := Options{Unfold: true, Cache: cache}
 		m1, e1 := s.Solve(opts)
 		m2, e2 := s.Solve(opts)
 		if (e1 == nil) != (e2 == nil) {
@@ -220,7 +219,7 @@ func TestKernelStatsCounters(t *testing.T) {
 	s.AttachBase(b)
 	s.Assert(NewCmp(sqltypes.OpGT, V(vars[5]), V(vars[6])))
 	cache := NewComponentCache()
-	opts := Options{Unfold: true, Heuristics: true, Decompose: true, Cache: cache}
+	opts := Options{Unfold: true, Cache: cache}
 	if _, err := s.Solve(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -270,22 +269,16 @@ func buildChain(n int) *Solver {
 // hoisted into tick()/ktick(), only search nodes advanced it, so this
 // solve completed despite Timeout=1ns.
 func TestDeadlineNotStarvedByPropagation(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"legacy", Options{Unfold: true, Timeout: time.Nanosecond}},
-		{"kernel", Options{Unfold: true, Heuristics: true, Timeout: time.Nanosecond}},
-	} {
+	for _, kernel := range kernels {
 		s := buildChain(3000)
-		_, err := s.Solve(mode.opts)
+		_, err := kernel.solve(s, Options{Unfold: true, Timeout: time.Nanosecond})
 		if !errors.Is(err, ErrLimit) {
-			t.Errorf("%s: err = %v, want ErrLimit (expired deadline must interrupt propagation)", mode.name, err)
+			t.Errorf("%s: err = %v, want ErrLimit (expired deadline must interrupt propagation)", kernel.name, err)
 		}
 	}
 	// Sanity: with no deadline the same chain is SAT.
 	s := buildChain(3000)
-	if _, err := s.Solve(Options{Unfold: true, Heuristics: true}); err != nil {
+	if _, err := s.Solve(Options{Unfold: true}); err != nil {
 		t.Fatalf("chain unsolvable without deadline: %v", err)
 	}
 }
@@ -328,7 +321,7 @@ func newTrailFixture() (*kstate, kclause) {
 // TestTrailUndoAllocs asserts the copy-on-write trail's allocation
 // discipline: after warm-up (the trail slice has grown), a prune/undo
 // cycle that would have copied a 200-element []int64 per save in the
-// legacy kernel performs zero allocations.
+// list kernel performs zero allocations.
 func TestTrailUndoAllocs(t *testing.T) {
 	st, cl := newTrailFixture()
 	trailCycle(st, cl) // warm-up: grow the trail slice
@@ -511,7 +504,7 @@ func TestComponentCacheNotPoisonedByFailure(t *testing.T) {
 	cache := NewComponentCache()
 	s := buildChain(3000)
 	// Expired deadline: the solve fails inside setup or search.
-	_, err := s.Solve(Options{Unfold: true, Decompose: true, Cache: cache, Timeout: time.Nanosecond})
+	_, err := s.Solve(Options{Unfold: true, Cache: cache, Timeout: time.Nanosecond})
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
 	}
@@ -525,14 +518,14 @@ func TestComponentCacheNotPoisonedByFailure(t *testing.T) {
 	}
 	cache.mu.Unlock()
 	s2 := buildChain(3000)
-	if _, err := s2.Solve(Options{Unfold: true, Decompose: true, Cache: cache}); err != nil {
+	if _, err := s2.Solve(Options{Unfold: true, Cache: cache}); err != nil {
 		t.Fatalf("cache unusable after failed solve: %v", err)
 	}
 }
 
 // TestComponentCacheConcurrent hammers one shared cache from many
 // goroutines solving the same instances (run with -race): results must
-// agree with a serial solve.
+// agree with a serial list-kernel solve.
 func TestComponentCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	type inst struct {
@@ -542,7 +535,7 @@ func TestComponentCacheConcurrent(t *testing.T) {
 	var insts []inst
 	for i := 0; i < 20; i++ {
 		s, _ := randInstance(rng)
-		_, err := s.Solve(Options{Unfold: true})
+		_, err := solveList(s, Options{})
 		insts = append(insts, inst{s: s, want: err == nil})
 	}
 	cache := NewComponentCache()
@@ -556,7 +549,7 @@ func TestComponentCacheConcurrent(t *testing.T) {
 				// Each goroutine needs its own Solver (Solve mutates
 				// last-stats), sharing domains and constraints.
 				s := &Solver{domains: in.s.domains, names: in.s.names, cons: in.s.cons}
-				_, err := s.Solve(Options{Unfold: true, Heuristics: true, Decompose: true, Cache: cache})
+				_, err := s.Solve(Options{Unfold: true, Cache: cache})
 				sat := err == nil
 				if err != nil && !errors.Is(err, ErrUnsat) {
 					errc <- fmt.Errorf("worker %d inst %d: %v", w, i, err)

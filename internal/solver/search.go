@@ -660,9 +660,9 @@ func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64,
 	}
 }
 
-// solveUnfolded is the legacy list kernel: prepUnfolded runs the front
-// end once, then attemptUnfolded runs each rung of the restart ladder
-// over it.
+// solveUnfolded is the list kernel, quantified mode's ground solver:
+// prepUnfolded runs the front end once, then attemptUnfolded runs each
+// rung of the restart ladder over it.
 func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64, deadline time.Time) (Model, error) {
 	p, err := s.prepUnfolded()
 	if err != nil {

@@ -256,10 +256,13 @@ func Negate(c Con) Con {
 
 // Options configure a solve.
 type Options struct {
-	// Unfold selects the fast path (quantifier expansion + watched
-	// propagation). False models CVC3 without unfolding (§VI-B).
+	// Unfold selects the fast path: quantifier expansion solved by the
+	// bitset search kernel (kernel.go) with component decomposition,
+	// MRV + degree variable ordering and least-constraining-value
+	// ordering. False models CVC3 without unfolding (§VI-B): lazy
+	// quantifier instantiation over the list kernel (search.go).
 	Unfold bool
-	// NodeLimit bounds search nodes (0 = default 50M).
+	// NodeLimit bounds search nodes (0 = defaultNodeLimit).
 	NodeLimit int64
 	// Timeout bounds wall time (0 = none).
 	Timeout time.Duration
@@ -267,29 +270,19 @@ type Options struct {
 	// purpose). It appears in injected-fault messages and lets the
 	// fault-injection hook target specific solves deterministically.
 	Label string
-	// Heuristics selects the bitset search kernel: uint64-word domain
-	// stores with a word-granular copy-on-write trail, MRV + degree
-	// variable ordering, least-constraining-value ordering, and
-	// compiled-clause reuse. Unfolded mode only; the legacy list-based
-	// kernel remains the default (and the metamorphic-test oracle).
-	Heuristics bool
-	// Decompose partitions the (preprocessed) constraint graph into
-	// connected components and solves them independently,
-	// smallest-first, so a tiny UNSAT component fails the whole solve
-	// in microseconds. Implies the bitset kernel.
-	Decompose bool
-	// Cache, when non-nil and Decompose is set, memoizes solved
-	// components by canonical key so identical sub-problems shared
-	// across kill goals (and across datasets) are solved once. Safe
-	// for concurrent use; see ComponentCache.
+	// Cache, when non-nil, memoizes solved components by canonical key
+	// so identical sub-problems shared across kill goals (and across
+	// datasets) are solved once. Unfolded mode only. Safe for
+	// concurrent use; see ComponentCache.
 	Cache *ComponentCache
 	// Arena, when non-nil, recycles the kernel's per-solve allocations
 	// (see Arena). The arena must not be shared by concurrent solves.
 	Arena *Arena
 }
 
-// kernel reports whether the solve should use the bitset search kernel.
-func (o Options) kernel() bool { return o.Unfold && (o.Heuristics || o.Decompose) }
+// defaultNodeLimit is the search-node bound of a solve that sets no
+// Options.NodeLimit.
+const defaultNodeLimit = 50_000_000
 
 // Errors distinguishing "no model exists" (an equivalent mutation, in
 // X-Data terms) from resource exhaustion and cooperative cancellation.
@@ -317,7 +310,7 @@ type Stats struct {
 	// first solve (always 0 in unfolded mode).
 	Restarts int64
 	// ComponentCount is the number of connected components the
-	// constraint graph decomposed into (0 unless Options.Decompose).
+	// constraint graph decomposed into (0 in quantified mode).
 	// Isolated variables count as singleton components.
 	ComponentCount int64
 	// ComponentCacheHits counts components answered from
@@ -363,10 +356,10 @@ func NewShared(layout *Solver) *Solver {
 // asserted on s are then treated as the goal-specific delta: the
 // solve starts from the base's fixed-point domain store and its
 // precompiled clauses instead of re-flattening, re-compiling and
-// re-propagating the core. Requires the bitset kernel
-// (Options.Heuristics or Options.Decompose) and unfolded mode; the
-// legacy paths ignore the base, so callers must assert the base
-// constraints themselves when they intend to solve without it.
+// re-propagating the core. Requires unfolded mode (the bitset kernel);
+// quantified mode refuses an attached base, so callers must assert the
+// base constraints themselves when they intend to solve without
+// unfolding.
 func (s *Solver) AttachBase(b *Base) { s.base = b }
 
 // NewVar declares a variable with the given (non-empty, deduplicated,
@@ -455,25 +448,22 @@ func (s *Solver) SolveContext(ctx context.Context, opts Options) (Model, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	if s.base != nil && !opts.kernel() {
-		// The legacy paths would silently ignore the base's constraints
+	if s.base != nil && !opts.Unfold {
+		// Quantified mode would silently ignore the base's constraints
 		// and return models violating them; refuse instead.
-		return nil, fmt.Errorf("solver: attached base requires the bitset kernel (Unfold with Heuristics or Decompose)")
+		return nil, fmt.Errorf("solver: attached base requires unfolded mode")
 	}
 	limit := opts.NodeLimit
 	if limit == 0 {
-		limit = 50_000_000
+		limit = defaultNodeLimit
 	}
 	var deadline time.Time
 	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
 	}
 	done := ctx.Done()
-	if opts.kernel() {
-		return s.solveKernel(done, limit, deadline, opts)
-	}
 	if opts.Unfold {
-		return s.solveUnfolded(done, limit, deadline)
+		return s.solveKernel(done, limit, deadline, opts)
 	}
 	return s.solveQuantified(done, limit, deadline)
 }

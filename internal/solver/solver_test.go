@@ -4,9 +4,36 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/sqltypes"
 )
+
+// solveList solves s with the list kernel. Unfold selects the bitset
+// kernel, so quantified mode's ground solver is reached here directly:
+// as the oracle of the kernel tests and to check its own behaviour.
+func solveList(s *Solver, opts Options) (Model, error) {
+	s.last = Stats{}
+	limit := opts.NodeLimit
+	if limit == 0 {
+		limit = defaultNodeLimit
+	}
+	var deadline time.Time
+	if opts.Timeout > 0 {
+		deadline = time.Now().Add(opts.Timeout)
+	}
+	return s.solveUnfolded(nil, limit, deadline)
+}
+
+// kernels are the two search kernels: the bitset kernel behind
+// Unfold and the list kernel behind quantified mode.
+var kernels = []struct {
+	name  string
+	solve func(*Solver, Options) (Model, error)
+}{
+	{"kernel", (*Solver).Solve},
+	{"list", solveList},
+}
 
 func solveBoth(t *testing.T, s *Solver) (Model, Model, error, error) {
 	t.Helper()
@@ -263,9 +290,11 @@ func TestValueOrderPreference(t *testing.T) {
 	// domains to prefer intuitive values).
 	s := New()
 	x := s.NewVar("x", dom(7, 1, 5))
-	m, err := s.Solve(Options{Unfold: true})
-	if err != nil || m[x] != 7 {
-		t.Errorf("m=%v err=%v, want x=7", m, err)
+	for _, kernel := range kernels {
+		m, err := kernel.solve(s, Options{Unfold: true})
+		if err != nil || m[x] != 7 {
+			t.Errorf("%s: m=%v err=%v, want x=7", kernel.name, m, err)
+		}
 	}
 }
 
@@ -401,7 +430,7 @@ func TestQuantifiedInstantiationRestarts(t *testing.T) {
 }
 
 // Determinism: repeated solves of the same problem yield the same model
-// (restart shuffling is seeded).
+// (restart shuffling is seeded), on both kernels.
 func TestSolveDeterministic(t *testing.T) {
 	build := func() (*Solver, []VarID) {
 		s := New()
@@ -414,19 +443,21 @@ func TestSolveDeterministic(t *testing.T) {
 		}
 		return s, vars
 	}
-	s1, _ := build()
-	m1, err := s1.Solve(Options{Unfold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := build()
-	m2, err := s2.Solve(Options{Unfold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("non-deterministic: %v vs %v", m1, m2)
+	for _, kernel := range kernels {
+		s1, _ := build()
+		m1, err := kernel.solve(s1, Options{Unfold: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, _ := build()
+		m2, err := kernel.solve(s2, Options{Unfold: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range m1 {
+			if m1[i] != m2[i] {
+				t.Fatalf("%s: non-deterministic: %v vs %v", kernel.name, m1, m2)
+			}
 		}
 	}
 }
@@ -448,15 +479,17 @@ func TestRestartEscapesThrash(t *testing.T) {
 		}
 	}
 	s.Assert(NewCmp(sqltypes.OpGE, V(vars[0]), C(13)))
-	m, err := s.Solve(Options{Unfold: true, NodeLimit: 5_000_000})
-	if err != nil {
-		t.Fatalf("err=%v (stats %+v)", err, s.LastStats())
-	}
-	seen := map[int64]bool{}
-	for _, v := range vars {
-		if seen[m[v]] {
-			t.Fatalf("all-different violated: %v", m)
+	for _, kernel := range kernels {
+		m, err := kernel.solve(s, Options{Unfold: true, NodeLimit: 5_000_000})
+		if err != nil {
+			t.Fatalf("%s: err=%v (stats %+v)", kernel.name, err, s.LastStats())
 		}
-		seen[m[v]] = true
+		seen := map[int64]bool{}
+		for _, v := range vars {
+			if seen[m[v]] {
+				t.Fatalf("%s: all-different violated: %v", kernel.name, m)
+			}
+			seen[m[v]] = true
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the bitset domain store used by the kernel search
-// path (Options.Heuristics / Options.Decompose) and the shared-core
+// path (unfolded mode) and the shared-core
 // Base: the original query's constraint system pre-flattened, compiled
 // and propagated to a fixed point exactly once, so that each of the
 // O(joins x operators) kill goals starts from the propagated store (one
@@ -126,8 +126,7 @@ func (b *Base) Unsat() bool { return b.unsat }
 
 // PrepareBase flattens, equality-preprocesses, compiles and propagates
 // the given constraints over layout's variable space, producing a Base
-// that kernel solves (Options.Heuristics/Decompose with unfolded mode)
-// start from. cons must be a subset of what the caller would otherwise
+// that kernel (unfolded-mode) solves start from. cons must be a subset of what the caller would otherwise
 // assert per goal; ncons (= len(cons)) keeps ProblemSize consistent
 // with the un-shared formulation.
 func PrepareBase(layout *Solver, cons []Con) *Base {

@@ -71,25 +71,18 @@ func suiteFingerprint(s *core.Suite) []string {
 	return out
 }
 
-// legacySolverPaths are the generator configurations that bypass the
-// bitset kernel: quantified mode (no unfolding, the paper's §VI-B
-// ablation) and the legacy list kernel behind the kernel's ablation
-// flags. Each solve on them runs a sequential restart ladder, so their
-// suites and node counts must not depend on the goal worker count
-// either.
-func legacySolverPaths() []struct {
-	name string
-	opts core.Options
-} {
-	quantified := core.DefaultOptions()
-	quantified.Unfold = false
-	listKernel := core.DefaultOptions()
-	listKernel.NoSolverHeuristics = true
-	listKernel.NoDecompose = true
-	return []struct {
-		name string
-		opts core.Options
-	}{{"quantified", quantified}, {"list-kernel", listKernel}}
+// outcomeSequence lists each kill goal's outcome in suite order: the
+// purpose of every dataset, then of every skip. Solver paths may pick
+// different witnesses, but must agree on this sequence.
+func outcomeSequence(s *core.Suite) []string {
+	var out []string
+	for _, ds := range s.Datasets {
+		out = append(out, "dataset:"+ds.Purpose)
+	}
+	for _, sk := range s.Skipped {
+		out = append(out, "skip:"+sk.Purpose)
+	}
+	return out
 }
 
 // generateSeqPar generates q under opts at Parallelism 1 and 8 and
@@ -133,7 +126,9 @@ func generateSeqPar(t *testing.T, q *qtree.Query, opts core.Options) (seq, par *
 // TestParallelGenerateDeterminism asserts that Generate() with
 // Parallelism=1 and Parallelism=8 produce identical Suite.Datasets,
 // Skipped, work counters, and kill matrices for the university bench
-// queries, on the default solver path and on each legacy one.
+// queries, on the default solver path and in quantified mode (the list
+// kernel's restart ladder), and that quantified mode reaches the
+// default's dataset/skip sequence (the list-kernel leg).
 func TestParallelGenerateDeterminism(t *testing.T) {
 	for _, tc := range benchQueriesUnderTest(t) {
 		tc := tc
@@ -163,9 +158,20 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 				t.Fatalf("kill matrices differ between sequential and parallel evaluation")
 			}
 
-			for _, lp := range legacySolverPaths() {
-				t.Run(lp.name, func(t *testing.T) { generateSeqPar(t, q, lp.opts) })
-			}
+			quantified := core.DefaultOptions()
+			quantified.Unfold = false
+			t.Run("quantified", func(t *testing.T) { generateSeqPar(t, q, quantified) })
+			// The list kernel is quantified mode's ground solver: its
+			// suite must reach the default kernel's outcome sequence.
+			t.Run("list-kernel", func(t *testing.T) {
+				qs, err := core.NewGenerator(q, quantified).Generate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := outcomeSequence(qs), outcomeSequence(seq); !reflect.DeepEqual(got, want) {
+					t.Fatalf("quantified outcomes differ from the default's:\n%v\nvs\n%v", got, want)
+				}
+			})
 		})
 	}
 }
