@@ -97,10 +97,6 @@ func run() int {
 	}
 	mopts := xdata.DefaultMutationOptions()
 	mopts.IncludeFullOuter = *fullOuter
-	ms, err := xdata.Mutants(q, mopts)
-	if err != nil {
-		fatal(err)
-	}
 	// The kill matrix over a partial suite still evaluates cleanly; it
 	// just reports a lower bound on kills. Use a fresh context so an
 	// expired -timeout doesn't suppress the partial report.
@@ -149,6 +145,7 @@ func run() int {
 	}
 
 	killFailure := false
+	ms := rep.Mutants
 	survivors := rep.Survivors()
 	if len(survivors) > 0 {
 		fmt.Printf("\nsurviving mutants: %d\n", len(survivors))

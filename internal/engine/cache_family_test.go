@@ -105,13 +105,14 @@ func TestFamilySizedSubtreeIndex(t *testing.T) {
 	check("after 200 randql shapes")
 }
 
-// TestResetReusesBatchBlocks pins Reset's block reuse: after one warm
-// pass of a family over a dataset, Reset and a re-run over the same
-// dataset carve no new join or filter batch block, and every plan's
-// result is unchanged. (The number of batches a pass builds depends on
-// the data, so the re-run uses the same dataset.) The families are
-// Table I's Q3, whose joins carve join batches, and a self-join with a
-// selection, whose leaves also carve filter batches.
+// TestResetReusesBatchBlocks pins Reset's storage reuse: after one
+// warm pass of a family over a dataset, Reset and a re-run over the same
+// dataset carve no new batch block, index-slab chunk or value-slab
+// chunk, and every plan's result is unchanged. (The number of batches a
+// pass builds depends on the data, so the re-run uses the same
+// dataset.) The families are Table I's Q3, whose joins carve index
+// vectors and whose shared batches materialize, and a self-join with a
+// selection, whose leaves also carve selection vectors.
 func TestResetReusesBatchBlocks(t *testing.T) {
 	for _, sql := range []string{
 		university.TableIQueries()[2].SQL,
@@ -123,17 +124,15 @@ func TestResetReusesBatchBlocks(t *testing.T) {
 		compiled := compileFamily(t, plans)
 		sc := engine.NewSharedCacheSized(len(compiled))
 		first := runAll(t, compiled, ds, sc)
-		j0, f0 := engine.CacheBlocks(sc)
-		if j0 == 0 {
-			t.Fatalf("%s: the warm pass carved no join block", sql)
-		}
-		if len(q.Selections()) > 0 && f0 == 0 {
-			t.Fatalf("%s: the warm pass carved no filter block", sql)
+		b0, i0, c0 := engine.CacheBlocks(sc)
+		if b0 == 0 || i0 == 0 || c0 == 0 {
+			t.Fatalf("%s: the warm pass carved %d batch blocks, %d index chunks, %d value chunks; want each > 0", sql, b0, i0, c0)
 		}
 		sc.Reset()
 		second := runAll(t, compiled, ds, sc)
-		if j1, f1 := engine.CacheBlocks(sc); j1 != j0 || f1 != f0 {
-			t.Errorf("%s: re-run after Reset grew the blocks from %d join, %d filter to %d, %d", sql, j0, f0, j1, f1)
+		if b1, i1, c1 := engine.CacheBlocks(sc); b1 != b0 || i1 != i0 || c1 != c0 {
+			t.Errorf("%s: re-run after Reset grew the storage from %d, %d, %d to %d, %d, %d (batch blocks, index chunks, value chunks)",
+				sql, b0, i0, c0, b1, i1, c1)
 		}
 		for i := range first {
 			if !first[i].Equal(second[i]) {

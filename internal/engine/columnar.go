@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/schema"
 	"repro/internal/sqltypes"
 )
@@ -16,12 +14,13 @@ import (
 // storage) until projection or aggregation consumes the root. On the
 // kill-matrix workload batches are tiny (the paper's datasets are 1-4
 // rows per table), so per-node materialization cost dominates
-// everything; the virtual representation makes a join node cost two
-// []int32 and a shared-cache hit cost zero allocation. Join output
-// order is deterministic — each left row in order with its matches in
-// right order (or its NULL padding), then the unmatched right rows —
-// and the same with or without a SharedCache, so a run's Result never
-// depends on its options.
+// everything; in the virtual representation a join node is two []int32,
+// carved with the batch itself from its SharedCache's reusable storage,
+// and a shared-cache hit costs nothing. Join output order is
+// deterministic — each left row in order with its matches in right
+// order (or its NULL padding), then the unmatched right rows — and the
+// same with or without a SharedCache, so a run's Result never depends
+// on its options.
 
 type batchKind uint8
 
@@ -55,6 +54,10 @@ type batch struct {
 	lw          int
 	lidx, ridx  []int32
 
+	// same chains the batches of one SharedCache whose content hashes
+	// are equal (see SharedCache.unify).
+	same *batch
+
 	// mat is the lazily materialized value matrix (column-major, cell
 	// (c, r) at index c*n+r), installed by materialize when the batch
 	// is first served from a SharedCache — i.e. exactly when a second
@@ -62,17 +65,18 @@ type batch struct {
 	// every mutant of the family that rebuilds a node above it, so
 	// flattening the virtual indirection once turns those thousands of
 	// chain walks into array reads. Batches with a single consumer
-	// never pay for it. The racy duplicate build under a concurrent
-	// evaluator is benign: both goroutines produce identical matrices.
-	mat atomic.Pointer[[]sqltypes.Value]
+	// never pay for it. The matrix is carved from the cache's value
+	// slab; a batch is confined to its cache's goroutine, so the field
+	// needs no synchronization.
+	mat []sqltypes.Value
 }
 
 // value reads cell (col, row), resolving virtual indirection. The
 // recursion depth is the plan's join depth; no allocation occurs.
 func (b *batch) value(col, row int) sqltypes.Value {
 	for {
-		if m := b.mat.Load(); m != nil {
-			return (*m)[col*b.n+row]
+		if b.mat != nil {
+			return b.mat[col*b.n+row]
 		}
 		switch b.kind {
 		case bLeaf:
@@ -105,20 +109,21 @@ func (b *batch) value(col, row int) sqltypes.Value {
 // bound caps cache memory).
 const matCells = 4096
 
-// materialize flattens the batch into a column-major value matrix if it
-// is small enough and not flattened yet.
-func (b *batch) materialize() {
+// materialize flattens the batch into a column-major value matrix
+// carved from sc's value slab, if it is non-empty, small enough and not
+// flattened yet.
+func (b *batch) materialize(sc *SharedCache) {
 	w := b.width()
-	if b.n*w > matCells || b.mat.Load() != nil {
+	if b.n == 0 || b.n*w > matCells || b.mat != nil {
 		return
 	}
-	flat := make([]sqltypes.Value, w*b.n)
+	flat := sc.cells.alloc(w * b.n)
 	for c := 0; c < w; c++ {
 		for r := 0; r < b.n; r++ {
 			flat[c*b.n+r] = b.value(c, r)
 		}
 	}
-	b.mat.Store(&flat)
+	b.mat = flat
 }
 
 // contentHash hashes the batch's structural content: kind, unified

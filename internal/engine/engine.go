@@ -152,11 +152,17 @@ func (r *Result) hashedMultiset() map[uint64]int {
 // ignored; arity and contents must match). Row contents are compared by
 // 64-bit FNV-1a hashes of their canonical encoding (see
 // sqltypes.Row.Hash); a false positive requires an FNV collision inside
-// one result pair, with probability ~2^-64 per comparison.
+// one result pair, with probability ~2^-64 per comparison. The
+// receiver's hash multiset is memoized; o's row hashes are collected
+// and sorted without building a second one (on the stack for up to 16
+// rows, so such a comparison allocates nothing once r's multiset
+// exists). o's memoized multiset, even if already built, is
+// deliberately not consulted: reading it outside its sync.Once would
+// race with a concurrent memoization.
 func (r *Result) Equal(o *Result) bool {
 	if r == o {
-		// The kill-matrix evaluator's result memo serves one shared
-		// *Result for provably identical executions.
+		// The whole-result memo serves one shared *Result for provably
+		// identical executions.
 		return true
 	}
 	if len(r.Rows) != len(o.Rows) {
@@ -165,63 +171,35 @@ func (r *Result) Equal(o *Result) bool {
 	if len(r.Rows) == 0 {
 		return true
 	}
-	// Arity check before building either multiset: mutants that change
-	// the output width are decided without hashing a single row.
+	// Arity check before hashing: mutants that change the output width
+	// are decided without hashing a single row.
 	if len(r.Rows[0]) != len(o.Rows[0]) {
 		return false
 	}
-	// Small other side: compare its row hashes against the memoized
-	// multiset directly, without building (or memoizing) a second map.
-	// This is the kill-matrix shape — the original's result is compared
-	// against every mutant of the space, but each mutant's result is
-	// compared exactly once — and it makes the comparison
-	// allocation-free (the hash scratch stays on the stack). Quadratic
-	// in len(o.Rows), bounded by 16. o's memoized map, even if already
-	// built, is deliberately not consulted: reading it outside its
-	// sync.Once would race with a concurrent memoization.
-	if n := len(o.Rows); n <= 16 {
-		var buf [16]uint64
-		hs := buf[:n]
-		for i, row := range o.Rows {
-			hs[i] = row.Hash()
-		}
-		a := r.hashedMultiset()
-		distinct := 0
-		for i := 0; i < n; i++ {
-			h := hs[i]
-			dup := false
-			for j := 0; j < i; j++ {
-				if hs[j] == h {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			c := 1
-			for j := i + 1; j < n; j++ {
-				if hs[j] == h {
-					c++
-				}
-			}
-			distinct++
-			if a[h] != c {
-				return false
-			}
-		}
-		// Counts match on o's support and total row counts are equal,
-		// so the multisets are equal iff their supports have equal size.
-		return distinct == len(a)
+	var buf [16]uint64
+	hs := buf[:0]
+	for _, row := range o.Rows {
+		hs = append(hs, row.Hash())
 	}
-	a, b := r.hashedMultiset(), o.hashedMultiset()
-	if len(a) != len(b) {
-		return false
-	}
-	for k, n := range a {
-		if b[k] != n {
+	return hashesMatch(hs, r.hashedMultiset())
+}
+
+// hashesMatch reports whether the row hashes hs, which it sorts in
+// place, form exactly the multiset m, given that len(hs) equals m's
+// total count. After sorting, equal hashes are adjacent, and each run's
+// length must equal m's count for its hash; counts that match on hs's
+// support already account for all of m's total, so m has no other key.
+func hashesMatch(hs []uint64, m map[uint64]int) bool {
+	slices.Sort(hs)
+	for i := 0; i < len(hs); {
+		j := i + 1
+		for j < len(hs) && hs[j] == hs[i] {
+			j++
+		}
+		if m[hs[i]] != j-i {
 			return false
 		}
+		i = j
 	}
 	return true
 }
@@ -288,6 +266,11 @@ type output struct {
 	// unresolved attributes — flattened for projectB's fast path. nil
 	// when any column needs the general loop.
 	simpleProj []int
+
+	// plain marks a projection with no aggregation, no DISTINCT and no
+	// retained subquery: DiffersFrom decides it without building a
+	// Result.
+	plain bool
 
 	// colNames is the output header, rendered once at compile time and
 	// shared (read-only) by every Result the plan builds.
@@ -720,6 +703,7 @@ func (m *compileMemo) output(p *Plan, root *cnode) *output {
 			}
 		}
 		o.simpleProj = simple
+		o.plain = !p.Query.Distinct && len(p.Subs) == 0
 	}
 	var buf [256]byte
 	o.projID = intern(p.appendSignature(buf[:0], o))
@@ -953,8 +937,8 @@ func (s predSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // RunOptions configures one plan run.
 type RunOptions struct {
-	// Cache shares node batches and whole results across plans of one
-	// mutant family on one dataset. Nil disables sharing. A cache must
+	// Cache shares node batches, whole results and verdicts across
+	// plans of one mutant family on one dataset. Nil disables sharing. A cache must
 	// be confined to one goroutine at a time: callers that parallelize
 	// partition their work per dataset.
 	Cache *SharedCache
@@ -975,39 +959,93 @@ func (p *Plan) RunOpts(ds *schema.Dataset, opt RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt.Stats.addCompiledRun()
-	if opt.Cache != nil {
-		opt.Cache.bind(cp.fam)
-	}
 	env := &execEnv{ds: ds, cache: opt.Cache, stats: opt.Stats}
 	defer env.flush()
-	var b *batch
-	if cp.empty {
-		b = &batch{n: 0, kind: bLeaf, cols: make([]schema.Column, cp.root.width)}
-	} else {
-		b = cp.root.runB(env)
-	}
+	b := env.root(cp)
 	// Whole-result memo: with a cache in place the root batch carries a
 	// content id, and (projection, root content) determines the result
 	// exactly — serve the previously projected Result, which also lets
 	// the caller's equivalence check collapse to a pointer comparison.
 	if sc := opt.Cache; sc != nil && b.id != 0 {
 		k := resKey{proj: cp.projID, root: b.id}
-		if r, ok := sc.results[k]; ok {
+		if e, _ := sc.results.get(k); e.res != nil {
 			env.resultHits++
-			return r, nil
+			return e.res, nil
 		}
 		r, err := p.finishB(cp, b, ds)
 		if err == nil {
-			if sc.results == nil {
-				sc.results = make(map[resKey]*Result, 64)
-			}
-			sc.results[k] = r
+			sc.results.put(k, resEntry{res: r})
 		}
 		return r, err
 	}
 	return p.finishB(cp, b, ds)
 }
+
+// DiffersFrom reports whether the plan's result on ds differs from want
+// as a multiset of rows: exactly !want.Equal(r) for the Result r that
+// RunOpts would return, with the same counters. A plain projection (no
+// aggregation, no DISTINCT, no retained subquery) never builds r: each
+// output row is hashed straight from the root batch as Row.Hash would
+// hash it, and the hashes are compared with want's memoized multiset.
+// Other shapes build r and call Equal.
+//
+// With a cache, the whole-result memo records the verdict under
+// (projection, root content), so a later plan with the same key against
+// the same want is decided by one lookup; a Result that RunOpts
+// memoized under the key decides it by Equal.
+func (p *Plan) DiffersFrom(ds *schema.Dataset, want *Result, opt RunOptions) (bool, error) {
+	cp, err := p.compile()
+	if err != nil {
+		return false, err
+	}
+	env := &execEnv{ds: ds, cache: opt.Cache, stats: opt.Stats}
+	defer env.flush()
+	b := env.root(cp)
+	sc := opt.Cache
+	memo := sc != nil && b.id != 0
+	k := resKey{proj: cp.projID, root: b.id}
+	if memo {
+		if e, ok := sc.results.get(k); ok && (e.res != nil || e.want == want) {
+			env.resultHits++
+			if e.res != nil {
+				return !want.Equal(e.res), nil
+			}
+			return e.differs, nil
+		}
+	}
+	var differs bool
+	if cp.plain {
+		differs = cp.projectionDiffers(b, want, sc)
+	} else {
+		r, err := p.finishB(cp, b, ds)
+		if err != nil {
+			return false, err
+		}
+		differs = !want.Equal(r)
+	}
+	if memo {
+		sc.results.put(k, resEntry{want: want, differs: differs})
+	}
+	return differs, nil
+}
+
+// root counts the run, binds the cache to the plan's family and returns
+// the plan's root batch.
+func (env *execEnv) root(cp *compiledPlan) *batch {
+	env.stats.addCompiledRun()
+	if env.cache != nil {
+		env.cache.bind(cp.fam)
+	}
+	if cp.empty {
+		return &emptyBatch
+	}
+	return cp.root.runB(env)
+}
+
+// emptyBatch is the root batch of a plan whose constant conjunct fails:
+// no rows, and no content id, so it is never cached, materialized or
+// written.
+var emptyBatch = batch{kind: bLeaf}
 
 // finishB turns the root batch into the plan's Result: retained
 // subqueries select root rows, then projection or aggregation reads the
@@ -1101,11 +1139,14 @@ func naturalPairs(n *qtree.Node) [][2]qtree.AttrRef {
 	return out
 }
 
-// projectB projects a columnar root batch: output values are read
-// straight from the batch columns, so full-width intermediate rows are
-// never built. All output rows share one flat backing array and the
-// precompiled header, and small results carve the Result and row
-// headers out of one allocation, so a run costs two allocations
+// projectB projects a columnar root batch into a Result. It serves
+// Run and RunOpts (the kill matrix's original query among them) and the
+// verdicts of the shapes DiffersFrom does not stream: DISTINCT
+// projections and projections under retained subqueries. Output values
+// are read straight from the batch columns, so full-width intermediate
+// rows are never built. All output rows share one flat backing array
+// and the precompiled header, and small results carve the Result and
+// row headers out of one allocation, so a run costs two allocations
 // regardless of row count.
 func (p *Plan) projectB(cp *compiledPlan, b *batch) (*Result, error) {
 	n, w := b.n, len(cp.projIdx)
@@ -1121,38 +1162,84 @@ func (p *Plan) projectB(cp *compiledPlan, b *batch) (*Result, error) {
 		rows = make([]sqltypes.Row, n)
 	}
 	flat := make(sqltypes.Row, n*w)
-	if cp.simpleProj != nil {
-		for ri := 0; ri < n; ri++ {
-			out := flat[ri*w : (ri+1)*w : (ri+1)*w]
+	for ri := 0; ri < n; ri++ {
+		out := flat[ri*w : (ri+1)*w : (ri+1)*w]
+		if cp.simpleProj != nil {
 			for i, ci := range cp.simpleProj {
 				out[i] = b.value(ci, ri)
 			}
-			rows[ri] = out
-		}
-	} else {
-		for ri := 0; ri < n; ri++ {
-			out := flat[ri*w : (ri+1)*w : (ri+1)*w]
-			for i, idx := range cp.projIdx {
-				v := sqltypes.Null()
-				for j, ci := range idx {
-					if ci < 0 {
-						panic(fmt.Sprintf("engine: attribute %s not in scope", cp.proj[i].attrs[j]))
-					}
-					if cv := b.value(ci, ri); !cv.IsNull() {
-						v = cv
-						break
-					}
-				}
-				out[i] = v
+		} else {
+			for i := range out {
+				out[i] = cp.coalesce(b, i, ri)
 			}
-			rows[ri] = out
 		}
+		rows[ri] = out
 	}
 	res.Rows = rows
 	if p.Query.Distinct {
 		res.Rows = dedupRows(res.Rows)
 	}
 	return res, nil
+}
+
+// coalesce returns output column i of root row ri: the first non-NULL
+// value among its coalesce attributes, or NULL. An attribute missing
+// from the root layout faults here, when a row first reaches it.
+func (o *output) coalesce(b *batch, i, ri int) sqltypes.Value {
+	for j, ci := range o.projIdx[i] {
+		if ci < 0 {
+			panic(fmt.Sprintf("engine: attribute %s not in scope", o.proj[i].attrs[j]))
+		}
+		if v := b.value(ci, ri); !v.IsNull() {
+			return v
+		}
+	}
+	return sqltypes.Null()
+}
+
+// rowHash returns Row.Hash of the projected root row ri without
+// building the row.
+func (o *output) rowHash(b *batch, ri int) uint64 {
+	h := sqltypes.HashSeed
+	if o.simpleProj != nil {
+		for _, ci := range o.simpleProj {
+			h = sqltypes.HashValue(h, b.value(ci, ri))
+		}
+		return h
+	}
+	for i := range o.projIdx {
+		h = sqltypes.HashValue(h, o.coalesce(b, i, ri))
+	}
+	return h
+}
+
+// projectionDiffers decides a plain projection's verdict against want
+// by the rules of Result.Equal: row count, then arity, then the
+// multiset of row hashes. A simple projection cannot fault, so it is
+// decided on row count before a row is hashed; a coalescing one hashes
+// every row first, so it faults exactly where projectB would.
+func (o *output) projectionDiffers(b *batch, want *Result, sc *SharedCache) bool {
+	n := b.n
+	if o.simpleProj != nil && n != len(want.Rows) {
+		return true
+	}
+	var buf [16]uint64
+	hs := buf[:0]
+	if n > len(buf) {
+		hs = sc.hashScratch(n)
+	}
+	for ri := 0; ri < n; ri++ {
+		hs = append(hs, o.rowHash(b, ri))
+	}
+	switch {
+	case n != len(want.Rows):
+		return true
+	case n == 0:
+		return false
+	case len(want.Rows[0]) != len(o.projIdx):
+		return true
+	}
+	return !hashesMatch(hs, want.hashedMultiset())
 }
 
 // resultAlloc bundles a Result with inline storage for a small row

@@ -17,7 +17,7 @@ type ExecStats struct {
 	SmallJoins       atomic.Int64 // join nodes with equi-pairs
 	NestedLoopJoins  atomic.Int64 // join nodes without equi-pairs
 	FamilyPrefixHits atomic.Int64 // node batches served from a SharedCache
-	ResultMemoHits   atomic.Int64 // whole plan results served from a SharedCache
+	ResultMemoHits   atomic.Int64 // whole results or verdicts served from a SharedCache
 }
 
 func (s *ExecStats) addCompiledRun() {
@@ -89,8 +89,8 @@ func (c *ExecCounts) Add(o ExecCounts) {
 	c.ResultMemoHits += o.ResultMemoHits
 }
 
-// SharedCache memoizes node batches and whole results across the plans
-// of one mutant family evaluated against one dataset.
+// SharedCache memoizes node batches and whole-result verdicts across the
+// plans of one mutant family evaluated against one dataset.
 //
 // Nodes are keyed by (local operation, child batch identities) rather
 // than by full subtree signature. Every distinct batch the cache has
@@ -105,12 +105,13 @@ func (c *ExecCounts) Add(o ExecCounts) {
 //     very same rows as the original on this dataset (the defining
 //     property of a mutant that survives the dataset), its batch
 //     unifies with the original's, every ancestor lookup hits, and the
-//     final projected Result is served from the result memo — the
-//     equivalence check collapses to a pointer comparison.
+//     whole-result memo serves the original's Result (or a recorded
+//     verdict) without projecting or comparing anything.
 //
 // A cache is valid for a single dataset and must be confined to one
 // goroutine at a time; the kill-matrix evaluator partitions its workers
-// by dataset, so each cache has exactly one owner.
+// by dataset, so each cache has exactly one owner, and so has every
+// batch it hands out.
 type SharedCache struct {
 	leaves map[string]*batch // base table scans by relation name
 	// subs resolves whole-subtree slots to evaluations. Slots number
@@ -118,21 +119,31 @@ type SharedCache struct {
 	// is a flat slice of the family's size — the hottest lookup in the
 	// executor (one per plan node per run) costs an array load instead
 	// of a map probe. fam is the family the index is bound to.
-	subs    []*nodeVal
-	fam     *family
-	nodes   map[nodeKey]*nodeVal
-	ids     map[uint64][]*batch // content hash -> unified batches
-	results map[resKey]*Result
+	subs  []*nodeVal
+	fam   *family
+	nodes index[nodeKey, *nodeVal]
+	// ids maps a content hash to the unified batches with that hash,
+	// chained through batch.same.
+	ids     index[contentKey, *batch]
+	results index[resKey, resEntry]
 	nextID  int32
-	// vals, joins and filters block-allocate node values and the join
-	// and selection batches, which live exactly as long as the cache's
-	// current contents: one allocation per slabBlock values. Reset
-	// hands the same slots out again, so a worker that resets one cache
-	// per dataset stops allocating them once it has seen its largest
-	// dataset.
+	// Everything a run carves out lives exactly as long as the cache's
+	// current contents: node values and batches come from block arenas,
+	// index vectors and materialized value matrices from slabs. Reset
+	// rewinds all four and hands the same storage out again, so a
+	// worker that resets one cache per dataset stops allocating once it
+	// has seen its largest family and dataset.
 	vals    arena[nodeVal]
-	joins   arena[joinBatch]
-	filters arena[filterBatch]
+	batches arena[batch]
+	ints    slab[int32]
+	cells   slab[sqltypes.Value]
+	// Scratch reused by consecutive builds: the index vectors a join or
+	// selection collects before keeping a copy in the slab, the
+	// right-match bitmap of an outer join, and the row hashes of a
+	// streamed verdict.
+	scr     [2][]int32
+	matched []bool
+	hashes  []uint64
 }
 
 const slabBlock = 64
@@ -155,6 +166,37 @@ func (a *arena[T]) next() *T {
 	a.n++
 	return v
 }
+
+// slab hands out slices carved from chunks that are reused after a
+// reset: the same sequence of requests gets the same storage back. The
+// first chunk holds 64 elements and each later one twice its
+// predecessor, up to 4096; a longer request gets a chunk of its own
+// length. A carved slice keeps the chunk's old contents; callers
+// overwrite every element.
+type slab[T any] struct {
+	chunks [][]T
+	ci     int // chunk being carved
+	off    int // elements carved from chunks[ci]
+}
+
+func (s *slab[T]) alloc(n int) []T {
+	for ; s.ci < len(s.chunks); s.ci, s.off = s.ci+1, 0 {
+		if c := s.chunks[s.ci]; s.off+n <= len(c) {
+			s.off += n
+			return c[s.off-n : s.off : s.off]
+		}
+	}
+	size := 64
+	if k := len(s.chunks); k > 0 {
+		size = min(2*len(s.chunks[k-1]), 4096)
+	}
+	c := make([]T, max(n, size))
+	s.chunks = append(s.chunks, c)
+	s.off = n
+	return c[:n:n]
+}
+
+func (s *slab[T]) reset() { s.ci, s.off = 0, 0 }
 
 // nodeKey identifies one node evaluation: the compile-time-interned
 // local operation (relation + selections for leaves; join type, pairs
@@ -179,6 +221,14 @@ type resKey struct {
 	root int32
 }
 
+// resEntry is the whole-result memo's record of one execution: the
+// Result a Run built, or the verdict a DiffersFrom reached against want.
+type resEntry struct {
+	res     *Result
+	want    *Result
+	differs bool
+}
+
 // NewSharedCache returns an empty cache, pre-sized for a typical mutant
 // family's worth of distinct nodes.
 func NewSharedCache() *SharedCache {
@@ -188,16 +238,17 @@ func NewSharedCache() *SharedCache {
 // NewSharedCacheSized returns an empty cache pre-sized for roughly n
 // distinct node evaluations. Callers that know the family size (the
 // kill-matrix evaluator dedups plans before running) pass it here so
-// the cache's maps never rehash mid-evaluation; n <= 0 selects the
+// the cache's indexes rarely grow mid-evaluation; n <= 0 selects the
 // defaults. The subtree index is sized by the first plan's family.
 func NewSharedCacheSized(n int) *SharedCache {
 	if n < 128 {
 		n = 128
 	}
 	return &SharedCache{
-		leaves: make(map[string]*batch, 8),
-		nodes:  make(map[nodeKey]*nodeVal, n),
-		ids:    make(map[uint64][]*batch, n),
+		leaves:  make(map[string]*batch, 8),
+		nodes:   newIndex[nodeKey, *nodeVal](n),
+		ids:     newIndex[contentKey, *batch](n),
+		results: newIndex[resKey, resEntry](n / 2),
 	}
 }
 
@@ -219,51 +270,94 @@ func (sc *SharedCache) bind(f *family) {
 }
 
 // Reset empties the cache for reuse with a different dataset. It keeps
-// the map storage, the subtree index and its family binding, and the
-// value and batch blocks, whose slots it hands out again; so a worker
-// that resets one cache per dataset stops allocating once it has seen
-// its largest family and dataset. Reset must only be called between
-// evaluations, never while batches served from the cache are still in
-// use.
+// the indexes' storage, the subtree index and its family binding, the
+// value and batch blocks and the index-vector and matrix slabs, and
+// hands their storage out again; so a worker that resets one cache per
+// dataset stops allocating once it has seen its largest family and
+// dataset. Reset must only be called between evaluations, never while a
+// batch served from the cache is still in use: a reused slot or slab
+// chunk is overwritten. Results are never carved from the cache, so a
+// Result a run returned stays valid.
 func (sc *SharedCache) Reset() {
 	clear(sc.leaves)
 	clear(sc.subs)
-	clear(sc.nodes)
-	clear(sc.ids)
-	clear(sc.results)
+	sc.nodes.reset()
+	sc.ids.reset()
+	sc.results.reset()
 	sc.nextID = 0
-	sc.vals.n, sc.joins.n, sc.filters.n = 0, 0, 0
+	sc.vals.n, sc.batches.n = 0, 0
+	sc.ints.reset()
+	sc.cells.reset()
 }
 
-// newJoinBatch carves a join batch out of the cache's blocks, with its
-// content id, materialized matrix and right-match bitmap zeroed; a nil
-// cache (the cache-less build path) heap-allocates.
-func (sc *SharedCache) newJoinBatch() *joinBatch {
+// newBatch carves a zeroed batch out of the cache's blocks; a nil cache
+// (the cache-less build path) heap-allocates.
+func (sc *SharedCache) newBatch() *batch {
 	if sc == nil {
-		return &joinBatch{}
+		return &batch{}
 	}
-	jb := sc.joins.next()
-	jb.b.id = 0
-	jb.b.mat.Store(nil)
-	jb.matched = [len(jb.matched)]bool{}
-	return jb
-}
-
-// newFilterBatch is newJoinBatch for selection batches.
-func (sc *SharedCache) newFilterBatch() *filterBatch {
-	if sc == nil {
-		return &filterBatch{}
-	}
-	fb := sc.filters.next()
-	fb.b.id = 0
-	fb.b.mat.Store(nil)
-	return fb
+	b := sc.batches.next()
+	*b = batch{}
+	return b
 }
 
 func (sc *SharedCache) newVal() *nodeVal {
 	v := sc.vals.next()
 	*v = nodeVal{}
 	return v
+}
+
+// scratch returns the cache's reusable index vector i (0 or 1),
+// emptied, for a join or selection to collect into; without a cache, a
+// fresh vector with room for n entries. The caller hands the grown
+// vector back through keepScratch.
+func (sc *SharedCache) scratch(i, n int) []int32 {
+	if sc == nil {
+		return make([]int32, 0, n)
+	}
+	return sc.scr[i][:0]
+}
+
+// keepScratch stores the grown scratch vector i for the next build.
+func (sc *SharedCache) keepScratch(i int, v []int32) {
+	if sc != nil {
+		sc.scr[i] = v
+	}
+}
+
+// keepInts returns a copy of v carved from the index slab; without a
+// cache, v itself.
+func (sc *SharedCache) keepInts(v []int32) []int32 {
+	if sc == nil {
+		return v
+	}
+	out := sc.ints.alloc(len(v))
+	copy(out, v)
+	return out
+}
+
+// matchedScratch returns a cleared right-match bitmap of n entries.
+func (sc *SharedCache) matchedScratch(n int) []bool {
+	if sc == nil {
+		return make([]bool, n)
+	}
+	if cap(sc.matched) < n {
+		sc.matched = make([]bool, n)
+	}
+	m := sc.matched[:n]
+	clear(m)
+	return m
+}
+
+// hashScratch returns an empty row-hash vector with room for n hashes.
+func (sc *SharedCache) hashScratch(n int) []uint64 {
+	if sc == nil {
+		return make([]uint64, 0, n)
+	}
+	if cap(sc.hashes) < n {
+		sc.hashes = make([]uint64, 0, n)
+	}
+	return sc.hashes[:0]
 }
 
 // unify assigns b a content id, returning an existing batch instead if
@@ -277,15 +371,17 @@ func (sc *SharedCache) unify(b *batch) *batch {
 		// its input batch unchanged).
 		return b
 	}
-	h := b.contentHash()
-	for _, b0 := range sc.ids[h] {
+	h := contentKey(b.contentHash())
+	head, _ := sc.ids.get(h)
+	for b0 := head; b0 != nil; b0 = b0.same {
 		if b0.contentEqual(b) {
 			return b0
 		}
 	}
 	sc.nextID++
 	b.id = sc.nextID
-	sc.ids[h] = append(sc.ids[h], b)
+	b.same = head
+	sc.ids.put(h, b)
 	return b
 }
 
@@ -302,7 +398,7 @@ func (v *nodeVal) serve(env *execEnv) *batch {
 		// virtual indirection once; later consumers read plain vectors
 		// instead of walking the batch chain. Batches served once or
 		// twice never pay for it.
-		v.b.materialize()
+		v.b.materialize(env.cache)
 	}
 	return v.b
 }
@@ -320,11 +416,11 @@ func (sc *SharedCache) nodeFor(c *cnode, env *execEnv, lb, rb *batch) (*nodeVal,
 	} else {
 		k = nodeKey{op: c.opID, l: lb.id, r: rb.id}
 	}
-	if v, ok := sc.nodes[k]; ok {
+	if v, ok := sc.nodes.get(k); ok {
 		return v, true
 	}
 	v := sc.newVal()
-	sc.nodes[k] = v
+	sc.nodes.put(k, v)
 	defer func() {
 		if r := recover(); r != nil {
 			v.pval = r
@@ -429,7 +525,8 @@ func (c *cnode) leafBaseB(env *execEnv) *batch {
 			return b
 		}
 		ct := env.ds.ColumnarTable(c.relName, c.width)
-		b := &batch{n: ct.NRows, kind: bLeaf, cols: ct.Cols}
+		b := sc.newBatch()
+		b.n, b.kind, b.cols = ct.NRows, bLeaf, ct.Cols
 		sc.nextID++
 		b.id = sc.nextID
 		env.batches++
@@ -449,13 +546,8 @@ func (c *cnode) buildLeafB(env *execEnv) *batch {
 	if len(c.sels) == 0 {
 		return src
 	}
-	fb := env.cache.newFilterBatch()
-	var idx []int32
-	if src.n <= len(fb.buf) {
-		idx = fb.buf[:0:src.n]
-	} else {
-		idx = make([]int32, 0, src.n)
-	}
+	sc := env.cache
+	idx := sc.scratch(0, src.n)
 	for i := 0; i < src.n; i++ {
 		keep := true
 		for si := range c.sels {
@@ -468,23 +560,17 @@ func (c *cnode) buildLeafB(env *execEnv) *batch {
 			idx = append(idx, int32(i))
 		}
 	}
+	sc.keepScratch(0, idx)
 	if len(idx) == src.n {
 		return src
 	}
 	env.batches++
-	fb.b.n = len(idx)
-	fb.b.kind = bFilter
-	fb.b.src = src
-	fb.b.idx = idx
-	return &fb.b
-}
-
-// filterBatch bundles a selection's output batch with inline storage
-// for its index vector, so a small filtered leaf needs nothing beyond
-// its block slot.
-type filterBatch struct {
-	b   batch
-	buf [8]int32
+	b := sc.newBatch()
+	b.n = len(idx)
+	b.kind = bFilter
+	b.src = src
+	b.idx = sc.keepInts(idx)
+	return b
 }
 
 // joinB joins two child batches into a virtual pair batch: each left
@@ -511,28 +597,14 @@ func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 	leftPad := c.jt == sqlparser.LeftOuterJoin || c.jt == sqlparser.FullOuterJoin
 	rightPad := c.jt == sqlparser.RightOuterJoin || c.jt == sqlparser.FullOuterJoin
 
-	// The output batch, its index vectors, and the right-match bitmap
-	// come out of one block slot when the inputs are small (the common
-	// case: the paper's tables are 1-4 rows). One backing array serves
-	// both index vectors; if an append outgrows its half, that slice
-	// moves to fresh storage and the other is untouched.
-	jb := env.cache.newJoinBatch()
-	var lidx, ridx []int32
-	if 2*lb.n <= len(jb.buf) {
-		lidx = jb.buf[:0:lb.n]
-		ridx = jb.buf[lb.n : lb.n : 2*lb.n]
-	} else {
-		buf := make([]int32, 2*lb.n)
-		lidx = buf[:0:lb.n]
-		ridx = buf[lb.n : lb.n : 2*lb.n]
-	}
+	// The pairs collect in the cache's scratch vectors, and the finished
+	// vectors are copied into its index slab: a warm cache builds a join
+	// without allocating, however many pairs match.
+	sc := env.cache
+	lidx, ridx := sc.scratch(0, lb.n), sc.scratch(1, lb.n)
 	var rightMatched []bool
 	if rightPad {
-		if rb.n <= len(jb.matched) {
-			rightMatched = jb.matched[:rb.n]
-		} else {
-			rightMatched = make([]bool, rb.n)
-		}
+		rightMatched = sc.matchedScratch(rb.n)
 	}
 	if len(c.pairs) > 0 {
 		env.smallJoins++
@@ -564,23 +636,16 @@ func (c *cnode) joinB(env *execEnv, lb, rb *batch) *batch {
 			}
 		}
 	}
+	sc.keepScratch(0, lidx)
+	sc.keepScratch(1, ridx)
 	env.batches++
-	jb.b.n = len(lidx)
-	jb.b.kind = bJoin
-	jb.b.left = lb
-	jb.b.right = rb
-	jb.b.lw = lw
-	jb.b.lidx = lidx
-	jb.b.ridx = ridx
-	return &jb.b
-}
-
-// joinBatch bundles a join's output batch with inline storage for its
-// index vectors and right-match bitmap, so a small join needs nothing
-// beyond its block slot. The batch field is populated member-wise (it
-// embeds an atomic.Pointer and must not be copied).
-type joinBatch struct {
-	b       batch
-	buf     [24]int32
-	matched [8]bool
+	b := sc.newBatch()
+	b.n = len(lidx)
+	b.kind = bJoin
+	b.left = lb
+	b.right = rb
+	b.lw = lw
+	b.lidx = sc.keepInts(lidx)
+	b.ridx = sc.keepInts(ridx)
+	return b
 }

@@ -344,3 +344,57 @@ func TestEqualAllocFree(t *testing.T) {
 		t.Errorf("Result.Equal allocated %.1f objects per comparison, want 0", allocs)
 	}
 }
+
+// TestIndexGrowResetWrap pins the cache's index: every key put is found
+// with its last value across growth, a reset empties it without giving
+// up its slots, a run no larger than the last does not grow it, and the
+// generation stamp wrapping to zero clears the stale slots instead of
+// reviving them.
+func TestIndexGrowResetWrap(t *testing.T) {
+	var ix index[nodeKey, int]
+	fill := func(n int, base int) {
+		for i := 0; i < n; i++ {
+			ix.put(nodeKey{op: int32(i), l: int32(i % 7), r: -1}, base+i)
+		}
+	}
+	check := func(n int, base int) {
+		t.Helper()
+		if ix.n != n {
+			t.Fatalf("%d live entries, want %d", ix.n, n)
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := ix.get(nodeKey{op: int32(i), l: int32(i % 7), r: -1}); !ok || v != base+i {
+				t.Fatalf("key %d: got %d, %v; want %d", i, v, ok, base+i)
+			}
+		}
+		if _, ok := ix.get(nodeKey{op: int32(n), l: int32(n % 7), r: -1}); ok {
+			t.Fatalf("key %d found, never put since the last reset", n)
+		}
+	}
+	fill(3000, 0)
+	fill(3000, 10) // overwrites
+	check(3000, 10)
+	slots := len(ix.slots)
+	ix.reset()
+	check(0, 0)
+	fill(3000, 20)
+	check(3000, 20)
+	if len(ix.slots) != slots {
+		t.Errorf("a run as large as the last grew the index from %d to %d slots", slots, len(ix.slots))
+	}
+	// Stamp the live slots with generation 1, long past, and move the
+	// index to the last generation: the next reset wraps to 1 again.
+	for i := range ix.slots {
+		if ix.slots[i].gen == ix.gen {
+			ix.slots[i].gen = 1
+		}
+	}
+	ix.gen = ^uint32(0)
+	ix.reset()
+	if ix.gen != 1 {
+		t.Fatalf("generation %d after wrapping, want 1", ix.gen)
+	}
+	check(0, 0)
+	fill(100, 30)
+	check(100, 30)
+}

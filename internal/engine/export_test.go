@@ -84,10 +84,10 @@ func FamilySlots(p *Plan) (int, error) {
 // SubIndexLen returns the length of the cache's subtree index.
 func SubIndexLen(sc *SharedCache) int { return len(sc.subs) }
 
-// CacheBlocks returns how many join and filter batch blocks the cache
-// has allocated.
-func CacheBlocks(sc *SharedCache) (join, filter int) {
-	return len(sc.joins.blocks), len(sc.filters.blocks)
+// CacheBlocks returns how many batch blocks, index-slab chunks and
+// value-slab chunks the cache has allocated.
+func CacheBlocks(sc *SharedCache) (batches, ints, cells int) {
+	return len(sc.batches.blocks), len(sc.ints.chunks), len(sc.cells.chunks)
 }
 
 func info(p *Plan, cp *compiledPlan) CompiledInfo {

@@ -83,10 +83,16 @@ func EvaluateContext(ctx context.Context, q *qtree.Query, mutants []*Mutant, dat
 // outer-join symmetry; projection and aggregation depend only on the
 // query, the predicate list and the aggregate list).
 func planSignature(p *engine.Plan) string {
-	var sb strings.Builder
-	if p.Tree != nil {
-		sb.WriteString(Canon(p.Tree))
+	if p.Tree == nil {
+		return componentSignature(p)
 	}
+	return Canon(p.Tree) + componentSignature(p)
+}
+
+// componentSignature renders the part of planSignature after the tree:
+// the predicates, aggregates, retained subqueries and HAVING conjuncts.
+func componentSignature(p *engine.Plan) string {
+	var sb strings.Builder
 	for _, pr := range p.Preds {
 		sb.WriteByte('|')
 		sb.WriteString(pr.String())
@@ -107,12 +113,13 @@ func planSignature(p *engine.Plan) string {
 }
 
 // EvaluateOpts is Evaluate with explicit options. The evaluation is a
-// parallel pipeline over (unique plan, dataset) cells:
+// parallel pipeline over datasets, each running every unique plan:
 //
-//   - the original query's result is computed once per dataset (lazily,
-//     guarded by sync.Once) and shared by every cell of that dataset —
-//     its multiset is memoized inside engine.Result, so each comparison
-//     is a map walk, not a rebuild;
+//   - the original query's result is computed once per dataset, first,
+//     and every cell of that dataset is decided against it by
+//     engine.Plan.DiffersFrom: a plain projection hashes its rows
+//     straight from its root batch and compares them with the
+//     original's memoized row multiset, so no mutant result is built;
 //   - mutant plans are deduplicated by plan signature before any cell
 //     runs: distinct join orders frequently compile to the same
 //     canonical tree (e.g. the written tree's mutant re-derived from a
@@ -126,17 +133,27 @@ func EvaluateOpts(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset,
 	return evaluate(context.Background(), q, mutants, datasets, opts)
 }
 
-func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
-	rep := &Report{Query: q, Mutants: mutants, Datasets: datasets, Killed: make([][]bool, len(mutants))}
-	for i := range rep.Killed {
-		rep.Killed[i] = make([]bool, len(datasets))
-	}
-	if len(mutants) == 0 || len(datasets) == 0 {
-		return rep, nil
-	}
+// evaluator is one kill-matrix evaluation over compiled plans: the
+// original query, the unique mutant plans (with one representative
+// description each, for errors), the datasets, and the unique-plan kill
+// bits. One stats block counts the whole evaluation.
+type evaluator struct {
+	ctx      context.Context
+	orig     *engine.Plan
+	plans    []*engine.Plan
+	planDesc []string
+	datasets []*schema.Dataset
+	stats    *engine.ExecStats
+	killed   [][]bool // killed[ui][di]
+}
 
+// newEvaluator prepares an evaluation: it deduplicates the mutants'
+// plans by execution signature and compiles the original and the
+// unique plans as one family. planOf maps each mutant to its unique
+// plan.
+func newEvaluator(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset) (e *evaluator, planOf []int, err error) {
 	// Deduplicate mutant plans by execution signature.
-	planOf := make([]int, len(mutants)) // mutant index -> unique plan index
+	planOf = make([]int, len(mutants))
 	var plans []*engine.Plan
 	var planDesc []string // representative mutant description per plan
 	sigIdx := map[string]int{}
@@ -152,21 +169,6 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 		planOf[mi] = ui
 	}
 
-	// Engine strategy: one stats block for the whole evaluation and one
-	// shared subtree cache per worker, reset between datasets. The
-	// plans of a mutant family differ in a single component, so their
-	// compiled trees overlap heavily; the cache evaluates each distinct
-	// subtree once per dataset and every plan sharing it — including
-	// the original query — reuses the batch. Reusing one cache per
-	// worker (instead of one per dataset) keeps the map storage warm:
-	// after the worker's largest family the cache allocates no new
-	// buckets.
-	stats := &engine.ExecStats{}
-	runOpts := func(sc *engine.SharedCache) engine.RunOptions {
-		return engine.RunOptions{Stats: stats, Cache: sc}
-	}
-	defer func() { rep.Exec = stats.Counts() }()
-
 	// Compile the original and every unique plan before any cell runs,
 	// as one family: the family's join trees overlap, and each distinct
 	// subtree is compiled once per evaluation. The cells run the
@@ -175,66 +177,88 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 	// surfaces from its first cell, naming the mutant.
 	compiled, err := engine.CompilePlans(ctx, append([]*engine.Plan{engine.NewPlan(q)}, plans...))
 	if err != nil {
-		return nil, fmt.Errorf("mutation: evaluation canceled: %w", err)
+		return nil, nil, fmt.Errorf("mutation: evaluation canceled: %w", err)
 	}
-	origPlan, plans := compiled[0], compiled[1:]
+	e = &evaluator{
+		ctx:      ctx,
+		orig:     compiled[0],
+		plans:    compiled[1:],
+		planDesc: planDesc,
+		datasets: datasets,
+		stats:    &engine.ExecStats{},
+		killed:   make([][]bool, len(plans)),
+	}
+	for ui := range e.killed {
+		e.killed[ui] = make([]bool, len(datasets))
+	}
+	return e, planOf, nil
+}
 
-	// Original-query results, one per dataset, computed lazily by
-	// whichever cell needs them first (hoisted out of every retry/mutant
-	// path: exactly one run per dataset).
-	wants := make([]*engine.Result, len(datasets))
-	wantErrs := make([]error, len(datasets))
-	wantOnce := make([]sync.Once, len(datasets))
-	getWant := func(di int, sc *engine.SharedCache) (*engine.Result, error) {
-		wantOnce[di].Do(func() {
-			res, err := origPlan.RunOpts(datasets[di], runOpts(sc))
-			if err != nil {
-				wantErrs[di] = &EvalError{Dataset: di, Purpose: datasets[di].Purpose, Err: err}
-				return
-			}
-			wants[di] = res
-		})
-		return wants[di], wantErrs[di]
+// runDataset evaluates every plan on dataset di in one unit: the
+// worker's SharedCache is touched by exactly one goroutine (its
+// correctness contract), reset at each dataset boundary, and the
+// family's sharing is maximal within the unit. The context is checked
+// before the original's run and before every cell, so a canceled
+// evaluation returns within one cell execution.
+func (e *evaluator) runDataset(di int, sc *engine.SharedCache) error {
+	sc.Reset()
+	ds := e.datasets[di]
+	ro := engine.RunOptions{Stats: e.stats, Cache: sc}
+	if err := e.canceled(); err != nil {
+		return err
 	}
-
-	// Evaluate one (unique plan, dataset) cell.
-	killedU := make([][]bool, len(plans))
-	for ui := range killedU {
-		killedU[ui] = make([]bool, len(datasets))
+	want, err := e.orig.RunOpts(ds, ro)
+	if err != nil {
+		return &EvalError{Dataset: di, Purpose: ds.Purpose, Err: err}
 	}
-	runCell := func(di, ui int, sc *engine.SharedCache) error {
-		select {
-		case <-ctx.Done():
-			// Done is a closed-channel poll, much cheaper per cell than
-			// ctx.Err()'s mutex; Err() is only consulted on cancellation.
-			return fmt.Errorf("mutation: evaluation canceled: %w", ctx.Err())
-		default:
-		}
-		want, err := getWant(di, sc)
-		if err != nil {
+	for ui, p := range e.plans {
+		if err := e.canceled(); err != nil {
 			return err
 		}
-		got, err := plans[ui].RunOpts(datasets[di], runOpts(sc))
+		differs, err := p.DiffersFrom(ds, want, ro)
 		if err != nil {
-			return &EvalError{Mutant: planDesc[ui], Dataset: di, Purpose: datasets[di].Purpose, Err: err}
+			return &EvalError{Mutant: e.planDesc[ui], Dataset: di, Purpose: ds.Purpose, Err: err}
 		}
-		killedU[ui][di] = !want.Equal(got)
-		return nil
+		e.killed[ui][di] = differs
 	}
-	// Every plan of one dataset runs in one unit: the worker's
-	// SharedCache is touched by exactly one goroutine (its correctness
-	// contract), reset at each dataset boundary, and the family's
-	// sharing is maximal within the unit.
-	runDataset := func(di int, sc *engine.SharedCache) error {
-		sc.Reset()
-		for ui := range plans {
-			if err := runCell(di, ui, sc); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return nil
+}
 
+// canceled polls the context: Done is a closed-channel poll, much
+// cheaper per cell than ctx.Err()'s mutex; Err() is only consulted on
+// cancellation.
+func (e *evaluator) canceled() error {
+	select {
+	case <-e.ctx.Done():
+		return fmt.Errorf("mutation: evaluation canceled: %w", e.ctx.Err())
+	default:
+		return nil
+	}
+}
+
+func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
+	rep := &Report{Query: q, Mutants: mutants, Datasets: datasets, Killed: make([][]bool, len(mutants))}
+	for i := range rep.Killed {
+		rep.Killed[i] = make([]bool, len(datasets))
+	}
+	if len(mutants) == 0 || len(datasets) == 0 {
+		return rep, nil
+	}
+	e, planOf, err := newEvaluator(ctx, q, mutants, datasets)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { rep.Exec = e.stats.Counts() }()
+
+	// Engine strategy: one stats block for the whole evaluation and one
+	// shared subtree cache per worker, reset between datasets. The
+	// plans of a mutant family differ in a single component, so their
+	// compiled trees overlap heavily; the cache evaluates each distinct
+	// subtree once per dataset and every plan sharing it — including
+	// the original query — reuses the batch. Reusing one cache per
+	// worker (instead of one per dataset) keeps its indexes, blocks and
+	// slabs warm: after the worker's largest family and dataset the
+	// cache allocates nothing new.
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -243,9 +267,9 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 		workers = len(datasets)
 	}
 	if workers <= 1 {
-		sc := engine.NewSharedCacheSized(len(plans))
+		sc := engine.NewSharedCacheSized(len(e.plans))
 		for di := range datasets {
-			if err := runDataset(di, sc); err != nil {
+			if err := e.runDataset(di, sc); err != nil {
 				return nil, err
 			}
 		}
@@ -258,13 +282,13 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := engine.NewSharedCacheSized(len(plans))
+				sc := engine.NewSharedCacheSized(len(e.plans))
 				for {
 					di := int(atomic.AddInt64(&next, 1))
 					if di >= len(datasets) || failed.Load() {
 						return
 					}
-					if err := runDataset(di, sc); err != nil {
+					if err := e.runDataset(di, sc); err != nil {
 						dsErrs[di] = err
 						failed.Store(true)
 						return
@@ -282,7 +306,7 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 
 	// Broadcast unique-plan kill bits to every mutant sharing the plan.
 	for mi := range mutants {
-		copy(rep.Killed[mi], killedU[planOf[mi]])
+		copy(rep.Killed[mi], e.killed[planOf[mi]])
 	}
 	return rep, nil
 }

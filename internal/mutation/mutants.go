@@ -2,7 +2,6 @@ package mutation
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -14,7 +13,8 @@ import (
 // Kind classifies mutants.
 type Kind string
 
-// Mutant kinds, matching the paper's three mutation classes.
+// Mutant kinds: the paper's three mutation classes, then the subquery,
+// HAVING and LIKE classes.
 const (
 	KindJoinType   Kind = "join-type"
 	KindComparison Kind = "comparison"
@@ -23,6 +23,10 @@ const (
 	KindHaving     Kind = "having"
 	KindLike       Kind = "like"
 )
+
+// Kinds lists every Kind, in the order Space generates them; per-kind
+// reports iterate it.
+var Kinds = []Kind{KindJoinType, KindComparison, KindAggregate, KindSubquery, KindHaving, KindLike}
 
 // Mutant is a single syntactic mutation of the query, executable as an
 // engine.Plan.
@@ -93,33 +97,47 @@ func JoinTypeMutants(q *qtree.Query, opts Options) ([]*Mutant, error) {
 		return nil, nil
 	}
 	basePlan := engine.NewPlan(q)
-	seen := map[string]bool{Canon(q.Root): true}
+	// A join-type mutant's plan signature is its canonical tree, which
+	// is its Key, followed by the base plan's components.
+	sigRest := componentSignature(basePlan)
+	cf := newCanonForms()
+	seen := map[string]bool{string(cf.of(q.Root)): true}
 	var out []*Mutant
 
-	// Each candidate's key is computed on the unmutated tree, so only
-	// new mutants are cloned.
-	addTreeMutants := func(tree *qtree.Node) {
-		for ni, n := range tree.Nodes(nil) {
-			for _, jt := range sqlparser.AllJoinTypes {
-				if jt == n.Type || (jt == sqlparser.FullOuterJoin && !opts.IncludeFullOuter) {
-					continue
-				}
-				key := canon(tree, n, jt)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				mt := tree.Clone()
-				mt.Nodes(nil)[ni].Type = jt
-				out = append(out, &Mutant{
-					Key:  key,
-					Kind: KindJoinType,
-					Desc: jt.Symbol() + " at [" + strings.Join(sortedNames(n.Left), ",") + "]|[" +
-						strings.Join(sortedNames(n.Right), ",") + "] in " + mt.String(),
-					Plan: basePlan.WithTree(mt),
-				})
-			}
+	// Each candidate's key is built from memoized subtree forms along the
+	// mutated node's root path, so only new mutants are built, and a
+	// mutant's tree copies only that path.
+	var path []*qtree.Node
+	var addTreeMutants func(n *qtree.Node)
+	addTreeMutants = func(n *qtree.Node) {
+		if n.IsLeaf() {
+			return
 		}
+		for _, jt := range sqlparser.AllJoinTypes {
+			if jt == n.Type || (jt == sqlparser.FullOuterJoin && !opts.IncludeFullOuter) {
+				continue
+			}
+			k := cf.mutatedKey(path, n, jt)
+			if seen[string(k)] {
+				continue
+			}
+			key := string(k)
+			seen[key] = true
+			mt := pathCopy(path, n, jt)
+			m := &Mutant{
+				Key:  key,
+				Kind: KindJoinType,
+				Desc: jt.Symbol() + " at [" + cf.leafNames(n.Left) + "]|[" + cf.leafNames(n.Right) + "] in " + mt.String(),
+				Plan: basePlan.WithTree(mt),
+			}
+			sig := key + sigRest
+			m.sig.Store(&sig)
+			out = append(out, m)
+		}
+		path = append(path, n)
+		addTreeMutants(n.Left)
+		addTreeMutants(n.Right)
+		path = path[:len(path)-1]
 	}
 
 	if q.AllInner() && opts.AllJoinOrders {
@@ -130,7 +148,7 @@ func JoinTypeMutants(q *qtree.Query, opts Options) ([]*Mutant, error) {
 		// Every all-inner tree is equivalent to the original; record
 		// each so de-duplication can skip inner-only mutants.
 		for _, t := range trees {
-			seen[Canon(t)] = true
+			seen[string(cf.of(t))] = true
 		}
 		for _, t := range trees {
 			addTreeMutants(t)

@@ -247,6 +247,76 @@ func TestJoinTypeMutantsExactStrings(t *testing.T) {
 	}
 }
 
+// TestJoinTypeMutantsPathCopy pins how join-type mutants are built:
+// each mutant's tree is the source tree with the mutated node and its
+// ancestors copied and every other subtree shared, so the written tree
+// the mutants of an outer-join query come from still renders as it did;
+// a mutant's Key is the canonical form of its tree, and the plan
+// signature stored with it is the one planSignature computes.
+func TestJoinTypeMutantsPathCopy(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		opts Options
+	}{
+		{`SELECT * FROM chain_a a, chain_b b, chain_c c, chain_d d WHERE a.x = b.x AND b.x = c.x AND c.x = d.x`, DefaultOptions()},
+		{`SELECT i.name, c.title FROM (instructor i LEFT OUTER JOIN teaches t ON i.id = t.id)
+			FULL OUTER JOIN course c ON t.course_id = c.course_id`, Options{IncludeFullOuter: true, AllJoinOrders: true}},
+	} {
+		query := q(t, testDDL, tc.sql)
+		written := query.Root.String()
+		ms, err := JoinTypeMutants(query, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) == 0 {
+			t.Fatalf("%s: no join-type mutants", tc.sql)
+		}
+		for _, m := range ms {
+			if c := Canon(m.Plan.Tree); c != m.Key {
+				t.Errorf("%s: Key %q, canonical tree %q", tc.sql, m.Key, c)
+			}
+			if got, want := m.planSig(), planSignature(m.Plan); got != want {
+				t.Errorf("%s: stored signature %q, planSignature %q", tc.sql, got, want)
+			}
+			if query.AllInner() {
+				continue
+			}
+			if path, retyped := pathDiff(m.Plan.Tree, query.Root); !path || retyped != 1 {
+				t.Errorf("%s: mutant %s of the written tree %s: copies only a root path %v, retypes %d nodes; want true, 1",
+					tc.sql, m.Plan.Tree, written, path, retyped)
+			}
+		}
+		if got := query.Root.String(); got != written {
+			t.Errorf("building the space changed the written tree from %s to %s", written, got)
+		}
+	}
+}
+
+// pathDiff walks a mutant tree beside the tree it was derived from. It
+// reports whether the mutant's nodes that are not shared with src form
+// one path down from the root, and how many of them have another join
+// type than their source node.
+func pathDiff(mt, src *qtree.Node) (path bool, retyped int) {
+	if mt == src {
+		return true, 0
+	}
+	if mt.IsLeaf() {
+		return false, 0
+	}
+	if mt.Type != src.Type {
+		retyped = 1
+	}
+	next, nextSrc := mt.Left, src.Left
+	switch {
+	case mt.Left != src.Left && mt.Right != src.Right:
+		return false, retyped
+	case mt.Left == src.Left:
+		next, nextSrc = mt.Right, src.Right
+	}
+	ok, r := pathDiff(next, nextSrc)
+	return ok, retyped + r
+}
+
 func TestComparisonMutants(t *testing.T) {
 	query := q(t, testDDL, "SELECT * FROM instructor WHERE salary > 70000")
 	ms := ComparisonMutants(query)

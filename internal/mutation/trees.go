@@ -9,9 +9,11 @@
 package mutation
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"repro/internal/qtree"
 	"repro/internal/sqlparser"
@@ -156,46 +158,130 @@ func CountTrees(q *qtree.Query) (int64, error) {
 // Two trees with equal canonical strings are semantically identical
 // mutants.
 func Canon(n *qtree.Node) string {
-	return canon(n, nil, 0)
+	return string(appendCanon(nil, n))
 }
 
-// canon is Canon with node mut's join type read as jt (mut nil: every
-// node as written), so a candidate mutant's key is known before its
-// tree is cloned.
-func canon(n, mut *qtree.Node, jt sqlparser.JoinType) string {
+// appendCanon appends n's canonical form to dst.
+func appendCanon(dst []byte, n *qtree.Node) []byte {
 	if n.IsLeaf() {
-		return n.Occ.Name
+		return append(dst, n.Occ.Name...)
 	}
-	l := canon(n.Left, mut, jt)
-	r := canon(n.Right, mut, jt)
-	t := n.Type
-	if n == mut {
-		t = jt
-	}
+	return appendCanonJoin(dst, n.Type, appendCanon(nil, n.Left), appendCanon(nil, n.Right))
+}
+
+// appendCanonJoin appends the canonical form of a join of type t whose
+// children have canonical forms l and r.
+func appendCanonJoin(dst []byte, t sqlparser.JoinType, l, r []byte) []byte {
+	sep := "*"
 	switch t {
 	case sqlparser.InnerJoin:
-		if r < l {
+		if bytes.Compare(r, l) < 0 {
 			l, r = r, l
 		}
-		return "(" + l + "*" + r + ")"
 	case sqlparser.LeftOuterJoin:
-		return "(" + l + "=>" + r + ")"
+		sep = "=>"
 	case sqlparser.RightOuterJoin:
-		return "(" + r + "=>" + l + ")"
+		sep = "=>"
+		l, r = r, l
 	default: // full outer
-		if r < l {
+		sep = "<=>"
+		if bytes.Compare(r, l) < 0 {
 			l, r = r, l
 		}
-		return "(" + l + "<=>" + r + ")"
 	}
+	dst = append(append(dst, '('), l...)
+	dst = append(append(dst, sep...), r...)
+	return append(dst, ')')
 }
 
-// sortedNames returns sorted occurrence names of a subtree, for display.
-func sortedNames(n *qtree.Node) []string {
-	var out []string
-	for _, o := range n.Leaves(nil) {
-		out = append(out, o.Name)
+// canonForms memoizes the canonical form and the sorted occurrence names
+// of every subtree it is asked about, by node. The join orders
+// EnumerateTrees returns share their subtrees, and qtree trees are never
+// mutated after construction, so one memo serves every tree of a space.
+type canonForms struct {
+	forms map[*qtree.Node][]byte
+	names map[*qtree.Node]string
+	// a and b are scratch for mutatedKey.
+	a, b []byte
+}
+
+func newCanonForms() *canonForms {
+	return &canonForms{forms: map[*qtree.Node][]byte{}, names: map[*qtree.Node]string{}}
+}
+
+// of returns n's canonical form. The slice is shared; callers must not
+// modify it.
+func (cf *canonForms) of(n *qtree.Node) []byte {
+	if f, ok := cf.forms[n]; ok {
+		return f
 	}
-	sort.Strings(out)
-	return out
+	var f []byte
+	if n.IsLeaf() {
+		f = []byte(n.Occ.Name)
+	} else {
+		f = appendCanonJoin(nil, n.Type, cf.of(n.Left), cf.of(n.Right))
+	}
+	cf.forms[n] = f
+	return f
+}
+
+// mutatedKey returns the canonical form of the tree whose root path is
+// path (root first, n's parent last) with node n's join type read as jt.
+// Only the path is re-rendered: every sibling off it contributes its
+// memoized form. The result lives in scratch and is valid until the
+// next call.
+func (cf *canonForms) mutatedKey(path []*qtree.Node, n *qtree.Node, jt sqlparser.JoinType) []byte {
+	cur := appendCanonJoin(cf.a[:0], jt, cf.of(n.Left), cf.of(n.Right))
+	next := cf.b[:0]
+	child := n
+	for i := len(path) - 1; i >= 0; i-- {
+		a := path[i]
+		if a.Left == child {
+			next = appendCanonJoin(next[:0], a.Type, cur, cf.of(a.Right))
+		} else {
+			next = appendCanonJoin(next[:0], a.Type, cf.of(a.Left), cur)
+		}
+		cur, next, child = next, cur, a
+	}
+	cf.a, cf.b = cur, next
+	return cur
+}
+
+// leafNames returns n's occurrence names, sorted and comma-joined.
+func (cf *canonForms) leafNames(n *qtree.Node) string {
+	s, ok := cf.names[n]
+	if !ok {
+		var names []string
+		for _, o := range n.Leaves(nil) {
+			names = append(names, o.Name)
+		}
+		sort.Strings(names)
+		s = strings.Join(names, ",")
+		cf.names[n] = s
+	}
+	return s
+}
+
+// pathCopy returns the tree whose root path is path (root first, n's
+// parent last) with node n's join type set to jt. Only n and its
+// ancestors are copied, into one allocation; every subtree off the path
+// is shared with the original tree.
+func pathCopy(path []*qtree.Node, n *qtree.Node, jt sqlparser.JoinType) *qtree.Node {
+	nodes := make([]qtree.Node, len(path)+1)
+	c := &nodes[len(path)]
+	*c = *n
+	c.Type = jt
+	child := n
+	for i := len(path) - 1; i >= 0; i-- {
+		a := path[i]
+		p := &nodes[i]
+		*p = *a
+		if a.Left == child {
+			p.Left = c
+		} else {
+			p.Right = c
+		}
+		c, child = p, a
+	}
+	return c
 }

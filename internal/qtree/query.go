@@ -34,6 +34,11 @@ func (o *Occurrence) String() string {
 // predicates, applied at the earliest node where both sides contribute
 // (paper §II: "join predicates are assumed to be applied at the earliest
 // possible point in the tree").
+//
+// A tree is immutable once built: trees share subtrees (the enumerated
+// join orders share theirs, and a join-type mutant copies only the path
+// to its mutated node), so a caller that wants a changed tree copies the
+// nodes it changes (Clone copies them all).
 type Node struct {
 	Occ     *Occurrence // non-nil for leaves
 	Type    sqlparser.JoinType

@@ -560,8 +560,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		for _, mi := range report.Survivors() {
 			a.Survivors = append(a.Survivors, mutants[mi].Desc)
 		}
-		for _, kind := range []mutation.Kind{mutation.KindJoinType, mutation.KindComparison, mutation.KindAggregate} {
-			if kk, ok := report.KillsByKind()[kind]; ok {
+		kills := report.KillsByKind()
+		for _, kind := range mutation.Kinds {
+			if kk, ok := kills[kind]; ok {
 				a.ByKind = append(a.ByKind, KindKillsJSON{Kind: string(kind), Killed: kk[0], Total: kk[1]})
 			}
 		}

@@ -162,6 +162,41 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnalyzeByKindCoversEveryKind runs /v1/analyze on queries whose
+// spaces hold HAVING, LIKE and subquery mutants: every mutant must be
+// listed under its kind, so the by_kind totals sum to mutants and the
+// kills to killed, and each query's own class must appear.
+func TestAnalyzeByKindCoversEveryKind(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		sql  string
+		kind string
+	}{
+		{`SELECT t.course_id, COUNT(t.id) FROM teaches t GROUP BY t.course_id HAVING COUNT(t.id) > 1`, "having"},
+		{`SELECT * FROM instructor i WHERE i.name LIKE 'a%'`, "like"},
+		{`SELECT i.name FROM instructor i WHERE NOT EXISTS (SELECT * FROM teaches t WHERE t.id = i.id)`, "subquery"},
+	} {
+		var got AnalyzeResponse
+		status, _ := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{GenerateRequest: GenerateRequest{DDL: testDDL, Query: tc.sql}}, &got)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", tc.sql, status)
+		}
+		total, killed, seen := 0, 0, false
+		for _, k := range got.ByKind {
+			total += k.Total
+			killed += k.Killed
+			seen = seen || k.Kind == tc.kind
+		}
+		if total != got.Mutants || killed != got.Killed {
+			t.Errorf("%s: by_kind %+v sums to %d mutants, %d killed; the response has %d, %d",
+				tc.sql, got.ByKind, total, killed, got.Mutants, got.Killed)
+		}
+		if !seen {
+			t.Errorf("%s: by_kind %+v has no %q line", tc.sql, got.ByKind, tc.kind)
+		}
+	}
+}
+
 // TestErrorTaxonomy: each failure class maps to its documented status
 // and kind, mirroring the CLI exit codes.
 func TestErrorTaxonomy(t *testing.T) {
