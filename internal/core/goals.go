@@ -45,9 +45,11 @@ import (
 
 // killGoal is one independently-solvable dataset target.
 type killGoal struct {
-	// purpose is a diagnostic label for the goal (the generated
-	// dataset's own purpose string is produced by run).
-	purpose string
+	// purpose renders the goal's diagnostic label (the generated
+	// dataset's own purpose string is produced by run). Only abandoned
+	// goals show it (Failure.Purpose, GoalError.Purpose), so it is
+	// rendered then, not at enumeration.
+	purpose func() string
 	// run solves the goal, appending datasets, skips and stats to the
 	// private sub-suite. It must not touch shared mutable state.
 	run func(g *Generator, gb *goalBudget, sub *Suite) error
@@ -79,7 +81,7 @@ func backgroundBudget() *goalBudget { return &goalBudget{ctx: context.Background
 // variants, aggregate mutations.
 func (g *Generator) enumerateGoals() []killGoal {
 	goals := []killGoal{{
-		purpose: "original-query dataset",
+		purpose: func() string { return "original-query dataset" },
 		run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 			ds, err := g.generateOriginal(gb, sub)
 			if err != nil {
@@ -197,7 +199,7 @@ func (g *Generator) runGoal(ctx context.Context, goal killGoal) (*Suite, error) 
 		}
 	}
 	// Unreachable: every ladder exit returns above.
-	return nil, fmt.Errorf("core: goal %q: %w", goal.purpose, lastErr)
+	return nil, fmt.Errorf("core: goal %q: %w", goal.purpose(), lastErr)
 }
 
 // abandonGoal builds the sub-suite recording an abandoned goal and
@@ -206,7 +208,7 @@ func (g *Generator) runGoal(ctx context.Context, goal killGoal) (*Suite, error) 
 // it exists — not only if the caller inspects Suite.Incomplete later.
 func (g *Generator) abandonGoal(goal killGoal, reason string, attempts int, start time.Time, acc Stats, err error) *Suite {
 	f := Failure{
-		Purpose:  goal.purpose,
+		Purpose:  goal.purpose(),
 		Reason:   reason,
 		Attempts: attempts,
 		Nodes:    acc.SolverNodes,
@@ -229,7 +231,7 @@ func (g *Generator) abandonGoal(goal killGoal, reason string, attempts int, star
 func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal killGoal, sub *Suite) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &GoalError{Purpose: goal.purpose, Value: r, Stack: debug.Stack()}
+			err = &GoalError{Purpose: goal.purpose(), Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if cerr := ctx.Err(); cerr != nil {
@@ -243,6 +245,13 @@ func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal kil
 // GOMAXPROCS) allows, and returns the per-goal sub-suites in goal order.
 // Budget exhaustion, panics and cancellation are absorbed into the
 // sub-suites (see runGoal); only hard errors propagate.
+//
+// The calling goroutine is one of the workers: a pool of n workers
+// starts n-1 goroutines. Besides saving a goroutine per request, this
+// runs goals on a stack that has already grown through the recursive
+// clause evaluation, instead of growing fresh worker stacks every time.
+// Workers claim goals in enumeration order from a shared counter and
+// stop claiming after the first hard error.
 func (g *Generator) runGoals(ctx context.Context, goals []killGoal) ([]*Suite, error) {
 	workers := g.opts.Parallelism
 	if workers <= 0 {
@@ -252,41 +261,33 @@ func (g *Generator) runGoals(ctx context.Context, goals []killGoal) ([]*Suite, e
 		workers = len(goals)
 	}
 	subs := make([]*Suite, len(goals))
-
-	if workers <= 1 {
-		for i := range goals {
+	errs := make([]error, len(goals))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= len(goals) {
+				return
+			}
 			sub, err := g.runGoal(ctx, goals[i])
 			if err != nil {
-				return nil, err
+				errs[i] = err
+				failed.Store(true)
+				return
 			}
 			subs[i] = sub
 		}
-		return subs, nil
 	}
-
-	errs := make([]error, len(goals))
-	var next int64 = -1
-	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(goals) || failed.Load() {
-					return
-				}
-				sub, err := g.runGoal(ctx, goals[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				subs[i] = sub
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	// Report the first error in goal order so failures are deterministic
 	// too.

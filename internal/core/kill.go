@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/qtree"
@@ -35,16 +36,18 @@ func (g *Generator) KillEquivalenceClasses(suite *Suite) error {
 }
 
 // equivalenceClassGoals enumerates one kill goal per (class, element)
-// nullification of Algorithm 2.
+// nullification of Algorithm 2. Each class is rendered once, for all of
+// its goals.
 func (g *Generator) equivalenceClassGoals() []killGoal {
 	var goals []killGoal
 	for _, ec := range g.q.Classes {
+		ecs := ec.String()
 		for _, e := range ec.Members {
 			ec, e := ec, e
 			goals = append(goals, killGoal{
-				purpose: fmt.Sprintf("nullify %s on class %s", e, ec),
+				purpose: func() string { return "nullify " + e.String() + " on class " + ecs },
 				run: func(g *Generator, gb *goalBudget, sub *Suite) error {
-					return g.killClassMember(gb, sub, ec, e)
+					return g.killClassMember(gb, sub, ec, ecs, e)
 				},
 			})
 		}
@@ -52,16 +55,17 @@ func (g *Generator) equivalenceClassGoals() []killGoal {
 	return goals
 }
 
-// killClassMember solves one Algorithm 2 nullification goal.
-func (g *Generator) killClassMember(gb *goalBudget, suite *Suite, ec *qtree.EquivClass, e qtree.AttrRef) error {
+// killClassMember solves one Algorithm 2 nullification goal; ecs is the
+// rendered class.
+func (g *Generator) killClassMember(gb *goalBudget, suite *Suite, ec *qtree.EquivClass, ecs string, e qtree.AttrRef) error {
 	S, P := g.splitClassByFK(ec, e)
-	purpose := fmt.Sprintf("kill join-type mutants: nullify %s on class %s", attrList(S), ec)
+	purpose := "kill join-type mutants: nullify " + attrList(S) + " on class " + ecs
 	if len(P) == 0 {
 		// §V-H relaxation of A2: when a referencing foreign-key
 		// column is nullable, a NULL foreign key provides the
 		// unmatched tuple that nullifying the referenced
 		// attribute cannot.
-		done, err := g.nullableFKFallback(gb, suite, ec, e, S)
+		done, err := g.nullableFKFallback(gb, suite, ec, ecs, e, S)
 		if err != nil {
 			return err
 		}
@@ -126,7 +130,7 @@ func (g *Generator) killClassMember(gb *goalBudget, suite *Suite, ec *qtree.Equi
 // that column — an f-tuple with no join partner, killing the same
 // join-type mutants the ordinary nullification would. Reports whether a
 // dataset was generated.
-func (g *Generator) nullableFKFallback(gb *goalBudget, suite *Suite, ec *qtree.EquivClass, e qtree.AttrRef, S []qtree.AttrRef) (bool, error) {
+func (g *Generator) nullableFKFallback(gb *goalBudget, suite *Suite, ec *qtree.EquivClass, ecs string, e qtree.AttrRef, S []qtree.AttrRef) (bool, error) {
 	var f qtree.AttrRef
 	found := false
 	for _, m := range S {
@@ -157,7 +161,7 @@ func (g *Generator) nullableFKFallback(gb *goalBudget, suite *Suite, ec *qtree.E
 			rest = append(rest, m)
 		}
 	}
-	purpose := fmt.Sprintf("kill join-type mutants: NULL foreign key %s on class %s (§V-H, nullable FK)", f, ec)
+	purpose := "kill join-type mutants: NULL foreign key " + f.String() + " on class " + ecs + " (§V-H, nullable FK)"
 	ds, err := g.buildDataset(gb, suite, purpose, 1, true, func(p *problem) error {
 		cons, err := p.classCons(rest, 0)
 		if err != nil {
@@ -199,15 +203,10 @@ func (g *Generator) nullableFKFallback(gb *goalBudget, suite *Suite, ec *qtree.E
 func (g *Generator) splitClassByFK(ec *qtree.EquivClass, e qtree.AttrRef) (S, P []qtree.AttrRef) {
 	eRel := g.q.Occ(e.Occ).Rel
 	target := schema.ColRef{Table: eRel.Name, Column: e.Attr}
-	referencers := map[schema.ColRef]bool{}
-	if !g.opts.NoJointNullify {
-		for _, r := range g.q.Schema.ReferencersOf(target) {
-			referencers[r] = true
-		}
-	}
+	referencers := g.referencersOf(target)
 	for _, m := range ec.Members {
 		mRel := g.q.Occ(m.Occ).Rel
-		if m == e || referencers[schema.ColRef{Table: mRel.Name, Column: m.Attr}] ||
+		if m == e || slices.Contains(referencers, schema.ColRef{Table: mRel.Name, Column: m.Attr}) ||
 			(mRel.Name == eRel.Name && m.Attr == e.Attr) {
 			// Same base attribute as e (another occurrence of the same
 			// relation) is necessarily nullified together with e.
@@ -228,25 +227,48 @@ type relAttr struct {
 // attribute) pairs: nullification quantifies over all tuples of the base
 // relation, so repeated occurrences collapse.
 func dedupeRelAttrs(q *qtree.Query, members []qtree.AttrRef) []relAttr {
-	seen := map[string]bool{}
-	var out []relAttr
+	out := make([]relAttr, 0, len(members))
 	for _, m := range members {
-		rel := q.Occ(m.Occ).Rel
-		key := rel.Name + "." + m.Attr
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, relAttr{rel: rel, attr: m.Attr})
+		ra := relAttr{rel: q.Occ(m.Occ).Rel, attr: m.Attr}
+		if !slices.ContainsFunc(out, func(o relAttr) bool { return o.rel.Name == ra.rel.Name && o.attr == ra.attr }) {
+			out = append(out, ra)
 		}
 	}
 	return out
 }
 
+// attrList renders attribute references as a class does: "{a, b}".
 func attrList(as []qtree.AttrRef) string {
-	parts := make([]string, len(as))
+	var sb strings.Builder
+	sb.WriteByte('{')
 	for i, a := range as {
-		parts[i] = a.String()
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(schema.QuoteIdent(a.Occ))
+		sb.WriteByte('.')
+		sb.WriteString(schema.QuoteIdent(a.Attr))
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	sb.WriteByte('}')
+	return sb.String()
+}
+
+// referencersOf returns the columns referencing target in the schema's
+// foreign-key closure (none under Options.NoJointNullify). The closure
+// is computed once per generator.
+func (g *Generator) referencersOf(target schema.ColRef) []schema.ColRef {
+	g.fkOnce.Do(func() {
+		if !g.opts.NoJointNullify {
+			g.fkClosure = g.q.Schema.FKClosure()
+		}
+	})
+	var out []schema.ColRef
+	for _, e := range g.fkClosure {
+		if e.To == target {
+			out = append(out, e.From)
+		}
+	}
+	return out
 }
 
 // KillOtherPredicates implements Algorithm 3 for non-equi join
@@ -270,7 +292,7 @@ func (g *Generator) otherPredicateGoals() []killGoal {
 		for _, occ := range pr.Occs {
 			pi, pr, occ := i, pr, occ
 			goals = append(goals, killGoal{
-				purpose: fmt.Sprintf("nullify %s on predicate %s", occ, pr),
+				purpose: func() string { return fmt.Sprintf("nullify %s on predicate %s", occ, pr) },
 				run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 					return g.killPredOccurrence(gb, sub, pi, pr, occ)
 				},
@@ -338,7 +360,7 @@ func (g *Generator) comparisonOperatorGoals() []killGoal {
 		for _, dop := range datasetOps {
 			pi, pr, dop := i, pr, dop
 			goals = append(goals, killGoal{
-				purpose: fmt.Sprintf("comparison dataset (%s) %s (%s)", pr.L, dop.op, pr.R),
+				purpose: func() string { return fmt.Sprintf("comparison dataset (%s) %s (%s)", pr.L, dop.op, pr.R) },
 				run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 					return g.killComparisonVariant(gb, sub, pi, pr, dop.op, dop.sign)
 				},
@@ -446,6 +468,24 @@ var aggRelaxations = [][4]bool{ // {S1, S2, S3, S4}
 	{false, false, false, false},
 }
 
+// aggDroppedSuffix[i] names the constraint sets aggRelaxations[i] drops,
+// as a purpose suffix: "" or " (dropped S1,S3)".
+var aggDroppedSuffix = func() []string {
+	out := make([]string, len(aggRelaxations))
+	for i, relax := range aggRelaxations {
+		var dropped []string
+		for k, on := range relax {
+			if !on {
+				dropped = append(dropped, fmt.Sprintf("S%d", k+1))
+			}
+		}
+		if len(dropped) > 0 {
+			out[i] = " (dropped " + strings.Join(dropped, ",") + ")"
+		}
+	}
+	return out
+}()
+
 // KillAggregates implements Algorithm 4: for each aggregate call, a
 // dataset with three tuple sets in the same group — two sharing a
 // non-zero aggregated value but differing elsewhere (distinguishing
@@ -464,15 +504,15 @@ func (g *Generator) aggregateGoals() []killGoal {
 		return nil
 	}
 	var goals []killGoal
-	for ci, call := range g.q.Agg.Calls {
+	for _, call := range g.q.Agg.Calls {
 		if call.Star {
 			continue // COUNT(*) has no aggregated attribute to mutate
 		}
-		ci, call := ci, call
+		call := call
 		goals = append(goals, killGoal{
-			purpose: fmt.Sprintf("aggregate mutations of %s", call),
+			purpose: func() string { return fmt.Sprintf("aggregate mutations of %s", call) },
 			run: func(g *Generator, gb *goalBudget, sub *Suite) error {
-				return g.killAggregateCall(gb, sub, ci, call)
+				return g.killAggregateCall(gb, sub, call)
 			},
 		})
 	}
@@ -481,20 +521,12 @@ func (g *Generator) aggregateGoals() []killGoal {
 
 // killAggregateCall solves one Algorithm 4 goal, walking the relaxation
 // ladder until a constraint set is satisfiable.
-func (g *Generator) killAggregateCall(gb *goalBudget, suite *Suite, ci int, call qtree.AggCall) error {
+func (g *Generator) killAggregateCall(gb *goalBudget, suite *Suite, call qtree.AggCall) error {
 	numeric := g.q.AttrType(call.Arg).Numeric()
 	generated := false
-	for _, relax := range aggRelaxations {
-		purpose := fmt.Sprintf("kill aggregation mutants of %s", call)
-		var dropped []string
-		for k, on := range relax {
-			if !on {
-				dropped = append(dropped, fmt.Sprintf("S%d", k+1))
-			}
-		}
-		if len(dropped) > 0 {
-			purpose += " (dropped " + strings.Join(dropped, ",") + ")"
-		}
+	base := "kill aggregation mutants of " + call.String()
+	for ri, relax := range aggRelaxations {
+		purpose := base + aggDroppedSuffix[ri]
 		cc := call
 		ds, err := g.buildDataset(gb, suite, purpose, 3, true, func(p *problem) error {
 			// S0: every tuple set satisfies the query; group-by
@@ -582,7 +614,7 @@ func (g *Generator) killAggregateCall(gb *goalBudget, suite *Suite, ci int, call
 	}
 	if !generated {
 		suite.Skipped = append(suite.Skipped, Skip{
-			Purpose: fmt.Sprintf("kill aggregation mutants of %s", g.q.Agg.Calls[ci]),
+			Purpose: base,
 			Reason:  "no relaxation of S1-S3 is satisfiable",
 		})
 	}

@@ -278,7 +278,7 @@ func (g *Generator) subqueryGoals() []killGoal {
 	for si, s := range g.q.Subs {
 		si, s := si, s
 		goals = append(goals, killGoal{
-			purpose: fmt.Sprintf("subquery violation %d (%s)", si, s.Kind),
+			purpose: func() string { return fmt.Sprintf("subquery violation %d (%s)", si, s.Kind) },
 			run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 				return g.killSubViolate(gb, sub, si, s)
 			},
@@ -287,7 +287,7 @@ func (g *Generator) subqueryGoals() []killGoal {
 			continue
 		}
 		goals = append(goals, killGoal{
-			purpose: fmt.Sprintf("subquery witness %d (%s)", si, s.Kind),
+			purpose: func() string { return fmt.Sprintf("subquery witness %d (%s)", si, s.Kind) },
 			run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 				return g.killSubWitness(gb, sub, si, s)
 			},
@@ -385,7 +385,9 @@ func (g *Generator) havingGoals() []killGoal {
 		for _, dop := range datasetOps {
 			hi, h, dop := hi, h, dop
 			goals = append(goals, killGoal{
-				purpose: fmt.Sprintf("having dataset %s %s %s", h.Call, dop.op, h.Rhs.SQLLiteral()),
+				purpose: func() string {
+					return fmt.Sprintf("having dataset %s %s %s", h.Call, dop.op, h.Rhs.SQLLiteral())
+				},
 				run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 					return g.killHavingVariant(gb, sub, hi, h, dop.op, dop.sign)
 				},
@@ -785,7 +787,9 @@ func (g *Generator) likeGoals() []killGoal {
 		for _, v := range likePatternVariants(pr.Like.Pattern) {
 			pi, pr, v := pi, pr, v
 			goals = append(goals, killGoal{
-				purpose: fmt.Sprintf("like variant %s vs %s on %s", quoteLike(pr.Like.Pattern), quoteLike(v.pat), pr.L),
+				purpose: func() string {
+					return fmt.Sprintf("like variant %s vs %s on %s", quoteLike(pr.Like.Pattern), quoteLike(v.pat), pr.L)
+				},
 				run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 					return g.killLikeVariant(gb, sub, pi, pr, v)
 				},
@@ -793,7 +797,7 @@ func (g *Generator) likeGoals() []killGoal {
 		}
 		pi, pr := pi, pr
 		goals = append(goals, killGoal{
-			purpose: fmt.Sprintf("like violation %s on %s", quoteLike(pr.Like.Pattern), pr.L),
+			purpose: func() string { return fmt.Sprintf("like violation %s on %s", quoteLike(pr.Like.Pattern), pr.L) },
 			run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 				return g.killLikeViolation(gb, sub, pi, pr)
 			},

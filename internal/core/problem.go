@@ -11,8 +11,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/qtree"
@@ -31,6 +31,10 @@ type slot struct {
 	rel  *schema.Relation
 	idx  int // index within the relation's slot array
 	vars []solver.VarID
+	// row is the slot's index among all slots in extraction order
+	// (relations by name, then slot index), and cell the offset of its
+	// first column in an extracted dataset's value buffer.
+	row, cell int
 }
 
 // problem is one constraint system: the CVC3 input of the paper, built
@@ -38,6 +42,7 @@ type slot struct {
 type problem struct {
 	g     *Generator
 	s     *solver.Solver
+	pl    *problemLayout
 	slots map[string][]*slot // base relation name -> slots
 	// occSlot maps (occurrence name, tuple-set index) to a slot. Non-
 	// aggregation datasets use tuple set 0 only; killAggregates uses
@@ -60,6 +65,9 @@ type problem struct {
 	// specific q.Subs indices: the subquery kill goals build datasets
 	// that deliberately violate their targeted block's connective.
 	skipSubs map[int]bool
+	// slab carves the nodes of the database constraints this problem
+	// asserts.
+	slab solver.Slab
 	// fillerConds, when set by a goal's build function, replaces the
 	// default HAVING group-filler assertion (assertQueryConds with no
 	// skips) for each filler tuple set. Violating goals need it: their
@@ -119,18 +127,20 @@ type stringPool struct {
 func (p *stringPool) size() int { return len(p.vals) }
 
 func newStringPool(consts map[string]bool, fresh int) *stringPool {
-	set := make(map[string]bool, len(consts))
+	set := make(map[string]bool, len(consts)+fresh+2*(fresh/2+1))
 	for s := range consts {
 		set[s] = true
 	}
+	// Fresh names are str_a .. str_z, then str_az .. str_zz, and so on.
 	for i := 0; i < fresh; i++ {
-		set[fmt.Sprintf("str_%c", 'a'+i%26)+strings.Repeat("z", i/26)] = true
+		set["str_"+string(rune('a'+i%26))+strings.Repeat("z", i/26)] = true
 	}
 	// Comparison-operator datasets need values strictly below and above
 	// every constant; '!' sorts below and '~' above all ordinary text.
 	for i := 0; i < fresh/2+1; i++ {
-		set[fmt.Sprintf("!low_%c", 'a'+i%26)] = true
-		set[fmt.Sprintf("~high_%c", 'a'+i%26)] = true
+		letter := string(rune('a' + i%26))
+		set["!low_"+letter] = true
+		set["~high_"+letter] = true
 	}
 	// ... and values strictly BETWEEN adjacent constants, so goals like
 	// c1 < v < c2 (a > variant of = c1 under a < c2 conjunct) stay
@@ -195,16 +205,47 @@ type layoutKey struct {
 }
 
 // problemLayout is the immutable, shareable part of a problem: the
-// declared solver variable space (domains + names) plus the slot arrays
-// and the occurrence-to-slot mapping. Built once per layoutKey by
-// Generator.layoutFor; problems alias it via solver.NewShared and never
-// mutate it (slots and vars are written only during construction; the
-// per-goal mutable state — skipFK, nullPatches, forceInput, asserted
-// constraints — lives on the problem and its own solver).
+// declared solver variable space, the slot arrays, the
+// occurrence-to-slot mapping and the query-condition constraints over
+// them. Built once per layoutKey by Generator.layoutForLocked; problems
+// alias it via solver.NewShared and never mutate it (everything is
+// written only during construction; the per-goal mutable state —
+// skipFK, nullPatches, forceInput, asserted constraints — lives on the
+// problem and its own solver).
 type problemLayout struct {
 	s       *solver.Solver
 	slots   map[string][]*slot
 	occSlot map[occSet]*slot
+	// rels lists the populated relations sorted by name: the order of
+	// the database constraints, the input-tuple constraints and the
+	// extracted rows.
+	rels []layoutRel
+	// nslots and ncells count the slots and their columns over all
+	// relations: the sizes of an extracted dataset's row and value
+	// buffers.
+	nslots, ncells int
+	// conds[set] holds tuple set set's query-condition constraints.
+	conds []queryConds
+}
+
+// layoutRel is one populated relation of a layout.
+type layoutRel struct {
+	rel   *schema.Relation
+	table string // the dataset table name (lower-cased relation name)
+	slots []*slot
+}
+
+// queryConds are one tuple set's query-condition constraints: the
+// equality chain of every equivalence class and the constraint of every
+// predicate, indexed like q.Classes and q.Preds, each with the error
+// compiling it reported (nil on success). They are built once per
+// layout and asserted by every goal that needs them; constraint trees
+// are immutable once asserted, so goals share them.
+type queryConds struct {
+	classes  [][]solver.Con
+	classErr []error
+	preds    []solver.Con
+	predErr  []error
 }
 
 // baseKey identifies a shared constraint core: the layout shape plus
@@ -234,13 +275,19 @@ func (g *Generator) newProblem(tupleSets int, needRepair bool) (*problem, error)
 	if err != nil {
 		return nil, err
 	}
+	return g.problemOn(pl), nil
+}
+
+// problemOn returns an empty problem over layout pl.
+func (g *Generator) problemOn(pl *problemLayout) *problem {
 	return &problem{
 		g:       g,
 		s:       solver.NewShared(pl.s),
+		pl:      pl,
 		slots:   pl.slots,
 		occSlot: pl.occSlot,
 		strs:    g.strPool,
-	}, nil
+	}
 }
 
 // layoutForLocked returns (building and caching on first use) the
@@ -282,14 +329,8 @@ func (g *Generator) baseFor(tupleSets int, needRepair, forceInput bool) (*solver
 	// Collect the core's constraints by asserting the database
 	// constraints on a throwaway problem over the shared layout — the
 	// exact set assertDBConstraints would add per goal (skipFK nil).
-	tmp := &problem{
-		g:          g,
-		s:          solver.NewShared(pl.s),
-		slots:      pl.slots,
-		occSlot:    pl.occSlot,
-		strs:       g.strPool,
-		forceInput: forceInput,
-	}
+	tmp := g.problemOn(pl)
+	tmp.forceInput = forceInput
 	tmp.assertDBConstraints()
 	b := solver.PrepareBase(pl.s, tmp.s.Constraints())
 	if g.bases == nil {
@@ -323,7 +364,10 @@ func (g *Generator) buildLayout(tupleSets int, needRepair bool) (*problemLayout,
 	}
 
 	// Transitive closure of referenced relations, referencing-first.
-	order, err := g.relationOrder()
+	if g.order == nil && g.orderErr == nil {
+		g.order, g.orderErr = g.relationOrder()
+	}
+	order, err := g.order, g.orderErr
 	if err != nil {
 		return nil, err
 	}
@@ -358,10 +402,10 @@ func (g *Generator) buildLayout(tupleSets int, needRepair bool) (*problemLayout,
 	}
 
 	// Allocate slots and variables (referenced-first for readability).
-	// Each attribute's preference domain is built and deduplicated once
-	// per relation; per-slot rotation preserves uniqueness, so the
-	// variables skip the solver's dedup pass (variable declaration used
-	// to be ~25% of generation time).
+	// Domains come duplicate-free and pre-rotated from the generator's
+	// domain table (see attrDomain), shared by every layout, so the
+	// variables skip the solver's dedup pass. Variables are unnamed:
+	// names serve only the solver's own diagnostics.
 	for i := len(order) - 1; i >= 0; i-- {
 		rel := order[i]
 		n := counts[rel.Name]
@@ -372,17 +416,26 @@ func (g *Generator) buildLayout(tupleSets int, needRepair bool) (*problemLayout,
 		if n > limit {
 			n = limit
 		}
-		base := make([][]int64, len(rel.Attrs))
-		for ai, a := range rel.Attrs {
-			base[ai] = dedupeDomain(g.baseDomainFor(rel, a))
-		}
-		for k := 0; k < n; k++ {
-			sl := &slot{rel: rel, idx: k, vars: make([]solver.VarID, 0, len(rel.Attrs))}
-			prefix := rel.Name + "[" + strconv.Itoa(k) + "]."
-			for ai, a := range rel.Attrs {
-				sl.vars = append(sl.vars, p.s.NewVarUnique(prefix+a.Name, rotateDomain(base[ai], k)))
+		slots := make([]*slot, n)
+		slotArr := make([]slot, n)
+		vars := make([]solver.VarID, n*len(rel.Attrs))
+		for k := range slots {
+			sl := &slotArr[k]
+			*sl = slot{rel: rel, idx: k, vars: vars[k*len(rel.Attrs) : (k+1)*len(rel.Attrs) : (k+1)*len(rel.Attrs)]}
+			for ai := range rel.Attrs {
+				sl.vars[ai] = p.s.NewVarUnique("", g.attrDomain(rel, ai).rotated(k))
 			}
-			p.slots[rel.Name] = append(p.slots[rel.Name], sl)
+			slots[k] = sl
+		}
+		p.slots[rel.Name] = slots
+		p.rels = append(p.rels, layoutRel{rel: rel, table: strings.ToLower(rel.Name), slots: slots})
+	}
+	slices.SortFunc(p.rels, func(a, b layoutRel) int { return strings.Compare(a.rel.Name, b.rel.Name) })
+	for _, lr := range p.rels {
+		for _, sl := range lr.slots {
+			sl.row, sl.cell = p.nslots, p.ncells
+			p.nslots++
+			p.ncells += len(sl.vars)
 		}
 	}
 
@@ -394,6 +447,22 @@ func (g *Generator) buildLayout(tupleSets int, needRepair bool) (*problemLayout,
 		occIdx[occ.Rel.Name] += tupleSets
 		for set := 0; set < tupleSets; set++ {
 			p.occSlot[occSet{occ.Name, set}] = p.slots[occ.Rel.Name][base+set]
+		}
+	}
+
+	tmp := g.problemOn(p)
+	p.conds = make([]queryConds, tupleSets)
+	for set := range p.conds {
+		qc := &p.conds[set]
+		qc.classes = make([][]solver.Con, len(g.q.Classes))
+		qc.classErr = make([]error, len(g.q.Classes))
+		for ci, ec := range g.q.Classes {
+			qc.classes[ci], qc.classErr[ci] = tmp.classCons(ec.Members, set)
+		}
+		qc.preds = make([]solver.Con, len(g.q.Preds))
+		qc.predErr = make([]error, len(g.q.Preds))
+		for pi, pr := range g.q.Preds {
+			qc.preds[pi], qc.predErr[pi] = tmp.predCon(pr, pr.Op, set)
 		}
 	}
 	return p, nil
@@ -549,28 +618,31 @@ func (p *problem) classCons(members []qtree.AttrRef, set int) ([]solver.Con, err
 // assertQueryConds asserts all equivalence classes and predicates for the
 // given tuple set, except for classes in skipClass and predicate indices
 // in skipPred (the specifically violated conditions of a kill dataset).
+// The constraints come prebuilt from the layout.
 func (p *problem) assertQueryConds(set int, skipClass map[*qtree.EquivClass]bool, skipPred map[int]bool) error {
-	for _, ec := range p.g.q.Classes {
+	if set < 0 || set >= len(p.pl.conds) {
+		return fmt.Errorf("core: no tuple set %d in a %d-set layout", set, len(p.pl.conds))
+	}
+	qc := &p.pl.conds[set]
+	for ci, ec := range p.g.q.Classes {
 		if skipClass[ec] {
 			continue
 		}
-		cons, err := p.classCons(ec.Members, set)
-		if err != nil {
+		if err := qc.classErr[ci]; err != nil {
 			return err
 		}
-		for _, c := range cons {
+		for _, c := range qc.classes[ci] {
 			p.s.Assert(c)
 		}
 	}
-	for i, pr := range p.g.q.Preds {
+	for i := range p.g.q.Preds {
 		if skipPred[i] {
 			continue
 		}
-		c, err := p.predCon(pr, pr.Op, set)
-		if err != nil {
+		if err := qc.predErr[i]; err != nil {
 			return err
 		}
-		p.s.Assert(c)
+		p.s.Assert(qc.preds[i])
 	}
 	return p.assertSubConds(set)
 }
@@ -579,57 +651,71 @@ func (p *problem) assertQueryConds(set int, skipClass map[*qtree.EquivClass]bool
 // primary-key functional dependency (footnote 3: the chase — equal keys
 // force equal tuples, so a relation may still collapse to one tuple), and
 // foreign-key subset constraints as bounded FORALL/EXISTS quantifiers.
-// This is genDBConstraints() of the paper.
+// This is genDBConstraints() of the paper. The trees are carved from the
+// problem's slab in exactly the shape solver.ForAll, solver.Exists,
+// solver.NewAnd and solver.Implies build.
 func (p *problem) assertDBConstraints() {
-	for _, name := range p.relNames() {
-		slots := p.slots[name]
-		rel := slots[0].rel
+	sl := &p.slab
+	for _, lr := range p.pl.rels {
+		slots, rel := lr.slots, lr.rel
 		// Primary key: chase-style functional dependency, asserted as a
 		// bounded universal quantifier over slot pairs (∀ i,j: equal
-		// keys imply equal tuples), exactly as the paper frames it.
+		// keys imply equal tuples), exactly as the paper frames it. The
+		// implication is in solver.Implies's negation normal form:
+		// Or(Or(key columns differ), And(all columns equal)).
 		if len(rel.PrimaryKey) > 0 && len(slots) > 1 {
 			keyPos := make([]int, len(rel.PrimaryKey))
 			for i, c := range rel.PrimaryKey {
 				keyPos[i] = rel.AttrPos(c)
 			}
-			var bodies []solver.Con
+			bodies := sl.List(len(slots) * (len(slots) - 1) / 2)
+			b := 0
 			for i := 0; i < len(slots); i++ {
 				for j := i + 1; j < len(slots); j++ {
-					var keyEq, allEq []solver.Con
-					for _, kp := range keyPos {
-						keyEq = append(keyEq, solver.Eq(solver.V(slots[i].vars[kp]), solver.V(slots[j].vars[kp])))
+					keyNe := sl.List(len(keyPos))
+					for k, kp := range keyPos {
+						keyNe[k] = sl.Cmp(sqltypes.OpNE, solver.V(slots[i].vars[kp]), solver.V(slots[j].vars[kp]))
 					}
+					allEq := sl.List(len(rel.Attrs))
 					for ap := range rel.Attrs {
-						allEq = append(allEq, solver.Eq(solver.V(slots[i].vars[ap]), solver.V(slots[j].vars[ap])))
+						allEq[ap] = sl.Cmp(sqltypes.OpEQ, solver.V(slots[i].vars[ap]), solver.V(slots[j].vars[ap]))
 					}
-					bodies = append(bodies, solver.Implies(solver.NewAnd(keyEq...), solver.NewAnd(allEq...)))
+					impl := sl.List(2)
+					impl[0], impl[1] = sl.Or(keyNe), sl.And(allEq)
+					bodies[b] = sl.Or(impl)
+					b++
 				}
 			}
-			p.s.Assert(solver.ForAll(bodies...))
+			p.s.Assert(sl.ForAll(bodies))
 		}
 		// Foreign keys: FORALL r-slot EXISTS s-slot: columns equal.
 		for fi, fk := range rel.ForeignKeys {
 			refSlots := p.slots[fk.RefTable]
 			refRel := p.g.q.Schema.Relation(fk.RefTable)
-			var bodies []solver.Con
+			cols := make([]int, len(fk.Columns))
+			refCols := make([]int, len(fk.Columns))
+			for k, col := range fk.Columns {
+				cols[k], refCols[k] = rel.AttrPos(col), refRel.AttrPos(fk.RefColumns[k])
+			}
+			bodies := sl.List(len(slots))
+			nb := 0
 			for _, rs := range slots {
 				if p.skipFK[rs][fi] {
 					continue // NULL-patched column: vacuously satisfied
 				}
-				var disj []solver.Con
-				for _, ss := range refSlots {
-					var eqs []solver.Con
-					for k, col := range fk.Columns {
-						eqs = append(eqs, solver.Eq(
-							solver.V(rs.vars[rel.AttrPos(col)]),
-							solver.V(ss.vars[refRel.AttrPos(fk.RefColumns[k])])))
+				disj := sl.List(len(refSlots))
+				for si, ss := range refSlots {
+					eqs := sl.List(len(cols))
+					for k := range cols {
+						eqs[k] = sl.Cmp(sqltypes.OpEQ, solver.V(rs.vars[cols[k]]), solver.V(ss.vars[refCols[k]]))
 					}
-					disj = append(disj, solver.NewAnd(eqs...))
+					disj[si] = sl.And(eqs)
 				}
-				bodies = append(bodies, solver.Exists(disj...))
+				bodies[nb] = sl.Exists(disj)
+				nb++
 			}
-			if len(bodies) > 0 {
-				p.s.Assert(solver.ForAll(bodies...))
+			if nb > 0 {
+				p.s.Assert(sl.ForAll(bodies[:nb]))
 			}
 		}
 	}
@@ -641,16 +727,18 @@ func (p *problem) assertDBConstraints() {
 }
 
 func (p *problem) assertInputTuples() {
-	for _, name := range p.relNames() {
-		rows := p.g.opts.InputDB.Rows(name)
+	sl := &p.slab
+	for _, lr := range p.pl.rels {
+		rows := p.g.opts.InputDB.Rows(lr.rel.Name)
 		if len(rows) == 0 {
 			continue
 		}
-		rel := p.slots[name][0].rel
-		for _, sl := range p.slots[name] {
-			var disj []solver.Con
+		rel := lr.rel
+		for _, s := range lr.slots {
+			disj := sl.List(len(rows))
+			nd := 0
 			for _, row := range rows {
-				var eqs []solver.Con
+				eqs := sl.List(len(rel.Attrs))
 				ok := true
 				for ap := range rel.Attrs {
 					code, cok := p.g.encodeValue(row[ap])
@@ -658,31 +746,34 @@ func (p *problem) assertInputTuples() {
 						ok = false
 						break
 					}
-					eqs = append(eqs, solver.Eq(solver.V(sl.vars[ap]), solver.C(code)))
+					eqs[ap] = sl.Cmp(sqltypes.OpEQ, solver.V(s.vars[ap]), solver.C(code))
 				}
 				if ok {
-					disj = append(disj, solver.NewAnd(eqs...))
+					disj[nd] = sl.And(eqs)
+					nd++
 				}
 			}
-			if len(disj) > 0 {
-				p.s.Assert(solver.Exists(disj...))
+			if nd > 0 {
+				p.s.Assert(sl.Exists(disj[:nd]))
 			}
 		}
 	}
 }
 
 // notExistsValue asserts the paper's nullification constraint: no slot of
-// base relation rel has attribute attr equal to the given expression.
+// base relation rel has attribute attr equal to the given expression —
+// in solver.NotExists's form, a conjunction of disequalities.
 func (p *problem) notExistsValue(rel *schema.Relation, attr string, val solver.Lin) error {
 	pos := rel.AttrPos(attr)
 	if pos < 0 {
 		return fmt.Errorf("core: relation %s has no attribute %s (nullification target)", rel.Name, attr)
 	}
-	var bodies []solver.Con
-	for _, sl := range p.slots[rel.Name] {
-		bodies = append(bodies, solver.Eq(solver.V(sl.vars[pos]), val))
+	slots := p.slots[rel.Name]
+	bodies := p.slab.List(len(slots))
+	for i, sl := range slots {
+		bodies[i] = p.slab.Cmp(sqltypes.OpNE, solver.V(sl.vars[pos]), val)
 	}
-	p.s.Assert(solver.NotExists(bodies...))
+	p.s.Assert(p.slab.ForAll(bodies))
 	return nil
 }
 
@@ -779,16 +870,6 @@ func (p *problem) linOfRedirect(s *qtree.Scalar, occ string, sl *slot, set int) 
 			return solver.Lin{}, fmt.Errorf("core: unsupported arithmetic %c (assumption A4)", s.Op)
 		}
 	}
-}
-
-// relNames returns the populated relation names in deterministic order.
-func (p *problem) relNames() []string {
-	out := make([]string, 0, len(p.slots))
-	for n := range p.slots {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // solve invokes the constraint solver with the generator's options,
@@ -894,28 +975,26 @@ func (p *problem) assertGroupIsolationN(n int) error {
 }
 
 // extract turns a model into a dataset, de-duplicating rows that the
-// chase made identical.
+// chase made identical. Every slot's row is decoded into one value
+// buffer and one row list, sliced per relation.
 func (p *problem) extract(m solver.Model, purpose string) (*schema.Dataset, error) {
-	nulled := map[*slot]map[int]bool{}
-	for _, np := range p.nullPatches {
-		if nulled[np.sl] == nil {
-			nulled[np.sl] = map[int]bool{}
-		}
-		nulled[np.sl][np.pos] = true
-	}
-	ds := schema.NewDataset(purpose)
-	for _, name := range p.relNames() {
-		for _, sl := range p.slots[name] {
-			row := make(sqltypes.Row, len(sl.vars))
+	pl := p.pl
+	cells := make([]sqltypes.Value, pl.ncells)
+	rows := make([]sqltypes.Row, pl.nslots)
+	ds := &schema.Dataset{Purpose: purpose, Tables: make(map[string][]sqltypes.Row, len(pl.rels))}
+	for _, lr := range pl.rels {
+		for _, sl := range lr.slots {
+			row := cells[sl.cell : sl.cell+len(sl.vars) : sl.cell+len(sl.vars)]
 			for i, v := range sl.vars {
-				if nulled[sl][i] {
-					row[i] = sqltypes.TypedNull(sl.rel.Attrs[i].Type)
-					continue
-				}
 				row[i] = p.g.decodeValue(sl.rel.Attrs[i].Type, m[v])
 			}
-			ds.Insert(name, row)
+			rows[sl.row] = row
 		}
+		first, end := lr.slots[0].row, lr.slots[len(lr.slots)-1].row+1
+		ds.Tables[lr.table] = rows[first:end:end]
+	}
+	for _, np := range p.nullPatches {
+		cells[np.sl.cell+np.pos] = sqltypes.TypedNull(np.sl.rel.Attrs[np.pos].Type)
 	}
 	if err := p.g.q.Schema.DedupPrimaryKeys(ds); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", purpose, err)

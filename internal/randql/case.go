@@ -3,6 +3,7 @@ package randql
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/qtree"
@@ -20,6 +21,11 @@ type Case struct {
 	Schema *schema.Schema
 	SQL    string
 	Query  *qtree.Query
+	// rerun, when set, is the command that replays this case alone. A
+	// test harness that derives its case seeds from a base seed sets it,
+	// since only it knows the derivation; Repro prints it, or else the
+	// cmd/randql command that prints the case.
+	rerun string
 
 	rng       *rand.Rand
 	nDatasets int
@@ -56,7 +62,11 @@ func (c *Case) NextDataset() (*schema.Dataset, error) {
 func (c *Case) Repro(ds *schema.Dataset) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "-- randql reproducer: seed %d\n", c.Seed)
-	fmt.Fprintf(&sb, "-- rerun: go test ./internal/randql -run 'TestDifferentialOracle|TestSuiteCompleteness' -randql.seed=%d -randql.n=1 -randql.q=1\n", c.Seed)
+	rerun := c.rerun
+	if rerun == "" {
+		rerun = c.showCommand()
+	}
+	fmt.Fprintf(&sb, "-- rerun: %s\n", rerun)
 	sb.WriteString(c.Schema.String())
 	if !strings.HasSuffix(sb.String(), "\n") {
 		sb.WriteString("\n")
@@ -66,4 +76,45 @@ func (c *Case) Repro(ds *schema.Dataset) string {
 		fmt.Fprintf(&sb, "-- dataset (%s)\n%s", ds.Purpose, ds.SQLInserts(c.Schema))
 	}
 	return sb.String()
+}
+
+// showCommand is the cmd/randql command printing this case.
+func (c *Case) showCommand() string {
+	preset, flags, ok := grammarFlags(c.Cfg)
+	if !ok {
+		return fmt.Sprintf("go run ./cmd/randql -mode show -seed %d (custom grammar: no preset matches)", c.Seed)
+	}
+	cmd := fmt.Sprintf("go run ./cmd/randql -mode show -seed %d -config %s", c.Seed, preset)
+	for _, f := range flags {
+		cmd += " -" + f
+	}
+	return cmd
+}
+
+// grammarFlags names the preset cfg derives from ("default" or
+// "completeness") and renders, as name=value flag arguments without the
+// leading dash, every extended-class probability (subq, having, like)
+// that differs from it. ok is false when cfg differs from both presets
+// elsewhere, so no flags can rebuild it.
+func grammarFlags(cfg Config) (preset string, flags []string, ok bool) {
+	for _, p := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"completeness", CompletenessConfig()}} {
+		base := cfg
+		base.SubqProb, base.HavingProb, base.LikeProb = p.cfg.SubqProb, p.cfg.HavingProb, p.cfg.LikeProb
+		if base != p.cfg {
+			continue
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{{"subq", cfg.SubqProb, p.cfg.SubqProb}, {"having", cfg.HavingProb, p.cfg.HavingProb}, {"like", cfg.LikeProb, p.cfg.LikeProb}} {
+			if f.got != f.want {
+				flags = append(flags, f.name+"="+strconv.FormatFloat(f.got, 'g', -1, 64))
+			}
+		}
+		return p.name, flags, true
+	}
+	return "", nil, false
 }

@@ -20,17 +20,16 @@ var flagEngineDiff = flag.Int("randql.engine-diff", 25, "number of compiled-vs-r
 // killed there when the multisets of refeval.Eval (the original) and
 // refeval.EvalPlan (the mutant) differ.
 func TestCompiledRefevalDifferential(t *testing.T) {
-	cfg := DefaultConfig()
 	const datasetsPerCase = 2
 	cases, cells := 0, int64(0)
 	for i := 0; i < *flagEngineDiff; i++ {
-		// Offset past the oracle and completeness seed ranges so the
-		// corpora don't overlap.
-		seed := *flagSeed + 30000 + int64(i)
-		c, err := NewCase(seed, cfg)
+		// The harness offsets past the oracle and completeness seed
+		// ranges so the corpora don't overlap.
+		c, err := engineDiffHarness.newCase(*flagSeed, i)
 		if err != nil {
-			t.Fatalf("NewCase(%d): %v", seed, err)
+			t.Fatalf("case %d: %v", i, err)
 		}
+		seed := c.Seed
 		if !joinConnected(c.Query) {
 			// mutation.Space rejects cross products; the grammar allows them.
 			continue

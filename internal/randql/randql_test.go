@@ -12,9 +12,8 @@ import (
 )
 
 // Shared flags: the tests, the nightly soak job and local reproduction
-// all use the same entry points. A failing CI run prints a seed; re-run
-// with -randql.seed=<seed> -randql.n=1 (or -randql.q=1) to replay just
-// that case.
+// all use the same entry points. A failing case's reproducer prints the
+// go test command that replays it alone (see harness.rerun).
 var (
 	flagSeed = flag.Int64("randql.seed", 1, "base seed for randql cases")
 	flagN    = flag.Int("randql.n", 70, "number of differential-oracle cases (3 datasets each)")
@@ -30,6 +29,60 @@ var (
 	flagHaving = flag.Float64("randql.having", -1, "HAVING probability override (-1 = preset)")
 	flagLike   = flag.Float64("randql.like", -1, "LIKE probability override (-1 = preset)")
 )
+
+// harness is how a randql test derives its cases: case i of a run with
+// base seed b (-randql.seed) is NewCase(b + offset + i, cfg), where cfg
+// is the preset, overlaid with the grammar flags when the harness reads
+// them.
+type harness struct {
+	test   string        // the test function
+	offset int64         // added to the base seed
+	count  string        // the flag that sets the number of cases ("" = fixed)
+	preset func() Config // the grammar preset
+	flags  bool          // whether the extended-class flags apply
+}
+
+var (
+	oracleHarness       = harness{"TestDifferentialOracle", 0, "randql.n", DefaultConfig, true}
+	completenessHarness = harness{"TestSuiteCompleteness", 10000, "randql.q", CompletenessConfig, true}
+	roundTripHarness    = harness{"TestSQLPrinterRoundTripRandom", 20000, "", DefaultConfig, false}
+	engineDiffHarness   = harness{"TestCompiledRefevalDifferential", 30000, "randql.engine-diff", DefaultConfig, false}
+)
+
+// newCase derives case i of a run with base seed base, and records the
+// command that replays it alone.
+func (h harness) newCase(base int64, i int) (*Case, error) {
+	cfg := h.preset()
+	if h.flags {
+		cfg = applyFlags(cfg)
+	}
+	c, err := NewCase(base+h.offset+int64(i), cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.rerun = h.rerun(base+int64(i), cfg)
+	return c, nil
+}
+
+// rerun renders the go test command that makes the case of base seed
+// base, under grammar cfg, the harness's first case: the test's -run,
+// the base seed, a case count of one, every grammar flag that differs
+// from the preset and, for the completeness test, the goal timeout.
+func (h harness) rerun(base int64, cfg Config) string {
+	cmd := fmt.Sprintf("go test ./internal/randql -run '^%s$' -randql.seed=%d", h.test, base)
+	if h.count != "" {
+		cmd += " -" + h.count + "=1"
+	}
+	if _, flags, ok := grammarFlags(cfg); ok {
+		for _, f := range flags {
+			cmd += " -randql." + f
+		}
+	}
+	if h.test == completenessHarness.test && *flagGoalTimeout > 0 {
+		cmd += " -randql.goal-timeout=" + flagGoalTimeout.String()
+	}
+	return cmd
+}
 
 // applyFlags overlays the extended-class weight flags onto a preset.
 func applyFlags(cfg Config) Config {
@@ -91,11 +144,11 @@ func TestDifferentialOracle(t *testing.T) {
 	pairs := 0
 	cov := NewCoverage()
 	for i := 0; i < *flagN; i++ {
-		seed := *flagSeed + int64(i)
-		c, err := NewCase(seed, cfg)
+		c, err := oracleHarness.newCase(*flagSeed, i)
 		if err != nil {
-			t.Fatalf("NewCase(%d): %v", seed, err)
+			t.Fatalf("case %d: %v", i, err)
 		}
+		seed := c.Seed
 		cov.Observe(c.Query, c.SQL)
 		for d := 0; d < datasetsPerCase; d++ {
 			ds, err := c.NextDataset()
@@ -134,11 +187,11 @@ func TestSuiteCompleteness(t *testing.T) {
 	totalMutants, totalKilled, totalSuspected, budgetExceeded := 0, 0, 0, 0
 	cov := NewCoverage()
 	for i := 0; i < *flagQ; i++ {
-		seed := *flagSeed + 10000 + int64(i)
-		c, err := NewCase(seed, cfg)
+		c, err := completenessHarness.newCase(*flagSeed, i)
 		if err != nil {
-			t.Fatalf("NewCase(%d): %v", seed, err)
+			t.Fatalf("case %d: %v", i, err)
 		}
+		seed := c.Seed
 		cov.Observe(c.Query, c.SQL)
 		res, err := CheckCompleteness(c, seed*31+7)
 		if err != nil {
@@ -205,13 +258,12 @@ func TestCaseDeterminism(t *testing.T) {
 // with random queries: printing a random query and re-building it must
 // yield a query the engine evaluates identically on a random dataset.
 func TestSQLPrinterRoundTripRandom(t *testing.T) {
-	cfg := DefaultConfig()
 	for i := 0; i < 40; i++ {
-		seed := *flagSeed + 20000 + int64(i)
-		c, err := NewCase(seed, cfg)
+		c, err := roundTripHarness.newCase(*flagSeed, i)
 		if err != nil {
-			t.Fatalf("NewCase(%d): %v", seed, err)
+			t.Fatalf("case %d: %v", i, err)
 		}
+		seed := c.Seed
 		printed := c.Query.SQLString()
 		q2, err := qtree.BuildSQL(c.Schema, printed)
 		if err != nil {

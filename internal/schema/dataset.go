@@ -89,28 +89,79 @@ func (d *Dataset) String() string {
 }
 
 // SQLInserts renders the dataset as INSERT statements against the schema
-// (columns in schema order).
+// (columns in schema order). It sizes one buffer from the output's
+// length, writes each table's "INSERT INTO t (cols) VALUES (" prefix
+// once and copies it per row, and formats literals in place: a call
+// allocates the table-name list and the buffer, however many rows and
+// columns the dataset has.
 func (d *Dataset) SQLInserts(s *Schema) string {
-	var sb strings.Builder
+	names := d.TableNames()
+	size := 0
 	if d.Purpose != "" {
-		fmt.Fprintf(&sb, "-- %s\n", d.Purpose)
+		size += len("-- \n") + len(d.Purpose)
 	}
-	for _, t := range d.TableNames() {
-		rel := s.Relation(t)
-		for _, r := range d.Tables[t] {
-			vals := make([]string, len(r))
-			for i, v := range r {
-				vals[i] = v.SQLLiteral()
+	for _, t := range names {
+		rows := d.Tables[t]
+		if len(rows) == 0 {
+			continue
+		}
+		prefix := len("INSERT INTO \"\" VALUES (") + len(t)
+		if rel := s.Relation(t); rel != nil {
+			prefix += len(" ()")
+			for _, a := range rel.Attrs {
+				prefix += len(`"", `) + len(a.Name)
 			}
-			if rel != nil {
-				cols := make([]string, len(rel.Attrs))
-				for i, a := range rel.Attrs {
-					cols[i] = QuoteIdent(a.Name)
+		}
+		for _, r := range rows {
+			size += prefix + len(");\n")
+			for _, v := range r {
+				size += len(", ") + v.SQLLiteralBound()
+			}
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	var litArr [64]byte
+	lit := litArr[:0]
+	if d.Purpose != "" {
+		sb.WriteString("-- ")
+		sb.WriteString(d.Purpose)
+		sb.WriteByte('\n')
+	}
+	for _, t := range names {
+		rows := d.Tables[t]
+		if len(rows) == 0 {
+			continue
+		}
+		start := sb.Len()
+		sb.WriteString("INSERT INTO ")
+		sb.WriteString(QuoteIdent(t))
+		if rel := s.Relation(t); rel != nil {
+			sb.WriteString(" (")
+			for i, a := range rel.Attrs {
+				if i > 0 {
+					sb.WriteString(", ")
 				}
-				fmt.Fprintf(&sb, "INSERT INTO %s (%s) VALUES (%s);\n", QuoteIdent(t), strings.Join(cols, ", "), strings.Join(vals, ", "))
-			} else {
-				fmt.Fprintf(&sb, "INSERT INTO %s VALUES (%s);\n", QuoteIdent(t), strings.Join(vals, ", "))
+				sb.WriteString(QuoteIdent(a.Name))
 			}
+			sb.WriteByte(')')
+		}
+		sb.WriteString(" VALUES (")
+		// Written bytes never change, so the prefix can be re-read from
+		// the builder's own string.
+		prefix := sb.String()[start:]
+		for ri, r := range rows {
+			if ri > 0 {
+				sb.WriteString(prefix)
+			}
+			for i, v := range r {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				lit = v.AppendSQLLiteral(lit[:0])
+				sb.Write(lit)
+			}
+			sb.WriteString(");\n")
 		}
 	}
 	return sb.String()
@@ -121,13 +172,16 @@ func (d *Dataset) SQLInserts(s *Schema) string {
 // integrity of every foreign key. It returns the first violation found,
 // or nil if the dataset is a legal database instance.
 func (s *Schema) CheckDataset(d *Dataset) error {
-	pkBuf := make([]byte, 0, 64)
-	for _, t := range d.TableNames() {
+	var seen keySet
+	var keyArr, bufArr [64]byte
+	pkBuf, buf := keyArr[:0], bufArr[:0]
+	names := d.TableNames()
+	for _, t := range names {
 		rel := s.Relation(t)
 		if rel == nil {
 			return fmt.Errorf("dataset: unknown relation %s", t)
 		}
-		seenPK := make(map[string]int, len(d.Tables[t]))
+		seen.reset()
 		for ri, row := range d.Tables[t] {
 			if len(row) != rel.Arity() {
 				return fmt.Errorf("dataset: %s row %d: arity %d, want %d", t, ri, len(row), rel.Arity())
@@ -150,28 +204,29 @@ func (s *Schema) CheckDataset(d *Dataset) error {
 				if !ok {
 					return fmt.Errorf("dataset: %s row %d: NULL in primary key", t, ri)
 				}
-				if prev, dup := seenPK[string(pkBuf)]; dup {
-					return fmt.Errorf("dataset: %s rows %d and %d: duplicate primary key %s", t, prev, ri, pkBuf)
+				if prev, dup := seen.find(pkBuf); dup {
+					return fmt.Errorf("dataset: %s rows %d and %d: duplicate primary key %s", t, prev, ri, string(pkBuf))
 				}
-				seenPK[string(pkBuf)] = ri
+				seen.add(pkBuf, ri)
 			}
 		}
 	}
 	// Referential integrity.
-	buf := make([]byte, 0, 64)
-	for _, t := range d.TableNames() {
+	for _, t := range names {
 		rel := s.Relation(t)
 		for _, fk := range rel.ForeignKeys {
 			ref := s.Relation(fk.RefTable)
 			if ref == nil {
 				return fmt.Errorf("dataset: %s: %s: missing referenced relation", t, fk)
 			}
-			refKeys := make(map[string]bool, len(d.Rows(fk.RefTable)))
+			seen.reset()
 			for _, row := range d.Rows(fk.RefTable) {
 				var ok bool
 				buf, ok = appendProjKey(buf[:0], ref, fk.RefColumns, row)
-				if ok && !refKeys[string(buf)] {
-					refKeys[string(buf)] = true
+				if ok {
+					if _, dup := seen.find(buf); !dup {
+						seen.add(buf, 0)
+					}
 				}
 			}
 			for ri, row := range d.Tables[t] {
@@ -180,7 +235,7 @@ func (s *Schema) CheckDataset(d *Dataset) error {
 				if !ok { // NULL in FK: vacuously satisfied (A2 forbids, but be lenient)
 					continue
 				}
-				if !refKeys[string(buf)] {
+				if _, found := seen.find(buf); !found {
 					return fmt.Errorf("dataset: %s row %d violates %s: no matching %s row", t, ri, fk, fk.RefTable)
 				}
 			}
@@ -200,8 +255,8 @@ func kindCompatible(col, val sqltypes.Kind) bool {
 // to dst; ok is false (and dst is returned truncated as passed) when a
 // key column is NULL. Dedup loops reuse one buffer across rows.
 func appendPKKey(dst []byte, rel *Relation, row sqltypes.Row) (_ []byte, ok bool) {
-	for i, c := range rel.PrimaryKey {
-		v := row[rel.AttrPos(c)]
+	for i, pos := range rel.pkPos {
+		v := row[pos]
 		if v.IsNull() {
 			return dst, false
 		}
@@ -233,49 +288,47 @@ func appendProjKey(dst []byte, rel *Relation, cols []string, row sqltypes.Row) (
 // row, and reports an error if two distinct rows share a primary key. The
 // paper notes the solver may legitimately make repair tuples equal to
 // existing tuples; duplicates are eliminated before the dataset is
-// materialized.
+// materialized. Each table's rows are compacted in place: the kept rows
+// keep their order at the front of the table's slice.
 func (s *Schema) DedupPrimaryKeys(d *Dataset) error {
-	rkBuf := make([]byte, 0, 64)
-	pkBuf := make([]byte, 0, 64)
+	var seen keySet
+	var keyArr, rowArr, prevArr [64]byte
+	key, rowKey, prevKey := keyArr[:0], rowArr[:0], prevArr[:0]
 	for _, t := range d.TableNames() {
 		rel := s.Relation(t)
 		if rel == nil {
 			continue
 		}
 		rows := d.Tables[t]
-		var kept []sqltypes.Row
-		if len(rel.PrimaryKey) > 0 {
-			// No separate full-row pass: equal rows share a primary key,
-			// so the PK map finds both row duplicates (keys collide, rows
-			// compare equal — skip) and genuine conflicts (rows differ —
-			// error) in one lookup.
-			seenPK := make(map[string]int, len(rows))
-			for _, row := range rows {
+		kept := rows[:0]
+		seen.reset()
+		for _, row := range rows {
+			if len(rel.PrimaryKey) > 0 {
+				// No separate full-row pass: equal rows share a primary
+				// key, so the key set finds both row duplicates (keys
+				// collide, rows compare equal — skip) and genuine
+				// conflicts (rows differ — error) in one lookup.
 				var ok bool
-				pkBuf, ok = appendPKKey(pkBuf[:0], rel, row)
+				key, ok = appendPKKey(key[:0], rel, row)
 				if !ok {
 					return fmt.Errorf("dedup: %s: NULL primary key", t)
 				}
-				if prev, dup := seenPK[string(pkBuf)]; dup {
-					rkBuf = kept[prev].AppendKey(rkBuf[:0])
-					if string(rkBuf) != row.Key() {
+				if prev, dup := seen.find(key); dup {
+					prevKey = kept[prev].AppendKey(prevKey[:0])
+					rowKey = row.AppendKey(rowKey[:0])
+					if string(prevKey) != string(rowKey) {
 						return fmt.Errorf("dedup: %s: primary-key conflict between distinct rows", t)
 					}
 					continue
 				}
-				seenPK[string(pkBuf)] = len(kept)
-				kept = append(kept, row)
-			}
-		} else {
-			seenRow := make(map[string]bool, len(rows))
-			for _, row := range rows {
-				rkBuf = row.AppendKey(rkBuf[:0])
-				if seenRow[string(rkBuf)] {
+			} else {
+				key = row.AppendKey(key[:0])
+				if _, dup := seen.find(key); dup {
 					continue
 				}
-				seenRow[string(rkBuf)] = true
-				kept = append(kept, row)
 			}
+			seen.add(key, len(kept))
+			kept = append(kept, row)
 		}
 		d.Tables[t] = kept
 		d.invalidateView(t)

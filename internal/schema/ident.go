@@ -1,7 +1,5 @@
 package schema
 
-import "strings"
-
 // ReservedWords is the canonical keyword set of the SQL fragment: the
 // lexer (internal/sqlparser) tokenizes exactly these as keywords, and
 // every SQL printer quotes identifiers that collide with them. Keeping
@@ -33,10 +31,51 @@ var ReservedWords = map[string]bool{
 // what makes the parser↔printer round-trip a checkable invariant
 // (FuzzParseQuery/FuzzParseDDL assert it on arbitrary inputs).
 func QuoteIdent(s string) string {
-	if isBareIdent(s) && !ReservedWords[strings.ToUpper(s)] {
-		return s
+	if isBareIdent(s) {
+		if _, reserved := Keyword(s); !reserved {
+			return s
+		}
 	}
 	return `"` + s + `"`
+}
+
+// maxKeywordLen is the length of the longest reserved word.
+const maxKeywordLen = len("REFERENCES")
+
+// keywordsByLen[n] lists the reserved words of length n.
+var keywordsByLen = func() (t [maxKeywordLen + 1][]string) {
+	for w := range ReservedWords {
+		if len(w) > maxKeywordLen {
+			panic("schema: reserved word " + w + " longer than maxKeywordLen")
+		}
+		t[len(w)] = append(t[len(w)], w)
+	}
+	return t
+}()
+
+// Keyword reports whether the ASCII word is a reserved word in any
+// letter case, and returns its canonical upper-case spelling. It
+// compares against the reserved words of the word's length without
+// building a string, so neither a hit nor a miss allocates. Non-ASCII
+// bytes never match a reserved word.
+func Keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+next:
+	for _, kw := range keywordsByLen[len(word)] {
+		for i := 0; i < len(word); i++ {
+			c := word[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if c != kw[i] {
+				continue next
+			}
+		}
+		return kw, true
+	}
+	return "", false
 }
 
 // isBareIdent reports whether s lexes as one unquoted identifier:

@@ -46,6 +46,7 @@ type Relation struct {
 	ForeignKeys []ForeignKey
 
 	attrPos map[string]int
+	pkPos   []int // positions of the PrimaryKey columns
 }
 
 // NewRelation builds a relation and indexes its attributes. Attribute
@@ -66,10 +67,13 @@ func NewRelation(name string, attrs []Attribute, pk []string, fks []ForeignKey) 
 		r.Attrs[i] = a
 		r.attrPos[a.Name] = i
 	}
-	for _, c := range r.PrimaryKey {
-		if _, ok := r.attrPos[c]; !ok {
+	r.pkPos = make([]int, len(r.PrimaryKey))
+	for i, c := range r.PrimaryKey {
+		pos, ok := r.attrPos[c]
+		if !ok {
 			return nil, fmt.Errorf("schema: relation %s: primary key column %s not found", name, c)
 		}
+		r.pkPos[i] = pos
 	}
 	for i, fk := range fks {
 		fk.Columns = lowerAll(fk.Columns)

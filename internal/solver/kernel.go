@@ -24,16 +24,16 @@ import (
 // goal's delta never require recompiling base clauses.
 type kclause interface {
 	keval(st *kstate) sqltypes.Tristate
-	// kfalse reports keval == False, computed with a False-specific
-	// short-circuit: a disjunction stops at its first non-False child
-	// instead of scanning on for a True one. LCV scoring (orderValues)
-	// only needs the False bit, and the scan dominates it on the wide
-	// foreign-key disjunctions.
-	kfalse(st *kstate) bool
 	// kprune narrows bitset domains of unassigned variables where
 	// possible, recording overwritten words on the trail. It reports
 	// conflict when a domain empties.
 	kprune(st *kstate) (conflict bool)
+	// kfalseMask returns keval for the unassigned variable v and, when
+	// that is Unknown, sets in dst bit i for each candidate vals[i] that
+	// makes the clause False once assigned to v (otherwise dst is
+	// cleared or left unspecified). depth indexes the bitmask scratch
+	// of nested clauses (see orderValues).
+	kfalseMask(st *kstate, v VarID, vals []int64, dst []uint64, depth int) sqltypes.Tristate
 }
 
 // ktrail is the copy-on-write backtracking trail: each entry is one
@@ -91,12 +91,14 @@ type kstate struct {
 	// kpropagate's BFS queue; impl is the implied-assignment stack
 	// (callers record their mark and pop back to it after recursion);
 	// vbufs holds one candidate-value buffer per dfs depth; valueScores
-	// backs orderValues' stable insertion sort.
+	// backs orderValues' stable insertion sort and lcvMasks its
+	// per-depth candidate bitmasks.
 	pq          []VarID
 	impl        []VarID
 	vbufs       [][]int64
 	depth       int
 	valueScores []int
+	lcvMasks    []uint64
 	// Canonical-key scratch (components.go): lidOf maps representative
 	// -> local id for the component being encoded; keyBuf/keyTerms back
 	// the encoding.
@@ -265,11 +267,6 @@ func (c *kCmp) keval(st *kstate) sqltypes.Tristate {
 	return evalCmpBounds(c.op, lo, hi)
 }
 
-func (c *kCmp) kfalse(st *kstate) bool {
-	lo, hi := st.klinBounds(c.diff)
-	return evalCmpBounds(c.op, lo, hi) == sqltypes.False
-}
-
 func (c *kCmp) kprune(st *kstate) bool {
 	// Unit filtering: with exactly one unassigned rep the comparison is
 	// exact per candidate value. Terms merged onto the same rep
@@ -360,23 +357,6 @@ func (c *kNary) keval(st *kstate) sqltypes.Tristate {
 	return out
 }
 
-func (c *kNary) kfalse(st *kstate) bool {
-	if c.conj {
-		for _, ch := range c.children {
-			if ch.kfalse(st) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, ch := range c.children {
-		if !ch.kfalse(st) {
-			return false
-		}
-	}
-	return true
-}
-
 func (c *kNary) kprune(st *kstate) bool {
 	if c.conj {
 		for _, ch := range c.children {
@@ -410,13 +390,21 @@ func (c *kNary) kprune(st *kstate) bool {
 // kcScratch holds kcompile's reusable buffers. The fused
 // diff-substitute-normalize in klinDiff and the scratch-accumulated
 // variable list reduce one compiled comparison from ~six heap objects
-// (Minus/Times/normalize/subLinRep temporaries) to the two that
-// actually outlive the compile: the clause node and its exact-size
-// Terms slice. Compilation dominated the workload's allocation profile
-// because every prepared base recompiles the database-constraint core.
+// (Minus/Times/normalize/subLinRep temporaries) to what outlives the
+// compile: the clause nodes, their Terms and child slices, and the
+// clause's variable list. Those are carved from slabs (see carve), so
+// compiling a prepared base's database-constraint core — thousands of
+// nodes — allocates a chunk per slabChunk nodes instead of one object
+// per node.
 type kcScratch struct {
 	terms []Term
 	vars  []VarID
+	// Slabs the compiled nodes are carved from.
+	cmps     []kCmp
+	nary     []kNary
+	children []kclause
+	termSlab []Term
+	varSlab  []VarID
 }
 
 // kcompile compiles a flattened constraint, substituting variables with
@@ -433,19 +421,25 @@ func kcompile(c Con, rep []VarID, sc *kcScratch) (kclause, []VarID) {
 			for _, t := range d.Terms {
 				sc.vars = append(sc.vars, t.V)
 			}
-			return &kCmp{op: n.Op, diff: d}
+			c := &carve(&sc.cmps, 1)[0]
+			*c = kCmp{op: n.Op, diff: d}
+			return c
 		case *And:
-			out := make([]kclause, len(n.Cs))
+			out := carve(&sc.children, len(n.Cs))
 			for i, x := range n.Cs {
 				out[i] = walk(x)
 			}
-			return &kNary{conj: true, children: out}
+			c := &carve(&sc.nary, 1)[0]
+			*c = kNary{conj: true, children: out}
+			return c
 		case *Or:
-			out := make([]kclause, len(n.Cs))
+			out := carve(&sc.children, len(n.Cs))
 			for i, x := range n.Cs {
 				out[i] = walk(x)
 			}
-			return &kNary{conj: false, children: out}
+			c := &carve(&sc.nary, 1)[0]
+			*c = kNary{conj: false, children: out}
+			return c
 		default:
 			panic("solver: kcompile expects flattened constraints")
 		}
@@ -453,7 +447,7 @@ func kcompile(c Con, rep []VarID, sc *kcScratch) (kclause, []VarID) {
 	cl := walk(c)
 	slices.Sort(sc.vars)
 	deduped := dedupeVars(sc.vars)
-	vars := make([]VarID, len(deduped))
+	vars := carve(&sc.varSlab, len(deduped))
 	copy(vars, deduped)
 	return cl, vars
 }
@@ -500,7 +494,7 @@ func klinDiff(L, R Lin, rep []VarID, sc *kcScratch) Lin {
 	}
 	out := Lin{Const: L.Const - R.Const}
 	if m > 0 {
-		out.Terms = make([]Term, m)
+		out.Terms = carve(&sc.termSlab, m)
 		copy(out.Terms, buf[:m])
 	}
 	return out

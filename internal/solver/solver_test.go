@@ -493,3 +493,30 @@ func TestRestartEscapesThrash(t *testing.T) {
 		}
 	}
 }
+
+// TestEqDiffMatchesMinus checks classifyEq's allocation-free difference
+// against Lin.Minus on random small expressions, duplicate and
+// cancelling variables included.
+func TestEqDiffMatchesMinus(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lin := func() Lin {
+		l := Lin{Const: rng.Int63n(11) - 5}
+		for n := rng.Intn(3); n > 0; n-- {
+			l.Terms = append(l.Terms, Term{Coef: rng.Int63n(5) - 2, V: VarID(rng.Intn(4))})
+		}
+		return l
+	}
+	for i := 0; i < 5000; i++ {
+		L, R := lin(), lin()
+		var buf [4]Term
+		got, want := eqDiff(L, R, &buf), L.Minus(R)
+		if got.Const != want.Const || len(got.Terms) != len(want.Terms) {
+			t.Fatalf("eqDiff(%v, %v) = %v, Minus = %v", L, R, got, want)
+		}
+		for k := range got.Terms {
+			if got.Terms[k] != want.Terms[k] {
+				t.Fatalf("eqDiff(%v, %v) = %v, Minus = %v", L, R, got, want)
+			}
+		}
+	}
+}

@@ -260,7 +260,8 @@ func classifyEq(c Con, uf *varUF) (eq [2]VarID, pin kpin, kind eqKind) {
 	if !ok || cmp.Op != sqltypes.OpEQ {
 		return eq, pin, eqNone
 	}
-	d := cmp.L.Minus(cmp.R)
+	var buf [4]Term
+	d := eqDiff(cmp.L, cmp.R, &buf)
 	switch {
 	case len(d.Terms) == 0:
 		if d.Const != 0 {
@@ -274,6 +275,47 @@ func classifyEq(c Con, uf *varUF) (eq [2]VarID, pin kpin, kind eqKind) {
 		return [2]VarID{uf.find(d.Terms[0].V), uf.find(d.Terms[1].V)}, pin, eqMerge
 	}
 	return eq, pin, eqNone
+}
+
+// eqDiff returns L.Minus(R) — terms sorted by variable, equal variables
+// merged, zero coefficients dropped — built in buf when the terms fit,
+// so classifying an equality conjunct (every conjunct of every solve
+// goes through classifyEq) allocates nothing. The canonical form is
+// unique, so it equals Minus's result term for term.
+func eqDiff(L, R Lin, buf *[4]Term) Lin {
+	if len(L.Terms)+len(R.Terms) > len(buf) {
+		return L.Minus(R)
+	}
+	ts := append(buf[:0], L.Terms...)
+	for _, t := range R.Terms {
+		ts = append(ts, Term{Coef: -t.Coef, V: t.V})
+	}
+	for i := 1; i < len(ts); i++ {
+		t := ts[i]
+		j := i - 1
+		for j >= 0 && ts[j].V > t.V {
+			ts[j+1] = ts[j]
+			j--
+		}
+		ts[j+1] = t
+	}
+	m := 0
+	for i := 0; i < len(ts); {
+		v := ts[i].V
+		var sum int64
+		for ; i < len(ts) && ts[i].V == v; i++ {
+			sum += ts[i].Coef
+		}
+		if sum != 0 {
+			ts[m] = Term{Coef: sum, V: v}
+			m++
+		}
+	}
+	out := Lin{Const: L.Const - R.Const}
+	if m > 0 {
+		out.Terms = ts[:m]
+	}
+	return out
 }
 
 // pinStore narrows v's candidate set to {val}; returns the new count.

@@ -30,9 +30,15 @@ const (
 )
 
 type token struct {
-	kind tokenKind
 	text string // keywords upper-cased, identifiers lower-cased
-	pos  int    // byte offset, for diagnostics
+	pos  int32  // byte offset, for diagnostics
+	kind tokenKind
+}
+
+// mkToken builds a token; the fields are ordered for size (24 bytes),
+// which matters because lex sizes its slice for the worst case.
+func mkToken(kind tokenKind, text string, pos int) token {
+	return token{text: text, pos: int32(pos), kind: kind}
 }
 
 func (t token) String() string {
@@ -42,15 +48,15 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// keywords recognized by the lexer. Anything else alphanumeric is an
-// identifier. The set lives in the schema package so the SQL printers
-// can quote identifiers that would otherwise lex as keywords.
-var keywords = schema.ReservedWords
+// The lexer's keywords are schema.ReservedWords; anything else
+// alphanumeric is an identifier. The set lives in the schema package so
+// the SQL printers can quote identifiers that would otherwise lex as
+// keywords.
 
 // lex tokenizes the input. It returns an error for unterminated strings
 // or illegal characters.
 func lex(input string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, maxTokens(input))
 	i, n := 0, len(input)
 	for i < n {
 		c := input[i]
@@ -73,11 +79,10 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			word := input[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{tkKeyword, up, start})
+			if kw, ok := schema.Keyword(word); ok {
+				toks = append(toks, mkToken(tkKeyword, kw, start))
 			} else {
-				toks = append(toks, token{tkIdent, strings.ToLower(word), start})
+				toks = append(toks, mkToken(tkIdent, strings.ToLower(word), start))
 			}
 		case c >= '0' && c <= '9':
 			start := i
@@ -90,15 +95,21 @@ func lex(input string) ([]token, error) {
 					i++
 				}
 			}
-			toks = append(toks, token{tkNumber, input[start:i], start})
+			toks = append(toks, mkToken(tkNumber, input[start:i], start))
 		case c == '\'':
 			start := i
 			i++
+			// A literal without escaped quotes is a substring of the
+			// input; only one with doubled quotes is rebuilt.
 			var sb strings.Builder
-			closed := false
+			escaped, closed := false, false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' { // escaped quote
+						if !escaped {
+							escaped = true
+							sb.WriteString(input[start+1 : i])
+						}
 						sb.WriteByte('\'')
 						i += 2
 						continue
@@ -107,13 +118,19 @@ func lex(input string) ([]token, error) {
 					closed = true
 					break
 				}
-				sb.WriteByte(input[i])
+				if escaped {
+					sb.WriteByte(input[i])
+				}
 				i++
 			}
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			toks = append(toks, token{tkString, sb.String(), start})
+			text := input[start+1 : i-1]
+			if escaped {
+				text = sb.String()
+			}
+			toks = append(toks, mkToken(tkString, text, start))
 		case c == '"': // quoted identifier
 			start := i
 			i++
@@ -121,7 +138,7 @@ func lex(input string) ([]token, error) {
 			if j < 0 {
 				return nil, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
 			}
-			toks = append(toks, token{tkIdent, strings.ToLower(input[i : i+j]), start})
+			toks = append(toks, mkToken(tkIdent, strings.ToLower(input[i:i+j]), start))
 			i += j + 1
 		default:
 			start := i
@@ -135,20 +152,20 @@ func lex(input string) ([]token, error) {
 				if two == "!=" {
 					two = "<>"
 				}
-				toks = append(toks, token{tkSymbol, two, start})
+				toks = append(toks, mkToken(tkSymbol, two, start))
 				i += 2
 				continue
 			}
 			switch c {
 			case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.', ';':
-				toks = append(toks, token{tkSymbol, string(c), start})
+				toks = append(toks, mkToken(tkSymbol, input[i:i+1], start))
 				i++
 			default:
 				return nil, fmt.Errorf("sql: illegal character %q at offset %d", c, i)
 			}
 		}
 	}
-	toks = append(toks, token{tkEOF, "", n})
+	toks = append(toks, mkToken(tkEOF, "", n))
 	return toks, nil
 }
 
@@ -165,4 +182,44 @@ func isIdentStart(r rune) bool {
 
 func isIdentPart(r rune) bool {
 	return isIdentStart(r) || (r >= '0' && r <= '9')
+}
+
+// Byte classes for maxTokens.
+const (
+	clsOther = iota
+	clsSpace
+	clsLetter
+	clsDigit
+)
+
+// byteClass maps each byte to its maxTokens class.
+var byteClass = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			t[c] = clsSpace
+		case isIdentStart(rune(c)):
+			t[c] = clsLetter
+		case c >= '0' && c <= '9':
+			t[c] = clsDigit
+		}
+	}
+	return t
+}()
+
+// maxTokens bounds the number of tokens lex emits for input, so the
+// token slice is sized once: every token starts at a non-space byte that
+// is punctuation or begins a run of letters or of digits, so counting
+// such bytes (plus the end-of-input token) never undercounts.
+func maxTokens(input string) int {
+	n := 1
+	prev := uint8(clsSpace)
+	for i := 0; i < len(input); i++ {
+		cls := byteClass[input[i]]
+		if cls == clsOther || (cls != clsSpace && cls != prev) {
+			n++
+		}
+		prev = cls
+	}
+	return n
 }

@@ -156,6 +156,69 @@ func (v Value) SQLLiteral() string {
 	return v.String()
 }
 
+// AppendSQLLiteral appends SQLLiteral() to dst and returns the extended
+// buffer, formatting numbers in place instead of through a string.
+func (v Value) AppendSQLLiteral(dst []byte) []byte {
+	if v.null {
+		return append(dst, "NULL"...)
+	}
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindString:
+		dst = append(dst, '\'')
+		s := v.s
+		for {
+			q := strings.IndexByte(s, '\'')
+			if q < 0 {
+				break
+			}
+			dst = append(dst, s[:q+1]...)
+			dst = append(dst, '\'')
+			s = s[q+1:]
+		}
+		dst = append(dst, s...)
+		return append(dst, '\'')
+	case KindBool:
+		if v.b {
+			return append(dst, "TRUE"...)
+		}
+		return append(dst, "FALSE"...)
+	default:
+		return append(dst, "NULL"...)
+	}
+}
+
+// SQLLiteralBound is an upper bound on len(SQLLiteral()), exact for
+// every kind but floats, for sizing a buffer before AppendSQLLiteral
+// calls.
+func (v Value) SQLLiteralBound() int {
+	switch {
+	case v.null:
+		return len("NULL")
+	case v.kind == KindString:
+		return 2 + len(v.s) + strings.Count(v.s, "'")
+	case v.kind == KindInt:
+		n, x := 1, v.i
+		if x < 0 {
+			n++ // the sign; x/10 below keeps MinInt64 in range
+		}
+		for x /= 10; x != 0; x /= 10 {
+			n++
+		}
+		return n
+	case v.kind == KindBool:
+		if v.b {
+			return len("TRUE")
+		}
+		return len("FALSE")
+	default:
+		return 24 // the longest shortest-form float64
+	}
+}
+
 // Tristate is the result of a three-valued logic evaluation.
 type Tristate uint8
 

@@ -1,6 +1,7 @@
 package sqltypes
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -298,6 +299,30 @@ func TestHoldsSignConsistency(t *testing.T) {
 			if got := op.HoldsSign(sign); got != want {
 				t.Errorf("%s.HoldsSign(%d) = %v, want %v", op, sign, got, want)
 			}
+		}
+	}
+}
+
+// TestAppendSQLLiteral checks AppendSQLLiteral against SQLLiteral, and
+// SQLLiteralBound against the literal's length: exact for every kind but
+// floats, where it bounds it.
+func TestAppendSQLLiteral(t *testing.T) {
+	vals := []Value{
+		Null(), TypedNull(KindInt), TypedNull(KindString),
+		NewInt(0), NewInt(7), NewInt(-7), NewInt(10), NewInt(-10), NewInt(99999),
+		NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(2.5), NewFloat(-1e300), NewFloat(-2.2250738585072014e-308), NewFloat(1.0 / 3),
+		NewString(""), NewString("abc"), NewString("it's"), NewString("''"), NewString("x'y'z"),
+		NewBool(true), NewBool(false),
+	}
+	for _, v := range vals {
+		want := v.SQLLiteral()
+		if got := string(v.AppendSQLLiteral([]byte("pre:"))); got != "pre:"+want {
+			t.Errorf("%#v: AppendSQLLiteral appended %q, want %q", v, got, "pre:"+want)
+		}
+		bound := v.SQLLiteralBound()
+		if bound < len(want) || (v.Kind() != KindFloat && bound != len(want)) {
+			t.Errorf("%#v: SQLLiteralBound %d, literal %q has length %d", v, bound, want, len(want))
 		}
 	}
 }

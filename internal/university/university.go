@@ -225,3 +225,44 @@ func SampleDB(sch *schema.Schema, n int) *schema.Dataset {
 	}
 	return ds
 }
+
+// Cell is one generation request held as the text a user sends: the
+// schema DDL, the query SQL and, for the §VI-C.3 cells, an input
+// database as INSERT statements that every generated tuple must be
+// drawn from (§VI-A, forced input tuples).
+type Cell struct {
+	Name    string
+	DDL     string
+	SQL     string
+	Inserts string
+}
+
+// inputDBSizes are the §VI-C.3 input-database sizes (tuples per
+// relation), run on Q4 without foreign keys.
+var inputDBSizes = []int{5, 9}
+
+// GenerationCells returns the 22 generation requests the paper times
+// (§VI-C): every Table I/II query at each of its foreign-key counts, in
+// table order, then Q4 without foreign keys over each inputDBSizes
+// sample database.
+func GenerationCells() []Cell {
+	var out []Cell
+	for _, set := range [][]BenchQuery{TableIQueries(), TableIIQueries()} {
+		for _, bq := range set {
+			for _, fk := range bq.FKCounts {
+				out = append(out, Cell{Name: fmt.Sprintf("%s/fk%d", bq.Name, fk), DDL: Schema(fk).String(), SQL: bq.SQL})
+			}
+		}
+	}
+	q4 := TableIQueries()[3]
+	for _, n := range inputDBSizes {
+		sch := Schema(0)
+		out = append(out, Cell{
+			Name:    fmt.Sprintf("Q4/fk0/input%d", n),
+			DDL:     sch.String(),
+			SQL:     q4.SQL,
+			Inserts: SampleDB(sch, n).SQLInserts(sch),
+		})
+	}
+	return out
+}
