@@ -19,10 +19,11 @@
 package xdata_test
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -82,10 +83,10 @@ func benchTable(b *testing.B, queries []university.BenchQuery) {
 	for _, bq := range queries {
 		for _, fk := range bq.FKCounts {
 			bq, fk := bq, fk
-			b.Run(bq.Name+"/fk="+itoa(fk)+"/unfold", func(b *testing.B) {
+			b.Run(bq.Name+"/fk="+strconv.Itoa(fk)+"/unfold", func(b *testing.B) {
 				benchCell(b, bq, fk, true)
 			})
-			b.Run(bq.Name+"/fk="+itoa(fk)+"/quantified", func(b *testing.B) {
+			b.Run(bq.Name+"/fk="+strconv.Itoa(fk)+"/quantified", func(b *testing.B) {
 				benchCell(b, bq, fk, false)
 			})
 		}
@@ -104,7 +105,7 @@ func BenchmarkInputDB(b *testing.B) {
 	bq := university.TableIQueries()[3]
 	for _, n := range []int{0, 5, 9} {
 		n := n
-		b.Run("tuples="+itoa(n), func(b *testing.B) {
+		b.Run("tuples="+strconv.Itoa(n), func(b *testing.B) {
 			sch := university.Schema(0)
 			q, err := qtree.BuildSQL(sch, bq.SQL)
 			if err != nil {
@@ -133,28 +134,22 @@ func BenchmarkInputDB(b *testing.B) {
 // short-paper algorithm [14] (input-database selection, no synthetic
 // data, no FK handling) vs the constraint-based generator.
 func BenchmarkBaselineComparison(b *testing.B) {
+	ctx := context.Background()
 	b.Run("xdata", func(b *testing.B) {
-		var rows []xbench.BaselineRow
-		var err error
 		for i := 0; i < b.N; i++ {
-			rows, err = xbench.RunBaseline(xbench.Options{SkipKillCheck: true})
-			if err != nil {
+			if _, err := xbench.RunBaseline(ctx, xbench.Options{SkipKillCheck: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		var total float64
-		for _, r := range rows {
-			total += float64(r.XDataKilled)
-		}
 	})
 	// Per-query cells with kill counts, run once with metrics.
-	rows, err := xbench.RunBaseline(xbench.Options{})
+	rows, err := xbench.RunBaseline(ctx, xbench.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, r := range rows {
 		r := r
-		b.Run("cell/"+r.Query+"/fk="+itoa(r.FKs), func(b *testing.B) {
+		b.Run("cell/"+r.Query+"/fk="+strconv.Itoa(r.FKs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = r
 			}
@@ -244,108 +239,4 @@ func BenchmarkAblationJointNullify(b *testing.B) {
 			b.ReportMetric(float64(len(rep.Mutants)), "mutants")
 		})
 	}
-}
-
-// seqBaselines caches sequential (1-worker) wall times per scaling cell
-// so every worker-count sub-benchmark reports speedup against the same
-// baseline measurement.
-var seqBaselines sync.Map // cell name -> time.Duration
-
-// BenchmarkParallelScaling measures the parallel kill-goal pipeline and
-// the parallel kill-matrix evaluator at 1/2/4/8 workers, reporting
-// wall-clock speedup over the 1-worker run as a custom metric. The two
-// cells are the ones the paper's evaluation is dominated by: generation
-// for the Table I 6-join query (Q6, fk=0) and mutation.Evaluate on its
-// university kill matrix.
-func BenchmarkParallelScaling(b *testing.B) {
-	bq := university.TableIQueries()[5] // Q6: 6 joins, 7 relations
-	sch := university.Schema(0)
-	q, err := qtree.BuildSQL(sch, bq.SQL)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	measureSeq := func(cell string, run func() error) time.Duration {
-		if d, ok := seqBaselines.Load(cell); ok {
-			return d.(time.Duration)
-		}
-		t0 := time.Now()
-		if err := run(); err != nil {
-			b.Fatal(err)
-		}
-		d := time.Since(t0)
-		seqBaselines.Store(cell, d)
-		return d
-	}
-
-	// Generation scaling on the 6-join Table I cell.
-	genWith := func(workers int) error {
-		opts := core.DefaultOptions()
-		opts.Parallelism = workers
-		_, err := core.NewGenerator(q, opts).Generate()
-		return err
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run("generate/Q6/workers="+itoa(workers), func(b *testing.B) {
-			base := measureSeq("generate/Q6", func() error { return genWith(1) })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := genWith(workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			perOp := time.Duration(int64(b.Elapsed()) / int64(b.N))
-			if perOp > 0 {
-				b.ReportMetric(float64(base)/float64(perOp), "speedup")
-			}
-		})
-	}
-
-	// Kill-matrix scaling: evaluate Q6's mutant space against its suite.
-	suite, err := core.NewGenerator(q, core.DefaultOptions()).Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms, err := mutation.Space(q, mutation.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	evalWith := func(workers int) error {
-		_, err := mutation.EvaluateOpts(q, ms, suite.All(), mutation.EvalOptions{Parallelism: workers})
-		return err
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run("evaluate/Q6/workers="+itoa(workers), func(b *testing.B) {
-			base := measureSeq("evaluate/Q6", func() error { return evalWith(1) })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := evalWith(workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			perOp := time.Duration(int64(b.Elapsed()) / int64(b.N))
-			if perOp > 0 {
-				b.ReportMetric(float64(base)/float64(perOp), "speedup")
-			}
-			b.ReportMetric(float64(len(ms)), "mutants")
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

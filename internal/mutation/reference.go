@@ -13,8 +13,8 @@ import (
 // refeval, the naive reference evaluator that shares no code with the
 // engine: killed[m][d] is true when the multisets of refeval.Eval (the
 // original query) and refeval.EvalPlan (mutant m) differ on dataset d.
-// It is the oracle every compiled kill matrix is checked against, in
-// tests and in the untimed agreement pass of xbench -table killmatrix;
+// It is the oracle every compiled kill matrix is checked against in
+// tests (the university kill matrix in randql's TestKillMatrixDigest);
 // it dedups and caches nothing, so it is far slower than Evaluate.
 func ReferenceKills(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset) ([][]bool, error) {
 	killed := make([][]bool, len(mutants))

@@ -19,41 +19,32 @@ import (
 )
 
 // Row is one table row: a (query, foreign-key count) cell with the
-// measurements the paper reports. JSON field names are part of the
-// BENCH_<n>.json schema documented in EXPERIMENTS.md; durations
-// serialize as integer nanoseconds.
+// measurements the paper reports.
 type Row struct {
-	Query     string `json:"query"`
-	Joins     int    `json:"joins"`
-	Relations int    `json:"relations"`
-	Sels      int    `json:"sels"`
-	Aggs      int    `json:"aggs"`
-	FKs       int    `json:"fks"`
+	Query     string
+	Joins     int
+	Relations int
+	Sels      int
+	Aggs      int
+	FKs       int
 
-	Datasets      int `json:"datasets"`       // generated kill datasets (original excluded, as in the paper)
-	Skipped       int `json:"skipped"`        // unsatisfiable dataset attempts (equivalent mutant groups)
-	MutantsTotal  int `json:"mutants_total"`  // de-duplicated mutant space size
-	MutantsKilled int `json:"mutants_killed"` //
-	Survivors     int `json:"survivors"`      //
+	Datasets      int // generated kill datasets (original excluded, as in the paper)
+	MutantsTotal  int // de-duplicated mutant space size
+	MutantsKilled int
+	Survivors     int
 	// SurvivorsEquivalent counts survivors confirmed (by randomized
 	// testing) to be equivalent mutants; with complete generation it
 	// equals Survivors.
-	SurvivorsEquivalent int `json:"survivors_equivalent"`
+	SurvivorsEquivalent int
 
-	TimeWithoutUnfold time.Duration `json:"time_without_unfold_ns"`
-	TimeWithUnfold    time.Duration `json:"time_with_unfold_ns"`
+	TimeWithoutUnfold time.Duration
+	TimeWithUnfold    time.Duration
 	// Solver work counters: the implementation-independent view of the
 	// unfolding ablation (search nodes visited; instantiation restarts
 	// occur only without unfolding).
-	NodesWithoutUnfold    int64 `json:"nodes_without_unfold"`
-	NodesWithUnfold       int64 `json:"nodes_with_unfold"`
-	RestartsWithoutUnfold int64 `json:"restarts_without_unfold"`
-	// Solver-microarchitecture counters for the unfolded run: connected
-	// components solved, component-cache hits across kill goals, and
-	// shared-base fixed-point propagation work performed once.
-	ComponentCount       int64 `json:"component_count"`
-	ComponentCacheHits   int64 `json:"component_cache_hits"`
-	BasePropagationNodes int64 `json:"base_propagation_nodes"`
+	NodesWithoutUnfold    int64
+	NodesWithUnfold       int64
+	RestartsWithoutUnfold int64
 }
 
 // Options tune experiment runs.
@@ -67,32 +58,16 @@ type Options struct {
 	CheckEquivalence bool
 	// EquivTrials for the randomized equivalence checker.
 	EquivTrials int
-	// InputDB tuples per relation (0 = none) for domain seeding.
-	InputTuples int
-	// ForceInputTuples additionally constrains tuples to the input DB.
-	ForceInputTuples bool
 	// Parallelism is the worker count for both dataset generation and
 	// kill-matrix evaluation (0 = all CPUs, 1 = sequential). Every
 	// reported number is identical for every value; only wall-clock
 	// timings change.
 	Parallelism int
-	// Context, when non-nil, cancels the experiment cooperatively
-	// between and inside cells: runners return the rows completed so
-	// far together with the cancellation error, so partial benchmark
-	// results survive an interrupt.
-	Context context.Context
 }
 
-// ctx returns the run's context (Background when unset).
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
-// runCell measures one (query, fkCount) cell.
-func runCell(bq university.BenchQuery, fk int, opts Options) (Row, error) {
+// runCell measures one (query, fkCount) cell. Cancelling ctx stops it
+// cooperatively between and inside its runs.
+func runCell(ctx context.Context, bq university.BenchQuery, fk int, opts Options) (Row, error) {
 	row := Row{Query: bq.Name, Joins: bq.Joins, Relations: bq.Relations, Sels: bq.Sels, Aggs: bq.Aggs, FKs: fk}
 	sch := university.Schema(fk)
 	q, err := qtree.BuildSQL(sch, bq.SQL)
@@ -102,12 +77,7 @@ func runCell(bq university.BenchQuery, fk int, opts Options) (Row, error) {
 
 	genOpts := core.DefaultOptions()
 	genOpts.Parallelism = opts.Parallelism
-	if opts.InputTuples > 0 {
-		genOpts.InputDB = university.SampleDB(sch, opts.InputTuples)
-		genOpts.ForceInputTuples = opts.ForceInputTuples
-	}
 
-	ctx := opts.ctx()
 	t0 := time.Now()
 	suite, err := core.NewGenerator(q, genOpts).GenerateContext(ctx)
 	if err != nil {
@@ -115,11 +85,7 @@ func runCell(bq university.BenchQuery, fk int, opts Options) (Row, error) {
 	}
 	row.TimeWithUnfold = time.Since(t0)
 	row.Datasets = len(suite.Datasets)
-	row.Skipped = len(suite.Skipped)
 	row.NodesWithUnfold = suite.Stats.SolverNodes
-	row.ComponentCount = suite.Stats.ComponentCount
-	row.ComponentCacheHits = suite.Stats.ComponentCacheHits
-	row.BasePropagationNodes = suite.Stats.BasePropagationNodes
 
 	if !opts.SkipQuantified {
 		qOpts := genOpts
@@ -168,12 +134,13 @@ func runCell(bq university.BenchQuery, fk int, opts Options) (Row, error) {
 }
 
 // RunTableI regenerates Table I: inner-join queries of 1–6 joins under
-// varying foreign-key counts.
-func RunTableI(opts Options) ([]Row, error) {
+// varying foreign-key counts. On cancellation it returns the rows
+// completed so far with the error, as every runner here does.
+func RunTableI(ctx context.Context, opts Options) ([]Row, error) {
 	var rows []Row
 	for _, bq := range university.TableIQueries() {
 		for _, fk := range bq.FKCounts {
-			row, err := runCell(bq, fk, opts)
+			row, err := runCell(ctx, bq, fk, opts)
 			if err != nil {
 				return rows, err
 			}
@@ -185,11 +152,11 @@ func RunTableI(opts Options) ([]Row, error) {
 
 // RunTableII regenerates Table II: queries with selections and
 // aggregations.
-func RunTableII(opts Options) ([]Row, error) {
+func RunTableII(ctx context.Context, opts Options) ([]Row, error) {
 	var rows []Row
 	for _, bq := range university.TableIIQueries() {
 		for _, fk := range bq.FKCounts {
-			row, err := runCell(bq, fk, opts)
+			row, err := runCell(ctx, bq, fk, opts)
 			if err != nil {
 				return rows, err
 			}
@@ -202,26 +169,20 @@ func RunTableII(opts Options) ([]Row, error) {
 // InputDBRow is one cell of the §VI-C.3 experiment: generation time as a
 // function of input-database size.
 type InputDBRow struct {
-	InputTuples int           `json:"input_tuples"` // tuples per relation (0 = no input database)
-	Datasets    int           `json:"datasets"`
-	Time        time.Duration `json:"time_ns"`
+	InputTuples int // tuples per relation (0 = no input database)
+	Datasets    int
+	Time        time.Duration
 	// SolverProblemSize is the cell's total constraint-plus-domain
 	// size. Unlike Time it is deterministic, so tests assert the
 	// paper's growth-with-input-size shape on it without wall-clock
 	// flakiness.
-	SolverProblemSize int64 `json:"solver_problem_size"`
+	SolverProblemSize int64
 }
 
 // RunInputDB regenerates the §VI-C.3 experiment on the paper's subject
 // (the 4-join query with no foreign keys), with tuples constrained to
 // come from input databases of increasing size.
-func RunInputDB(sizes []int) ([]InputDBRow, error) {
-	return RunInputDBContext(context.Background(), sizes)
-}
-
-// RunInputDBContext is RunInputDB with cooperative cancellation: the
-// rows completed before cancellation are returned with the error.
-func RunInputDBContext(ctx context.Context, sizes []int) ([]InputDBRow, error) {
+func RunInputDB(ctx context.Context, sizes []int) ([]InputDBRow, error) {
 	bq := university.TableIQueries()[3] // Q4: 4 joins, 5 relations
 	var rows []InputDBRow
 	for _, n := range sizes {
@@ -253,16 +214,16 @@ func RunInputDBContext(ctx context.Context, sizes []int) ([]InputDBRow, error) {
 // BaselineRow is one cell of the §VI-C.1 comparison between the
 // short-paper algorithm [14] and the current algorithm.
 type BaselineRow struct {
-	Query            string        `json:"query"`
-	FKs              int           `json:"fks"`
-	Joins            int           `json:"joins"`
-	BaselineDatasets int           `json:"baseline_datasets"`
-	BaselineKilled   int           `json:"baseline_killed"`
-	BaselineTime     time.Duration `json:"baseline_time_ns"`
-	XDataDatasets    int           `json:"xdata_datasets"`
-	XDataKilled      int           `json:"xdata_killed"`
-	XDataTime        time.Duration `json:"xdata_time_ns"`
-	MutantsTotal     int           `json:"mutants_total"`
+	Query            string
+	FKs              int
+	Joins            int
+	BaselineDatasets int
+	BaselineKilled   int
+	BaselineTime     time.Duration
+	XDataDatasets    int
+	XDataKilled      int
+	XDataTime        time.Duration
+	MutantsTotal     int
 }
 
 // RunBaseline regenerates the §VI-C.1 comparison. As in the paper, the
@@ -271,7 +232,7 @@ type BaselineRow struct {
 // and on queries with selections/aggregations exhibit where [14] fails
 // to kill non-equivalent mutants. The sample database is the baseline's
 // tuple source.
-func RunBaseline(opts Options) ([]BaselineRow, error) {
+func RunBaseline(ctx context.Context, opts Options) ([]BaselineRow, error) {
 	type cell struct {
 		bq university.BenchQuery
 		fk int
@@ -286,7 +247,6 @@ func RunBaseline(opts Options) ([]BaselineRow, error) {
 	for _, bq := range university.TableIIQueries() {
 		cells = append(cells, cell{bq, bq.FKCounts[0]})
 	}
-	ctx := opts.ctx()
 	var rows []BaselineRow
 	for _, c := range cells {
 		bq := c.bq

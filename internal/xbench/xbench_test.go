@@ -1,6 +1,7 @@
 package xbench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // shape invariants the tables must exhibit.
 
 func TestTableIShape(t *testing.T) {
-	rows, err := RunTableI(Options{SkipQuantified: true})
+	rows, err := RunTableI(context.Background(), Options{SkipQuantified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTableIShape(t *testing.T) {
 }
 
 func TestTableIIShape(t *testing.T) {
-	rows, err := RunTableII(Options{SkipQuantified: true})
+	rows, err := RunTableII(context.Background(), Options{SkipQuantified: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestTableIIShape(t *testing.T) {
 func TestUnfoldingWorkAblation(t *testing.T) {
 	// The quantified mode must do strictly more solver work (nodes and
 	// restarts) than the unfolded mode on every FK-bearing cell.
-	rows, err := RunTableI(Options{SkipKillCheck: true})
+	rows, err := RunTableI(context.Background(), Options{SkipKillCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestUnfoldingWorkAblation(t *testing.T) {
 }
 
 func TestInputDBGrowth(t *testing.T) {
-	rows, err := RunInputDB([]int{0, 5, 9})
+	rows, err := RunInputDB(context.Background(), []int{0, 5, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestInputDBGrowth(t *testing.T) {
 }
 
 func TestBaselineComparisonShape(t *testing.T) {
-	rows, err := RunBaseline(Options{})
+	rows, err := RunBaseline(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

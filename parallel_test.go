@@ -6,6 +6,7 @@ package xdata_test
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -34,7 +35,7 @@ func benchQueriesUnderTest(t *testing.T) []struct {
 			name string
 			bq   university.BenchQuery
 			fk   int
-		}{bq.Name + "/fk=" + itoa(fk), bq, fk})
+		}{bq.Name + "/fk=" + strconv.Itoa(fk), bq, fk})
 	}
 	for _, queries := range [][]university.BenchQuery{university.TableIQueries(), university.TableIIQueries()} {
 		limit := len(queries)
