@@ -9,8 +9,8 @@
 //     size (0, 5, 9 tuples per relation).
 //   - BenchmarkBaselineComparison — §VI-C.1: the short-paper algorithm
 //     [14] vs this implementation.
-//   - BenchmarkAblation*    — design-choice ablations called out in
-//     DESIGN.md (join-order enumeration, joint nullification).
+//   - BenchmarkAblationEquivClasses — the join-order enumeration
+//     ablation called out in DESIGN.md.
 //
 // Metrics: datasets = kill datasets generated (original excluded, as in
 // the paper); killed/mutants = kill-matrix results; solver-nodes and
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro"
 	"repro/internal/core"
 	"repro/internal/mutation"
 	"repro/internal/qtree"
@@ -130,9 +129,10 @@ func BenchmarkInputDB(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselineComparison regenerates the §VI-C.1 comparison: the
+// BenchmarkBaselineComparison times the §VI-C.1 comparison pass: the
 // short-paper algorithm [14] (input-database selection, no synthetic
-// data, no FK handling) vs the constraint-based generator.
+// data, no FK handling) vs the constraint-based generator. The per-cell
+// kill counts are printed by `xbench -table baseline`.
 func BenchmarkBaselineComparison(b *testing.B) {
 	ctx := context.Background()
 	b.Run("xdata", func(b *testing.B) {
@@ -142,24 +142,6 @@ func BenchmarkBaselineComparison(b *testing.B) {
 			}
 		}
 	})
-	// Per-query cells with kill counts, run once with metrics.
-	rows, err := xbench.RunBaseline(ctx, xbench.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range rows {
-		r := r
-		b.Run("cell/"+r.Query+"/fk="+strconv.Itoa(r.FKs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = r
-			}
-			b.ReportMetric(float64(r.BaselineKilled), "baseline-killed")
-			b.ReportMetric(float64(r.XDataKilled), "xdata-killed")
-			b.ReportMetric(float64(r.MutantsTotal), "mutants")
-			b.ReportMetric(float64(r.BaselineTime.Nanoseconds()), "baseline-ns")
-			b.ReportMetric(float64(r.XDataTime.Nanoseconds()), "xdata-ns")
-		})
-	}
 }
 
 // BenchmarkAblationEquivClasses measures the effect of enumerating all
@@ -191,52 +173,6 @@ func BenchmarkAblationEquivClasses(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(ms)), "mutants")
-		})
-	}
-}
-
-// BenchmarkAblationJointNullify measures Algorithm 2's joint
-// nullification of referencing foreign keys on the (C LOJ A) JOIN B
-// example from the paper: without it, the dataset that kills the mutant
-// of the top join is never generated.
-func BenchmarkAblationJointNullify(b *testing.B) {
-	const ddl = `
-	CREATE TABLE b_rel (x INT PRIMARY KEY);
-	CREATE TABLE a_rel (x INT NOT NULL, PRIMARY KEY(x), FOREIGN KEY (x) REFERENCES b_rel(x));
-	CREATE TABLE c_rel (x INT PRIMARY KEY);`
-	const sql = `SELECT c.x, a.x, b.x FROM (c_rel c LEFT OUTER JOIN a_rel a ON c.x = a.x)
-		JOIN b_rel b ON c.x = b.x`
-	sch, err := xdata.ParseSchema(ddl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := xdata.ParseQuery(sch, sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, joint := range []bool{true, false} {
-		name := "joint-nullify"
-		if !joint {
-			name = "single-nullify"
-		}
-		joint := joint
-		b.Run(name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.NoJointNullify = !joint
-			var suite *core.Suite
-			for i := 0; i < b.N; i++ {
-				suite, err = core.NewGenerator(q, opts).Generate()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			rep, err := xdata.Analyze(q, suite, xdata.DefaultMutationOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(len(suite.Datasets)), "datasets")
-			b.ReportMetric(float64(rep.KilledCount()), "killed")
-			b.ReportMetric(float64(len(rep.Mutants)), "mutants")
 		})
 	}
 }

@@ -105,7 +105,7 @@ func run() int {
 		evalCtx = context.Background()
 	}
 	eopts := xdata.EvalOptions{Parallelism: *parallel}
-	rep, err := xdata.AnalyzeOptsContext(evalCtx, q, suite, mopts, eopts)
+	rep, err := xdata.AnalyzeContext(evalCtx, q, suite, mopts, eopts)
 	if err != nil {
 		fatal(err)
 	}

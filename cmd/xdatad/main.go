@@ -117,6 +117,9 @@ func run(args []string, ready func(net.Addr)) int {
 	if *diskBytes != 0 {
 		lim.MaxDiskCacheBytes = *diskBytes
 	}
+	if *drainTimeout <= 0 {
+		*drainTimeout = 10 * time.Second
+	}
 	cfg := service.Config{
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,
@@ -124,7 +127,6 @@ func run(args []string, ready func(net.Addr)) int {
 		MaxTimeout:     *maxTimeout,
 		MaxGoalTimeout: *maxGoalTime,
 		MaxGoalNodes:   *maxGoalNodes,
-		DrainTimeout:   *drainTimeout,
 		Limits:         lim,
 		CacheDir:       *cacheDir,
 		FailureDir:     *failureDir,
@@ -180,13 +182,13 @@ func run(args []string, ready func(net.Addr)) int {
 		return 1
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "xdatad: %v: draining (deadline %v; signal again to exit now)\n",
-			sig, svc.Config().DrainTimeout)
+			sig, *drainTimeout)
 	}
 
 	// Drain: stop routing (readyz 503, late arrivals 503), finish
 	// in-flight work, hard-cancel at the deadline. A second signal
 	// aborts immediately.
-	drainCtx, cancel := context.WithTimeout(context.Background(), svc.Config().DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drained := make(chan error, 1)
 	go func() { drained <- svc.Drain(drainCtx) }()

@@ -307,10 +307,15 @@ func TestDatasetsAreSmall(t *testing.T) {
 	}
 }
 
-// NoJointNullify (the DESIGN.md ablation): disabling Algorithm 2's
-// S-set computation loses datasets that joint nullification makes
-// satisfiable.
-func TestNoJointNullifyAblation(t *testing.T) {
+// TestJointNullifyKillsTopJoinMutant: Algorithm 2 nullifies a class
+// element jointly with the foreign keys referencing it. On the paper's
+// (C LOJ A) JOIN B example, with A.x referencing B.x, that joint
+// nullification is what makes the dataset with a c tuple lacking a b
+// match satisfiable, and the suite kills every non-equivalent mutant:
+// both mutants of the top join are killed, and the two of the inner
+// join are equivalent, because the class closure also places
+// a.x = b.x on the top join.
+func TestJointNullifyKillsTopJoinMutant(t *testing.T) {
 	const ddl = `
 	CREATE TABLE b_rel (x INT PRIMARY KEY);
 	CREATE TABLE a_rel (x INT NOT NULL, PRIMARY KEY(x), FOREIGN KEY (x) REFERENCES b_rel(x));
@@ -318,18 +323,11 @@ func TestNoJointNullifyAblation(t *testing.T) {
 	const sql = `SELECT c.x, a.x, b.x FROM (c_rel c LEFT OUTER JOIN a_rel a ON c.x = a.x)
 		JOIN b_rel b ON c.x = b.x`
 	q := buildQuery(t, ddl, sql)
+	suite := generate(t, q, DefaultOptions())
 
-	with := generate(t, q, DefaultOptions())
-	opts := DefaultOptions()
-	opts.NoJointNullify = true
-	without := generate(t, q, opts)
-	if len(with.Datasets) <= len(without.Datasets) {
-		t.Errorf("joint nullification should enable extra datasets: %d vs %d",
-			len(with.Datasets), len(without.Datasets))
-	}
 	// The joint dataset contains a c tuple with NO matching b tuple.
 	var joint bool
-	for _, ds := range with.Datasets {
+	for _, ds := range suite.Datasets {
 		cRows, bRows := ds.Rows("c_rel"), ds.Rows("b_rel")
 		for _, cr := range cRows {
 			matched := false
@@ -345,6 +343,28 @@ func TestNoJointNullifyAblation(t *testing.T) {
 	}
 	if !joint {
 		t.Error("no dataset with a c tuple lacking a b match (the Algorithm 2 discussion example)")
+	}
+
+	ms, err := mutation.Space(q, mutation.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mutation.Evaluate(q, ms, suite.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := mutation.NewEquivalenceChecker(6)
+	for _, mi := range rep.Survivors() {
+		if strings.Contains(ms[mi].Desc, "|[b]") {
+			t.Errorf("top-join mutant %q survived", ms[mi].Desc)
+		}
+		equiv, witness, err := chk.Check(q, ms[mi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equiv {
+			t.Errorf("survivor %q not equivalent; witness:\n%s", ms[mi].Desc, witness)
+		}
 	}
 }
 

@@ -46,12 +46,6 @@ type Options struct {
 	// query constants (default 8). More values give the solver slack at
 	// the cost of search space.
 	FreshValues int `json:"fresh_values"`
-	// NoJointNullify disables Algorithm 2's joint nullification of a
-	// class element together with its referencing foreign keys. FOR
-	// ABLATION ONLY: without it, datasets for queries like
-	// (C LOJ A) JOIN B with A.x referencing B.x are skipped as
-	// unsatisfiable and the corresponding mutants survive unkilled.
-	NoJointNullify bool `json:"no_joint_nullify"`
 	// Parallelism is the number of worker goroutines solving kill goals
 	// concurrently (see goals.go). <= 0 selects runtime.GOMAXPROCS(0);
 	// 1 forces fully sequential generation. The generated Suite is
@@ -270,7 +264,7 @@ type Generator struct {
 	order    []*schema.Relation
 	orderErr error
 	// fkClosure is the schema's foreign-key closure, computed once by
-	// referencersOf (nil under Options.NoJointNullify).
+	// referencersOf.
 	fkOnce    sync.Once
 	fkClosure []schema.FKEdge
 	// arenas recycles per-solve solver allocations (solver.Arena):

@@ -254,14 +254,10 @@ func attrList(as []qtree.AttrRef) string {
 }
 
 // referencersOf returns the columns referencing target in the schema's
-// foreign-key closure (none under Options.NoJointNullify). The closure
-// is computed once per generator.
+// foreign-key closure (Algorithm 2's S set, nullified jointly with
+// target). The closure is computed once per generator.
 func (g *Generator) referencersOf(target schema.ColRef) []schema.ColRef {
-	g.fkOnce.Do(func() {
-		if !g.opts.NoJointNullify {
-			g.fkClosure = g.q.Schema.FKClosure()
-		}
-	})
+	g.fkOnce.Do(func() { g.fkClosure = g.q.Schema.FKClosure() })
 	var out []schema.ColRef
 	for _, e := range g.fkClosure {
 		if e.To == target {

@@ -35,9 +35,10 @@ import (
 // under the advertised name.
 
 // BundleVersion is bumped whenever the bundle.json shape changes.
-// Version 2 stores the options as core.Options' own JSON encoding
-// (durations in nanoseconds); version-1 bundles are refused.
-const BundleVersion = 2
+// Version 2 stored the options as core.Options' own JSON encoding
+// (durations in nanoseconds); version 3 is that encoding without the
+// deleted no_joint_nullify field. Other versions are refused.
+const BundleVersion = 3
 
 // BundleEvent is the failure evidence a capture site supplies: either a
 // goal abandonment (core.Failure) or a handler panic.

@@ -32,7 +32,7 @@ func TestCrashRecoveryMidSegmentWrite(t *testing.T) {
 		k := fmt.Sprintf("goal-%d", i)
 		b := bytes.Repeat([]byte{byte('a' + i)}, 64+i*7)
 		want[k] = b
-		s.Put(k, 200, b)
+		s.Put(k, b)
 	}
 	if err := s.SetEpoch(3); err != nil {
 		t.Fatalf("SetEpoch: %v", err)
@@ -40,14 +40,14 @@ func TestCrashRecoveryMidSegmentWrite(t *testing.T) {
 	// Pre-bump records are now stale; the surviving set is written at
 	// epoch 3.
 	for k, b := range want {
-		s.Put(k, 200, b)
+		s.Put(k, b)
 	}
 	activeID, activeSize := s.activeID, s.activeSize
 
 	// The crash: no Close, no flush. Append half a record to the active
 	// segment through an independent fd — the torn tail a mid-write
 	// SIGKILL leaves.
-	torn := encodeRecord("torn-key", 200, 3, bytes.Repeat([]byte("t"), 500))
+	torn := encodeRecord("torn-key", 3, bytes.Repeat([]byte("t"), 500))
 	f, err := os.OpenFile(segPath(dir, activeID), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -74,17 +74,17 @@ func TestCrashRecoveryMidSegmentWrite(t *testing.T) {
 	}
 	for k, b := range want {
 		if k == flipKey {
-			if _, _, ok := r.Get(k); ok {
+			if _, ok := r.Get(k); ok {
 				t.Fatalf("bit-flipped record %s served after recovery", k)
 			}
 			continue
 		}
-		st, got, ok := r.Get(k)
-		if !ok || st != 200 || !bytes.Equal(got, b) {
-			t.Fatalf("recovered Get(%s) = (%d, %v, ok=%v), want byte-identical body", k, st, bytes.Equal(got, b), ok)
+		got, ok := r.Get(k)
+		if !ok || !bytes.Equal(got, b) {
+			t.Fatalf("recovered Get(%s) = (%v, ok=%v), want byte-identical body", k, bytes.Equal(got, b), ok)
 		}
 	}
-	if _, _, ok := r.Get("torn-key"); ok {
+	if _, ok := r.Get("torn-key"); ok {
 		t.Fatal("torn (unacknowledged) record served after recovery")
 	}
 

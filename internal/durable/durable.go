@@ -8,7 +8,9 @@
 // Three pieces, layered bottom-up:
 //
 //   - Segments (segment.go): append-only files of self-describing
-//     records framed [len‖key‖status‖epoch‖body‖CRC32C]. Records are
+//     records framed [len‖key‖status‖epoch‖body‖CRC32C], where the
+//     status slot always holds 200: only complete suites are stored,
+//     so the slot is written and never read. Records are
 //     written without fsync — the store is a cache, and the recovery
 //     contract below makes a torn tail harmless — and segments rotate
 //     at a size threshold so eviction can reclaim disk in whole-file
@@ -17,7 +19,7 @@
 //     CRC-framed and fsync'd on every append. The WAL is tiny (these
 //     events are rare) and is the only durability point the store
 //     promises: an acknowledged epoch bump survives any crash.
-//   - Store (store.go): the content-addressed key → (status, body)
+//   - Store (store.go): the content-addressed key → body
 //     index over the segments, with crash recovery at Open. Recovery
 //     never fails startup on bad data: it scans every segment, drops
 //     the torn tail a mid-write crash leaves, quarantines records
@@ -110,6 +112,6 @@ type Counters struct {
 	DiskBytes   int64 `json:"disk_bytes"`
 	LiveRecords int64 `json:"live_records"`
 	Segments    int64 `json:"segments"`
-	// Epoch is the current (persisted) invalidation epoch.
+	// Epoch is the current invalidation epoch (see Store.Epoch).
 	Epoch int64 `json:"epoch"`
 }

@@ -14,8 +14,8 @@ import (
 func FuzzSegmentDecode(f *testing.F) {
 	// Corpus: real segments — clean, truncated at every interesting
 	// boundary, and bit-flipped — plus a real WAL image, per the ISSUE.
-	seg := append([]byte(segMagic), encodeRecord("key-a", 200, 1, []byte("body-a"))...)
-	seg = append(seg, encodeRecord("key-b", 422, 1, bytes.Repeat([]byte("b"), 100))...)
+	seg := append([]byte(segMagic), encodeRecord("key-a", 1, []byte("body-a"))...)
+	seg = append(seg, encodeRecord("key-b", 1, bytes.Repeat([]byte("b"), 100))...)
 	f.Add(seg)
 	f.Add(seg[:len(seg)-5])                 // torn tail mid-record
 	f.Add(seg[:len(segMagic)+2])            // torn frame header
@@ -45,12 +45,17 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("record span [%d,%d) outside input of %d bytes", rec.Off, rec.Off+rec.Len, len(data))
 			}
 			// A returned record must re-verify: re-encoding the decoded
-			// fields reproduces the exact stored bytes, CRC included.
-			enc := encodeRecord(rec.Key, rec.Status, rec.Epoch, rec.Body)
-			if !bytes.Equal(enc, data[rec.Off:rec.Off+rec.Len]) {
+			// fields reproduces the stored bytes, except the status slot,
+			// which is never read and so may hold anything in fuzzed
+			// input (the CRC then differs too).
+			stored := data[rec.Off : rec.Off+rec.Len]
+			enc := encodeRecord(rec.Key, rec.Epoch, rec.Body)
+			slot := 4 + 2 + len(rec.Key)
+			if len(enc) != len(stored) || !bytes.Equal(enc[:slot], stored[:slot]) ||
+				!bytes.Equal(enc[slot+2:len(enc)-4], stored[slot+2:len(stored)-4]) {
 				t.Fatalf("decoded record does not re-encode to its stored bytes")
 			}
-			if crc32.Checksum(enc[4:int64(len(enc))-4], castagnoli) != rec.CRC {
+			if crc32.Checksum(stored[4:len(stored)-4], castagnoli) != rec.CRC {
 				t.Fatalf("scanner returned a record failing its own CRC")
 			}
 		}

@@ -11,7 +11,7 @@ import (
 //	u32  frameLen  length of everything after this word (keyLen..crc)
 //	u16  keyLen
 //	     key       keyLen bytes
-//	u16  status    the cached response's HTTP status
+//	u16  status    always 200 (recStatus); written, never read
 //	u64  epoch     the invalidation epoch the record was written under
 //	     body      frameLen - keyLen - 16 bytes
 //	u32  crc       CRC32C over [keyLen..body]
@@ -32,6 +32,12 @@ const (
 	// keyLen, status, epoch and crc fields (the u32 frameLen header is
 	// accounted separately).
 	recFixed = 2 + 2 + 8 + 4
+
+	// recStatus fills the status slot. Only complete 200 suites are
+	// stored, so the slot carries nothing; it stays in the frame so
+	// cache directories written by earlier binaries, which framed the
+	// same 200 there, stay readable.
+	recStatus = 200
 )
 
 // castagnoli is the CRC32C polynomial table (the checksum the framing
@@ -39,7 +45,7 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // encodeRecord renders one framed record.
-func encodeRecord(key string, status uint16, epoch uint64, body []byte) []byte {
+func encodeRecord(key string, epoch uint64, body []byte) []byte {
 	frame := recFixed + len(key) + len(body)
 	out := make([]byte, 4+frame)
 	binary.BigEndian.PutUint32(out, uint32(frame))
@@ -48,7 +54,7 @@ func encodeRecord(key string, status uint16, epoch uint64, body []byte) []byte {
 	off += 2
 	copy(out[off:], key)
 	off += len(key)
-	binary.BigEndian.PutUint16(out[off:], status)
+	binary.BigEndian.PutUint16(out[off:], recStatus)
 	off += 2
 	binary.BigEndian.PutUint64(out[off:], epoch)
 	off += 8
@@ -60,10 +66,9 @@ func encodeRecord(key string, status uint16, epoch uint64, body []byte) []byte {
 
 // scannedRecord is one successfully decoded record.
 type scannedRecord struct {
-	Key    string
-	Status uint16
-	Epoch  uint64
-	Body   []byte
+	Key   string
+	Epoch uint64
+	Body  []byte
 	// Off/Len locate the encoded record (frameLen header included)
 	// within its segment; CRC is the stored checksum.
 	Off int64
@@ -112,15 +117,13 @@ func decodeRecord(data []byte, off int64, maxRecord int64) (rec scannedRecord, n
 	}
 	p := int64(2)
 	key := string(buf[p : p+keyLen])
-	p += keyLen
-	status := binary.BigEndian.Uint16(buf[p:])
-	p += 2
+	p += keyLen + 2 // the status slot
 	epoch := binary.BigEndian.Uint64(buf[p:])
 	p += 8
 	body := make([]byte, frame-4-p)
 	copy(body, buf[p:frame-4])
 	return scannedRecord{
-		Key: key, Status: status, Epoch: epoch, Body: body,
+		Key: key, Epoch: epoch, Body: body,
 		Off: off, Len: n, CRC: stored,
 	}, n, decodeOK
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Store is the disk-backed content-addressed record store: key →
-// (status, body), persisted across process death. All methods are safe
+// body, persisted across process death. All methods are safe
 // for concurrent use. A Store never fails its caller on bad data —
 // corrupt or torn records are quarantined and reported as misses — and
 // only Open can return an error (and only for an unusable directory,
@@ -41,11 +41,10 @@ type segInfo struct {
 
 // recLoc locates one live record.
 type recLoc struct {
-	seg     int64
-	off     int64
-	n       int64
-	epoch   uint64
-	bodyLen int64
+	seg   int64
+	off   int64
+	n     int64
+	epoch uint64
 }
 
 func segPath(dir string, id int64) string {
@@ -87,7 +86,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.recoverSegments(replay); err != nil {
 		return nil, err
 	}
-	s.ctr.Epoch = int64(s.epoch)
 	s.evictLocked()
 	return s, nil
 }
@@ -201,7 +199,7 @@ func (s *Store) recoverSegments(replay walReplay) error {
 				// rejects entries that predate a bump.
 				s.ctr.StaleDropped++
 			default:
-				s.index[rec.Key] = recLoc{seg: id, off: rec.Off, n: rec.Len, epoch: rec.Epoch, bodyLen: int64(len(rec.Body))}
+				s.index[rec.Key] = recLoc{seg: id, off: rec.Off, n: rec.Len, epoch: rec.Epoch}
 			}
 		}
 	}
@@ -267,75 +265,78 @@ func (s *Store) quarantineBytes(src string, off int64, data []byte) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Epoch returns the current persisted invalidation epoch.
+// Epoch returns the current invalidation epoch: the persisted one,
+// unless SetEpoch has since reported a journal error.
 func (s *Store) Epoch() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return int64(s.epoch)
 }
 
-// SetEpoch journals (fsync'd) and adopts a new invalidation epoch,
-// dropping every index entry from older epochs. On-disk record bytes
+// SetEpoch adopts a new invalidation epoch, dropping every index entry
+// from older epochs, and journals it (fsync'd). On-disk record bytes
 // remain until segment eviction reclaims them; they can never be
 // served (both the index drop here and the per-Get epoch check reject
-// them — the lazy rejection mirror of the in-memory tier). Epochs are
-// monotonic: a SetEpoch at or below the current epoch is a no-op, so
-// racing bumps cannot persist out of order.
+// them — the lazy rejection mirror of the in-memory tier). The epoch
+// is adopted even when the journal write fails, so this process never
+// serves a record the bump retired; the returned error then says the
+// bump will not survive a restart. Epochs are monotonic: a SetEpoch at
+// or below the current epoch is a no-op, so racing bumps cannot
+// persist out of order.
 func (s *Store) SetEpoch(e int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e < 0 || uint64(e) <= s.epoch {
 		return nil
 	}
-	if _, err := s.wal.Write(encodeEpochEntry(uint64(e))); err != nil {
-		s.ctr.IOErrors++
-		return fmt.Errorf("durable: journal epoch: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		s.ctr.IOErrors++
-		return fmt.Errorf("durable: sync journal: %w", err)
-	}
 	s.epoch = uint64(e)
-	s.ctr.Epoch = e
 	for k, loc := range s.index {
 		if loc.epoch != s.epoch {
 			delete(s.index, k)
 			s.ctr.StaleDropped++
 		}
 	}
+	if _, err := s.wal.Write(encodeEpochEntry(uint64(e))); err != nil {
+		s.ctr.IOErrors++
+		return fmt.Errorf("durable: journal epoch %d: %w", e, err)
+	}
+	if err := s.wal.Sync(); err != nil {
+		s.ctr.IOErrors++
+		return fmt.Errorf("durable: sync journal for epoch %d: %w", e, err)
+	}
 	return nil
 }
 
-// Get returns the record stored under key, re-verifying its CRC from
+// Get returns the body stored under key, re-verifying its CRC from
 // disk. Stale-epoch entries are dropped; a record whose bytes no
 // longer checksum is quarantined, tombstoned and reported as a miss —
 // the store can lose entries at any time but never lies.
-func (s *Store) Get(key string) (status int, body []byte, ok bool) {
+func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	loc, found := s.index[key]
 	if !found {
 		s.ctr.Misses++
-		return 0, nil, false
+		return nil, false
 	}
 	if loc.epoch != s.epoch {
 		delete(s.index, key)
 		s.ctr.StaleDropped++
 		s.ctr.Misses++
-		return 0, nil, false
+		return nil, false
 	}
 	info := s.segs[loc.seg]
 	if info == nil {
 		delete(s.index, key)
 		s.ctr.Misses++
-		return 0, nil, false
+		return nil, false
 	}
 	if info.rd == nil {
 		f, err := os.Open(info.path)
 		if err != nil {
 			s.ctr.IOErrors++
 			s.ctr.Misses++
-			return 0, nil, false
+			return nil, false
 		}
 		info.rd = f
 	}
@@ -343,15 +344,15 @@ func (s *Store) Get(key string) (status int, body []byte, ok bool) {
 	if _, err := info.rd.ReadAt(buf, loc.off); err != nil {
 		s.ctr.IOErrors++
 		s.dropCorruptLocked(key, loc, buf)
-		return 0, nil, false
+		return nil, false
 	}
 	rec, _, kind := decodeRecord(buf, 0, s.opts.MaxRecordBytes)
 	if kind != decodeOK || rec.Key != key || rec.Epoch != s.epoch {
 		s.dropCorruptLocked(key, loc, buf)
-		return 0, nil, false
+		return nil, false
 	}
 	s.ctr.Hits++
-	return int(rec.Status), rec.Body, true
+	return rec.Body, true
 }
 
 // dropCorruptLocked handles a record that failed verification at Get:
@@ -374,10 +375,10 @@ func (s *Store) dropCorruptLocked(key string, loc recLoc, raw []byte) {
 // lost to a crash was never promised, and recovery drops it cleanly.
 // Put never fails the caller; storage errors are counted and the entry
 // is simply not durable.
-func (s *Store) Put(key string, status int, body []byte) {
+func (s *Store) Put(key string, body []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	enc := encodeRecord(key, uint16(status), s.epoch, body)
+	enc := encodeRecord(key, s.epoch, body)
 	if s.opts.MaxBytes < 0 || int64(len(enc)) > s.opts.MaxRecordBytes ||
 		(s.opts.MaxBytes > 0 && int64(len(enc)) > s.opts.MaxBytes) {
 		s.ctr.PutSkipped++
@@ -397,7 +398,7 @@ func (s *Store) Put(key string, status int, body []byte) {
 	s.activeSize += int64(len(enc))
 	s.segs[s.activeID].size = s.activeSize
 	s.totalBytes += int64(len(enc))
-	s.index[key] = recLoc{seg: s.activeID, off: off, n: int64(len(enc)), epoch: s.epoch, bodyLen: int64(len(body))}
+	s.index[key] = recLoc{seg: s.activeID, off: off, n: int64(len(enc)), epoch: s.epoch}
 	s.ctr.Puts++
 	s.ctr.PutBytes += int64(len(enc))
 	s.evictLocked()
@@ -446,24 +447,6 @@ func (s *Store) evictLocked() {
 		}
 		s.ctr.SegmentsEvicted++
 	}
-}
-
-// Delete tombstones key's current record (journaled, fsync'd) and
-// drops it from the index. A later Put of the same key is unaffected:
-// the tombstone names the record instance, not the key.
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	loc, ok := s.index[key]
-	if !ok {
-		return
-	}
-	if _, err := s.wal.Write(encodeTombstoneEntry(loc.seg, loc.off, key)); err == nil {
-		s.wal.Sync()
-	} else {
-		s.ctr.IOErrors++
-	}
-	delete(s.index, key)
 }
 
 // Counters snapshots the store counters.

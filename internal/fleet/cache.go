@@ -47,7 +47,7 @@ type CacheCounters struct {
 }
 
 // SuiteCache is the process-wide, concurrency-safe, content-addressed
-// response cache: canonical Key → marshaled response bytes. It is the
+// response cache: canonical Key → marshaled complete-suite body. It is the
 // promotion of the per-Generate component-cache pattern (PR 4) to a
 // cross-request tier, with the properties a long-lived shared cache
 // needs and a per-request one does not:
@@ -84,24 +84,23 @@ type SuiteCache struct {
 }
 
 // DurableTier is the optional disk tier under the memory LRU: a
-// crash-recoverable store of the same enveloped payloads, keyed by the
-// content key's string form. fleet deliberately sees only this
-// interface — internal/durable implements the store and
-// internal/service adapts it — so the cache layer carries no disk
-// dependency. Implementations must be safe for concurrent use, must
-// verify payload integrity on Get (a corrupt record is a miss, never
-// bad bytes), and must persist SetEpoch before returning.
+// crash-recoverable store of the same bodies, keyed by the content
+// key's string form. fleet deliberately sees only this interface —
+// *durable.Store implements it and internal/service attaches the store
+// as is — so the cache layer carries no disk dependency.
+// Implementations must be safe for concurrent use and must verify body
+// integrity on Get (a corrupt record is a miss, never bad bytes).
 type DurableTier interface {
-	// Get returns the payload stored under key, or ok=false.
-	Get(key string) (payload []byte, ok bool)
-	// Put stores payload under key at the tier's current epoch.
-	Put(key string, payload []byte)
-	// Delete drops key's current record.
-	Delete(key string)
+	// Get returns the body stored under key, or ok=false.
+	Get(key string) (body []byte, ok bool)
+	// Put stores body under key at the tier's current epoch.
+	Put(key string, body []byte)
 	// Epoch returns the tier's persisted invalidation epoch.
 	Epoch() int64
-	// SetEpoch durably adopts a new epoch, invalidating older records.
-	SetEpoch(epoch int64)
+	// SetEpoch adopts a new epoch, invalidating older records, and
+	// persists it before returning. An error means the epoch holds in
+	// this process but was not persisted.
+	SetEpoch(epoch int64) error
 }
 
 // Tier names where a cache read was served from, for the response's
@@ -119,19 +118,15 @@ const (
 	TierDisk Tier = "disk"
 )
 
-// AttachDurable wires a disk tier under the cache and reconciles
-// epochs: the tier's persisted epoch (surviving a restart) is adopted
-// when ahead, and the cache's epoch is pushed down when the tier is
-// behind. Call once, before the cache serves requests.
+// AttachDurable wires a disk tier under a fresh cache and adopts the
+// tier's persisted epoch, so a bump made before a restart keeps
+// invalidating after it. Call once, before the cache serves requests
+// or bumps its epoch.
 func (c *SuiteCache) AttachDurable(t DurableTier) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.durable = t
-	if pe := t.Epoch(); pe > c.epoch {
-		c.epoch = pe
-	} else if pe < c.epoch {
-		t.SetEpoch(c.epoch)
-	}
+	c.epoch = max(c.epoch, t.Epoch())
 }
 
 type cacheEntry struct {
@@ -165,19 +160,14 @@ func checksum(p []byte) uint64 {
 	return h.Sum64()
 }
 
-// Get returns a copy of the payload cached under k, verifying epoch
-// and checksum first. A stale or corrupt entry is dropped and reported
-// as a miss, so callers recompute instead of serving bad bytes.
-func (c *SuiteCache) Get(k Key) ([]byte, bool) {
-	p, _, ok := c.GetTier(k)
-	return p, ok
-}
-
-// GetTier is Get plus the serving tier: memory first, then the durable
+// Get returns a copy of the body cached under k and the tier that
+// served it, verifying epoch and checksum first. A stale or corrupt
+// entry is dropped and reported as a miss, so callers recompute
+// instead of serving bad bytes. Memory is read first, then the durable
 // tier (when attached), with a disk hit promoted back into the memory
 // LRU so the next Get is a memory hit. The durable read happens outside
 // the cache lock — disk latency never blocks concurrent memory hits.
-func (c *SuiteCache) GetTier(k Key) ([]byte, Tier, bool) {
+func (c *SuiteCache) Get(k Key) ([]byte, Tier, bool) {
 	key := k.String()
 	c.mu.Lock()
 	if p, ok := c.memGetLocked(key); ok {
@@ -280,8 +270,11 @@ func (c *SuiteCache) removeLocked(el *list.Element) {
 // BumpEpoch advances the invalidation epoch and drops every resident
 // entry, returning the new epoch. Entries written by computations that
 // straddle the bump are additionally rejected lazily on Get by their
-// epoch stamp.
-func (c *SuiteCache) BumpEpoch() int64 {
+// epoch stamp. With a durable tier attached the bump is persisted
+// before BumpEpoch returns, so a bump acknowledged without error
+// survives any crash; a persistence error is returned, and the new
+// epoch still holds in both tiers of this process.
+func (c *SuiteCache) BumpEpoch() (int64, error) {
 	c.mu.Lock()
 	c.epoch++
 	e := c.epoch
@@ -290,12 +283,10 @@ func (c *SuiteCache) BumpEpoch() int64 {
 	c.bytes = 0
 	d := c.durable
 	c.mu.Unlock()
-	if d != nil {
-		// Persisted before BumpEpoch returns: an epoch bump the admin
-		// saw acknowledged survives any crash.
-		d.SetEpoch(e)
+	if d == nil {
+		return e, nil
 	}
-	return e
+	return e, d.SetEpoch(e)
 }
 
 // Epoch returns the current invalidation epoch.
@@ -305,7 +296,9 @@ func (c *SuiteCache) Epoch() int64 {
 	return c.epoch
 }
 
-// Do returns the bytes for k, collapsing concurrent identical requests
+// Do returns the bytes for k and the tier that served them (TierMemory
+// or TierDisk for cache hits, TierNone for a fresh computation or a
+// singleflight follower), collapsing concurrent identical requests
 // onto one computation. The fast path is a verified cache hit. On a
 // miss, exactly one caller (the leader) runs fn; every concurrent
 // caller for the same key waits for the leader's result. fn returns
@@ -323,18 +316,10 @@ func (c *SuiteCache) Epoch() int64 {
 // computation, the result is still returned to callers (it was correct
 // when computed) but not stored, preserving "never serve a stale-epoch
 // entry".
-func (c *SuiteCache) Do(ctx context.Context, k Key, fn func() (payload []byte, cacheable bool, err error)) ([]byte, error) {
-	p, _, err := c.DoTier(ctx, k, fn)
-	return p, err
-}
-
-// DoTier is Do plus the serving tier (TierMemory/TierDisk for cache
-// hits, TierNone for a fresh computation or a singleflight follower),
-// which the service surfaces as the response's served_from marker.
-func (c *SuiteCache) DoTier(ctx context.Context, k Key, fn func() (payload []byte, cacheable bool, err error)) ([]byte, Tier, error) {
+func (c *SuiteCache) Do(ctx context.Context, k Key, fn func() (payload []byte, cacheable bool, err error)) ([]byte, Tier, error) {
 	key := k.String()
 	for {
-		if p, tier, ok := c.GetTier(k); ok {
+		if p, tier, ok := c.Get(k); ok {
 			return p, tier, nil
 		}
 		c.mu.Lock()

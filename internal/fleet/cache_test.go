@@ -20,16 +20,16 @@ func TestCacheHitMissLRU(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Put(k(i), p(i))
 	}
-	if got, ok := c.Get(k(0)); !ok || string(got) != string(p(0)) {
+	if got, _, ok := c.Get(k(0)); !ok || string(got) != string(p(0)) {
 		t.Fatalf("k0: %q %v", got, ok)
 	}
 	// k0 was just used; inserting k3 must evict k1 (now the LRU).
 	c.Put(k(3), p(3))
-	if _, ok := c.Get(k(1)); ok {
+	if _, _, ok := c.Get(k(1)); ok {
 		t.Fatal("k1 must have been evicted as LRU")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if _, ok := c.Get(k(i)); !ok {
+		if _, _, ok := c.Get(k(i)); !ok {
 			t.Fatalf("k%d must survive", i)
 		}
 	}
@@ -39,7 +39,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 	}
 	// An entry larger than the whole cap is not stored.
 	c.Put(testKey("huge"), make([]byte, 31))
-	if _, ok := c.Get(testKey("huge")); ok {
+	if _, _, ok := c.Get(testKey("huge")); ok {
 		t.Fatal("over-cap payload must not be cached")
 	}
 }
@@ -53,7 +53,7 @@ func TestCacheChecksumDetectsCorruption(t *testing.T) {
 	if !c.corruptEntry(k) {
 		t.Fatal("corruptEntry found no entry")
 	}
-	if got, ok := c.Get(k); ok {
+	if got, _, ok := c.Get(k); ok {
 		t.Fatalf("corrupt entry served: %q", got)
 	}
 	ctr := c.Counters()
@@ -62,7 +62,7 @@ func TestCacheChecksumDetectsCorruption(t *testing.T) {
 	}
 	// The slot is free for a clean recompute.
 	c.Put(k, []byte("recomputed"))
-	if got, ok := c.Get(k); !ok || string(got) != "recomputed" {
+	if got, _, ok := c.Get(k); !ok || string(got) != "recomputed" {
 		t.Fatalf("recomputed entry: %q %v", got, ok)
 	}
 }
@@ -74,10 +74,10 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	c := NewSuiteCache(0)
 	k := testKey("k")
 	c.Put(k, []byte("epoch-0"))
-	if e := c.BumpEpoch(); e != 1 {
-		t.Fatalf("epoch %d, want 1", e)
+	if e, err := c.BumpEpoch(); e != 1 || err != nil {
+		t.Fatalf("BumpEpoch = (%d, %v), want (1, nil)", e, err)
 	}
-	if _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(k); ok {
 		t.Fatal("pre-bump entry served after epoch bump")
 	}
 	// Simulate a torn write racing the bump: force an entry carrying a
@@ -86,7 +86,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	c.mu.Lock()
 	c.entries[k.String()].Value.(*cacheEntry).epoch = 0
 	c.mu.Unlock()
-	if _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(k); ok {
 		t.Fatal("stale-epoch entry served")
 	}
 	if ctr := c.Counters(); ctr.StaleEpoch < 1 {
@@ -109,7 +109,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Do(context.Background(), k, func() ([]byte, bool, error) {
+			results[i], _, errs[i] = c.Do(context.Background(), k, func() ([]byte, bool, error) {
 				calls.Add(1)
 				<-gate // hold every follower in the wait path
 				return []byte("answer"), true, nil
@@ -132,7 +132,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	if ctr.Collapsed == 0 {
 		t.Fatalf("counters %+v, want collapsed followers recorded", ctr)
 	}
-	if _, ok := c.Get(k); !ok {
+	if _, _, ok := c.Get(k); !ok {
 		t.Fatal("successful leader result must be cached")
 	}
 }
@@ -152,7 +152,7 @@ func TestCacheSingleflightLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, leaderErr = c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		_, _, leaderErr = c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			calls.Add(1)
 			close(leaderStarted)
 			<-leaderFail
@@ -165,7 +165,7 @@ func TestCacheSingleflightLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		followerGot, followerErr = c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		followerGot, _, followerErr = c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			calls.Add(1)
 			return []byte("second try"), true, nil
 		})
@@ -200,7 +200,7 @@ func TestCacheDoFollowerCtxCancel(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := c.Do(ctx, k, func() ([]byte, bool, error) {
+	_, _, err := c.Do(ctx, k, func() ([]byte, bool, error) {
 		t.Error("follower must not compute while the leader is in flight")
 		return nil, false, nil
 	})
@@ -214,13 +214,13 @@ func TestCacheDoFollowerCtxCancel(t *testing.T) {
 func TestCacheUncacheableNotStored(t *testing.T) {
 	c := NewSuiteCache(0)
 	k := testKey("k")
-	got, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+	got, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
 		return []byte("partial"), false, nil
 	})
 	if err != nil || string(got) != "partial" {
 		t.Fatalf("Do: %q %v", got, err)
 	}
-	if _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(k); ok {
 		t.Fatal("non-cacheable result must not be stored")
 	}
 }
@@ -235,7 +235,7 @@ func TestCacheEpochRaceNotStored(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		got, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		got, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			close(computing)
 			<-finish
 			return []byte("old-epoch"), true, nil
@@ -248,7 +248,7 @@ func TestCacheEpochRaceNotStored(t *testing.T) {
 	c.BumpEpoch()
 	close(finish)
 	<-done
-	if _, ok := c.Get(k); ok {
+	if _, _, ok := c.Get(k); ok {
 		t.Fatal("result computed under the old epoch must not be served in the new one")
 	}
 }
@@ -260,7 +260,7 @@ func TestCacheDisabled(t *testing.T) {
 	k := testKey("k")
 	var calls atomic.Int64
 	for i := 0; i < 2; i++ {
-		got, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		got, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
 			calls.Add(1)
 			return []byte("x"), true, nil
 		})

@@ -24,7 +24,7 @@
 //
 // The crash-safe cross-request suite cache (cache.go) is the fourth
 // piece: a process-wide content-addressed LRU (key → marshaled
-// response bytes) with singleflight collapse of concurrent identical
+// complete-suite body) with singleflight collapse of concurrent identical
 // requests, byte-cap eviction, epoch-based invalidation, and
 // checksummed entries so a torn or corrupted entry is detected,
 // dropped and recomputed instead of served.
@@ -61,7 +61,7 @@ func (k Key) Hash64() uint64 { return binary.BigEndian.Uint64(k.sum[:8]) }
 // keySchemaVersion is bumped whenever the canonical rendering below
 // changes shape, so stale cache entries from an older binary can never
 // collide with new keys.
-const keySchemaVersion = 2
+const keySchemaVersion = 3
 
 // ContentKey derives the canonical content key for generating a suite
 // from q against sch under opts.

@@ -146,6 +146,48 @@ func TestDurableEpochSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDurableEpochBumpNotJournaled: when the disk tier cannot journal
+// an epoch bump, /admin/epoch answers 500 naming the journal failure
+// instead of acknowledging it, books no request counter, and the node
+// still retires the pre-bump suite: the next request solves afresh
+// instead of serving it from disk.
+func TestDurableEpochBumpNotJournaled(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	defer s.Close()
+	req := GenerateRequest{DDL: testDDL, Query: testSQL}
+	if status, body := postRaw(t, ts.URL+"/v1/generate", req); status != http.StatusOK {
+		t.Fatalf("fresh solve: status %d\n%s", status, body)
+	}
+	// Close the store's files under it: every journal write now fails,
+	// while reads reopen their segment lazily.
+	s.store.Close()
+	before := s.Counters()
+
+	var e ErrorResponse
+	if status, _ := post(t, ts.URL+"/admin/epoch", struct{}{}, &e); status != http.StatusInternalServerError {
+		t.Fatalf("epoch bump with a failing journal: status %d, want 500", status)
+	}
+	if e.Kind != "internal" || !strings.Contains(e.Error, "journal") {
+		t.Fatalf("epoch error = %+v, want kind internal naming the journal", e)
+	}
+	after := s.Counters()
+	if after.Received != before.Received || after.Failed != before.Failed || after.Completed != before.Completed {
+		t.Fatalf("/admin/epoch moved the request counters: %+v -> %+v", before, after)
+	}
+	if after.CacheCounters.Epoch != 1 || after.Durable.Counters.Epoch != 1 {
+		t.Fatalf("epochs = cache %d, disk %d; want the bump held in both tiers",
+			after.CacheCounters.Epoch, after.Durable.Counters.Epoch)
+	}
+
+	status, body := postRaw(t, ts.URL+"/v1/generate", req)
+	if status != http.StatusOK {
+		t.Fatalf("post-bump solve: status %d\n%s", status, body)
+	}
+	if strings.Contains(string(body), `"served_from"`) || s.Counters().CacheCounters.DiskHits != 0 {
+		t.Fatalf("pre-bump suite served from disk after the bump:\n%s", body)
+	}
+}
+
 // TestDurableUnusableDirDegrades (satellite a): a cache-dir that cannot
 // be created degrades the server to memory-only with a warning; it
 // never refuses to start, and /statsz reports durable: "disabled".

@@ -73,8 +73,9 @@ func (n *fleetNode) stop() {
 	})
 }
 
-// startFleet builds an n-node fleet with fast failure-handling knobs.
-func startFleet(t *testing.T, n int) []*fleetNode {
+// startFleet builds an n-node fleet with fast failure-handling knobs;
+// tune, when given, adjusts each node's Config before it starts.
+func startFleet(t *testing.T, n int, tune ...func(*Config)) []*fleetNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -95,7 +96,7 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 			}
 		}
 		pt := newPartitionTransport()
-		svc, err := NewFleet(Config{
+		cfg := Config{
 			MaxConcurrent:  4,
 			MaxQueue:       256,
 			QueueWait:      10 * time.Second,
@@ -113,7 +114,11 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 				HealthInterval:   25 * time.Millisecond,
 				Transport:        pt,
 			},
-		})
+		}
+		for _, f := range tune {
+			f(&cfg)
+		}
+		svc, err := NewFleet(cfg)
 		if err != nil {
 			t.Fatalf("fleet node %d: %v", i, err)
 		}

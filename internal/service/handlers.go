@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,42 +24,47 @@ import (
 // query inside are additionally capped by Config.Limits.MaxInputBytes.
 const maxBodyBytes = 8 << 20
 
-// writeJSON encodes v with the given status. Encoding errors at this
+// writeJSON writes body with the given status: a []byte is marshaled
+// JSON already (a cached, solved or relayed generate body) and goes out
+// as is, anything else is encoded straight into the response. Write errors at this
 // point mean the client went away; they are counted, not retried.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	var err error
+	if p, ok := body.([]byte); ok {
+		_, err = w.Write(p)
+	} else {
+		err = json.NewEncoder(w).Encode(body)
+	}
+	if err != nil {
 		s.ctr.disconnects.Add(1)
 	}
 }
 
-// writeError maps a pipeline error to the HTTP taxonomy (see the
-// package comment) and writes the ErrorResponse body.
+// writeError writes the ErrorResponse body of a request answered with
+// an error status (see the package comment's taxonomy), booking it
+// like every other response through writeBody.
 func (s *Server) writeError(w http.ResponseWriter, status int, kind string, err error) {
-	if status >= 500 {
-		s.ctr.failed.Add(1)
-	} else {
-		s.ctr.rejected.Add(1)
-	}
-	s.writeJSON(w, status, ErrorResponse{Kind: kind, Error: err.Error()})
+	s.writeBody(w, status, ErrorResponse{Kind: kind, Error: err.Error()})
 }
 
-// classify maps a generation-pipeline error to (status, kind). It
-// mirrors the CLI's exit-code taxonomy: caller errors (bad SQL,
-// resource limits, bad options) are 422, everything unexpected is 500.
-func classify(err error) (int, string) {
+// classify maps a generation-pipeline error to its status and
+// ErrorResponse. It mirrors the CLI's exit-code taxonomy: caller errors
+// (bad SQL, resource limits, bad options) are 422, everything
+// unexpected is 500.
+func classify(err error) (int, ErrorResponse) {
+	status, kind := http.StatusInternalServerError, "internal"
 	switch {
 	case errors.Is(err, limits.ErrResourceLimit):
-		return http.StatusUnprocessableEntity, "resource-limit"
+		status, kind = http.StatusUnprocessableEntity, "resource-limit"
 	case errors.Is(err, core.ErrBadOptions):
-		return http.StatusUnprocessableEntity, "bad-options"
-	default:
-		return http.StatusInternalServerError, "internal"
+		status, kind = http.StatusUnprocessableEntity, "bad-options"
 	}
+	return status, ErrorResponse{Kind: kind, Error: err.Error()}
 }
 
-// admitOrReject runs the shared request preamble: drain refusal (via
+// admitOrReject is serve's first step: drain refusal (via
 // beginRequest, which also registers the request with the drain
 // WaitGroup) followed by admission control. On ok the caller must
 // defer both s.inflight.Done and s.finish(w, release), in that order,
@@ -201,71 +205,12 @@ func prepareStatusKind(err error) (int, string) {
 	return http.StatusUnprocessableEntity, kind
 }
 
-// generate runs the clamped pipeline and maps the outcome onto the
-// response taxonomy, writing the response itself. It returns the suite
-// and schema for /v1/analyze to extend (nil when a response was
-// already written as an error).
-func (s *Server) generate(w http.ResponseWriter, r *http.Request, greq GenerateRequest, bs *bundleScope, extend func(ctx context.Context, q *qtree.Query, suite *core.Suite, resp GenerateResponse) (any, error)) {
-	sch, q, err := s.prepare(greq.DDL, greq.Query)
-	if err != nil {
-		status, kind := prepareStatusKind(err)
-		s.writeError(w, status, kind, err)
-		return
-	}
-	budget, opts := s.clamp(greq.Options)
-	if bs != nil {
-		*bs = bundleScope{sch: sch, q: q, opts: opts, set: true}
-	}
-	opts = s.withFailureHook(sch, q, opts)
-	ctx, cancel := s.requestContext(r, budget)
-	defer cancel()
-
-	suite, err := core.NewGenerator(q, opts).GenerateContext(ctx)
-	if ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.ctr.budgetExpired.Add(1)
-	}
-	if r.Context().Err() != nil && s.hardCtx.Err() == nil {
-		s.ctr.disconnects.Add(1)
-	}
-	switch {
-	case err == nil:
-		// complete: fall through
-	case errors.Is(err, core.ErrPartialSuite):
-		// degraded but valid: flush what we have as 207. Recovered
-		// kill-goal panics are surfaced in the counters.
-		for _, f := range suite.Incomplete {
-			if f.Reason == core.ReasonPanic {
-				s.ctr.panics.Add(1)
-			}
-		}
-		s.ctr.partial.Add(1)
-		s.writeJSON(w, http.StatusMultiStatus, encodeSuite(suite, sch))
-		return
-	default:
-		status, kind := classify(err)
-		s.writeError(w, status, kind, err)
-		return
-	}
-
-	resp := encodeSuite(suite, sch)
-	body := any(resp)
-	if extend != nil {
-		body, err = extend(ctx, q, suite, resp)
-		if err != nil {
-			status, kind := classify(err)
-			s.writeError(w, status, kind, err)
-			return
-		}
-	}
-	s.ctr.completed.Add(1)
-	s.writeJSON(w, http.StatusOK, body)
-}
-
-// account books status into its terminal counter bucket. The cached
-// and forwarded generate paths account at write time — not inside the
-// solve — so cache hits and relayed peer answers keep the invariant
-// that every admitted request lands in exactly one terminal bucket
-// (the chaos soak's zero-lost-requests post-mortem).
+// account books status into its terminal counter bucket. Every
+// response to /v1/generate, /v1/forward and /v1/analyze is booked here
+// at write time — not inside the solve — so cache hits, relayed peer
+// answers and errors keep the invariant that every admitted request
+// lands in exactly one terminal bucket (the chaos soak's
+// zero-lost-requests post-mortem).
 func (s *Server) account(status int) {
 	switch {
 	case status == http.StatusOK:
@@ -279,36 +224,11 @@ func (s *Server) account(status int) {
 	}
 }
 
-// writeBody writes pre-marshaled JSON with terminal accounting.
-func (s *Server) writeBody(w http.ResponseWriter, status int, payload []byte) {
+// writeBody writes the response to an admitted request (see
+// writeJSON) and books its terminal counter.
+func (s *Server) writeBody(w http.ResponseWriter, status int, body any) {
 	s.account(status)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(payload); err != nil {
-		s.ctr.disconnects.Add(1)
-	}
-}
-
-// envelope/unenvelope frame a marshaled response body with its HTTP
-// status (2 bytes, big-endian) so one cache/singleflight payload
-// carries both. Cached entries are always 200s, but singleflight
-// followers share whatever the leader produced — 207s and error
-// bodies included — and need the status to relay it faithfully.
-func envelope(status int, body []byte) []byte {
-	out := make([]byte, 2+len(body))
-	binary.BigEndian.PutUint16(out, uint16(status))
-	copy(out[2:], body)
-	return out
-}
-
-func unenvelope(p []byte) (int, []byte) {
-	if len(p) < 2 {
-		// Unreachable for cache-served payloads (checksummed) and
-		// leader-produced ones (always framed); kept as a hard stop.
-		body, _ := json.Marshal(ErrorResponse{Kind: "internal", Error: "service: malformed cache envelope"})
-		return http.StatusInternalServerError, body
-	}
-	return int(binary.BigEndian.Uint16(p)), p[2:]
+	s.writeJSON(w, status, body)
 }
 
 // decorate splices served_by/served_from/degraded into a marshaled 2xx
@@ -342,12 +262,15 @@ func decorate(payload []byte, servedBy, servedFrom string, degraded bool) []byte
 	return extra.Bytes()
 }
 
-// solveGenerate runs the clamped pipeline under ctx and returns the
-// response status + body without writing or accounting (terminal
-// accounting happens at write time so cached and forwarded serves
-// count identically). Side-effect counters that describe this solve —
-// budget expiry, disconnects, recovered goal panics — are booked here.
-func (s *Server) solveGenerate(ctx context.Context, r *http.Request, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, any) {
+// solveGenerate runs the clamped pipeline under ctx and maps the
+// outcome onto the response taxonomy without writing or accounting
+// (terminal accounting happens at write time so cached and forwarded
+// serves count identically): 200 with the complete suite, 207 with the
+// partial one, or an error status with its ErrorResponse. The suite is
+// returned for /v1/analyze's kill matrix (nil on an error status).
+// Side-effect counters that describe this solve — budget expiry,
+// disconnects, recovered goal panics — are booked here.
+func (s *Server) solveGenerate(ctx context.Context, r *http.Request, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, *core.Suite, any) {
 	suite, err := core.NewGenerator(q, opts).GenerateContext(ctx)
 	if ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		s.ctr.budgetExpired.Add(1)
@@ -357,7 +280,7 @@ func (s *Server) solveGenerate(ctx context.Context, r *http.Request, sch *schema
 	}
 	switch {
 	case err == nil:
-		return http.StatusOK, encodeSuite(suite, sch)
+		return http.StatusOK, suite, encodeSuite(suite, sch)
 	case errors.Is(err, core.ErrPartialSuite):
 		// degraded but valid: flush what we have as 207. Recovered
 		// kill-goal panics are surfaced in the counters.
@@ -366,15 +289,17 @@ func (s *Server) solveGenerate(ctx context.Context, r *http.Request, sch *schema
 				s.ctr.panics.Add(1)
 			}
 		}
-		return http.StatusMultiStatus, encodeSuite(suite, sch)
+		return http.StatusMultiStatus, suite, encodeSuite(suite, sch)
 	default:
-		status, kind := classify(err)
-		return status, ErrorResponse{Kind: kind, Error: err.Error()}
+		status, body := classify(err)
+		return status, nil, body
 	}
 }
 
-// marshalSolve marshals a solveGenerate outcome into its wire bytes.
-func marshalSolve(status int, body any) (int, []byte) {
+// marshalSolve runs solveGenerate and marshals its outcome into the
+// wire bytes the suite cache stores and shares.
+func (s *Server) marshalSolve(ctx context.Context, r *http.Request, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, []byte) {
+	status, _, body := s.solveGenerate(ctx, r, sch, q, opts)
 	p, err := json.Marshal(body)
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -398,18 +323,19 @@ func (e *leaderOutcome) Error() string { return "service: non-shareable solve re
 
 // cachedSolve serves (status, marshaled body) for the content key:
 // verified cache hit, singleflight collapse onto a concurrent
-// identical solve, or a local solve whose complete-200 result is
-// stored for future requests. Only complete 200 suites are cached or
-// shared with collapsed followers — partial and error responses are
-// returned to their own client but never stored, and a result that
-// straddled an epoch bump is not stored either.
+// identical solve, or a local solve whose complete-200 body is stored
+// for future requests. Only complete 200 bodies are cached or shared
+// with collapsed followers, so both tiers store bare bodies — partial
+// and error responses are returned to their own client but never
+// stored, and a result that straddled an epoch bump is not stored
+// either.
 func (s *Server) cachedSolve(ctx context.Context, r *http.Request, key fleet.Key, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, []byte, fleet.Tier) {
-	env, tier, err := s.cache.DoTier(ctx, key, func() ([]byte, bool, error) {
-		status, p := marshalSolve(s.solveGenerate(ctx, r, sch, q, opts))
+	body, tier, err := s.cache.Do(ctx, key, func() ([]byte, bool, error) {
+		status, p := s.marshalSolve(ctx, r, sch, q, opts)
 		if status != http.StatusOK {
 			return nil, false, &leaderOutcome{status: status, payload: p}
 		}
-		return envelope(status, p), true, nil
+		return p, true, nil
 	})
 	if err != nil {
 		var lo *leaderOutcome
@@ -420,11 +346,44 @@ func (s *Server) cachedSolve(ctx context.Context, r *http.Request, key fleet.Key
 		// died before the leader answered. Solve under the dead
 		// context — the generator budget-expires immediately and
 		// flushes the same partial 207 the uncached path would have.
-		status, p := marshalSolve(s.solveGenerate(ctx, r, sch, q, opts))
+		status, p := s.marshalSolve(ctx, r, sch, q, opts)
 		return status, p, fleet.TierNone
 	}
-	status, p := unenvelope(env)
-	return status, p, tier
+	return http.StatusOK, body, tier
+}
+
+// serve is the one request path of /v1/generate, /v1/forward and
+// /v1/analyze. It runs the shared preamble — admission, decoding into
+// req, prepare and clamp of greq (which req holds), bundle scope,
+// failure hook, request context — hands the parsed request to solve,
+// and writes solve's status and body through writeBody.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, req any, greq *GenerateRequest,
+	solve func(ctx context.Context, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, any)) {
+	release, ok := s.admitOrReject(w, r)
+	if !ok {
+		return
+	}
+	var bs bundleScope
+	defer s.inflight.Done()
+	defer s.finish(w, release, &bs)
+
+	if err := decode(r, w, req); err != nil {
+		s.writeError(w, http.StatusBadRequest, "malformed", err)
+		return
+	}
+	sch, q, err := s.prepare(greq.DDL, greq.Query)
+	if err != nil {
+		status, kind := prepareStatusKind(err)
+		s.writeError(w, status, kind, err)
+		return
+	}
+	budget, opts := s.clamp(greq.Options)
+	bs = bundleScope{sch: sch, q: q, opts: opts, set: true}
+	opts = s.withFailureHook(sch, q, opts)
+	ctx, cancel := s.requestContext(r, budget)
+	defer cancel()
+	status, body := solve(ctx, sch, q, opts)
+	s.writeBody(w, status, body)
 }
 
 // serveGenerate is the shared /v1/generate + /v1/forward handler. The
@@ -434,66 +393,45 @@ func (s *Server) cachedSolve(ctx context.Context, r *http.Request, key fleet.Key
 // to a local solve when every path to the owner is exhausted. The
 // local path always runs through the suite cache.
 func (s *Server) serveGenerate(w http.ResponseWriter, r *http.Request, forceLocal bool) {
-	release, ok := s.admitOrReject(w, r)
-	if !ok {
-		return
-	}
-	var bs bundleScope
-	defer s.inflight.Done()
-	defer s.finish(w, release, &bs)
-
 	var req GenerateRequest
-	if err := decode(r, w, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed", err)
-		return
-	}
-	sch, q, err := s.prepare(req.DDL, req.Query)
-	if err != nil {
-		status, kind := prepareStatusKind(err)
-		s.writeError(w, status, kind, err)
-		return
-	}
-	budget, opts := s.clamp(req.Options)
-	key := fleet.ContentKey(sch, q, opts)
-	bs = bundleScope{sch: sch, q: q, opts: opts, set: true}
-	opts = s.withFailureHook(sch, q, opts)
-	ctx, cancel := s.requestContext(r, budget)
-	defer cancel()
-
-	servedBy, degraded := "", false
-	if s.router != nil {
-		servedBy = s.router.Self()
-		hopped := forceLocal || r.Header.Get(fleet.HopHeader) != ""
-		if owner := s.router.Owner(key); !hopped && owner != s.router.Self() {
-			// Forwarding (hops, retries, breaker waits) may spend at
-			// most half the remaining budget: the degrade guarantee is
-			// only worth anything if the local fallback still has
-			// budget left when every path to the owner is exhausted.
-			fwdCtx, fwdCancel := ctx, context.CancelFunc(func() {})
-			if dl, ok := ctx.Deadline(); ok {
-				fwdCtx, fwdCancel = context.WithDeadline(ctx, time.Now().Add(time.Until(dl)/2))
+	s.serve(w, r, &req, &req, func(ctx context.Context, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, any) {
+		// The failure hook is not part of the options encoding, so the
+		// hooked options key the same as the clamped ones.
+		key := fleet.ContentKey(sch, q, opts)
+		servedBy, degraded := "", false
+		if s.router != nil {
+			servedBy = s.router.Self()
+			hopped := forceLocal || r.Header.Get(fleet.HopHeader) != ""
+			if owner := s.router.Owner(key); !hopped && owner != s.router.Self() {
+				// Forwarding (hops, retries, breaker waits) may spend at
+				// most half the remaining budget: the degrade guarantee is
+				// only worth anything if the local fallback still has
+				// budget left when every path to the owner is exhausted.
+				fwdCtx, fwdCancel := ctx, context.CancelFunc(func() {})
+				if dl, ok := ctx.Deadline(); ok {
+					fwdCtx, fwdCancel = context.WithDeadline(ctx, time.Now().Add(time.Until(dl)/2))
+				}
+				status, payload, ferr := s.forwardGenerate(fwdCtx, owner, req)
+				fwdCancel()
+				if ferr == nil {
+					return status, payload
+				}
+				// Every path to the owner is exhausted: degrade, don't fail.
+				degraded = true
+				s.ctr.degraded.Add(1)
 			}
-			status, payload, ferr := s.forwardGenerate(fwdCtx, owner, req)
-			fwdCancel()
-			if ferr == nil {
-				s.writeBody(w, status, payload)
-				return
-			}
-			// Every path to the owner is exhausted: degrade, don't fail.
-			degraded = true
-			s.ctr.degraded.Add(1)
 		}
-	}
 
-	status, payload, tier := s.cachedSolve(ctx, r, key, sch, q, opts)
-	servedFrom := ""
-	if tier == fleet.TierDisk {
-		servedFrom = string(fleet.TierDisk)
-	}
-	if status == http.StatusOK || status == http.StatusMultiStatus {
-		payload = decorate(payload, servedBy, servedFrom, degraded)
-	}
-	s.writeBody(w, status, payload)
+		status, payload, tier := s.cachedSolve(ctx, r, key, sch, q, opts)
+		servedFrom := ""
+		if tier == fleet.TierDisk {
+			servedFrom = string(fleet.TierDisk)
+		}
+		if status == http.StatusOK || status == http.StatusMultiStatus {
+			payload = decorate(payload, servedBy, servedFrom, degraded)
+		}
+		return status, payload
+	})
 }
 
 // forwardGenerate relays req to the owning peer's /v1/forward.
@@ -520,54 +458,66 @@ func (s *Server) handleForward(w http.ResponseWriter, r *http.Request) {
 // handleEpoch bumps this node's suite-cache invalidation epoch,
 // retiring every cached entry (POST /admin/epoch after a binary or
 // semantics change). Epochs are per-node: an operator invalidating a
-// fleet bumps each member.
+// fleet bumps each member. A bump the disk tier failed to journal is
+// answered 500: it holds in this process but not across a restart.
+// The endpoint is not admitted, so it books no request counter.
 func (s *Server) handleEpoch(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]int64{"epoch": s.cache.BumpEpoch()})
+	epoch, err := s.cache.BumpEpoch()
+	if err != nil {
+		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{
+			Kind:  "internal",
+			Error: fmt.Sprintf("service: epoch %d holds until restart, not journaled: %v", epoch, err),
+		})
+		return
+	}
+	s.writeJSON(w, http.StatusOK, map[string]int64{"epoch": epoch})
 }
 
+// handleAnalyze serves /v1/analyze: the generate solve, then on a
+// complete suite the kill matrix over it. It always solves locally and
+// uncached — the kill matrix needs the core.Suite, not cached bytes.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitOrReject(w, r)
-	if !ok {
-		return
-	}
-	var bs bundleScope
-	defer s.inflight.Done()
-	defer s.finish(w, release, &bs)
-
 	var req AnalyzeRequest
-	if err := decode(r, w, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed", err)
-		return
-	}
+	s.serve(w, r, &req, &req.GenerateRequest, func(ctx context.Context, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, any) {
+		status, suite, body := s.solveGenerate(ctx, r, sch, q, opts)
+		if status != http.StatusOK {
+			return status, body
+		}
+		a, err := s.killMatrix(ctx, q, suite, req)
+		if err != nil {
+			return classify(err)
+		}
+		a.GenerateResponse = body.(GenerateResponse)
+		return http.StatusOK, a
+	})
+}
+
+// killMatrix evaluates req's mutant space against a complete suite and
+// summarizes it (the caller fills in the suite's GenerateResponse).
+func (s *Server) killMatrix(ctx context.Context, q *qtree.Query, suite *core.Suite, req AnalyzeRequest) (AnalyzeResponse, error) {
 	mopts := mutation.DefaultOptions()
 	mopts.IncludeFullOuter = req.IncludeFullOuter
 	mopts.AllJoinOrders = !req.NoAllJoinOrders
-	s.generate(w, r, req.GenerateRequest, &bs, func(ctx context.Context, q *qtree.Query, suite *core.Suite, resp GenerateResponse) (any, error) {
-		mutants, err := mutation.Space(q, mopts)
-		if err != nil {
-			return nil, fmt.Errorf("mutation space: %w", err)
+	mutants, err := mutation.Space(q, mopts)
+	if err != nil {
+		return AnalyzeResponse{}, fmt.Errorf("mutation space: %w", err)
+	}
+	report, err := mutation.EvaluateContext(ctx, q, mutants, suite.All(), mutation.EvalOptions{Parallelism: 1})
+	if err != nil {
+		return AnalyzeResponse{}, fmt.Errorf("kill matrix: %w", err)
+	}
+	s.ctr.engine.Add(report.Exec)
+	a := AnalyzeResponse{Mutants: len(mutants), Killed: report.KilledCount()}
+	for _, mi := range report.Survivors() {
+		a.Survivors = append(a.Survivors, mutants[mi].Desc)
+	}
+	kills := report.KillsByKind()
+	for _, kind := range mutation.Kinds {
+		if kk, ok := kills[kind]; ok {
+			a.ByKind = append(a.ByKind, KindKillsJSON{Kind: string(kind), Killed: kk[0], Total: kk[1]})
 		}
-		report, err := mutation.EvaluateContext(ctx, q, mutants, suite.All(), mutation.EvalOptions{Parallelism: 1})
-		if err != nil {
-			return nil, fmt.Errorf("kill matrix: %w", err)
-		}
-		s.ctr.engine.Add(report.Exec)
-		a := AnalyzeResponse{
-			GenerateResponse: resp,
-			Mutants:          len(mutants),
-			Killed:           report.KilledCount(),
-		}
-		for _, mi := range report.Survivors() {
-			a.Survivors = append(a.Survivors, mutants[mi].Desc)
-		}
-		kills := report.KillsByKind()
-		for _, kind := range mutation.Kinds {
-			if kk, ok := kills[kind]; ok {
-				a.ByKind = append(a.ByKind, KindKillsJSON{Kind: string(kind), Killed: kk[0], Total: kk[1]})
-			}
-		}
-		return a, nil
-	})
+	}
+	return a, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -94,10 +94,6 @@ type Config struct {
 	// value selects limits.Default(); use limits.Unlimited() only for
 	// trusted single-tenant deployments.
 	Limits limits.Limits
-	// DrainTimeout bounds Drain's wait for in-flight requests before
-	// hard-cancelling them (0 = 10s). Kept as the default used by
-	// cmd/xdatad; Drain itself takes a context.
-	DrainTimeout time.Duration
 
 	// CacheDir, when set, puts a crash-recoverable disk tier
 	// (internal/durable) under the suite cache: cached suites, and the
@@ -155,9 +151,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Limits == (limits.Limits{}) {
 		c.Limits = limits.Default()
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -335,7 +328,7 @@ func New(cfg Config) *Server {
 			s.durableWarn = fmt.Sprintf("disk cache disabled, running memory-only: %v", err)
 		} else {
 			s.store = store
-			s.cache.AttachDurable(durableAdapter{store})
+			s.cache.AttachDurable(store)
 		}
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
@@ -389,35 +382,6 @@ func (s *Server) Close() {
 // configured CacheDir could not be used ("" when the disk tier is
 // running or was never requested). cmd/xdatad logs it once at startup.
 func (s *Server) DurableWarning() string { return s.durableWarn }
-
-// durableAdapter bridges *durable.Store to fleet.DurableTier: the
-// fleet cache speaks single opaque payloads, the store keeps the HTTP
-// status as its own field, so the adapter applies the same 2-byte
-// big-endian status envelope the cache payloads already use. Store
-// errors are swallowed — the tier is a cache of a cache.
-type durableAdapter struct{ store *durable.Store }
-
-func (d durableAdapter) Get(key string) ([]byte, bool) {
-	status, body, ok := d.store.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return envelope(status, body), true
-}
-
-func (d durableAdapter) Put(key string, payload []byte) {
-	if len(payload) < 2 {
-		return // malformed envelope; nothing worth persisting
-	}
-	status, body := unenvelope(payload)
-	d.store.Put(key, status, body)
-}
-
-func (d durableAdapter) Delete(key string) { d.store.Delete(key) }
-
-func (d durableAdapter) Epoch() int64 { return d.store.Epoch() }
-
-func (d durableAdapter) SetEpoch(epoch int64) { _ = d.store.SetEpoch(epoch) }
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }

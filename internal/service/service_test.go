@@ -74,6 +74,17 @@ func post(t *testing.T, url string, body any, out any) (int, http.Header) {
 // server would clamp a zero-valued request onto.
 func librarySuite(t *testing.T, s *Server, ddl, query string) (*qtree.Query, *core.Suite) {
 	t.Helper()
+	q, suite, err := libraryGenerate(t, s, ddl, query)
+	if err != nil {
+		t.Fatalf("library generate: %v", err)
+	}
+	return q, suite
+}
+
+// libraryGenerate is librarySuite returning the generator's error, so
+// a caller can tell a partial suite (ErrPartialSuite) apart.
+func libraryGenerate(t *testing.T, s *Server, ddl, query string) (*qtree.Query, *core.Suite, error) {
+	t.Helper()
 	sch, err := sqlparser.ParseSchemaLimits(ddl, s.cfg.Limits)
 	if err != nil {
 		t.Fatalf("schema: %v", err)
@@ -84,10 +95,7 @@ func librarySuite(t *testing.T, s *Server, ddl, query string) (*qtree.Query, *co
 	}
 	_, opts := s.clamp(RequestOptions{})
 	suite, err := core.NewGenerator(q, opts).GenerateContext(context.Background())
-	if err != nil {
-		t.Fatalf("library generate: %v", err)
-	}
-	return q, suite
+	return q, suite, err
 }
 
 // libraryExpect is librarySuite's suite in its wire encoding, for

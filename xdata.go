@@ -83,12 +83,6 @@ type (
 	Failure = core.Failure
 	// GoalError wraps a panic recovered inside one kill goal.
 	GoalError = core.GoalError
-	// Limits are resource-governance ceilings for untrusted inputs:
-	// byte caps on DDL/query text, parser recursion depth, schema
-	// cardinality, and candidate-domain width. The zero value of a
-	// field means unlimited; DefaultLimits returns the production
-	// ceilings and UnlimitedLimits disables them all.
-	Limits = limits.Limits
 )
 
 // ErrPartialSuite is returned (wrapped) by GenerateContext alongside a
@@ -115,31 +109,11 @@ var ErrUnsupported = sqlparser.ErrUnsupported
 // ErrResourceLimit is the sentinel wrapped by every resource-governance
 // rejection: oversized DDL/query text, excessive expression or join
 // nesting, schema cardinality over the ceiling, or a candidate-value
-// domain wider than Options.MaxDomainSize. Test with errors.Is.
+// domain wider than Options.MaxDomainSize. ParseSchema, ParseQuery and
+// ParseInserts apply the production ceilings (generous enough for
+// every legitimate workload in the paper's experiments). Test with
+// errors.Is.
 var ErrResourceLimit = limits.ErrResourceLimit
-
-// DefaultLimits returns the production resource-governance ceilings
-// applied by ParseSchema, ParseQuery and ParseInserts (generous enough
-// for every legitimate workload in the paper's experiments).
-func DefaultLimits() Limits { return limits.Default() }
-
-// UnlimitedLimits disables all resource governance, for trusted
-// callers; use with ParseSchemaLimits and ParseQueryLimits.
-func UnlimitedLimits() Limits { return limits.Unlimited() }
-
-// ParseSchemaLimits is ParseSchema under explicit resource ceilings.
-func ParseSchemaLimits(ddl string, l Limits) (*Schema, error) {
-	return sqlparser.ParseSchemaLimits(ddl, l)
-}
-
-// ParseQueryLimits is ParseQuery under explicit resource ceilings.
-func ParseQueryLimits(sch *Schema, sql string, l Limits) (*Query, error) {
-	stmt, err := sqlparser.ParseQueryLimits(sql, l)
-	if err != nil {
-		return nil, err
-	}
-	return qtree.Build(sch, stmt)
-}
 
 // Value constructors.
 var (
@@ -194,42 +168,18 @@ func Mutants(q *Query, opts MutationOptions) ([]*Mutant, error) {
 
 // Analyze generates the kill matrix: which datasets of the suite kill
 // which mutants of the space. Evaluation runs on all CPUs; use
-// AnalyzeParallel for an explicit worker count.
+// AnalyzeContext for an explicit worker count or cancellation.
 func Analyze(q *Query, suite *Suite, opts MutationOptions) (*Report, error) {
-	ms, err := mutation.Space(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return mutation.Evaluate(q, ms, suite.All())
+	return AnalyzeContext(context.Background(), q, suite, opts, EvalOptions{})
 }
 
-// AnalyzeParallel is Analyze with an explicit kill-matrix worker count
-// (<= 0 selects all CPUs, 1 evaluates sequentially). The Report is
-// identical for every worker count.
-func AnalyzeParallel(q *Query, suite *Suite, opts MutationOptions, workers int) (*Report, error) {
-	ms, err := mutation.Space(q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return mutation.EvaluateOpts(q, ms, suite.All(), mutation.EvalOptions{Parallelism: workers})
-}
-
-// AnalyzeContext is AnalyzeParallel with cooperative cancellation: a
-// canceled context aborts the kill-matrix evaluation promptly and
-// returns the context's error.
-func AnalyzeContext(ctx context.Context, q *Query, suite *Suite, opts MutationOptions, workers int) (*Report, error) {
-	return AnalyzeOptsContext(ctx, q, suite, opts, EvalOptions{Parallelism: workers})
-}
-
-// AnalyzeOpts is Analyze with full evaluation options (worker count).
-// The Report is identical for every worker count; only wall-clock time
+// AnalyzeContext is Analyze with explicit evaluation options and
+// cooperative cancellation: eopts.Parallelism sets the worker count
+// (<= 0 selects all CPUs, 1 evaluates sequentially), and a canceled
+// context aborts the evaluation promptly with the context's error. The
+// Report is identical for every worker count; only wall-clock time
 // differs.
-func AnalyzeOpts(q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) (*Report, error) {
-	return AnalyzeOptsContext(context.Background(), q, suite, opts, eopts)
-}
-
-// AnalyzeOptsContext is AnalyzeOpts with cooperative cancellation.
-func AnalyzeOptsContext(ctx context.Context, q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) (*Report, error) {
+func AnalyzeContext(ctx context.Context, q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) (*Report, error) {
 	ms, err := mutation.Space(q, opts)
 	if err != nil {
 		return nil, err
@@ -270,7 +220,7 @@ func Minimize(q *Query, suite *Suite, opts MutationOptions) ([]*Dataset, error) 
 
 // MinimizeOpts is Minimize with explicit kill-matrix evaluation options.
 func MinimizeOpts(q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) ([]*Dataset, error) {
-	rep, err := AnalyzeOpts(q, suite, opts, eopts)
+	rep, err := AnalyzeContext(context.Background(), q, suite, opts, eopts)
 	if err != nil {
 		return nil, err
 	}
