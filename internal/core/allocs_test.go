@@ -11,9 +11,9 @@ import (
 
 // TestGenerateAllocs locks the allocations of one cold generation
 // request: NewGenerator(q, opts).Generate() at Parallelism 1 for a
-// Table I cell and the 9-tuple §VI-C.3 input-database cell. A warm
-// generator reuses its layouts and shared cores, so it would hide the
-// per-request cost this gate watches. The bounds are the counts
+// Table I cell, a Table II cell with comparison goals and the 9-tuple
+// §VI-C.3 input-database cell. A warm generator reuses its layouts and
+// shared cores, so it would hide the per-request cost this gate watches. The bounds are the counts
 // measured when the gate was added plus at most 10% headroom. Run
 // without -race: the race detector's instrumentation allocates.
 func TestGenerateAllocs(t *testing.T) {
@@ -29,6 +29,10 @@ func TestGenerateAllocs(t *testing.T) {
 		{"Q6/fk0", 830},
 		// 1,200 measured; 3,571 before.
 		{"Q4/fk0/input9", 1320},
+		// 819 measured. Its two selections run the §V-E comparison
+		// goals, whose NOT-EXISTS quantifiers the other two cells never
+		// build.
+		{"Q11/fk1", 900},
 	} {
 		var cell university.Cell
 		for _, c := range university.GenerationCells() {

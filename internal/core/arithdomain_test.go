@@ -1,9 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/qtree"
+	"repro/internal/solver"
 )
 
 // TestArithmeticOffsetDomainClosure is a regression test for a
@@ -38,4 +41,74 @@ func TestArithmeticOffsetDomainClosure(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Fatalf("original dataset yields an empty result")
 	}
+}
+
+// TestLinOf checks the scalar translation every constraint goes
+// through: linear arithmetic with coefficients and cancellation, an
+// occurrence bound to another slot, and the rejection of forms outside
+// assumption A4.
+func TestLinOf(t *testing.T) {
+	// lin compiles the right side of the query's one predicate in tuple
+	// set 0 of a two-set problem, with c bound to its tuple-set-1 slot
+	// when bound is set.
+	lin := func(t *testing.T, sql string, bound bool) (solver.Lin, *problem, error) {
+		t.Helper()
+		q := buildQuery(t, ddlNoFK, sql)
+		p, err := NewGenerator(q, DefaultOptions()).newProblem(2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bind map[string]*slot
+		if bound {
+			bind = map[string]*slot{"c": p.occSlot[occSet{"c", 1}]}
+		}
+		l, err := p.linOf(q.Preds[0].R, bind, 0)
+		return l, p, err
+	}
+	cx := qtree.AttrRef{Occ: "c", Attr: "x"}
+	t.Run("linear", func(t *testing.T) {
+		l, p, err := lin(t, "SELECT * FROM nums_b b, nums_c c WHERE b.x = 2 * c.x + 10", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.varOf(cx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Const != 10 || len(l.Terms) != 1 || l.Terms[0] != (solver.Term{Coef: 2, V: v}) {
+			t.Errorf("linOf = %+v, want 2*%d + 10", l, v)
+		}
+	})
+	t.Run("cancellation", func(t *testing.T) {
+		l, _, err := lin(t, "SELECT * FROM nums_b b, nums_c c WHERE b.x = c.x - c.x + 3", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Terms) != 0 || l.Const != 3 {
+			t.Errorf("linOf = %+v, want the constant 3", l)
+		}
+	})
+	t.Run("bound", func(t *testing.T) {
+		l, p, err := lin(t, "SELECT * FROM nums_b b, nums_c c WHERE b.x = c.x + 1", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.varOf(cx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Const != 1 || len(l.Terms) != 1 || l.Terms[0] != (solver.Term{Coef: 1, V: v}) {
+			t.Errorf("linOf = %+v, want the bound slot's %d + 1", l, v)
+		}
+	})
+	t.Run("rejects_nonlinear", func(t *testing.T) {
+		for _, sql := range []string{
+			"SELECT * FROM nums_b b, nums_c c WHERE b.x = c.x * c.x",
+			"SELECT * FROM nums_b b, nums_c c WHERE b.x = c.x / 2",
+		} {
+			if l, _, err := lin(t, sql, false); err == nil || !strings.Contains(err.Error(), "linear") {
+				t.Errorf("%s: linOf = %+v, %v; want a non-linear error", sql, l, err)
+			}
+		}
+	})
 }

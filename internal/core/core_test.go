@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,6 +67,21 @@ func buildQuery(t *testing.T, ddl, sql string) *qtree.Query {
 	return q
 }
 
+// runFamily solves one kill-goal family through the goal pipeline and
+// merges the goals' sub-suites in goal order, as GenerateContext does.
+func runFamily(t *testing.T, g *Generator, goals []killGoal) *Suite {
+	t.Helper()
+	subs, err := g.runGoals(context.Background(), goals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := &Suite{}
+	for _, sub := range subs {
+		mergeInto(suite, sub)
+	}
+	return suite
+}
+
 func generate(t *testing.T, q *qtree.Query, opts Options) *Suite {
 	t.Helper()
 	suite, err := NewGenerator(q, opts).Generate()
@@ -106,11 +122,8 @@ func TestClassDatasetCountsNoFK(t *testing.T) {
 	// One 2-member class, no FK: 2 nullification datasets (paper Table I
 	// query 1, row 1).
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillEquivalenceClasses(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.equivalenceClassGoals())
 	if len(suite.Datasets) != 2 {
 		t.Errorf("datasets = %d, want 2", len(suite.Datasets))
 	}
@@ -120,11 +133,8 @@ func TestClassDatasetCountsWithFK(t *testing.T) {
 	// With FK teaches.id -> instructor.id: nullifying instructor.id is
 	// impossible (P empty), leaving 1 dataset (Table I query 1, row 2).
 	q := buildQuery(t, ddlFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillEquivalenceClasses(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.equivalenceClassGoals())
 	if len(suite.Datasets) != 1 {
 		t.Errorf("datasets = %d, want 1: %v", len(suite.Datasets), purposes(suite))
 	}
@@ -145,11 +155,8 @@ func TestNullificationDatasetShape(t *testing.T) {
 	// The dataset nullifying teaches.id must contain an instructor with
 	// no matching teaches tuple (Example: kills i LOJ t).
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillEquivalenceClasses(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.equivalenceClassGoals())
 	var nullifyT *schema.Dataset
 	for _, ds := range suite.Datasets {
 		if strings.Contains(ds.Purpose, "nullify {t.id}") {
@@ -211,11 +218,8 @@ func TestExample2ForeignKeyWithSelection(t *testing.T) {
 func TestKillOtherPredicatesNonEquiJoin(t *testing.T) {
 	// The paper's B.x = C.x + 10 example: two nullification datasets.
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM nums_b b, nums_c c WHERE b.x = c.x + 10")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillOtherPredicates(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.otherPredicateGoals())
 	if len(suite.Datasets) != 2 {
 		t.Fatalf("datasets = %d, want 2: %v", len(suite.Datasets), purposes(suite))
 	}
@@ -230,11 +234,8 @@ func TestKillOtherPredicatesNonEquiJoin(t *testing.T) {
 
 func TestComparisonDatasets(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i WHERE i.salary > 70000")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillComparisonOperators(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.comparisonOperatorGoals())
 	if len(suite.Datasets) != 3 {
 		t.Fatalf("datasets = %d, want 3: %v", len(suite.Datasets), purposes(suite))
 	}
@@ -285,11 +286,8 @@ func TestStringComparisonMutantsAllKilled(t *testing.T) {
 
 func TestAggregateDatasetShape(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, "SELECT i.dept_name, SUM(i.salary) FROM instructor i GROUP BY i.dept_name")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillAggregates(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.aggregateGoals())
 	if len(suite.Datasets) != 1 {
 		t.Fatalf("datasets = %d, want 1 (skips: %+v)", len(suite.Datasets), suite.Skipped)
 	}

@@ -47,11 +47,8 @@ func TestSelfJoinGeneration(t *testing.T) {
 func TestSelfJoinSameAttributeEquivalent(t *testing.T) {
 	const ddl = `CREATE TABLE r (x INT PRIMARY KEY);`
 	q := buildQuery(t, ddl, "SELECT * FROM r a, r b WHERE a.x = b.x")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillEquivalenceClasses(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.equivalenceClassGoals())
 	if len(suite.Datasets) != 0 {
 		t.Errorf("datasets = %v, want none (nullifying r.x against itself is impossible)", purposes(suite))
 	}
@@ -160,11 +157,8 @@ func TestForeignKeyCycleRejected(t *testing.T) {
 func TestMultipleAggregates(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, `SELECT dept_name, SUM(salary), MIN(id)
 		FROM instructor GROUP BY dept_name`)
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillAggregates(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.aggregateGoals())
 	if len(suite.Datasets) != 2 {
 		t.Fatalf("datasets = %d, want 2 (one per aggregate): %v", len(suite.Datasets), purposes(suite))
 	}
@@ -191,11 +185,8 @@ func TestMultipleAggregates(t *testing.T) {
 func TestAggregateRelaxationUniqueGA(t *testing.T) {
 	const ddl = `CREATE TABLE u (g INT NOT NULL, a INT NOT NULL, PRIMARY KEY (g, a));`
 	q := buildQuery(t, ddl, "SELECT g, SUM(a) FROM u GROUP BY g")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillAggregates(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.aggregateGoals())
 	if len(suite.Datasets) != 1 {
 		t.Fatalf("datasets = %v", purposes(suite))
 	}
@@ -231,11 +222,8 @@ func TestAggregateRelaxationUniqueGA(t *testing.T) {
 func TestAggregateRelaxationGroupByIsKey(t *testing.T) {
 	const ddl = `CREATE TABLE w (g INT PRIMARY KEY, a INT NOT NULL);`
 	q := buildQuery(t, ddl, "SELECT g, SUM(a) FROM w GROUP BY g")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillAggregates(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.aggregateGoals())
 	if len(suite.Datasets) != 1 {
 		t.Fatalf("datasets = %v (skips %+v)", purposes(suite), suite.Skipped)
 	}

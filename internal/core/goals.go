@@ -70,11 +70,6 @@ type goalBudget struct {
 	unfold *bool
 }
 
-// backgroundBudget is the no-budget, no-cancellation default used by the
-// exported per-phase methods (GenerateOriginal, KillEquivalenceClasses,
-// ...), which predate the budgeted pipeline and keep their contracts.
-func backgroundBudget() *goalBudget { return &goalBudget{ctx: context.Background()} }
-
 // enumerateGoals collects the full kill-goal list in the canonical
 // (sequential Algorithm 1) order: original dataset, equivalence-class
 // nullifications, non-equi predicate nullifications, comparison-operator
@@ -99,20 +94,6 @@ func (g *Generator) enumerateGoals() []killGoal {
 	goals = append(goals, g.havingGoals()...)
 	goals = append(goals, g.likeGoals()...)
 	return goals
-}
-
-// runGoalsInto executes goals sequentially against a shared suite with
-// no budget; the per-phase exported methods (KillEquivalenceClasses
-// etc.) use it so their append-in-place, fail-fast contract is
-// unchanged.
-func runGoalsInto(g *Generator, suite *Suite, goals []killGoal) error {
-	gb := backgroundBudget()
-	for _, goal := range goals {
-		if err := goal.run(g, gb, suite); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // goalAttempt is one rung of the escalating-retry ladder.

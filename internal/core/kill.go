@@ -11,33 +11,23 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// GenerateOriginal produces a dataset on which the original query has a
+// generateOriginal produces a dataset on which the original query has a
 // non-empty result (generateDataSetForOriginalQuery of Algorithm 1): all
 // equivalence classes and predicates are satisfied by the occurrence
 // tuples. This dataset also kills any mutant whose result is empty on
 // every legal database.
-func (g *Generator) GenerateOriginal(suite *Suite) (*schema.Dataset, error) {
-	return g.generateOriginal(backgroundBudget(), suite)
-}
-
 func (g *Generator) generateOriginal(gb *goalBudget, suite *Suite) (*schema.Dataset, error) {
 	return g.buildDataset(gb, suite, "satisfies the original query (non-empty result)", 1, false, func(p *problem) error {
 		return p.assertQueryConds(0, nil, nil)
 	})
 }
 
-// KillEquivalenceClasses implements Algorithm 2: for every element e of
-// every equivalence class, it jointly nullifies e together with all class
-// members that are foreign keys referencing e (directly or transitively),
-// while the remaining members P join with each other. If P is empty the
-// targeted mutants are equivalent and no dataset is generated.
-func (g *Generator) KillEquivalenceClasses(suite *Suite) error {
-	return runGoalsInto(g, suite, g.equivalenceClassGoals())
-}
-
-// equivalenceClassGoals enumerates one kill goal per (class, element)
-// nullification of Algorithm 2. Each class is rendered once, for all of
-// its goals.
+// equivalenceClassGoals enumerates Algorithm 2: for every element e of
+// every equivalence class, one goal jointly nullifies e together with all
+// class members that are foreign keys referencing e (directly or
+// transitively), while the remaining members P join with each other. If
+// P is empty the targeted mutants are equivalent and no dataset is
+// generated. Each class is rendered once, for all of its goals.
 func (g *Generator) equivalenceClassGoals() []killGoal {
 	var goals []killGoal
 	for _, ec := range g.q.Classes {
@@ -267,18 +257,13 @@ func (g *Generator) referencersOf(target schema.ColRef) []schema.ColRef {
 	return out
 }
 
-// KillOtherPredicates implements Algorithm 3 for non-equi join
+// otherPredicateGoals enumerates Algorithm 3 for non-equi join
 // conditions: for each cross-occurrence predicate p and each relation r
-// participating in it, generate a dataset where no tuple of r satisfies p
-// against the other relations' tuples, while everything else holds.
-// (Selections are handled by KillComparisonOperators, whose violating
-// datasets carry the same NOT-EXISTS constraint — see Example 2.)
-func (g *Generator) KillOtherPredicates(suite *Suite) error {
-	return runGoalsInto(g, suite, g.otherPredicateGoals())
-}
-
-// otherPredicateGoals enumerates one kill goal per (non-equi predicate,
-// occurrence) pair of Algorithm 3.
+// participating in it, one goal generates a dataset where no tuple of r
+// satisfies p against the other relations' tuples, while everything else
+// holds. (Selections are handled by the comparison goals, whose
+// violating datasets carry the same NOT-EXISTS constraint — see
+// Example 2.)
 func (g *Generator) otherPredicateGoals() []killGoal {
 	var goals []killGoal
 	for i, pr := range g.q.Preds {
@@ -304,7 +289,7 @@ func (g *Generator) killPredOccurrence(gb *goalBudget, suite *Suite, pi int, pr 
 	purpose := fmt.Sprintf("kill join-type mutants: nullify %s on predicate %s", occ, pr)
 	ds, err := g.padFallback(func(padSafe bool) (*schema.Dataset, error) {
 		return g.buildDataset(gb, suite, purpose, 1, true, func(p *problem) error {
-			if err := p.notExistsPred(pr, occ, 0); err != nil {
+			if err := p.notExistsPred(pr, pr.Op, occ, 0); err != nil {
 				return err
 			}
 			if padSafe {
@@ -334,19 +319,13 @@ var datasetOps = []struct {
 	{sqltypes.OpGT, 1},
 }
 
-// KillComparisonOperators implements §V-E, generalized from "A.x op val"
-// to any predicate conjunct: for each predicate, three datasets replace
-// it by =, < and >. Datasets that violate the original operator
+// comparisonOperatorGoals enumerates §V-E, generalized from "A.x op val"
+// to any predicate conjunct: for each predicate, three goals replace it
+// by =, < and >. Datasets that violate the original operator
 // additionally assert, for single-occurrence predicates, that NO tuple of
 // the relation satisfies the original predicate — the Example 2
 // requirement that makes join mutants killable when foreign keys prevent
 // nullifying the referenced side.
-func (g *Generator) KillComparisonOperators(suite *Suite) error {
-	return runGoalsInto(g, suite, g.comparisonOperatorGoals())
-}
-
-// comparisonOperatorGoals enumerates one kill goal per (predicate,
-// comparison dataset) pair of §V-E.
 func (g *Generator) comparisonOperatorGoals() []killGoal {
 	var goals []killGoal
 	for i, pr := range g.q.Preds {
@@ -379,7 +358,7 @@ func (g *Generator) killComparisonVariant(gb *goalBudget, suite *Suite, pi int, 
 	needRepair := violating || len(pr.Occs) == 1
 	ds, err := g.padFallback(func(padSafe bool) (*schema.Dataset, error) {
 		return g.buildDataset(gb, suite, purpose, 1, needRepair, func(p *problem) error {
-			c, err := p.predCon(pr, op, 0)
+			c, err := p.predCon(pr, op, nil, 0)
 			if err != nil {
 				return err
 			}
@@ -389,7 +368,7 @@ func (g *Generator) killComparisonVariant(gb *goalBudget, suite *Suite, pi int, 
 				// the variant, so any HAVING group fillers must satisfy the
 				// variant too (the original predicate holds on no tuple).
 				p.fillerConds = func(set int) error {
-					fc, err := p.predCon(pr, op, set)
+					fc, err := p.predCon(pr, op, nil, set)
 					if err != nil {
 						return err
 					}
@@ -399,7 +378,7 @@ func (g *Generator) killComparisonVariant(gb *goalBudget, suite *Suite, pi int, 
 			}
 			if len(pr.Occs) == 1 {
 				if violating {
-					if err := p.notExistsPred(pr, pr.Occs[0], 0); err != nil {
+					if err := p.notExistsPred(pr, pr.Op, pr.Occs[0], 0); err != nil {
 						return err
 					}
 					// A violated selection empties the occurrence's scan;
@@ -421,7 +400,7 @@ func (g *Generator) killComparisonVariant(gb *goalBudget, suite *Suite, pi int, 
 					// free sibling-occurrence tuple, the '>' dataset for
 					// "e <> 'u'" let the '<' mutant match that tuple and
 					// produce an identical grouped result.
-					if err := p.notExistsPredOp(pr, op.Negate(), pr.Occs[0], 0); err != nil {
+					if err := p.notExistsPred(pr, op.Negate(), pr.Occs[0], 0); err != nil {
 						return err
 					}
 				}
@@ -482,19 +461,13 @@ var aggDroppedSuffix = func() []string {
 	return out
 }()
 
-// KillAggregates implements Algorithm 4: for each aggregate call, a
-// dataset with three tuple sets in the same group — two sharing a
+// aggregateGoals enumerates Algorithm 4: for each mutatable aggregate
+// call, a dataset with three tuple sets in the same group — two sharing a
 // non-zero aggregated value but differing elsewhere (distinguishing
 // DISTINCT variants and COUNT), and a third with a different aggregated
 // value (distinguishing MIN/MAX/SUM/AVG) — whose group does not occur in
-// any other tuple.
-func (g *Generator) KillAggregates(suite *Suite) error {
-	return runGoalsInto(g, suite, g.aggregateGoals())
-}
-
-// aggregateGoals enumerates one kill goal per mutatable aggregate call;
-// each goal runs Algorithm 4's full relaxation ladder internally (the
-// ladder is inherently sequential: the first satisfiable set wins).
+// any other tuple. Each goal runs the full relaxation ladder internally
+// (the ladder is inherently sequential: the first satisfiable set wins).
 func (g *Generator) aggregateGoals() []killGoal {
 	if g.q.Agg == nil {
 		return nil

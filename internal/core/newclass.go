@@ -18,17 +18,18 @@
 //
 // HAVING comparisons reuse the §V-E three-dataset argument: for each
 // conjunct AGG(x) op c, datasets where the aggregate compares =, < and >
-// against c jointly kill every operator variant. Non-COUNT aggregates
-// are pinned with a single tuple set (the group's aggregate then equals
-// the aggregated attribute, a plain solver variable); COUNT walks a
-// group-size ladder, building a group of exactly c+sign rows.
+// against c jointly kill every operator variant. COUNT walks a
+// group-size ladder, building a group of exactly c+sign rows; the other
+// aggregates get the smallest group the COUNT conjuncts admit, a single
+// tuple set when they admit one (the group's aggregate then equals the
+// aggregated attribute, a plain solver variable).
 //
 // LIKE predicates are finite-domain: a pattern constrains a string
 // variable to the pool codes whose decoded strings match. Each pattern
-// mutation (wildcard flipped or deleted — mirroring the mutation
-// package's space) gets a dataset whose value lies in the symmetric
-// difference of the two match sets, so original and mutant disagree on
-// the row.
+// mutation (wildcard flipped or deleted, qtree.LikeSpec.WildcardVariants
+// — the list the mutation space draws on too) gets a dataset whose
+// value lies in the symmetric difference of the two match sets, so
+// original and mutant disagree on the row.
 package core
 
 import (
@@ -42,10 +43,15 @@ import (
 )
 
 // likeSatCodes returns the pool codes whose decoded strings satisfy the
-// pattern predicate (matching for LIKE, non-matching for NOT LIKE).
-func (p *problem) likeSatCodes(like *qtree.LikeSpec) []int64 {
+// pattern predicate (matching for LIKE, non-matching for NOT LIKE). The
+// query's own patterns come from likeCodes: notExistsPred compiles its
+// predicate once per slot, and every layout once per tuple set.
+func (g *Generator) likeSatCodes(like *qtree.LikeSpec) []int64 {
+	if codes, ok := g.likeCodes[like]; ok {
+		return codes
+	}
 	var out []int64
-	for i, v := range p.strs.vals {
+	for i, v := range g.strPool.vals {
 		if sqltypes.MatchLike(v, like.Pattern) != like.Not {
 			out = append(out, int64(i))
 		}
@@ -68,16 +74,6 @@ func memberCon(lin solver.Lin, codes []int64) solver.Con {
 		bodies[i] = solver.Eq(lin, solver.C(c))
 	}
 	return solver.Exists(bodies...)
-}
-
-// likeCon compiles a pattern predicate to a membership constraint over
-// the string pool.
-func (p *problem) likeCon(pr *qtree.Pred, set int) (solver.Con, error) {
-	l, err := p.linOf(pr.L, set)
-	if err != nil {
-		return nil, err
-	}
-	return memberCon(l, p.likeSatCodes(pr.Like)), nil
 }
 
 // subCombos enumerates every slot combination of the block's relations
@@ -103,84 +99,20 @@ func (p *problem) subCombos(s *qtree.SubQuery) []map[string]*slot {
 	return combos
 }
 
-// linOfSub is linOf with block occurrences redirected to bound slots;
-// attributes of occurrences outside the binding resolve through the
-// outer tuple sets as usual (correlated references).
-func (p *problem) linOfSub(s *qtree.Scalar, bind map[string]*slot, set int) (solver.Lin, error) {
-	switch s.Kind {
-	case qtree.SAttr:
-		if sl, ok := bind[s.Attr.Occ]; ok {
-			pos := sl.rel.AttrPos(s.Attr.Attr)
-			if pos < 0 {
-				return solver.Lin{}, fmt.Errorf("core: relation %s has no attribute %s (subquery occurrence %s)", sl.rel.Name, s.Attr.Attr, s.Attr.Occ)
-			}
-			return solver.V(sl.vars[pos]), nil
-		}
-		v, err := p.varOf(s.Attr, set)
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		return solver.V(v), nil
-	case qtree.SConst:
-		return p.linOf(s, set)
-	default:
-		l, err := p.linOfSub(s.L, bind, set)
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		r, err := p.linOfSub(s.R, bind, set)
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		switch s.Op {
-		case '+':
-			return l.Plus(r), nil
-		case '-':
-			return l.Minus(r), nil
-		case '*':
-			if len(l.Terms) > 0 && len(r.Terms) > 0 {
-				return solver.Lin{}, fmt.Errorf("core: non-linear product in %s", s)
-			}
-			if len(l.Terms) > 0 {
-				return l.Times(r.Const), nil
-			}
-			return r.Times(l.Const), nil
-		default:
-			return solver.Lin{}, fmt.Errorf("core: unsupported arithmetic %c (assumption A4)", s.Op)
-		}
-	}
-}
-
-// subPredCon compiles one block conjunct under a slot binding.
-func (p *problem) subPredCon(pr *qtree.Pred, bind map[string]*slot, set int) (solver.Con, error) {
-	l, err := p.linOfSub(pr.L, bind, set)
-	if err != nil {
-		return nil, err
-	}
-	if pr.Like != nil {
-		return memberCon(l, p.likeSatCodes(pr.Like)), nil
-	}
-	r, err := p.linOfSub(pr.R, bind, set)
-	if err != nil {
-		return nil, err
-	}
-	return solver.NewCmp(pr.Op, l, r), nil
-}
-
 // subBody builds the conjunction "this slot combination satisfies the
 // block": every block conjunct holds and, when withOuter is set, the
 // outer expression compares eqOp against the block's select column.
 func (p *problem) subBody(s *qtree.SubQuery, bind map[string]*slot, set int, withOuter bool, eqOp sqltypes.CmpOp) (solver.Con, error) {
 	var cons []solver.Con
 	for _, pr := range s.Preds {
-		c, err := p.subPredCon(pr, bind, set)
+		c, err := p.predCon(pr, pr.Op, bind, set)
 		if err != nil {
 			return nil, err
 		}
 		cons = append(cons, c)
 	}
 	if withOuter {
-		outer, err := p.linOf(s.Outer, set)
+		outer, err := p.linOf(s.Outer, nil, set)
 		if err != nil {
 			return nil, err
 		}
@@ -259,11 +191,6 @@ func (p *problem) assertSubConds(set int) error {
 		}
 	}
 	return nil
-}
-
-// KillSubqueries generates the per-subquery connective-mutant datasets.
-func (g *Generator) KillSubqueries(suite *Suite) error {
-	return runGoalsInto(g, suite, g.subqueryGoals())
 }
 
 // subqueryGoals enumerates the connective kill goals. NOT IN blocks need
@@ -369,11 +296,6 @@ func (g *Generator) killSubWitness(gb *goalBudget, suite *Suite, si int, s *qtre
 	return nil
 }
 
-// KillHaving generates the per-HAVING-conjunct comparison datasets.
-func (g *Generator) KillHaving(suite *Suite) error {
-	return runGoalsInto(g, suite, g.havingGoals())
-}
-
 // havingGoals enumerates one goal per (HAVING conjunct, comparison sign),
 // the §V-E three-dataset argument lifted to aggregate comparisons.
 func (g *Generator) havingGoals() []killGoal {
@@ -405,7 +327,8 @@ func isCountCall(c qtree.AggCall) bool {
 
 // killHavingVariant generates one comparison dataset for a HAVING
 // conjunct: a single isolated group whose aggregate compares `op`
-// against the conjunct's constant.
+// against the conjunct's constant while every other conjunct holds, so
+// the group's presence difference is attributable to the targeted one.
 func (g *Generator) killHavingVariant(gb *goalBudget, suite *Suite, hi int, h qtree.HavingCond, op sqltypes.CmpOp, sign int) error {
 	purpose := fmt.Sprintf("kill having mutants: group with %s %s %s", h.Call, op, h.Rhs.SQLLiteral())
 	rhs, ok := g.encodeValue(h.Rhs)
@@ -413,7 +336,9 @@ func (g *Generator) killHavingVariant(gb *goalBudget, suite *Suite, hi int, h qt
 		suite.Skipped = append(suite.Skipped, Skip{Purpose: purpose, Reason: "HAVING constant outside the solver's value domain"})
 		return nil
 	}
-	n := 1
+	// Any other aggregate gets the smallest group the COUNT conjuncts
+	// admit.
+	n := g.neededHavingSets()
 	if isCountCall(h.Call) {
 		// The group's row count is the dataset's lever: build a group of
 		// exactly rhs+sign rows.
@@ -429,108 +354,12 @@ func (g *Generator) killHavingVariant(gb *goalBudget, suite *Suite, hi int, h qt
 				return err
 			}
 		}
-		// All tuple sets share the group; no stray tuple joins into it.
-		for _, gbAttr := range g.q.Agg.GroupBy {
-			for set := 1; set < n; set++ {
-				v0, err := p.varOf(gbAttr, 0)
-				if err != nil {
-					return err
-				}
-				vs, err := p.varOf(gbAttr, set)
-				if err != nil {
-					return err
-				}
-				p.s.Assert(solver.Eq(solver.V(v0), solver.V(vs)))
-			}
-		}
-		if err := p.assertGroupIsolationN(n); err != nil {
-			return err
-		}
-		if isCountCall(h.Call) {
-			// Rows of the group must be pairwise distinct so the count is
-			// exactly n; DISTINCT counts additionally need distinct
-			// aggregated values.
-			if err := p.assertSetsPairwiseDiffer(n); err != nil {
-				return err
-			}
-			if h.Call.Distinct && !h.Call.Star {
-				if err := p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpNE); err != nil {
-					return err
-				}
-			}
-			if !op.HoldsSign(signOfInt(int64(n) - rhs)) {
-				// Unreachable by construction (n = rhs + sign), kept as a
-				// guard against ladder edits.
-				return fmt.Errorf("core: having group size %d does not satisfy %s %d", n, op, rhs)
-			}
-		} else {
-			// Single tuple set: MIN = MAX = SUM = AVG = the aggregated
-			// attribute itself.
-			av, err := p.varOf(h.Call.Arg, 0)
-			if err != nil {
-				return err
-			}
-			p.s.Assert(solver.NewCmp(op, solver.V(av), solver.C(rhs)))
-		}
-		// The other HAVING conjuncts must still hold, so the group's
-		// presence difference is attributable to the targeted conjunct.
-		for hj, other := range g.q.Agg.Having {
-			if hj == hi {
-				continue
-			}
-			if err := p.assertHavingAux(other, n); err != nil {
-				return err
-			}
-		}
-		return nil
+		return p.assertHavingHolds(n, hi, op)
 	})
 	if err != nil {
 		return err
 	}
 	suite.addIfGenerated(ds)
-	return nil
-}
-
-// assertHavingAux pins a non-targeted HAVING conjunct true on a group of
-// n tuple sets. COUNT values are n (or 1/n for DISTINCT, whichever
-// satisfies); other aggregates force the aggregated attribute equal
-// across sets, collapsing MIN/MAX/AVG to the shared value and SUM to a
-// linear expression.
-func (p *problem) assertHavingAux(h qtree.HavingCond, n int) error {
-	rhs, ok := p.g.encodeValue(h.Rhs)
-	if !ok {
-		p.s.Assert(conFalse())
-		return nil
-	}
-	if isCountCall(h.Call) {
-		if h.Call.Distinct && !h.Call.Star {
-			switch {
-			case h.Op.HoldsSign(signOfInt(int64(n) - rhs)):
-				return p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpNE)
-			case h.Op.HoldsSign(signOfInt(1 - rhs)):
-				return p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpEQ)
-			default:
-				p.s.Assert(conFalse())
-				return nil
-			}
-		}
-		if !h.Op.HoldsSign(signOfInt(int64(n) - rhs)) {
-			p.s.Assert(conFalse())
-		}
-		return nil
-	}
-	av0, err := p.varOf(h.Call.Arg, 0)
-	if err != nil {
-		return err
-	}
-	if err := p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpEQ); err != nil {
-		return err
-	}
-	val := solver.V(av0)
-	if h.Call.Func == sqlparser.AggSum && !h.Call.Distinct {
-		val = val.Times(int64(n))
-	}
-	p.s.Assert(solver.NewCmp(h.Op, val, solver.C(rhs)))
 	return nil
 }
 
@@ -568,10 +397,15 @@ func (g *Generator) neededHavingSets() int {
 
 // assertHavingHolds asserts that the n tuple sets form one group (shared
 // group-by values, isolated from stray slots, pairwise-distinct rows
-// where a COUNT depends on it) satisfying every HAVING conjunct — without
-// collapsing aggregated attributes to a shared value, so goals that need
-// those attributes free (aggregate mutations) stay satisfiable.
-func (p *problem) assertHavingHolds(n int) error {
+// where a COUNT depends on it) satisfying every HAVING conjunct. Goals
+// pass target -1: no aggregated attribute collapses to a shared value, so
+// goals that need those attributes free (aggregate mutations) stay
+// satisfiable. A HAVING comparison goal passes the index of its conjunct,
+// which then holds with op in place of its own operator; there a
+// non-COUNT conjunct holds on a shared aggregated value on a one-row
+// group, where that is exact, and when it is a DISTINCT SUM/AVG, which
+// has no form over free values.
+func (p *problem) assertHavingHolds(n, target int, op sqltypes.CmpOp) error {
 	for _, gbAttr := range p.g.q.Agg.GroupBy {
 		v0, err := p.varOf(gbAttr, 0)
 		if err != nil {
@@ -596,19 +430,55 @@ func (p *problem) assertHavingHolds(n int) error {
 			break
 		}
 	}
-	for _, h := range p.g.q.Agg.Having {
-		if err := p.assertHavingFree(h, n); err != nil {
+	for hj, h := range p.g.q.Agg.Having {
+		if hj == target {
+			h = h.WithOp(op)
+		}
+		distinctSum := h.Call.Distinct && (h.Call.Func == sqlparser.AggSum || h.Call.Func == sqlparser.AggAvg)
+		var err error
+		if target >= 0 && !isCountCall(h.Call) && (n == 1 || distinctSum) {
+			err = p.assertHavingShared(h, n)
+		} else {
+			err = p.assertHavingFree(h, n)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// assertHavingShared asserts a non-COUNT HAVING conjunct on n tuple sets
+// whose aggregated values are all equal: MIN, MAX, AVG and the DISTINCT
+// sums are the shared value, SUM is n times it.
+func (p *problem) assertHavingShared(h qtree.HavingCond, n int) error {
+	rhs, ok := p.g.encodeValue(h.Rhs)
+	if !ok {
+		p.s.Assert(conFalse())
+		return nil
+	}
+	if err := p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpEQ); err != nil {
+		return err
+	}
+	av, err := p.varOf(h.Call.Arg, 0)
+	if err != nil {
+		return err
+	}
+	val := solver.V(av)
+	if h.Call.Func == sqlparser.AggSum && !h.Call.Distinct {
+		val = val.Times(int64(n))
+	}
+	p.s.Assert(solver.NewCmp(h.Op, val, solver.C(rhs)))
+	return nil
+}
+
 // assertHavingFree asserts one HAVING conjunct over a group of n tuple
-// sets without forcing the aggregated attribute equal across sets. COUNT
-// values are static; SUM is the linear sum; MIN/MAX decompose into
-// per-element bounds plus an attained witness; AVG uses truncation-safe
-// scaled sums. DISTINCT SUM/AVG have no linear form and fail the goal.
+// sets without forcing the aggregated attribute equal across sets, exact
+// per tuple set. COUNT values are n (or 1/n for DISTINCT, whichever
+// satisfies, through pairwise equal or distinct aggregated values); SUM
+// is the linear sum; MIN/MAX decompose into per-element bounds plus an
+// attained witness; AVG uses truncation-safe scaled sums. DISTINCT
+// SUM/AVG have no linear form and fail the goal.
 func (p *problem) assertHavingFree(h qtree.HavingCond, n int) error {
 	rhs, ok := p.g.encodeValue(h.Rhs)
 	if !ok {
@@ -616,7 +486,20 @@ func (p *problem) assertHavingFree(h qtree.HavingCond, n int) error {
 		return nil
 	}
 	if isCountCall(h.Call) {
-		return p.assertHavingAux(h, n) // static / arg-distinctness forms
+		if h.Call.Distinct && !h.Call.Star {
+			switch {
+			case h.Op.HoldsSign(signOfInt(int64(n) - rhs)):
+				return p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpNE)
+			case h.Op.HoldsSign(signOfInt(1 - rhs)):
+				return p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpEQ)
+			}
+			p.s.Assert(conFalse())
+			return nil
+		}
+		if !h.Op.HoldsSign(signOfInt(int64(n) - rhs)) {
+			p.s.Assert(conFalse())
+		}
+		return nil
 	}
 	if h.Call.Distinct && (h.Call.Func == sqlparser.AggSum || h.Call.Func == sqlparser.AggAvg) {
 		p.s.Assert(conFalse())
@@ -764,11 +647,6 @@ func signOfInt(d int64) int {
 	}
 }
 
-// KillLikePatterns generates the per-pattern-variant datasets.
-func (g *Generator) KillLikePatterns(suite *Suite) error {
-	return runGoalsInto(g, suite, g.likeGoals())
-}
-
 // likeGoals enumerates, per outer LIKE predicate: one goal per pattern
 // variant — a dataset whose matched value lies in the symmetric
 // difference of the original and mutated match sets, so exactly one of
@@ -784,11 +662,11 @@ func (g *Generator) likeGoals() []killGoal {
 		if pr.Like == nil {
 			continue
 		}
-		for _, v := range likePatternVariants(pr.Like.Pattern) {
+		for _, v := range pr.Like.WildcardVariants() {
 			pi, pr, v := pi, pr, v
 			goals = append(goals, killGoal{
 				purpose: func() string {
-					return fmt.Sprintf("like variant %s vs %s on %s", quoteLike(pr.Like.Pattern), quoteLike(v.pat), pr.L)
+					return fmt.Sprintf("like variant %s vs %s on %s", quoteLike(pr.Like.Pattern), quoteLike(v.Pattern), pr.L)
 				},
 				run: func(g *Generator, gb *goalBudget, sub *Suite) error {
 					return g.killLikeVariant(gb, sub, pi, pr, v)
@@ -804,28 +682,6 @@ func (g *Generator) likeGoals() []killGoal {
 		})
 	}
 	return goals
-}
-
-// likePatternVariant is one wildcard mutation of a pattern, aligned with
-// the mutation package's space (flip %<->_ and delete, per wildcard).
-type likePatternVariant struct {
-	tag string
-	pat string
-}
-
-func likePatternVariants(pat string) []likePatternVariant {
-	var out []likePatternVariant
-	for j := 0; j < len(pat); j++ {
-		switch pat[j] {
-		case '%':
-			out = append(out, likePatternVariant{tag: fmt.Sprintf("flip%d", j), pat: pat[:j] + "_" + pat[j+1:]})
-			out = append(out, likePatternVariant{tag: fmt.Sprintf("del%d", j), pat: pat[:j] + pat[j+1:]})
-		case '_':
-			out = append(out, likePatternVariant{tag: fmt.Sprintf("flip%d", j), pat: pat[:j] + "%" + pat[j+1:]})
-			out = append(out, likePatternVariant{tag: fmt.Sprintf("del%d", j), pat: pat[:j] + pat[j+1:]})
-		}
-	}
-	return out
 }
 
 func quoteLike(pat string) string {
@@ -872,17 +728,17 @@ func seedLikeWitnesses(strSet map[string]bool, pat string) {
 // the matched expression takes a pool value on which original and
 // variant patterns disagree, the targeted predicate is left free (the
 // disagreement decides it), and everything else holds.
-func (g *Generator) killLikeVariant(gb *goalBudget, suite *Suite, pi int, pr *qtree.Pred, v likePatternVariant) error {
-	purpose := fmt.Sprintf("kill like mutants: value distinguishing %s from %s on %s", quoteLike(pr.Like.Pattern), quoteLike(v.pat), pr.L)
+func (g *Generator) killLikeVariant(gb *goalBudget, suite *Suite, pi int, pr *qtree.Pred, v qtree.LikeVariant) error {
+	purpose := fmt.Sprintf("kill like mutants: value distinguishing %s from %s on %s", quoteLike(pr.Like.Pattern), quoteLike(v.Pattern), pr.L)
 	ds, err := g.buildDataset(gb, suite, purpose, 1, false, func(p *problem) error {
 		orig := map[int64]bool{}
-		for _, c := range p.likeSatCodes(pr.Like) {
+		for _, c := range p.g.likeSatCodes(pr.Like) {
 			orig[c] = true
 		}
 		var diff []int64
-		mutated := &qtree.LikeSpec{Not: pr.Like.Not, Pattern: v.pat}
+		mutated := &qtree.LikeSpec{Not: pr.Like.Not, Pattern: v.Pattern}
 		mutCodes := map[int64]bool{}
-		for _, c := range p.likeSatCodes(mutated) {
+		for _, c := range p.g.likeSatCodes(mutated) {
 			mutCodes[c] = true
 		}
 		for i := range p.strs.vals {
@@ -891,7 +747,7 @@ func (g *Generator) killLikeVariant(gb *goalBudget, suite *Suite, pi int, pr *qt
 				diff = append(diff, c)
 			}
 		}
-		l, err := p.linOf(pr.L, 0)
+		l, err := p.linOf(pr.L, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -900,7 +756,7 @@ func (g *Generator) killLikeVariant(gb *goalBudget, suite *Suite, pi int, pr *qt
 		// shows the row; HAVING group fillers must land on the same side,
 		// so pin their matched expression to tuple set 0's value.
 		p.fillerConds = func(set int) error {
-			ls, err := p.linOf(pr.L, set)
+			ls, err := p.linOf(pr.L, nil, set)
 			if err != nil {
 				return err
 			}
@@ -928,7 +784,7 @@ func (g *Generator) killLikeViolation(gb *goalBudget, suite *Suite, pi int, pr *
 	purpose := fmt.Sprintf("kill like mutants: no tuple of %s satisfies %s", pr.Occs[0], pr)
 	ds, err := g.padFallback(func(padSafe bool) (*schema.Dataset, error) {
 		return g.buildDataset(gb, suite, purpose, 1, true, func(p *problem) error {
-			if err := p.notExistsLike(pr, pr.Occs[0], 0); err != nil {
+			if err := p.notExistsPred(pr, pr.Op, pr.Occs[0], 0); err != nil {
 				return err
 			}
 			if padSafe {
@@ -936,7 +792,7 @@ func (g *Generator) killLikeViolation(gb *goalBudget, suite *Suite, pi int, pr *
 					return err
 				}
 			}
-			// notExistsLike already quantifies over every tuple of the base
+			// notExistsPred already quantifies over every tuple of the base
 			// relation, so HAVING group fillers only skip the targeted
 			// predicate: all rows fail the pattern and surface through the
 			// NOT-flip mutant together.
@@ -1031,24 +887,4 @@ func (g *Generator) padFallback(build func(padSafe bool) (*schema.Dataset, error
 		return ds, err
 	}
 	return build(false)
-}
-
-// notExistsLike asserts that no slot of occ's base relation satisfies
-// the pattern predicate (the LIKE analogue of notExistsPredOp).
-func (p *problem) notExistsLike(pr *qtree.Pred, occ string, set int) error {
-	sl, ok := p.occSlot[occSet{occ, set}]
-	if !ok {
-		return fmt.Errorf("core: no slot for occurrence %s (tuple set %d) while quantifying %s", occ, set, pr)
-	}
-	sat := p.likeSatCodes(pr.Like)
-	var bodies []solver.Con
-	for _, cand := range p.slots[sl.rel.Name] {
-		l, err := p.linOfRedirect(pr.L, occ, cand, set)
-		if err != nil {
-			return err
-		}
-		bodies = append(bodies, memberCon(l, sat))
-	}
-	p.s.Assert(solver.NotExists(bodies...))
-	return nil
 }

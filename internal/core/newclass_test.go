@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,11 +93,8 @@ func TestSubqueryCorrelatedNotExistsKilled(t *testing.T) {
 func TestSubqueryGoalDatasetShapes(t *testing.T) {
 	q := buildQuery(t, ddlNoFK,
 		"SELECT * FROM instructor i WHERE i.id NOT IN (SELECT t.id FROM teaches t)")
-	suite := &Suite{}
 	g := NewGenerator(q, DefaultOptions())
-	if err := g.KillSubqueries(suite); err != nil {
-		t.Fatal(err)
-	}
+	suite := runFamily(t, g, g.subqueryGoals())
 	if len(suite.Datasets) != 2 {
 		t.Fatalf("datasets = %d, want 2 (violation + witness): %v", len(suite.Datasets), purposes(suite))
 	}
@@ -193,6 +191,65 @@ func TestNewClassOriginalDatasetsNonEmpty(t *testing.T) {
 		}
 		if len(res.Rows) == 0 {
 			t.Errorf("%s: original query empty on its dataset:\n%s", sql, suite.Original)
+		}
+	}
+}
+
+// TestHavingGoalsUnderCountConjuncts pins the HAVING comparison goals of
+// a SUM/AVG/MIN/MAX conjunct beside COUNT conjuncts that need a group of
+// two or more rows: the goal's group takes the smallest size the COUNT
+// conjuncts admit, and the conjuncts are asserted exactly per tuple set,
+// but for a DISTINCT SUM/AVG, which has no form over free values and
+// holds on a shared aggregated value, targeted or not. On one-row groups
+// each such goal was unsatisfiable, and non-equivalent operator mutants
+// of the conjunct survived.
+func TestHavingGoalsUnderCountConjuncts(t *testing.T) {
+	const ddl = `CREATE TABLE dept (did INT PRIMARY KEY, budget INT);
+		CREATE TABLE emp (eid INT PRIMARY KEY, did INT NOT NULL REFERENCES dept(did), sal INT NOT NULL);`
+	chk := &mutation.EquivalenceChecker{Trials: 4000, MaxRows: 3, Seed: 7}
+	for _, tc := range []struct {
+		sql             string
+		mutants, killed int
+		// open lists the survivors known to be non-equivalent.
+		open []string
+	}{
+		{"SELECT e.did, COUNT(*) FROM emp e GROUP BY e.did HAVING COUNT(*) = 2 AND SUM(e.sal) > 10", 10, 10, nil},
+		{"SELECT e.did, MAX(e.sal) FROM emp e GROUP BY e.did HAVING COUNT(*) >= 2 AND MAX(e.sal) < 9", 17, 17, nil},
+		// The three survivors are equivalent: COUNT(DISTINCT e.sal) > 1
+		// -> <> 1 (a group holds at least one salary), and the outer
+		// joins (the foreign key leaves no emp row unmatched, and a
+		// padded dept row's group counts no salary).
+		{"SELECT d.did, COUNT(*) FROM dept d, emp e WHERE d.did = e.did GROUP BY d.did HAVING COUNT(DISTINCT e.sal) > 1 AND MIN(e.sal) >= 3", 12, 9, nil},
+		// Every HAVING mutant dies. The SELECT list's MAX(e.sal) mutants
+		// survive: Algorithm 4 asserts the HAVING clause over free
+		// values, where SUM(DISTINCT e.sal) has no form.
+		{"SELECT e.did, MAX(e.sal) FROM emp e GROUP BY e.did HAVING SUM(DISTINCT e.sal) > 10 AND MAX(e.sal) < 50", 17, 12, []string{
+			"MAX(e.sal) -> MIN(e.sal)", "MAX(e.sal) -> SUM(e.sal)", "MAX(e.sal) -> AVG(e.sal)",
+			"MAX(e.sal) -> SUM(DISTINCT e.sal)", "MAX(e.sal) -> AVG(DISTINCT e.sal)",
+		}},
+		{"SELECT e.did, COUNT(*) FROM emp e GROUP BY e.did HAVING COUNT(*) = 2 AND SUM(DISTINCT e.sal) > 10 AND MAX(e.sal) < 50", 15, 15, nil},
+	} {
+		q := buildQuery(t, ddl, tc.sql)
+		suite := generate(t, q, DefaultOptions())
+		ms, err := mutation.Space(q, mutation.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mutation.Evaluate(q, ms, suite.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != tc.mutants || rep.KilledCount() != tc.killed {
+			t.Errorf("%s: killed %d of %d mutants, want %d of %d\n%s", tc.sql, rep.KilledCount(), len(ms), tc.killed, tc.mutants, rep)
+		}
+		for _, mi := range rep.Survivors() {
+			equiv, witness, err := chk.Check(q, ms[mi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equiv && !slices.Contains(tc.open, ms[mi].Desc) {
+				t.Errorf("%s: survivor %s is NOT equivalent; witness:\n%s", tc.sql, ms[mi].Desc, witness)
+			}
 		}
 	}
 }

@@ -462,7 +462,7 @@ func (g *Generator) buildLayout(tupleSets int, needRepair bool) (*problemLayout,
 		qc.preds = make([]solver.Con, len(g.q.Preds))
 		qc.predErr = make([]error, len(g.q.Preds))
 		for pi, pr := range g.q.Preds {
-			qc.preds[pi], qc.predErr[pi] = tmp.predCon(pr, pr.Op, set)
+			qc.preds[pi], qc.predErr[pi] = tmp.predCon(pr, pr.Op, nil, set)
 		}
 	}
 	return p, nil
@@ -532,16 +532,27 @@ func (p *problem) varOf(a qtree.AttrRef, set int) (solver.VarID, error) {
 	return sl.vars[pos], nil
 }
 
-// linOf translates a scalar into a solver linear expression, with string
-// constants encoded via the pool. This is the cvcMap() of the paper.
-func (p *problem) linOf(s *qtree.Scalar, set int) (solver.Lin, error) {
+// linOf translates a scalar into a solver linear expression: the
+// paper's cvcMap(). An attribute of an occurrence bound in bind resolves
+// to that slot, every other attribute to its occurrence's slot in tuple
+// set set; string constants are encoded through the pool; +, - and *
+// recurse, and a product needs one constant side (assumption A4).
+func (p *problem) linOf(s *qtree.Scalar, bind map[string]*slot, set int) (solver.Lin, error) {
 	switch s.Kind {
 	case qtree.SAttr:
-		v, err := p.varOf(s.Attr, set)
-		if err != nil {
-			return solver.Lin{}, err
+		sl, ok := bind[s.Attr.Occ]
+		if !ok {
+			v, err := p.varOf(s.Attr, set)
+			if err != nil {
+				return solver.Lin{}, err
+			}
+			return solver.V(v), nil
 		}
-		return solver.V(v), nil
+		pos := sl.rel.AttrPos(s.Attr.Attr)
+		if pos < 0 {
+			return solver.Lin{}, fmt.Errorf("core: relation %s has no attribute %s (occurrence %s)", sl.rel.Name, s.Attr.Attr, s.Attr.Occ)
+		}
+		return solver.V(sl.vars[pos]), nil
 	case qtree.SConst:
 		switch s.Const.Kind() {
 		case sqltypes.KindInt:
@@ -555,42 +566,46 @@ func (p *problem) linOf(s *qtree.Scalar, set int) (solver.Lin, error) {
 		default:
 			return solver.Lin{}, fmt.Errorf("core: unsupported constant %s (assumption A4: integer/string values)", s.Const)
 		}
-	default:
-		lin, err := s.ToLinear()
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		out := solver.C(lin.Const)
-		// Deterministic order over map keys.
-		attrs := make([]qtree.AttrRef, 0, len(lin.Coeffs))
-		for a := range lin.Coeffs {
-			attrs = append(attrs, a)
-		}
-		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Less(attrs[j]) })
-		for _, a := range attrs {
-			v, err := p.varOf(a, set)
-			if err != nil {
-				return solver.Lin{}, err
-			}
-			out = out.Plus(solver.V(v).Times(lin.Coeffs[a]))
-		}
-		return out, nil
 	}
+	l, err := p.linOf(s.L, bind, set)
+	if err != nil {
+		return solver.Lin{}, err
+	}
+	r, err := p.linOf(s.R, bind, set)
+	if err != nil {
+		return solver.Lin{}, err
+	}
+	switch s.Op {
+	case '+':
+		return l.Plus(r), nil
+	case '-':
+		return l.Minus(r), nil
+	case '*':
+		switch {
+		case len(l.Terms) == 0:
+			return r.Times(l.Const), nil
+		case len(r.Terms) == 0:
+			return l.Times(r.Const), nil
+		}
+		return solver.Lin{}, fmt.Errorf("core: non-linear product %s", s)
+	}
+	return solver.Lin{}, fmt.Errorf("core: %s is not linear (assumption A4)", s)
 }
 
-// predCon compiles a predicate to a solver constraint, optionally with a
-// different comparison operator (used by killComparisonOperators).
-// Pattern predicates compile to string-pool membership (op is ignored;
-// they have no comparison operator to vary).
-func (p *problem) predCon(pr *qtree.Pred, op sqltypes.CmpOp, set int) (solver.Con, error) {
-	if pr.Like != nil {
-		return p.likeCon(pr, set)
-	}
-	l, err := p.linOf(pr.L, set)
+// predCon compiles a predicate under the binding (see linOf) with its
+// comparison operator replaced by op: the §V-E variants pass another
+// operator, every other caller pr.Op. A pattern predicate compiles to
+// membership of its matched expression in the pool codes the pattern
+// accepts; op does not apply to it.
+func (p *problem) predCon(pr *qtree.Pred, op sqltypes.CmpOp, bind map[string]*slot, set int) (solver.Con, error) {
+	l, err := p.linOf(pr.L, bind, set)
 	if err != nil {
 		return nil, err
 	}
-	r, err := p.linOf(pr.R, set)
+	if pr.Like != nil {
+		return memberCon(l, p.g.likeSatCodes(pr.Like)), nil
+	}
+	r, err := p.linOf(pr.R, bind, set)
 	if err != nil {
 		return nil, err
 	}
@@ -777,26 +792,23 @@ func (p *problem) notExistsValue(rel *schema.Relation, attr string, val solver.L
 	return nil
 }
 
-// notExistsPred asserts genNotExists(pred, occ): no slot of occ's base
-// relation satisfies the predicate when substituted for occ (other
-// occurrences keep their dedicated slots).
-func (p *problem) notExistsPred(pr *qtree.Pred, occ string, set int) error {
-	return p.notExistsPredOp(pr, pr.Op, occ, set)
-}
-
-// notExistsPredOp is notExistsPred with the comparison operator replaced:
-// no slot of occ's base relation satisfies (pred.L op pred.R). The §V-E
-// comparison datasets use it to quantify an operator variant over every
-// tuple of the base relation, so that repeated occurrences of the same
-// relation cannot accidentally re-satisfy a mutated predicate.
-func (p *problem) notExistsPredOp(pr *qtree.Pred, op sqltypes.CmpOp, occ string, set int) error {
+// notExistsPred asserts genNotExists(pred, occ) with the predicate's
+// comparison operator replaced by op: no slot of occ's base relation
+// satisfies it when bound to occ, the other occurrences keeping their
+// slots of tuple set set. Quantifying over every tuple of the base
+// relation, not only occ's own, keeps repeated occurrences of the
+// relation from re-satisfying the predicate. Comparison and pattern
+// predicates alike (op does not apply to a pattern).
+func (p *problem) notExistsPred(pr *qtree.Pred, op sqltypes.CmpOp, occ string, set int) error {
 	sl, ok := p.occSlot[occSet{occ, set}]
 	if !ok {
 		return fmt.Errorf("core: no slot for occurrence %s (tuple set %d) while quantifying %s", occ, set, pr)
 	}
+	bind := map[string]*slot{occ: nil}
 	var bodies []solver.Con
 	for _, cand := range p.slots[sl.rel.Name] {
-		c, err := p.predConWithSlot(pr, op, occ, cand, set)
+		bind[occ] = cand
+		c, err := p.predCon(pr, op, bind, set)
 		if err != nil {
 			return err
 		}
@@ -804,72 +816,6 @@ func (p *problem) notExistsPredOp(pr *qtree.Pred, op sqltypes.CmpOp, occ string,
 	}
 	p.s.Assert(solver.NotExists(bodies...))
 	return nil
-}
-
-// predConWithSlot compiles a predicate with occurrence occ's attributes
-// redirected to the given slot and the comparison operator replaced by op.
-func (p *problem) predConWithSlot(pr *qtree.Pred, op sqltypes.CmpOp, occ string, sl *slot, set int) (solver.Con, error) {
-	if pr.Like != nil {
-		return nil, fmt.Errorf("core: pattern predicate %s has no comparison-operator variants", pr)
-	}
-	redirect := func(s *qtree.Scalar) (solver.Lin, error) {
-		return p.linOfRedirect(s, occ, sl, set)
-	}
-	l, err := redirect(pr.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := redirect(pr.R)
-	if err != nil {
-		return nil, err
-	}
-	return solver.NewCmp(op, l, r), nil
-}
-
-func (p *problem) linOfRedirect(s *qtree.Scalar, occ string, sl *slot, set int) (solver.Lin, error) {
-	switch s.Kind {
-	case qtree.SAttr:
-		if s.Attr.Occ == occ {
-			pos := sl.rel.AttrPos(s.Attr.Attr)
-			if pos < 0 {
-				return solver.Lin{}, fmt.Errorf("core: relation %s has no attribute %s (occurrence %s)", sl.rel.Name, s.Attr.Attr, occ)
-			}
-			return solver.V(sl.vars[pos]), nil
-		}
-		v, err := p.varOf(s.Attr, set)
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		return solver.V(v), nil
-	case qtree.SConst:
-		return p.linOf(s, set)
-	default:
-		l, err := p.linOfRedirect(s.L, occ, sl, set)
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		r, err := p.linOfRedirect(s.R, occ, sl, set)
-		if err != nil {
-			return solver.Lin{}, err
-		}
-		switch s.Op {
-		case '+':
-			return l.Plus(r), nil
-		case '-':
-			return l.Minus(r), nil
-		case '*':
-			// One side must be constant (checked by ToLinear-style rule).
-			if len(l.Terms) > 0 && len(r.Terms) > 0 {
-				return solver.Lin{}, fmt.Errorf("core: non-linear product in %s", s)
-			}
-			if len(l.Terms) > 0 {
-				return l.Times(r.Const), nil
-			}
-			return r.Times(l.Const), nil
-		default:
-			return solver.Lin{}, fmt.Errorf("core: unsupported arithmetic %c (assumption A4)", s.Op)
-		}
-	}
 }
 
 // solve invokes the constraint solver with the generator's options,

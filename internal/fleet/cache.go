@@ -301,10 +301,10 @@ func (c *SuiteCache) Epoch() int64 {
 // singleflight follower), collapsing concurrent identical requests
 // onto one computation. The fast path is a verified cache hit. On a
 // miss, exactly one caller (the leader) runs fn; every concurrent
-// caller for the same key waits for the leader's result. fn returns
-// (payload, cacheable, err): the payload is stored only when cacheable
-// (complete 200 suites — partial or error responses must not be
-// served to future requests) and shared with followers either way.
+// caller for the same key waits for the leader's result. A payload fn
+// returns with a nil error is stored and shared with the followers, so
+// fn must return anything that must not be served to another request
+// (a partial or error response) as an error.
 //
 // Failure containment: a leader that returns an error (or whose
 // context was cancelled) does not poison anyone — each follower wakes,
@@ -316,7 +316,7 @@ func (c *SuiteCache) Epoch() int64 {
 // computation, the result is still returned to callers (it was correct
 // when computed) but not stored, preserving "never serve a stale-epoch
 // entry".
-func (c *SuiteCache) Do(ctx context.Context, k Key, fn func() (payload []byte, cacheable bool, err error)) ([]byte, Tier, error) {
+func (c *SuiteCache) Do(ctx context.Context, k Key, fn func() ([]byte, error)) ([]byte, Tier, error) {
 	key := k.String()
 	for {
 		if p, tier, ok := c.Get(k); ok {
@@ -346,7 +346,7 @@ func (c *SuiteCache) Do(ctx context.Context, k Key, fn func() (payload []byte, c
 		epochAtStart := c.epoch
 		c.mu.Unlock()
 
-		payload, cacheable, err := fn()
+		payload, err := fn()
 		call.payload, call.err = payload, err
 
 		c.mu.Lock()
@@ -358,7 +358,7 @@ func (c *SuiteCache) Do(ctx context.Context, k Key, fn func() (payload []byte, c
 		if err != nil {
 			return nil, TierNone, err
 		}
-		if cacheable && sameEpoch {
+		if sameEpoch {
 			c.Put(k, payload)
 		}
 		return payload, TierNone, nil

@@ -109,10 +109,10 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = c.Do(context.Background(), k, func() ([]byte, bool, error) {
+			results[i], _, errs[i] = c.Do(context.Background(), k, func() ([]byte, error) {
 				calls.Add(1)
 				<-gate // hold every follower in the wait path
-				return []byte("answer"), true, nil
+				return []byte("answer"), nil
 			})
 		}(i)
 	}
@@ -152,11 +152,11 @@ func TestCacheSingleflightLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, leaderErr = c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		_, _, leaderErr = c.Do(context.Background(), k, func() ([]byte, error) {
 			calls.Add(1)
 			close(leaderStarted)
 			<-leaderFail
-			return nil, false, boom
+			return nil, boom
 		})
 	}()
 	<-leaderStarted
@@ -165,9 +165,9 @@ func TestCacheSingleflightLeaderFailure(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		followerGot, _, followerErr = c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		followerGot, _, followerErr = c.Do(context.Background(), k, func() ([]byte, error) {
 			calls.Add(1)
-			return []byte("second try"), true, nil
+			return []byte("second try"), nil
 		})
 	}()
 	time.Sleep(20 * time.Millisecond) // let the follower reach the wait
@@ -192,36 +192,53 @@ func TestCacheDoFollowerCtxCancel(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	go c.Do(context.Background(), k, func() ([]byte, bool, error) {
+	go c.Do(context.Background(), k, func() ([]byte, error) {
 		close(started)
 		<-release
-		return []byte("late"), true, nil
+		return []byte("late"), nil
 	})
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, _, err := c.Do(ctx, k, func() ([]byte, bool, error) {
+	_, _, err := c.Do(ctx, k, func() ([]byte, error) {
 		t.Error("follower must not compute while the leader is in flight")
-		return nil, false, nil
+		return nil, nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower got %v, want its own deadline", err)
 	}
 }
 
-// TestCacheUncacheableNotStored: fn results flagged non-cacheable
-// (partial suites, error bodies) are returned but never stored.
+// partialBody carries a result that must not be served to another
+// request (a partial suite, an error body) out of Do as an error.
+type partialBody struct{ payload []byte }
+
+func (e *partialBody) Error() string { return "partial" }
+
+// TestCacheUncacheableNotStored: a result fn returns as an error
+// (partial suites, error bodies) reaches its own caller through the
+// error but is never stored, so the next caller for the key computes
+// afresh.
 func TestCacheUncacheableNotStored(t *testing.T) {
 	c := NewSuiteCache(0)
 	k := testKey("k")
-	got, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
-		return []byte("partial"), false, nil
+	_, _, err := c.Do(context.Background(), k, func() ([]byte, error) {
+		return nil, &partialBody{payload: []byte("partial")}
 	})
-	if err != nil || string(got) != "partial" {
-		t.Fatalf("Do: %q %v", got, err)
+	var pb *partialBody
+	if !errors.As(err, &pb) || string(pb.payload) != "partial" {
+		t.Fatalf("Do: %v, want the partial body carried in the error", err)
 	}
 	if _, _, ok := c.Get(k); ok {
 		t.Fatal("non-cacheable result must not be stored")
+	}
+	calls := 0
+	got, tier, err := c.Do(context.Background(), k, func() ([]byte, error) {
+		calls++
+		return []byte("complete"), nil
+	})
+	if err != nil || string(got) != "complete" || tier != TierNone || calls != 1 {
+		t.Fatalf("second Do: %q tier=%v calls=%d %v, want a fresh computation", got, tier, calls, err)
 	}
 }
 
@@ -235,10 +252,10 @@ func TestCacheEpochRaceNotStored(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		got, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		got, _, err := c.Do(context.Background(), k, func() ([]byte, error) {
 			close(computing)
 			<-finish
-			return []byte("old-epoch"), true, nil
+			return []byte("old-epoch"), nil
 		})
 		if err != nil || string(got) != "old-epoch" {
 			t.Errorf("Do: %q %v", got, err)
@@ -260,9 +277,9 @@ func TestCacheDisabled(t *testing.T) {
 	k := testKey("k")
 	var calls atomic.Int64
 	for i := 0; i < 2; i++ {
-		got, _, err := c.Do(context.Background(), k, func() ([]byte, bool, error) {
+		got, _, err := c.Do(context.Background(), k, func() ([]byte, error) {
 			calls.Add(1)
-			return []byte("x"), true, nil
+			return []byte("x"), nil
 		})
 		if err != nil || string(got) != "x" {
 			t.Fatalf("Do: %q %v", got, err)

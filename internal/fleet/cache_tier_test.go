@@ -122,9 +122,9 @@ func TestCacheTierDoServesDiskAndReportsTier(t *testing.T) {
 	c.AttachDurable(d)
 
 	solves := 0
-	fn := func() ([]byte, bool, error) {
+	fn := func() ([]byte, error) {
 		solves++
-		return []byte("fresh"), true, nil
+		return []byte("fresh"), nil
 	}
 	p, tier, err := c.Do(context.Background(), k, fn)
 	if err != nil || tier != TierDisk || string(p) != "from disk" || solves != 0 {

@@ -311,19 +311,12 @@ type likeVariant struct {
 }
 
 // likeVariants enumerates the mutations of one LIKE predicate: the
-// negation flip, each wildcard flipped between % and _, and each
-// wildcard deleted.
-func likeVariants(not bool, pat string) []likeVariant {
-	out := []likeVariant{{tag: "neg", not: !not, pat: pat}}
-	for j := 0; j < len(pat); j++ {
-		switch pat[j] {
-		case '%':
-			out = append(out, likeVariant{tag: fmt.Sprintf("flip%d", j), not: not, pat: pat[:j] + "_" + pat[j+1:]})
-			out = append(out, likeVariant{tag: fmt.Sprintf("del%d", j), not: not, pat: pat[:j] + pat[j+1:]})
-		case '_':
-			out = append(out, likeVariant{tag: fmt.Sprintf("flip%d", j), not: not, pat: pat[:j] + "%" + pat[j+1:]})
-			out = append(out, likeVariant{tag: fmt.Sprintf("del%d", j), not: not, pat: pat[:j] + pat[j+1:]})
-		}
+// negation flip, then the pattern's wildcard variants
+// (qtree.LikeSpec.WildcardVariants).
+func likeVariants(like *qtree.LikeSpec) []likeVariant {
+	out := []likeVariant{{tag: "neg", not: !like.Not, pat: like.Pattern}}
+	for _, v := range like.WildcardVariants() {
+		out = append(out, likeVariant{tag: v.Tag, not: like.Not, pat: v.Pattern})
 	}
 	return out
 }
@@ -339,7 +332,7 @@ func LikeMutants(q *qtree.Query) []*Mutant {
 		if p.Like == nil {
 			continue
 		}
-		for _, v := range likeVariants(p.Like.Not, p.Like.Pattern) {
+		for _, v := range likeVariants(p.Like) {
 			mp := p.WithLike(v.not, v.pat)
 			out = append(out, &Mutant{
 				Key:  fmt.Sprintf("like:%d:%s", i, v.tag),
@@ -354,7 +347,7 @@ func LikeMutants(q *qtree.Query) []*Mutant {
 			if p.Like == nil {
 				continue
 			}
-			for _, v := range likeVariants(p.Like.Not, p.Like.Pattern) {
+			for _, v := range likeVariants(p.Like) {
 				mp := p.WithLike(v.not, v.pat)
 				ms := s.WithKind(s.Kind) // shallow copy
 				ms.Preds = make([]*qtree.Pred, len(s.Preds))

@@ -347,7 +347,7 @@ func TestEquivClassEdgeViaTransitivity(t *testing.T) {
 	}
 }
 
-func TestScalarEvalAndLinear(t *testing.T) {
+func TestScalarEval(t *testing.T) {
 	q := buildQ(t, "SELECT * FROM abc_b b, abc_c c WHERE b.x = 2 * c.x + 10")
 	p := q.JoinPreds()[0]
 	lookup := func(a AttrRef) sqltypes.Value {
@@ -358,35 +358,6 @@ func TestScalarEvalAndLinear(t *testing.T) {
 	}
 	if got := p.Eval(lookup); got != sqltypes.True {
 		t.Errorf("eval = %v", got)
-	}
-	lin, err := p.R.ToLinear()
-	if err != nil {
-		t.Fatalf("ToLinear: %v", err)
-	}
-	if lin.Const != 10 || lin.Coeffs[AttrRef{"c", "x"}] != 2 {
-		t.Errorf("linear = %+v", lin)
-	}
-}
-
-func TestToLinearRejectsNonLinear(t *testing.T) {
-	q := buildQ(t, "SELECT * FROM abc_b b, abc_c c WHERE b.x = c.x * c.x")
-	if _, err := q.JoinPreds()[0].R.ToLinear(); err == nil {
-		t.Error("x*x should not linearize")
-	}
-	q2 := buildQ(t, "SELECT * FROM abc_b b, abc_c c WHERE b.x = c.x / 2")
-	if _, err := q2.JoinPreds()[0].R.ToLinear(); err == nil {
-		t.Error("division should not linearize")
-	}
-}
-
-func TestLinearCancellation(t *testing.T) {
-	q := buildQ(t, "SELECT * FROM abc_b b, abc_c c WHERE b.x = c.x - c.x + 3")
-	lin, err := q.JoinPreds()[0].R.ToLinear()
-	if err != nil {
-		t.Fatalf("ToLinear: %v", err)
-	}
-	if len(lin.Coeffs) != 0 || lin.Const != 3 {
-		t.Errorf("linear = %+v (cancellation failed)", lin)
 	}
 }
 

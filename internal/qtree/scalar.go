@@ -121,73 +121,6 @@ func (s *Scalar) Eval(lookup func(AttrRef) sqltypes.Value) sqltypes.Value {
 	}
 }
 
-// Linear is a linear integer expression sum(Coeffs[a]*a) + Const, the
-// form handed to the constraint solver.
-type Linear struct {
-	Coeffs map[AttrRef]int64
-	Const  int64
-}
-
-// ToLinear linearizes an integer scalar. It fails for string or float
-// constants, division, or products of two attribute-bearing terms.
-func (s *Scalar) ToLinear() (Linear, error) {
-	switch s.Kind {
-	case SAttr:
-		return Linear{Coeffs: map[AttrRef]int64{s.Attr: 1}}, nil
-	case SConst:
-		if s.Const.Kind() != sqltypes.KindInt {
-			return Linear{}, fmt.Errorf("qtree: non-integer constant %s in linear context", s.Const)
-		}
-		return Linear{Const: s.Const.Int()}, nil
-	}
-	l, err := s.L.ToLinear()
-	if err != nil {
-		return Linear{}, err
-	}
-	r, err := s.R.ToLinear()
-	if err != nil {
-		return Linear{}, err
-	}
-	switch s.Op {
-	case '+', '-':
-		out := Linear{Coeffs: map[AttrRef]int64{}, Const: l.Const}
-		for a, c := range l.Coeffs {
-			out.Coeffs[a] += c
-		}
-		sign := int64(1)
-		if s.Op == '-' {
-			sign = -1
-		}
-		out.Const += sign * r.Const
-		for a, c := range r.Coeffs {
-			out.Coeffs[a] += sign * c
-			if out.Coeffs[a] == 0 {
-				delete(out.Coeffs, a)
-			}
-		}
-		return out, nil
-	case '*':
-		// One side must be a pure constant.
-		if len(l.Coeffs) > 0 && len(r.Coeffs) > 0 {
-			return Linear{}, fmt.Errorf("qtree: non-linear product %s", s)
-		}
-		lin, k := l, r.Const
-		if len(r.Coeffs) > 0 {
-			lin, k = r, l.Const
-		}
-		out := Linear{Coeffs: map[AttrRef]int64{}, Const: lin.Const * k}
-		for a, c := range lin.Coeffs {
-			if c*k != 0 {
-				out.Coeffs[a] = c * k
-			}
-		}
-		return out, nil
-	case '/':
-		return Linear{}, fmt.Errorf("qtree: division is not linear: %s", s)
-	}
-	return Linear{}, fmt.Errorf("qtree: bad op %c", s.Op)
-}
-
 // IsStringy reports whether the scalar is a bare string attribute or
 // string constant (the only string forms assumption A4 admits).
 func (s *Scalar) IsStringy(attrType func(AttrRef) sqltypes.Kind) bool {
@@ -206,6 +139,37 @@ func (s *Scalar) IsStringy(attrType func(AttrRef) sqltypes.Kind) bool {
 type LikeSpec struct {
 	Not     bool
 	Pattern string
+}
+
+// LikeVariant is one wildcard mutation of a pattern. Tag names it in
+// mutant keys: "flip<j>" or "del<j>" for the wildcard at byte j.
+type LikeVariant struct {
+	Tag     string
+	Pattern string
+}
+
+// WildcardVariants enumerates the pattern's wildcard mutations: each
+// wildcard flipped between % and _, then deleted, in pattern order. The
+// mutation space and the LIKE kill goals both draw on this one list, so
+// the goals target exactly the mutants the space enumerates.
+func (l *LikeSpec) WildcardVariants() []LikeVariant {
+	pat := l.Pattern
+	var out []LikeVariant
+	for j := 0; j < len(pat); j++ {
+		var flip string
+		switch pat[j] {
+		case '%':
+			flip = "_"
+		case '_':
+			flip = "%"
+		default:
+			continue
+		}
+		out = append(out,
+			LikeVariant{Tag: fmt.Sprintf("flip%d", j), Pattern: pat[:j] + flip + pat[j+1:]},
+			LikeVariant{Tag: fmt.Sprintf("del%d", j), Pattern: pat[:j] + pat[j+1:]})
+	}
+	return out
 }
 
 // Pred is a normalized predicate conjunct: L op R, or a pattern match

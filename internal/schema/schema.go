@@ -173,13 +173,6 @@ func (s *Schema) Relations() []*Relation {
 	return out
 }
 
-// Names returns relation names in insertion order.
-func (s *Schema) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Validate checks referential integrity of the schema itself: every
 // foreign key must reference an existing relation and columns of matching
 // types, and the referenced columns must be that relation's primary key
@@ -315,16 +308,6 @@ func (s *Schema) ReferencersOf(target ColRef) []ColRef {
 		}
 	}
 	return out
-}
-
-// ReferencedBy returns the directly referenced (table, columns) pairs for
-// a relation, i.e. the FK targets reachable in one hop.
-func (s *Schema) ReferencedBy(rel string) []ForeignKey {
-	r := s.Relation(rel)
-	if r == nil {
-		return nil
-	}
-	return r.ForeignKeys
 }
 
 // String renders the schema as CREATE TABLE statements.

@@ -330,12 +330,12 @@ func (e *leaderOutcome) Error() string { return "service: non-shareable solve re
 // stored, and a result that straddled an epoch bump is not stored
 // either.
 func (s *Server) cachedSolve(ctx context.Context, r *http.Request, key fleet.Key, sch *schema.Schema, q *qtree.Query, opts core.Options) (int, []byte, fleet.Tier) {
-	body, tier, err := s.cache.Do(ctx, key, func() ([]byte, bool, error) {
+	body, tier, err := s.cache.Do(ctx, key, func() ([]byte, error) {
 		status, p := s.marshalSolve(ctx, r, sch, q, opts)
 		if status != http.StatusOK {
-			return nil, false, &leaderOutcome{status: status, payload: p}
+			return nil, &leaderOutcome{status: status, payload: p}
 		}
-		return p, true, nil
+		return p, nil
 	})
 	if err != nil {
 		var lo *leaderOutcome

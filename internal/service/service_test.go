@@ -480,4 +480,17 @@ func TestBudgetExpiryPartial(t *testing.T) {
 	if c.Partial != 1 || c.BudgetExpired != 1 {
 		t.Errorf("counters after budget expiry: %+v", c)
 	}
+
+	// The partial suite was never stored: the same content key (the
+	// request budget is no generation option) solves afresh once the
+	// solver is healthy again.
+	solver.SetFaultHook(nil)
+	got = GenerateResponse{}
+	status, _ = post(t, ts.URL+"/v1/generate", GenerateRequest{DDL: testDDL, Query: testSQL}, &got)
+	if status != http.StatusOK || !got.Complete || len(got.Incomplete) != 0 {
+		t.Fatalf("after the partial: status %d, complete=%v, incomplete=%d; want a freshly solved complete 200", status, got.Complete, len(got.Incomplete))
+	}
+	if c := s.Counters(); c.Hits != 0 {
+		t.Errorf("cache_hits = %d after the partial, want 0: a partial suite was stored", c.Hits)
+	}
 }

@@ -154,14 +154,6 @@ func (l Lin) normalize() Lin {
 	return out
 }
 
-// Vars appends the variables of the expression.
-func (l Lin) Vars(dst []VarID) []VarID {
-	for _, t := range l.Terms {
-		dst = append(dst, t.V)
-	}
-	return dst
-}
-
 // Con is a constraint node.
 type Con interface{ conNode() }
 
@@ -393,9 +385,6 @@ func (s *Solver) NewVarUnique(name string, domain []int64) VarID {
 // NumVars returns the number of declared variables.
 func (s *Solver) NumVars() int { return len(s.domains) }
 
-// NumCons returns the number of asserted constraints.
-func (s *Solver) NumCons() int { return len(s.cons) }
-
 // ProblemSize returns the number of asserted constraints plus the total
 // candidate-domain cardinality over all variables: a deterministic
 // measure of problem size (wall time tracks it, noisily). Input-database
@@ -518,31 +507,6 @@ func flattenSlice(cs []Con) ([]Con, bool) {
 		return out, true
 	}
 	return cs, false
-}
-
-// conVars collects the variables mentioned by a constraint.
-func conVars(c Con, dst map[VarID]bool) {
-	switch n := c.(type) {
-	case *Cmp:
-		for _, t := range n.L.Terms {
-			dst[t.V] = true
-		}
-		for _, t := range n.R.Terms {
-			dst[t.V] = true
-		}
-	case *And:
-		for _, x := range n.Cs {
-			conVars(x, dst)
-		}
-	case *Or:
-		for _, x := range n.Cs {
-			conVars(x, dst)
-		}
-	case *Quant:
-		for _, x := range n.Bodies {
-			conVars(x, dst)
-		}
-	}
 }
 
 // String renders a constraint for diagnostics.

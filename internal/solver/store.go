@@ -73,14 +73,6 @@ func fillWords(w []uint64, n int) {
 	}
 }
 
-func popcountWords(w []uint64) int32 {
-	var n int
-	for _, x := range w {
-		n += bits.OnesCount64(x)
-	}
-	return int32(n)
-}
-
 // kpin is a value pin extracted from a top-level var = const conjunct.
 type kpin struct {
 	v   VarID
