@@ -16,7 +16,10 @@ import (
 // -failure-dir capture (see internal/durable): it loads the bundle's
 // schema.sql, query.sql and canonical options, runs the generator
 // deterministically (byte-identical suites for any worker count), and
-// reports whether the captured failure still reproduces.
+// reports whether the captured failure still reproduces. After the
+// summary it prints every replayed dataset (the original first) as its
+// INSERT script under its purpose — schema.Dataset.SQLInserts, the
+// bytes the daemon's inserts field carries.
 //
 // Exit codes follow the shared taxonomy: ExitUsage for an unreadable
 // or damaged bundle, ExitPartial when the replay abandons goals again
@@ -70,14 +73,19 @@ func Replay(ctx context.Context, bundlePath string, stdout, stderr io.Writer) in
 			reproduced = true
 		}
 	}
-	if err != nil {
-		if reproduced {
-			fmt.Fprintf(stdout, "-- failure reproduced: goal %q abandoned again\n", b.Purpose)
-		} else {
-			fmt.Fprintln(stdout, "-- partial suite, but not the captured goal: related failure or budget noise")
-		}
-		return ExitPartial
+	code := ExitOK
+	switch {
+	case err == nil:
+		fmt.Fprintln(stdout, "-- suite complete: the captured failure did not reproduce")
+	case reproduced:
+		fmt.Fprintf(stdout, "-- failure reproduced: goal %q abandoned again\n", b.Purpose)
+		code = ExitPartial
+	default:
+		fmt.Fprintln(stdout, "-- partial suite, but not the captured goal: related failure or budget noise")
+		code = ExitPartial
 	}
-	fmt.Fprintln(stdout, "-- suite complete: the captured failure did not reproduce")
-	return ExitOK
+	for _, ds := range suite.All() {
+		fmt.Fprint(stdout, ds.SQLInserts(sch))
+	}
+	return code
 }

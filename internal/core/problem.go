@@ -10,6 +10,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -326,13 +328,13 @@ func (g *Generator) baseFor(tupleSets int, needRepair, forceInput bool) (*solver
 	if err != nil {
 		return nil, false, err
 	}
-	// Collect the core's constraints by asserting the database
-	// constraints on a throwaway problem over the shared layout — the
-	// exact set assertDBConstraints would add per goal (skipFK nil).
+	// The core is a throwaway problem over the shared layout holding
+	// the exact database constraints assertDBConstraints would add per
+	// goal (skipFK nil), run through the solver's front end.
 	tmp := g.problemOn(pl)
 	tmp.forceInput = forceInput
 	tmp.assertDBConstraints()
-	b := solver.PrepareBase(pl.s, tmp.s.Constraints())
+	b := solver.PrepareBase(tmp.s)
 	if g.bases == nil {
 		g.bases = map[baseKey]*solver.Base{}
 	}
@@ -823,13 +825,14 @@ func (p *problem) notExistsPred(pr *qtree.Pred, op sqltypes.CmpOp, occ string, s
 // is stricter than (or stands in for) Options.SolverNodeLimit, the
 // budget's unfold override replaces Options.Unfold (the quantified-mode
 // fallback attempt), and the budget's context provides cooperative
-// cancellation. label travels to the solver for fault injection and
-// diagnostics.
+// cancellation. Options.SolverTimeout is a child of that context; its
+// expiry while the goal is live is a budget, reported as ErrLimit so
+// the retry ladder escalates past it. label travels to the solver for
+// fault injection and diagnostics.
 func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 	opts := solver.Options{
 		Unfold:    p.g.opts.Unfold,
 		NodeLimit: p.g.opts.SolverNodeLimit,
-		Timeout:   p.g.opts.SolverTimeout,
 		Label:     label,
 		Cache:     p.g.comp,
 	}
@@ -839,13 +842,22 @@ func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 	if gb.unfold != nil {
 		opts.Unfold = *gb.unfold
 	}
+	ctx := gb.ctx
+	if t := p.g.opts.SolverTimeout; t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
+		defer cancel()
+	}
 	// Check an arena out around the call: the solve runs entirely on
 	// this goroutine (cancellation is cooperative), so the arena is free
 	// for the next checkout as soon as SolveContext returns.
 	ar := p.g.getArena()
 	opts.Arena = ar
-	m, err := p.s.SolveContext(gb.ctx, opts)
+	m, err := p.s.SolveContext(ctx, opts)
 	p.g.putArena(ar)
+	if errors.Is(err, solver.ErrCanceled) && ctx.Err() != nil && gb.ctx.Err() == nil {
+		err = solver.ErrLimit
+	}
 	return m, err
 }
 

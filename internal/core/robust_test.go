@@ -261,6 +261,47 @@ func TestRetryLadderExhausted(t *testing.T) {
 	}
 }
 
+// TestRetryLadderSolverTimeout: a hung solve under Options.SolverTimeout
+// is a budget, not a cancellation. With GoalNodeLimit set, the ladder
+// escalates past each expired call and abandons the goal after its
+// three rungs; without it, the goal's one attempt is abandoned. The
+// rest of the suite completes either way.
+func TestRetryLadderSolverTimeout(t *testing.T) {
+	q := buildQuery(t, ddlNoFK, robustSQL)
+	defer solver.SetFaultHook(nil)
+	solver.SetFaultHook(func(label string, call int64) solver.Fault {
+		if strings.Contains(label, limitLabelPat) {
+			return solver.FaultSlow
+		}
+		return solver.FaultNone
+	})
+	for _, tc := range []struct {
+		goalNodes int64
+		attempts  int
+	}{{100_000, 3}, {0, 1}} {
+		opts := DefaultOptions()
+		opts.Parallelism = 1
+		opts.GoalNodeLimit = tc.goalNodes
+		opts.SolverTimeout = 20 * time.Millisecond
+		suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
+		if !errors.Is(err, ErrPartialSuite) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("GoalNodeLimit %d: got %v, want ErrPartialSuite from a budget", tc.goalNodes, err)
+		}
+		if len(suite.Incomplete) != 1 {
+			t.Fatalf("GoalNodeLimit %d: Incomplete %v, want exactly the hung goal", tc.goalNodes, suite.Incomplete)
+		}
+		f := suite.Incomplete[0]
+		if f.Purpose != limitPurpose || f.Reason != ReasonBudget || f.Attempts != tc.attempts || !errors.Is(f.Err, solver.ErrLimit) {
+			t.Errorf("GoalNodeLimit %d: failure %q/%q after %d attempts (%v), want %q/%q after %d wrapping solver.ErrLimit",
+				tc.goalNodes, f.Purpose, f.Reason, f.Attempts, f.Err, limitPurpose, ReasonBudget, tc.attempts)
+		}
+		if suite.Stats.RetryCount != tc.attempts-1 || suite.Stats.LimitCount != 1 {
+			t.Errorf("GoalNodeLimit %d: RetryCount=%d LimitCount=%d, want %d and 1",
+				tc.goalNodes, suite.Stats.RetryCount, suite.Stats.LimitCount, tc.attempts-1)
+		}
+	}
+}
+
 // TestGenerateContextCancelNoLeaks cancels a generation whose every
 // solve hangs (injected FaultSlow) and asserts the pipeline returns
 // promptly with a deterministic partial result and no leaked worker

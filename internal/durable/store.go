@@ -53,10 +53,11 @@ func segPath(dir string, id int64) string {
 
 // Open opens (creating if needed) the store rooted at dir and runs
 // crash recovery: WAL replay (persisted epoch, tombstones), segment
-// scan (torn tails dropped, corrupt records quarantined), index
-// rebuild. Recovery never fails on bad data; the returned error means
-// the directory itself is unusable (cannot create, not a directory,
-// unwritable), which callers degrade on.
+// scan (torn tails dropped, corrupt records quarantined, the highest
+// record epoch adopted), index rebuild. Recovery never fails on bad
+// data; the returned error means the directory itself is unusable
+// (cannot create, not a directory, unwritable), which callers degrade
+// on.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
@@ -139,6 +140,11 @@ func (s *Store) openWAL() (walReplay, error) {
 // recoverSegments scans every segment file in id order, quarantining
 // corrupt records, truncating torn tails, and rebuilding the index
 // (later records win; tombstoned and stale-epoch records are skipped).
+// The store's epoch is the highest among the journal's and the valid,
+// untombstoned records': records are written at the current epoch and
+// epochs only rise, so a record of epoch e proves a bump to e even when
+// its journal entry was lost (SetEpoch's error). An adopted epoch above
+// the journal's is journaled here.
 func (s *Store) recoverSegments(replay walReplay) error {
 	dir := filepath.Join(s.dir, "segments")
 	names, err := os.ReadDir(dir)
@@ -194,13 +200,23 @@ func (s *Store) recoverSegments(replay walReplay) error {
 			switch {
 			case replay.Tombstones[tombKey{seg: id, off: rec.Off}]:
 				s.ctr.Tombstoned++
-			case rec.Epoch != s.epoch:
+			case rec.Epoch < s.epoch:
 				// Stale epoch: rejected exactly as the in-memory tier
 				// rejects entries that predate a bump.
 				s.ctr.StaleDropped++
 			default:
+				if rec.Epoch > s.epoch {
+					s.ctr.StaleDropped += int64(len(s.index))
+					clear(s.index)
+					s.epoch = rec.Epoch
+				}
 				s.index[rec.Key] = recLoc{seg: id, off: rec.Off, n: rec.Len, epoch: rec.Epoch}
 			}
+		}
+	}
+	if s.epoch > replay.Epoch {
+		if _, err := s.wal.Write(encodeEpochEntry(s.epoch)); err != nil || s.wal.Sync() != nil {
+			s.ctr.IOErrors++
 		}
 	}
 	for _, loc := range s.index {
@@ -280,9 +296,10 @@ func (s *Store) Epoch() int64 {
 // them — the lazy rejection mirror of the in-memory tier). The epoch
 // is adopted even when the journal write fails, so this process never
 // serves a record the bump retired; the returned error then says the
-// bump will not survive a restart. Epochs are monotonic: a SetEpoch at
-// or below the current epoch is a no-op, so racing bumps cannot
-// persist out of order.
+// bump survives a restart only if a record is written at the new epoch
+// first (recovery adopts record epochs). Epochs are monotonic: a
+// SetEpoch at or below the current epoch is a no-op, so racing bumps
+// cannot persist out of order.
 func (s *Store) SetEpoch(e int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

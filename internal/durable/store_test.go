@@ -239,6 +239,49 @@ func TestStoreSetEpochJournalFailure(t *testing.T) {
 	}
 }
 
+// TestStoreRecoversUnjournaledEpoch: a bump whose journal write failed
+// survives a restart once a record carries it. Recovery adopts the
+// record's epoch, drops the records the bump retired, serves the newer
+// one and journals the adopted epoch, so a second restart keeps it.
+func TestStoreRecoversUnjournaledEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("old", []byte("pre-bump"))
+	s.wal.Close() // every journal write now fails
+	if err := s.SetEpoch(1); err == nil {
+		t.Fatal("SetEpoch with a failing journal reported success")
+	}
+	s.Put("new", []byte("post-bump"))
+	s.Close()
+
+	for restart := 1; restart <= 2; restart++ {
+		r, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Epoch(); got != 1 {
+			t.Errorf("restart %d: Epoch = %d, want 1 from the post-bump record", restart, got)
+		}
+		if body, ok := r.Get("old"); ok {
+			t.Errorf("restart %d: retired record served: %q", restart, body)
+		}
+		if body, ok := r.Get("new"); !ok || !bytes.Equal(body, []byte("post-bump")) {
+			t.Errorf("restart %d: post-bump record = (%q, %v), want it served", restart, body, ok)
+		}
+		r.Close()
+		journal, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := replayWALBytes(journal).Epoch; got != 1 {
+			t.Errorf("restart %d: journaled epoch %d, want the adopted 1", restart, got)
+		}
+	}
+}
+
 // TestStoreServesParentFramedRecord: a record framed byte for byte as
 // earlier binaries wrote it — status slot 200 — is served after Open,
 // and encodeRecord still writes that exact frame.

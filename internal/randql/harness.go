@@ -13,7 +13,6 @@ import (
 	"repro/internal/qtree"
 	"repro/internal/refeval"
 	"repro/internal/schema"
-	"repro/internal/solver"
 )
 
 // maxDiffMutants bounds the number of mutants the differential oracle
@@ -170,13 +169,11 @@ func CheckCompleteness(c *Case, equivSeed int64) (*CompletenessResult, error) {
 	opts.GoalTimeout = GoalTimeout
 	suite, err := core.NewGenerator(c.Query, opts).Generate()
 	if err != nil {
-		if errors.Is(err, solver.ErrLimit) {
-			return &CompletenessResult{BudgetExceeded: true}, nil
-		}
 		if errors.Is(err, core.ErrPartialSuite) && suite != nil {
-			// Goal budgets exhausted: a deliberate skip, exactly like the
-			// per-solve ErrLimit path — unless a goal actually panicked,
-			// which is a real bug the soak must surface.
+			// Goal or per-solve budgets exhausted (the goal pipeline
+			// abandons a goal on either): a deliberate skip — unless a
+			// goal actually panicked, which is a real bug the soak must
+			// surface.
 			for _, f := range suite.Incomplete {
 				if f.Reason == core.ReasonPanic {
 					return nil, fmt.Errorf("randql: seed %d: generate: goal panicked: %w\n%s", c.Seed, f.Err, c.Repro(nil))

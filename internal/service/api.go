@@ -22,11 +22,10 @@ type RequestOptions struct {
 	// Config.MaxGoalTimeout.
 	GoalTimeoutMS int64 `json:"goal_timeout_ms,omitempty"`
 	// GoalNodeLimit bounds each kill goal's solver nodes (with the
-	// escalating-retry ladder); clamped onto Config.MaxGoalNodes.
+	// escalating-retry ladder); clamped onto Config.MaxGoalNodes. It is
+	// the daemon's only node budget: a per-call ceiling would clip the
+	// ladder's upper rungs.
 	GoalNodeLimit int64 `json:"goal_node_limit,omitempty"`
-	// SolverNodeLimit is the hard per-solver-call node ceiling;
-	// clamped onto Config.MaxSolverNodes.
-	SolverNodeLimit int64 `json:"solver_node_limit,omitempty"`
 	// Parallelism is the per-request worker count; clamped onto
 	// Config.MaxParallelism.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -90,7 +89,6 @@ func (s *Server) clamp(ro RequestOptions) (time.Duration, core.Options) {
 	opts.Unfold = !ro.NoUnfold
 	opts.GoalTimeout = clampBudget(time.Duration(ro.GoalTimeoutMS)*time.Millisecond, s.cfg.MaxGoalTimeout)
 	opts.GoalNodeLimit = clampNodes(ro.GoalNodeLimit, s.cfg.MaxGoalNodes)
-	opts.SolverNodeLimit = clampNodes(ro.SolverNodeLimit, s.cfg.MaxSolverNodes)
 	opts.Parallelism = clampInt(ro.Parallelism, s.cfg.MaxParallelism)
 	opts.FreshValues = ro.FreshValues
 	opts.MaxDomainSize = s.cfg.Limits.MaxDomainSize

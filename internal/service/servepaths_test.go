@@ -2,14 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/durable"
+	"repro/internal/qtree"
 	"repro/internal/randql"
 )
 
@@ -24,12 +29,13 @@ const (
 )
 
 // TestServePathsByteIdentical: for every complete case of a randql
-// seed window, each daemon serve path returns the library path's suite
-// bytes — a standalone cache miss and then a memory hit, a fleet
-// forward to the key's owner, a forced degrade to a local solve across
-// a partition, and a restart of the disk-warm daemon. Bodies are
-// compared after normalizeServed; the memory hit must equal the miss
-// byte for byte.
+// seed window, each serve path returns the library path's suite bytes —
+// a standalone cache miss and then a memory hit, a fleet forward to the
+// key's owner, a forced degrade to a local solve across a partition, a
+// restart of the disk-warm daemon, and `xdata -replay` of a bundle
+// captured under the daemon's options. Bodies are compared after
+// normalizeServed; the memory hit must equal the miss byte for byte;
+// the replay must print the library suite's INSERT scripts in order.
 func TestServePathsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve-path property skipped in -short mode")
@@ -41,9 +47,11 @@ func TestServePathsByteIdentical(t *testing.T) {
 	nodes := startFleet(t, 2, tune)
 
 	type servedCase struct {
-		seed int64
-		req  GenerateRequest
-		want []byte
+		seed    int64
+		req     GenerateRequest
+		q       *qtree.Query
+		want    []byte
+		scripts string // the suite's INSERT scripts, original first
 	}
 	var cases []servedCase
 	partial := 0
@@ -61,11 +69,19 @@ func TestServePathsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: library generate: %v", seed, err)
 		}
-		want, err := json.Marshal(encodeSuite(suite, q.Schema))
+		enc := encodeSuite(suite, q.Schema)
+		want, err := json.Marshal(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, servedCase{seed: seed, req: req, want: normalizeServed(want)})
+		var scripts strings.Builder
+		if enc.Original != nil {
+			scripts.WriteString(enc.Original.Inserts)
+		}
+		for _, ds := range enc.Datasets {
+			scripts.WriteString(ds.Inserts)
+		}
+		cases = append(cases, servedCase{seed: seed, req: req, q: q, want: normalizeServed(want), scripts: scripts.String()})
 	}
 	t.Logf("%d complete cases compared on every serve path, %d partial cases skipped", len(cases), partial)
 	if len(cases) < servePathCases/2 {
@@ -122,6 +138,22 @@ func TestServePathsByteIdentical(t *testing.T) {
 	for _, sc := range cases {
 		if got, _ := serve("disk-warm restart", sc, ts2.URL); got.ServedFrom != "disk" {
 			t.Fatalf("seed %d: restarted daemon served_from %q, want disk", sc.seed, got.ServedFrom)
+		}
+	}
+	_, opts := s2.clamp(RequestOptions{})
+	bundles := t.TempDir()
+	for _, sc := range cases {
+		path, err := durable.WriteBundle(bundles, sc.q.Schema, sc.q, opts, durable.BundleEvent{Kind: "handler"})
+		if err != nil {
+			t.Fatalf("seed %d: %v", sc.seed, err)
+		}
+		var out, errb bytes.Buffer
+		if code := cli.Replay(context.Background(), path, &out, &errb); code != cli.ExitOK {
+			t.Fatalf("seed %d, xdata -replay: exit %d\n%s%s", sc.seed, code, out.String(), errb.String())
+		}
+		summary, ok := strings.CutSuffix(out.String(), sc.scripts)
+		if !ok || !strings.HasSuffix(summary, "did not reproduce\n") {
+			t.Fatalf("seed %d, xdata -replay: printed scripts differ from the library path\nreplay:\n%s\nlibrary:\n%s", sc.seed, out.String(), sc.scripts)
 		}
 	}
 }

@@ -82,9 +82,6 @@ type Config struct {
 	// MaxGoalNodes caps the client's per-goal solver node budget
 	// (0 = 1<<22).
 	MaxGoalNodes int64
-	// MaxSolverNodes caps the client's hard per-call node ceiling
-	// (0 = 1<<24).
-	MaxSolverNodes int64
 	// MaxParallelism caps the client's per-request worker count
 	// (0 = MaxConcurrent: one saturated request may use every slot's
 	// worth of CPU, but admission keeps the aggregate bounded).
@@ -142,9 +139,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.MaxGoalNodes <= 0 {
 		c.MaxGoalNodes = 1 << 22
-	}
-	if c.MaxSolverNodes <= 0 {
-		c.MaxSolverNodes = 1 << 24
 	}
 	if c.MaxParallelism <= 0 {
 		c.MaxParallelism = c.MaxConcurrent

@@ -218,6 +218,8 @@ func TestErrorTaxonomy(t *testing.T) {
 	}{
 		{"malformed JSON", "{not json", http.StatusBadRequest, "malformed"},
 		{"unknown field", map[string]any{"ddl": testDDL, "query": testSQL, "bogus": 1}, http.StatusBadRequest, "malformed"},
+		{"deleted solver_node_limit", map[string]any{"ddl": testDDL, "query": testSQL,
+			"options": map[string]any{"solver_node_limit": 5000}}, http.StatusBadRequest, "malformed"},
 		{"bad DDL", GenerateRequest{DDL: "CREATE NONSENSE", Query: testSQL}, http.StatusUnprocessableEntity, "parse"},
 		{"bad query", GenerateRequest{DDL: testDDL, Query: "SELEC *"}, http.StatusUnprocessableEntity, "parse"},
 		{"unsupported OR", GenerateRequest{DDL: testDDL,
@@ -280,29 +282,33 @@ func TestAdversarialNoSolverBudget(t *testing.T) {
 
 // TestClamp: client budgets are clamped onto the ceilings — absent
 // selects the ceiling, over-ask is pulled down, modest asks pass, and
-// negatives flow through for Validate to reject.
+// negatives flow through for Validate to reject. The clamped options
+// carry no per-call node ceiling, so the goal ladder's 1x/4x/16x rungs
+// are the daemon's whole node budget.
 func TestClamp(t *testing.T) {
 	s := New(Config{
 		MaxTimeout:     10 * time.Second,
 		MaxGoalTimeout: 2 * time.Second,
 		MaxGoalNodes:   1000,
-		MaxSolverNodes: 5000,
 		MaxParallelism: 3,
 	})
 	budget, opts := s.clamp(RequestOptions{})
 	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second ||
-		opts.GoalNodeLimit != 1000 || opts.SolverNodeLimit != 5000 || opts.Parallelism != 3 {
+		opts.GoalNodeLimit != 1000 || opts.Parallelism != 3 {
 		t.Fatalf("zero request must select ceilings: budget=%v opts=%+v", budget, opts)
+	}
+	if opts.SolverNodeLimit != 0 || opts.SolverTimeout != 0 {
+		t.Fatalf("per-call budgets %d nodes / %v would clip the goal ladder; want none", opts.SolverNodeLimit, opts.SolverTimeout)
 	}
 	if opts.MaxDomainSize != limits.DefaultMaxDomainSize {
 		t.Fatalf("domain ceiling %d, want server default %d", opts.MaxDomainSize, limits.DefaultMaxDomainSize)
 	}
 	budget, opts = s.clamp(RequestOptions{
 		TimeoutMS: 3_600_000, GoalTimeoutMS: 3_600_000,
-		GoalNodeLimit: 1 << 40, SolverNodeLimit: 1 << 40, Parallelism: 64,
+		GoalNodeLimit: 1 << 40, Parallelism: 64,
 	})
 	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second ||
-		opts.GoalNodeLimit != 1000 || opts.SolverNodeLimit != 5000 || opts.Parallelism != 3 {
+		opts.GoalNodeLimit != 1000 || opts.Parallelism != 3 {
 		t.Fatalf("over-ask must clamp to ceilings: budget=%v opts=%+v", budget, opts)
 	}
 	budget, opts = s.clamp(RequestOptions{TimeoutMS: 500, GoalTimeoutMS: 100, GoalNodeLimit: 7, Parallelism: 2})

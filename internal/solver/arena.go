@@ -16,7 +16,7 @@ package solver
 // one. The zero value is ready to use; an Arena is never "freed" —
 // dropping all references releases it.
 type Arena struct {
-	// solveKernel front-end scratch.
+	// Front-end scratch (Solver.front).
 	conjuncts []Con
 	ufParent  []VarID
 	off       []int32

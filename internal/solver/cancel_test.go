@@ -159,9 +159,11 @@ func TestFaultHookSlow(t *testing.T) {
 		t.Fatalf("slow fault under cancel: got %v, want ErrCanceled", err)
 	}
 
-	// Per-call timeout wins.
-	if _, err := s.Solve(Options{Unfold: true, Timeout: 10 * time.Millisecond}); !errors.Is(err, ErrLimit) {
-		t.Fatalf("slow fault under timeout: got %v, want ErrLimit", err)
+	// A context deadline ends it the same way.
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := s.SolveContext(ctx, Options{Unfold: true}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("slow fault under a context deadline: got %v, want ErrCanceled", err)
 	}
 
 	// No budget at all: degrade to an immediate ErrLimit, never hang.

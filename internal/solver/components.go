@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/bits"
 	"sync"
-	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -319,9 +318,8 @@ func (c *ComponentCache) Len() int {
 // key string. key is a scratch byte encoding: lookups go through the
 // compiler's no-alloc map[string] conversion, and the string is
 // materialized only when a claim inserts it, so the steady state (cache
-// hits) allocates nothing. Waiting respects the solve's cancellation
-// channel and deadline.
-func (c *ComponentCache) acquire(key []byte, done <-chan struct{}, deadline time.Time) (compResult, bool, string, error) {
+// hits) allocates nothing. Waiting respects the solve's done channel.
+func (c *ComponentCache) acquire(key []byte, done <-chan struct{}) (compResult, bool, string, error) {
 	for {
 		c.mu.Lock()
 		e, exists := c.m[string(key)]
@@ -338,23 +336,10 @@ func (c *ComponentCache) acquire(key []byte, done <-chan struct{}, deadline time
 			return res, false, "", nil
 		}
 		c.mu.Unlock()
-		if deadline.IsZero() {
-			select {
-			case <-e.done:
-			case <-done:
-				return compResult{}, false, "", ErrCanceled
-			}
-		} else {
-			t := time.NewTimer(time.Until(deadline))
-			select {
-			case <-e.done:
-				t.Stop()
-			case <-done:
-				t.Stop()
-				return compResult{}, false, "", ErrCanceled
-			case <-t.C:
-				return compResult{}, false, "", ErrLimit
-			}
+		select {
+		case <-e.done:
+		case <-done:
+			return compResult{}, false, "", ErrCanceled
 		}
 		// Woken: the claimant either published (loop re-reads e.ok) or
 		// released (entry gone: loop re-claims).
@@ -460,7 +445,7 @@ func (s *Solver) solveComp(st *kstate, c *kcomp, cache *ComponentCache) error {
 		return st.searchVars(c.vars)
 	}
 	key := st.canonicalKey(c)
-	res, claimed, skey, err := cache.acquire(key, st.done, st.deadline)
+	res, claimed, skey, err := cache.acquire(key, st.done)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Fault selects a deterministic failure to inject into one Solve call.
@@ -19,15 +18,15 @@ const (
 	// FaultNone lets the solve proceed normally.
 	FaultNone Fault = iota
 	// FaultLimit makes the solve return a wrapped ErrLimit immediately,
-	// as if the node/time budget had been exhausted on entry.
+	// as if the node budget had been exhausted on entry.
 	FaultLimit
 	// FaultPanic makes the solve panic, exercising the caller's
 	// per-worker recovery path.
 	FaultPanic
-	// FaultSlow blocks the solve until the context is canceled
-	// (returning ErrCanceled) or the per-call timeout expires
-	// (returning ErrLimit). With neither a cancelable context nor a
-	// timeout it returns ErrLimit immediately rather than hang forever.
+	// FaultSlow blocks the solve until its context is done (canceled
+	// or past its deadline), returning ErrCanceled. With a context that
+	// can never be done it returns ErrLimit immediately rather than
+	// hang forever.
 	FaultSlow
 )
 
@@ -78,22 +77,12 @@ func injectFault(ctx context.Context, opts Options) (Model, error, bool) {
 	case FaultPanic:
 		panic(fmt.Sprintf("solver: injected fault panic (call %d, label %q)", call, opts.Label))
 	case FaultSlow:
-		var timer <-chan time.Time
-		if opts.Timeout > 0 {
-			t := time.NewTimer(opts.Timeout)
-			defer t.Stop()
-			timer = t.C
-		}
 		done := ctx.Done()
-		if done == nil && timer == nil {
+		if done == nil {
 			return nil, fmt.Errorf("injected slow fault with no budget (call %d, label %q): %w", call, opts.Label, ErrLimit), true
 		}
-		select {
-		case <-done:
-			return nil, ErrCanceled, true
-		case <-timer:
-			return nil, fmt.Errorf("injected slow fault timed out (call %d, label %q): %w", call, opts.Label, ErrLimit), true
-		}
+		<-done
+		return nil, ErrCanceled, true
 	}
 	return nil, nil, false
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -120,7 +119,6 @@ type kstate struct {
 	limit      int64 // global node budget
 	checked    int64
 	propVisits int64
-	deadline   time.Time
 	done       <-chan struct{}
 }
 
@@ -145,21 +143,12 @@ func (st *kstate) kbudget() error {
 }
 
 // ktick mirrors state.tick: every watched-clause visit and every search
-// node advances the counter so deadline/cancellation checks cannot be
-// starved by long propagation chains.
+// node advances the counter so the stop check cannot be starved by long
+// propagation chains.
 func (st *kstate) ktick() error {
 	st.checked++
-	if st.checked%1024 == 0 {
-		if st.done != nil {
-			select {
-			case <-st.done:
-				return ErrCanceled
-			default:
-			}
-		}
-		if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-			return ErrLimit
-		}
+	if st.checked%1024 == 0 && canceled(st.done) {
+		return ErrCanceled
 	}
 	return nil
 }
@@ -623,7 +612,7 @@ func (st *kstate) drainChanged(queue []VarID) (bool, error) {
 // kpropagate assigns v=val and runs the search-time propagation loop:
 // watched clauses are evaluated and pruned; singleton domains trigger
 // implied assignments which propagate in turn. Each watched-clause
-// visit ticks the deadline/cancellation throttle.
+// visit ticks the stop-check throttle.
 func (st *kstate) kpropagate(v VarID, val int64, implied *[]VarID) (bool, error) {
 	st.assign(v, val)
 	st.pq = append(st.pq[:0], v)
@@ -742,8 +731,7 @@ func (st *kstate) searchVars(vars []VarID) error {
 			return nil
 		case err == nil:
 			return ErrUnsat // search space exhausted
-		case errors.Is(err, ErrLimit) && st.nodes < st.limit &&
-			(st.deadline.IsZero() || time.Now().Before(st.deadline)):
+		case errors.Is(err, ErrLimit) && st.nodes < st.limit:
 			// Attempt budget exhausted but global budget remains:
 			// restart with a shuffled value order and a doubled budget.
 			st.undoTo(mark0)
@@ -757,23 +745,55 @@ func (st *kstate) searchVars(vars []VarID) error {
 	}
 }
 
-// solveKernel is the kernel solve entry point: equality preprocessing
-// of the delta on top of the (optional) shared base, compilation, setup
-// propagation, then component decomposition and search.
-func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Time, opts Options) (Model, error) {
-	if s.base != nil && s.base.unsat {
-		return nil, ErrUnsat
-	}
-	nvars := len(s.domains)
-
+// solveKernel is the kernel solve entry point: the front end, then
+// component decomposition and search.
+func (s *Solver) solveKernel(done <-chan struct{}, limit int64, opts Options) (Model, error) {
 	// Per-solve buffers come from the arena when one is attached; a
 	// fresh throwaway arena otherwise keeps the two paths identical.
 	a := opts.Arena
 	if a == nil {
 		a = &Arena{}
 	}
+	if err := s.front(a, done); err != nil {
+		return nil, err
+	}
+	st := &a.st
+	st.limit = limit
+	err := s.solveComponents(st, opts.Cache)
+	s.last.Nodes += st.nodes
+	if err != nil {
+		return nil, err
+	}
+	m := make([]int64, len(s.domains))
+	for v := range m {
+		r := st.rep[v]
+		if st.assigned[r] {
+			m[v] = st.value[r]
+		} else {
+			m[v] = st.firstLive(r)
+		}
+	}
+	return Model(m), nil
+}
 
-	// Flatten quantifiers and split top-level conjunctions of the delta.
+// front is the kernel's front end, shared by every solve and by
+// PrepareBase: it flattens and splits the asserted constraints, starts
+// from the attached base's fixed point (one memcopy of the word store)
+// or a fresh store, merges and pins top-level equalities, compiles the
+// rest, builds watch lists and propagates to a fixed point. It leaves
+// the search state, ready for decomposition, in a.st, or returns
+// ErrUnsat / ErrCanceled; a.st.propVisits counts the setup propagation
+// either way. done may be nil (never stopped).
+func (s *Solver) front(a *Arena, done <-chan struct{}) error {
+	st := &a.st
+	st.reset()
+	b := s.base
+	if b != nil && b.unsat {
+		return ErrUnsat
+	}
+	nvars := len(s.domains)
+
+	// Flatten quantifiers and split top-level conjunctions.
 	conjuncts := a.conjuncts[:0]
 	var split func(c Con)
 	split = func(c Con) {
@@ -804,7 +824,7 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	firstDelta := 0
 	var clauses []kclause
 	var cvars [][]VarID
-	if b := s.base; b != nil {
+	if b != nil {
 		copy(uf.parent, b.uf)
 		a.words = append(a.words[:0], b.store.words...)
 		ks = kstore{cand: b.store.cand, off: b.store.off, words: a.words}
@@ -831,10 +851,13 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	}
 	a.count, a.assigned, a.value = count, assigned, value
 
-	// Delta equality preprocessing: merges and pins applied directly to
-	// the cloned store; affected roots seed the setup worklist. merges
-	// records (winner, loser) root pairs so the base's precomputed watch
-	// lists can be folded onto the surviving roots.
+	// Equality preprocessing: var = var conjuncts merge via union-find
+	// (intersecting candidate sets by value), var = const conjuncts pin.
+	// On top of a base, the roots they touch seed the setup worklist and
+	// merges records (winner, loser) root pairs so the base's watch
+	// lists can be folded onto the surviving roots. Without a base the
+	// first setup pass prunes every clause after the pins and merges,
+	// so seeds would only add redundant visits.
 	dirty := a.dirty[:0]
 	merges := a.merges[:0]
 	remaining := a.remaining[:0]
@@ -842,20 +865,20 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 		eq, pin, kind := classifyEq(c, uf)
 		switch kind {
 		case eqUnsat:
-			return nil, ErrUnsat
+			return ErrUnsat
 		case eqPin:
 			r := pin.v
 			if assigned[r] {
 				if value[r] != pin.val {
-					return nil, ErrUnsat
+					return ErrUnsat
 				}
 				continue
 			}
 			before := count[r]
 			if pinStore(&ks, count, r, pin.val) == 0 {
-				return nil, ErrUnsat
+				return ErrUnsat
 			}
-			if count[r] != before {
+			if b != nil && count[r] != before {
 				dirty = append(dirty, r)
 			}
 		case eqMerge:
@@ -864,28 +887,29 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 				continue
 			}
 			if mergeStore(&ks, count, uf, ra, rb) == 0 {
-				return nil, ErrUnsat
+				return ErrUnsat
 			}
 			root := uf.find(ra)
-			loser := ra
-			if loser == root {
-				loser = rb
-			}
-			merges = append(merges, [2]VarID{root, loser})
 			// An assigned non-root side transfers its pin through the
 			// intersection; the root's assignment status must stay
 			// consistent with its (possibly singleton) domain.
 			if assigned[root] && count[root] == 0 {
-				return nil, ErrUnsat
+				return ErrUnsat
 			}
-			dirty = append(dirty, root)
+			if b != nil {
+				loser := ra
+				if loser == root {
+					loser = rb
+				}
+				merges = append(merges, [2]VarID{root, loser})
+				dirty = append(dirty, root)
+			}
 		case eqTrivial:
 			// constant-true conjunct: drop
 		default:
 			remaining = append(remaining, c)
 		}
 	}
-
 	a.dirty, a.merges, a.remaining = dirty, merges, remaining
 
 	rep := grow(a.rep, nvars)
@@ -904,6 +928,9 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 		}
 	}
 
+	// Compile the remainder with variables substituted to their
+	// representatives (merges performed later, by a goal's delta on top
+	// of a base, are handled by the rep indirection on top of these ids).
 	for _, c := range remaining {
 		cl, vars := kcompile(c, rep, &a.kcsc)
 		clauses = append(clauses, cl)
@@ -911,8 +938,6 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	}
 	a.clauses, a.cvars = clauses, cvars
 
-	st := &a.st
-	st.reset()
 	st.cand = ks.cand
 	st.off = ks.off
 	st.rep = rep
@@ -922,10 +947,8 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	st.value = value
 	st.clauses = clauses
 	st.cvars = cvars
-	st.limit = limit
-	st.deadline = deadline
 	st.done = done
-	if b := s.base; b != nil {
+	if b != nil {
 		// Start from the base's precomputed watch lists (exact-capacity
 		// shared slices; appendWatch's appends reallocate instead of
 		// mutating them) and only walk the delta clauses. Watch lists of
@@ -951,32 +974,11 @@ func (s *Solver) solveKernel(done <-chan struct{}, limit int64, deadline time.Ti
 	}
 
 	conflict, err := st.setupPropagate(firstDelta, dirty)
-	if b := s.base; b != nil {
+	if b != nil {
 		s.last.BasePropagationNodes = b.propNodes
 	}
-	if err != nil {
-		s.last.Nodes += st.nodes
-		return nil, err
+	if err == nil && conflict {
+		err = ErrUnsat
 	}
-	if conflict {
-		s.last.Nodes += st.nodes
-		return nil, ErrUnsat
-	}
-
-	err = s.solveComponents(st, opts.Cache)
-	s.last.Nodes += st.nodes
-	if err != nil {
-		return nil, err
-	}
-
-	m := make([]int64, nvars)
-	for v := 0; v < nvars; v++ {
-		r := rep[v]
-		if st.assigned[r] {
-			m[v] = st.value[r]
-		} else {
-			m[v] = st.firstLive(r)
-		}
-	}
-	return Model(m), nil
+	return err
 }

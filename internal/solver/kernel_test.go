@@ -121,7 +121,7 @@ func TestKernelMetamorphic(t *testing.T) {
 		// pre-propagated base, the rest the per-goal delta.
 		layout := &Solver{domains: s.domains, names: s.names}
 		half := len(cons) / 2
-		b := PrepareBase(layout, cons[:half])
+		b := PrepareBase(&Solver{domains: s.domains, names: s.names, cons: cons[:half]})
 		sb := NewShared(layout)
 		sb.AttachBase(b)
 		for _, c := range cons[half:] {
@@ -208,7 +208,7 @@ func TestKernelStatsCounters(t *testing.T) {
 		NewCmp(sqltypes.OpLT, V(vars[2]), V(vars[3])),
 		Eq(V(vars[4]), C(2)),
 	}
-	b := PrepareBase(layout, base)
+	b := PrepareBase(&Solver{domains: layout.domains, names: layout.names, cons: base})
 	if b.Unsat() {
 		t.Fatal("base unexpectedly unsat")
 	}
@@ -242,7 +242,7 @@ func TestKernelStatsCounters(t *testing.T) {
 	}
 }
 
-// --- deadline-starvation regression --------------------------------------
+// --- stop-check starvation regression ------------------------------------
 
 // buildChain returns a solver whose first decision triggers one huge
 // propagation fixed-point: an implication chain v0 <= v1 <= ... <= vN
@@ -262,24 +262,59 @@ func buildChain(n int) *Solver {
 	return s
 }
 
-// TestDeadlineNotStarvedByPropagation locks the state.budget fix: a
-// goal whose work is dominated by a single propagation fixed-point
-// (few search nodes, thousands of watched-clause visits) must still
-// observe an already-expired deadline. Before the throttle counter was
-// hoisted into tick()/ktick(), only search nodes advanced it, so this
-// solve completed despite Timeout=1ns.
+// TestDeadlineNotStarvedByPropagation locks the state.budget fix: work
+// dominated by a single propagation fixed-point (few search nodes,
+// thousands of watched-clause visits) must still observe a done
+// channel — a canceled context or one past its deadline. Before the
+// throttle counter was hoisted into tick()/ktick(), only search nodes
+// advanced it. Each kernel checks done at the start of every restart
+// attempt too, so a solve handed a closed channel never reaches
+// propagation: the test drives the three propagation loops themselves
+// (setupPropagate inside the kernel's front end, kpropagate, and the
+// list kernel's propagate) on the chain with done closed.
 func TestDeadlineNotStarvedByPropagation(t *testing.T) {
-	for _, kernel := range kernels {
-		s := buildChain(3000)
-		_, err := kernel.solve(s, Options{Unfold: true, Timeout: time.Nanosecond})
-		if !errors.Is(err, ErrLimit) {
-			t.Errorf("%s: err = %v, want ErrLimit (expired deadline must interrupt propagation)", kernel.name, err)
-		}
+	const n = 3000
+	closed := make(chan struct{})
+	close(closed)
+
+	// Setup propagation prunes every one of the chain's 2(n-1) clauses
+	// once, far past the 1024-visit check interval.
+	if err := buildChain(n).front(&Arena{}, closed); !errors.Is(err, ErrCanceled) {
+		t.Errorf("setupPropagate: err = %v, want ErrCanceled", err)
 	}
-	// Sanity: with no deadline the same chain is SAT.
-	s := buildChain(3000)
-	if _, err := s.Solve(Options{Unfold: true}); err != nil {
-		t.Fatalf("chain unsolvable without deadline: %v", err)
+
+	// Assigning c0 pins the whole chain through kpropagate.
+	a := &Arena{}
+	if err := buildChain(n).front(a, nil); err != nil {
+		t.Fatalf("front end: %v", err)
+	}
+	st := &a.st
+	st.done = closed
+	if _, err := st.kpropagate(0, 0, &st.impl); !errors.Is(err, ErrCanceled) {
+		t.Errorf("kpropagate: err = %v, want ErrCanceled", err)
+	}
+
+	// The list kernel's propagate, on the prepared problem.
+	p, err := buildChain(n).prepUnfolded()
+	if err != nil {
+		t.Fatalf("list front end: %v", err)
+	}
+	ls := &state{
+		domains:  append([][]int64(nil), p.domains...),
+		assigned: make([]bool, n),
+		value:    make([]int64, n),
+		done:     closed,
+	}
+	var implied []VarID
+	if _, err := propagate(ls, p.clauses, p.watch, &trail{}, 0, 0, &implied); !errors.Is(err, ErrCanceled) {
+		t.Errorf("propagate: err = %v, want ErrCanceled", err)
+	}
+
+	// Sanity: with done open the same chain is SAT on both kernels.
+	for _, kernel := range kernels {
+		if _, err := kernel.solve(buildChain(n), Options{Unfold: true}); err != nil {
+			t.Fatalf("%s: chain unsolvable without a stop: %v", kernel.name, err)
+		}
 	}
 }
 
@@ -302,7 +337,7 @@ func newTrailFixture() (*kstate, kclause) {
 		d = append(d, i)
 	}
 	v := s.NewVar("w", d)
-	ks := newKstoreLayout(s.domains)
+	ks := newKstoreLayoutInto(&Arena{}, s.domains)
 	st := &kstate{
 		cand:     ks.cand,
 		off:      ks.off,
@@ -360,7 +395,7 @@ func newSearchFixture() (*kstate, []VarID) {
 	}
 	s.Assert(NewCmp(sqltypes.OpLT, V(vars[0]), C(8)))
 
-	ks := newKstoreLayout(s.domains)
+	ks := newKstoreLayoutInto(&Arena{}, s.domains)
 	rep := make([]VarID, n)
 	count := make([]int32, n)
 	for v := range rep {
@@ -438,10 +473,10 @@ func BenchmarkSearchSteadyState(b *testing.B) {
 
 // TestComponentCacheSingleflight exercises the claim/publish/release
 // protocol directly: a released claim wakes waiters into re-claiming,
-// a published result is shared, and cancellation interrupts a wait.
+// a published result is shared, and a done channel interrupts a wait.
 func TestComponentCacheSingleflight(t *testing.T) {
 	c := NewComponentCache()
-	_, claimed, _, err := c.acquire([]byte("k"), nil, time.Time{})
+	_, claimed, _, err := c.acquire([]byte("k"), nil)
 	if err != nil || !claimed {
 		t.Fatalf("first acquire: claimed=%v err=%v, want claim", claimed, err)
 	}
@@ -452,7 +487,7 @@ func TestComponentCacheSingleflight(t *testing.T) {
 	}
 	waiter := make(chan got, 1)
 	go func() {
-		res, cl, _, err := c.acquire([]byte("k"), nil, time.Time{})
+		res, cl, _, err := c.acquire([]byte("k"), nil)
 		waiter <- got{res, cl, err}
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -469,57 +504,60 @@ func TestComponentCacheSingleflight(t *testing.T) {
 	}
 	// Publish; a new reader sees the result without claiming.
 	c.complete("k", compResult{model: []int64{42}})
-	res, claimed, _, err := c.acquire([]byte("k"), nil, time.Time{})
+	res, claimed, _, err := c.acquire([]byte("k"), nil)
 	if err != nil || claimed || res.unsat || len(res.model) != 1 || res.model[0] != 42 {
 		t.Fatalf("after complete: res=%+v claimed=%v err=%v", res, claimed, err)
 	}
 	// Cancellation interrupts waiting on an unpublished claim.
-	_, claimed, _, _ = c.acquire([]byte("k2"), nil, time.Time{})
+	_, claimed, _, _ = c.acquire([]byte("k2"), nil)
 	if !claimed {
 		t.Fatal("k2 claim")
 	}
 	done := make(chan struct{})
 	close(done)
-	if _, _, _, err := c.acquire([]byte("k2"), done, time.Time{}); !errors.Is(err, ErrCanceled) {
+	if _, _, _, err := c.acquire([]byte("k2"), done); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled wait: err = %v, want ErrCanceled", err)
 	}
 	c.release("k2")
-	// A deadline interrupts waiting too.
-	_, claimed, _, _ = c.acquire([]byte("k3"), nil, time.Time{})
-	if !claimed {
-		t.Fatal("k3 claim")
-	}
-	if _, _, _, err := c.acquire([]byte("k3"), nil, time.Now().Add(time.Millisecond)); !errors.Is(err, ErrLimit) {
-		t.Fatalf("deadlined wait: err = %v, want ErrLimit", err)
-	}
-	c.release("k3")
 }
 
-// TestComponentCacheNotPoisonedByFailure runs a budget-limited solve
-// that aborts mid-decomposition and asserts the cache holds no
-// unpublished entries afterwards (a poisoned entry would deadlock or
-// corrupt later solves), then that the same cache still serves a
-// successful solve.
+// TestComponentCacheNotPoisonedByFailure runs a solve that is stopped
+// after it claims its component (done closed: the front end's few
+// setup visits stay below the check interval, and the claimed
+// component's first restart attempt sees the channel) and asserts the
+// cache holds no unpublished entries afterwards (a poisoned entry
+// would deadlock or corrupt later solves), then that the same cache
+// still serves a successful solve.
 func TestComponentCacheNotPoisonedByFailure(t *testing.T) {
 	cache := NewComponentCache()
-	s := buildChain(3000)
-	// Expired deadline: the solve fails inside setup or search.
-	_, err := s.Solve(Options{Unfold: true, Cache: cache, Timeout: time.Nanosecond})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
+	done := make(chan struct{})
+	close(done)
+	s := pigeonhole(6)
+	_, err := s.solveKernel(done, defaultNodeLimit, Options{Unfold: true, Cache: cache})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// Every map entry must be published (ok=true): Len counts published
-	// entries and the map must not exceed them.
+	if s.LastStats().ComponentCount == 0 {
+		t.Fatal("the solve stopped before decomposition: no component was claimed")
+	}
+	// Every map entry must be published (ok=true): an unpublished one
+	// would block the solves below forever.
 	cache.mu.Lock()
-	for k, e := range cache.m {
+	poisoned := 0
+	for _, e := range cache.m {
 		if !e.ok {
-			t.Errorf("unpublished (poisoned) cache entry %q survived a failed solve", k)
+			poisoned++
 		}
 	}
 	cache.mu.Unlock()
-	s2 := buildChain(3000)
-	if _, err := s2.Solve(Options{Unfold: true, Cache: cache}); err != nil {
+	if poisoned > 0 {
+		t.Fatalf("%d unpublished (poisoned) cache entries survived a failed solve", poisoned)
+	}
+	if _, err := buildChain(3000).Solve(Options{Unfold: true, Cache: cache}); err != nil {
 		t.Fatalf("cache unusable after failed solve: %v", err)
+	}
+	if _, err := pigeonhole(6).Solve(Options{Unfold: true, Cache: cache}); !errors.Is(err, ErrUnsat) {
+		t.Fatalf("stopped component re-solved: err = %v, want ErrUnsat", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package solver
 import (
 	"errors"
 	"math/rand"
-	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -15,9 +14,8 @@ type state struct {
 	value    []int64
 	nodes    int64
 	limit    int64
-	deadline time.Time
 	done     <-chan struct{} // cooperative cancellation (nil = none)
-	checked  int64           // deadline/cancellation check throttle
+	checked  int64           // cancellation check throttle
 }
 
 func (st *state) budget() error {
@@ -28,27 +26,18 @@ func (st *state) budget() error {
 	return st.tick()
 }
 
-// tick advances the shared deadline/cancellation throttle counter and,
-// every 1024 ticks, performs the (comparatively expensive) checks. It
-// is called once per search node by budget AND once per watched-clause
-// visit by the propagation loop: before the counter was hoisted here,
-// a solve dominated by propagation (few search nodes, huge implication
-// chains) could overshoot its deadline by the full length of one
+// tick advances the shared cancellation throttle counter and, every
+// 1024 ticks, checks the done channel. It is called once per search
+// node by budget AND once per watched-clause visit by the propagation
+// loop: before the counter was hoisted here, a solve dominated by
+// propagation (few search nodes, huge implication chains) could
+// overshoot its context's deadline by the full length of one
 // propagation fixed-point, because only budget() ever advanced the
-// counter (deadline-check starvation).
+// counter (stop-check starvation).
 func (st *state) tick() error {
 	st.checked++
-	if st.checked%1024 == 0 {
-		if st.done != nil {
-			select {
-			case <-st.done:
-				return ErrCanceled
-			default:
-			}
-		}
-		if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-			return ErrLimit
-		}
+	if st.checked%1024 == 0 && canceled(st.done) {
+		return ErrCanceled
 	}
 	return nil
 }
@@ -141,7 +130,7 @@ func evalCmpBounds(op sqltypes.CmpOp, lo, hi int64) sqltypes.Tristate {
 // constraints — foreign keys, NOT-EXISTS nullifications, input-database
 // tuple constraints — which is exactly the overhead that unfolding all
 // quantifiers up front (the paper's optimization) eliminates.
-func (s *Solver) solveQuantified(done <-chan struct{}, limit int64, deadline time.Time) (Model, error) {
+func (s *Solver) solveQuantified(done <-chan struct{}, limit int64) (Model, error) {
 	var ground, quantified []Con
 	var split func(c Con)
 	split = func(c Con) {
@@ -189,7 +178,7 @@ func (s *Solver) solveQuantified(done <-chan struct{}, limit int64, deadline tim
 			return nil, ErrLimit
 		}
 		sub := &Solver{domains: s.domains, names: s.names, cons: active}
-		m, err := sub.solveUnfolded(done, remaining, deadline)
+		m, err := sub.solveUnfolded(done, remaining)
 		s.last.Nodes += sub.last.Nodes
 		if err != nil {
 			// UNSAT of a subset of the implied constraints is UNSAT of
@@ -613,8 +602,7 @@ func (s *Solver) prepUnfolded() (*uprob, error) {
 // with the given rng (nil = preference order), run the initial
 // conflict pre-pass and the DFS. Returns the SAT model, the node
 // count, and nil / ErrUnsat (exhausted) / ErrLimit / ErrCanceled.
-func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64,
-	deadline time.Time, done <-chan struct{}) (Model, int64, error) {
+func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64, done <-chan struct{}) (Model, int64, error) {
 	cur := p.domains
 	if rng != nil {
 		cur = make([][]int64, len(p.domains))
@@ -630,7 +618,6 @@ func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64,
 		assigned: make([]bool, len(cur)),
 		value:    make([]int64, len(cur)),
 		limit:    budget,
-		deadline: deadline,
 		done:     done,
 	}
 	copy(st.domains, cur)
@@ -663,7 +650,7 @@ func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64,
 // solveUnfolded is the list kernel, quantified mode's ground solver:
 // prepUnfolded runs the front end once, then attemptUnfolded runs each
 // rung of the restart ladder over it.
-func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64, deadline time.Time) (Model, error) {
+func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64) (Model, error) {
 	p, err := s.prepUnfolded()
 	if err != nil {
 		return nil, err
@@ -700,7 +687,7 @@ func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64, deadline time.
 		if usedNodes+restartBudget > limit {
 			budget = limit - usedNodes
 		}
-		m, nodes, err := s.attemptUnfolded(p, shuffle, budget, deadline, done)
+		m, nodes, err := s.attemptUnfolded(p, shuffle, budget, done)
 		usedNodes += nodes
 		s.last.Nodes += nodes
 		switch {
@@ -708,7 +695,7 @@ func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64, deadline time.
 			return m, nil
 		case errors.Is(err, ErrUnsat):
 			return nil, ErrUnsat
-		case errors.Is(err, ErrLimit) && usedNodes < limit && (deadline.IsZero() || time.Now().Before(deadline)):
+		case errors.Is(err, ErrLimit) && usedNodes < limit:
 			restartBudget *= 2 // restart with shuffled value order
 		default:
 			return nil, err
@@ -855,9 +842,9 @@ func (s *Solver) dfsUnfolded(st *state, clauses []clause, watch [][]int32, tr *t
 // propagate assigns v=val and runs a propagation loop: watched clauses
 // are evaluated and pruned; domains narrowed to a single value trigger
 // implied assignments which propagate in turn. It reports conflict, and
-// surfaces deadline/cancellation errors: each watched-clause visit ticks
-// the shared throttle so a long implication chain cannot starve the
-// deadline check (see state.tick).
+// surfaces cancellation: each watched-clause visit ticks the shared
+// throttle so a long implication chain cannot starve the stop check
+// (see state.tick).
 func propagate(st *state, clauses []clause, watch [][]int32, tr *trail, v VarID, val int64, implied *[]VarID) (bool, error) {
 	st.assigned[v] = true
 	st.value[v] = val

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -254,10 +253,10 @@ type Options struct {
 	// ordering. False models CVC3 without unfolding (§VI-B): lazy
 	// quantifier instantiation over the list kernel (search.go).
 	Unfold bool
-	// NodeLimit bounds search nodes (0 = defaultNodeLimit).
+	// NodeLimit bounds search nodes (0 = defaultNodeLimit). Together
+	// with the context SolveContext is given — its cancellation and its
+	// deadline — it is the only thing that stops a search.
 	NodeLimit int64
-	// Timeout bounds wall time (0 = none).
-	Timeout time.Duration
 	// Label is a diagnostic name for the solve (the caller's goal
 	// purpose). It appears in injected-fault messages and lets the
 	// fault-injection hook target specific solves deterministically.
@@ -280,6 +279,9 @@ const defaultNodeLimit = 50_000_000
 // X-Data terms) from resource exhaustion and cooperative cancellation.
 var (
 	ErrUnsat = errors.New("solver: unsatisfiable")
+	// ErrLimit reports an exhausted node limit. Callers that run a
+	// solve under a per-call timeout report its expiry with it too
+	// (core does), hence the message.
 	ErrLimit = errors.New("solver: node or time limit exceeded")
 	// ErrCanceled reports that the solve observed context cancellation
 	// (cooperatively, inside the search loop) and stopped early. The
@@ -413,12 +415,6 @@ func (s *Solver) Assert(c Con) {
 	}
 }
 
-// Constraints returns the asserted constraints. The returned slice is
-// owned by the solver and must not be mutated; it exists so a caller
-// can lift one solver's assertions into a shared core (PrepareBase)
-// for many others over the same layout.
-func (s *Solver) Constraints() []Con { return s.cons }
-
 // Solve searches for a model of all asserted constraints.
 func (s *Solver) Solve(opts Options) (Model, error) {
 	return s.SolveContext(context.Background(), opts)
@@ -446,15 +442,11 @@ func (s *Solver) SolveContext(ctx context.Context, opts Options) (Model, error) 
 	if limit == 0 {
 		limit = defaultNodeLimit
 	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
 	done := ctx.Done()
 	if opts.Unfold {
-		return s.solveKernel(done, limit, deadline, opts)
+		return s.solveKernel(done, limit, opts)
 	}
-	return s.solveQuantified(done, limit, deadline)
+	return s.solveQuantified(done, limit)
 }
 
 // flatten expands Quant nodes into And/Or recursively. Subtrees without

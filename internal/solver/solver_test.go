@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/sqltypes"
 )
@@ -18,11 +17,7 @@ func solveList(s *Solver, opts Options) (Model, error) {
 	if limit == 0 {
 		limit = defaultNodeLimit
 	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
-	return s.solveUnfolded(nil, limit, deadline)
+	return s.solveUnfolded(nil, limit)
 }
 
 // kernels are the two search kernels: the bitset kernel behind

@@ -7,11 +7,10 @@ import (
 )
 
 // This file implements the bitset domain store used by the kernel search
-// path (unfolded mode) and the shared-core
-// Base: the original query's constraint system pre-flattened, compiled
-// and propagated to a fixed point exactly once, so that each of the
-// O(joins x operators) kill goals starts from the propagated store (one
-// memcopy of []uint64 words) instead of re-doing the whole front end.
+// path (unfolded mode) and the shared-core Base: the database
+// constraints run through the kernel's front end exactly once, so that
+// each of the O(joins x operators) kill goals starts from the propagated
+// store (one memcopy of []uint64 words) instead of re-doing it.
 
 // kstore is a packed bitset domain store over a fixed variable layout.
 // Variable v's candidate values live in cand[v] (declaration order ==
@@ -24,25 +23,9 @@ type kstore struct {
 	words []uint64
 }
 
-// newKstoreLayout builds the layout (cand/off and a fully-set words
-// template) for a variable space.
-func newKstoreLayout(domains [][]int64) kstore {
-	ks := kstore{cand: domains, off: make([]int32, len(domains)+1)}
-	total := int32(0)
-	for v, d := range domains {
-		ks.off[v] = total
-		total += int32((len(d) + 63) / 64)
-	}
-	ks.off[len(domains)] = total
-	ks.words = make([]uint64, total)
-	for v, d := range domains {
-		fillWords(ks.words[ks.off[v]:ks.off[v+1]], len(d))
-	}
-	return ks
-}
-
-// newKstoreLayoutInto is newKstoreLayout with the off/words backing
-// recycled from an arena.
+// newKstoreLayoutInto builds the layout (cand/off and a fully-set words
+// template) for a variable space, with the off/words backing recycled
+// from an arena.
 func newKstoreLayoutInto(a *Arena, domains [][]int64) kstore {
 	ks := kstore{cand: domains, off: grow(a.off, len(domains)+1)}
 	a.off = ks.off
@@ -80,9 +63,9 @@ type kpin struct {
 }
 
 // Base is a pre-propagated shared constraint core over a variable
-// layout: the flattened, equality-preprocessed, compiled and fixed-point
-// propagated form of the base (original-query + database) constraints
-// that every kill goal of a Generate run shares. Goals attach it via
+// layout: the front end's output (flattened, equality-preprocessed,
+// compiled and fixed-point propagated) for the base constraints that
+// every kill goal of a Generate run shares. Goals attach it via
 // Solver.AttachBase and assert only their mutation-specific delta; the
 // kernel then clones the propagated word store instead of repeating the
 // front-end work. A Base is immutable after PrepareBase and safe for
@@ -116,110 +99,32 @@ func (b *Base) PropagationNodes() int64 { return b.propNodes }
 // (every attached solve is then immediately UNSAT).
 func (b *Base) Unsat() bool { return b.unsat }
 
-// PrepareBase flattens, equality-preprocesses, compiles and propagates
-// the given constraints over layout's variable space, producing a Base
-// that kernel (unfolded-mode) solves start from. cons must be a subset of what the caller would otherwise
-// assert per goal; ncons (= len(cons)) keeps ProblemSize consistent
-// with the un-shared formulation.
-func PrepareBase(layout *Solver, cons []Con) *Base {
-	b := &Base{ncons: len(cons)}
-
-	// Flatten quantifiers and split top-level conjunctions.
-	var conjuncts []Con
-	var split func(c Con)
-	split = func(c Con) {
-		if a, ok := c.(*And); ok {
-			for _, x := range a.Cs {
-				split(x)
-			}
-			return
-		}
-		conjuncts = append(conjuncts, c)
-	}
-	for _, c := range cons {
-		split(flatten(c))
-	}
-
-	// Equality preprocessing over the bitset store: var = var conjuncts
-	// merge via union-find (intersecting candidate sets by value),
-	// var = const conjuncts pin.
-	uf := newVarUF(len(layout.domains))
-	ks := newKstoreLayout(layout.domains)
-	count := make([]int32, len(layout.domains))
-	for v := range layout.domains {
-		count[v] = int32(len(layout.domains[v]))
-	}
-	var remaining []Con
-	for _, c := range conjuncts {
-		eq, pin, kind := classifyEq(c, uf)
-		switch kind {
-		case eqUnsat:
-			b.unsat = true
-			return b
-		case eqPin:
-			if pinStore(&ks, count, pin.v, pin.val) == 0 {
-				b.unsat = true
-				return b
-			}
-		case eqMerge:
-			if mergeStore(&ks, count, uf, eq[0], eq[1]) == 0 {
-				b.unsat = true
-				return b
-			}
-		case eqTrivial:
-			// constant-true conjunct: drop
-		default:
-			remaining = append(remaining, c)
-		}
-	}
-
-	// Compile the remainder with variables substituted to their base
-	// representatives (delta merges performed later are handled by the
-	// kernel's rep indirection on top of these ids).
-	rep := make([]VarID, len(layout.domains))
-	for v := range rep {
-		rep[v] = uf.find(VarID(v))
-	}
-	b.uf = rep
-	var sc kcScratch
-	for _, c := range remaining {
-		cl, vars := kcompile(c, rep, &sc)
-		b.clauses = append(b.clauses, cl)
-		b.cvars = append(b.cvars, vars)
-	}
-
-	// Fixed-point propagation over the whole base: prune every clause
-	// once, auto-assign singleton domains, propagate changed variables
-	// to quiescence. The trail is write-only here — base prunings are
-	// permanent.
-	st := &kstate{
-		cand:     ks.cand,
-		off:      ks.off,
-		words:    ks.words,
-		count:    count,
-		rep:      rep,
-		assigned: make([]bool, len(layout.domains)),
-		value:    make([]int64, len(layout.domains)),
-		clauses:  b.clauses,
-		cvars:    b.cvars,
-	}
-	st.buildWatch()
-	conflict, err := st.setupPropagate(0, nil)
+// PrepareBase runs s's own front end (see Solver.front) and stops
+// before search (s itself has no base attached): the resulting fixed point — store, counts, derived
+// assignments, compiled clauses and watch lists — is the Base that
+// kernel (unfolded-mode) solves over the same layout start from. s's
+// constraints must be a subset of what the caller would otherwise
+// assert per goal; their count keeps ProblemSize consistent with the
+// un-shared formulation.
+func PrepareBase(s *Solver) *Base {
+	b := &Base{ncons: len(s.cons)}
+	// A throwaway arena: the Base keeps its buffers.
+	a := &Arena{}
+	err := s.front(a, nil)
+	st := &a.st
 	b.propNodes = st.propVisits
 	if err != nil {
-		// No deadline and no cancellation channel: cannot happen.
-		conflict = true
-	}
-	if conflict {
+		// No base and no stop channel: only ErrUnsat ends it early.
 		b.unsat = true
 		return b
 	}
-	// The fixed point — words, counts and derived assignments — is what
-	// each goal clones (three memcopies) instead of re-propagating.
-	b.store = ks
-	b.count = count
+	b.store = kstore{cand: st.cand, off: st.off, words: st.words}
+	b.count = st.count
+	b.uf = st.rep
 	b.assigned = st.assigned
 	b.value = st.value
+	b.clauses = st.clauses
+	b.cvars = st.cvars
 	// Shrink-wrap the watch lists (len == cap) so attached solves can
 	// alias them safely: their appends reallocate.
 	b.watch = make([][]int32, len(st.watch))
