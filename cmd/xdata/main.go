@@ -170,8 +170,7 @@ func run() int {
 		len(suite.Datasets), len(suite.Skipped))
 	datasets := suite.All()
 	if *minimize {
-		eopts := xdata.EvalOptions{Parallelism: *parallel}
-		datasets, err = xdata.MinimizeOpts(q, suite, xdata.DefaultMutationOptions(), eopts)
+		datasets, err = xdata.Minimize(q, suite, xdata.DefaultMutationOptions())
 		if err != nil {
 			fatal(err)
 		}

@@ -66,7 +66,7 @@ func TestSolverPathAgreement(t *testing.T) {
 	checkEngines := func(path string, suite *Suite) {
 		t.Helper()
 		datasets := suite.All()
-		compiled, err := mutation.EvaluateOpts(q, ms, datasets, mutation.EvalOptions{Parallelism: 1})
+		compiled, err := mutation.Evaluate(q, ms, datasets)
 		if err != nil {
 			t.Fatalf("%s: compiled evaluation: %v", path, err)
 		}

@@ -97,7 +97,7 @@ func TestFamilySizedSubtreeIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mutation.EvaluateOpts(c.Query, ms, []*schema.Dataset{d}, mutation.EvalOptions{Parallelism: 1}); err != nil {
+		if _, err := mutation.Evaluate(c.Query, ms, []*schema.Dataset{d}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		shapes++

@@ -199,12 +199,12 @@ func TestCompileNeverAppliedError(t *testing.T) {
 	check("Run after CompilePlans", err)
 
 	m := &mutation.Mutant{Key: "drop-t", Kind: mutation.KindJoinType, Desc: "tree without t", Plan: badPlan()}
-	_, err = mutation.EvaluateOpts(q, []*mutation.Mutant{m}, []*schema.Dataset{ds}, mutation.EvalOptions{Parallelism: 1})
+	_, err = mutation.Evaluate(q, []*mutation.Mutant{m}, []*schema.Dataset{ds})
 	var ee *mutation.EvalError
 	if !errors.As(err, &ee) || ee.Mutant != m.Desc {
-		t.Fatalf("EvaluateOpts: got %v, want an *EvalError naming mutant %q", err, m.Desc)
+		t.Fatalf("Evaluate: got %v, want an *EvalError naming mutant %q", err, m.Desc)
 	}
-	check("EvaluateOpts", ee.Err)
+	check("Evaluate", ee.Err)
 }
 
 // TestCompilePlansCanceled pins cancellation of the family compile: a

@@ -9,8 +9,9 @@ import (
 )
 
 // ExecStats counts what the executor did. All fields are atomic so one
-// stats block can be shared by the parallel kill-matrix evaluator; the
-// nil *ExecStats is valid everywhere and counts nothing.
+// stats block can keep totals across concurrent requests (the daemon's
+// /statsz engine counters); the nil *ExecStats is valid everywhere and
+// counts nothing.
 type ExecStats struct {
 	CompiledRuns     atomic.Int64 // plan executions
 	CompiledBatches  atomic.Int64 // batches actually built (cache hits excluded)

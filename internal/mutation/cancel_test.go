@@ -31,14 +31,12 @@ func TestEvaluateContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, par := range []int{1, 4} {
-		rep, err := EvaluateContext(ctx, query, ms, []*schema.Dataset{bulkDataset(4)}, EvalOptions{Parallelism: par})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: pre-canceled evaluate: got %v, want context.Canceled", par, err)
-		}
-		if rep != nil {
-			t.Fatalf("parallelism %d: canceled evaluate must not return a report", par)
-		}
+	rep, err := EvaluateContext(ctx, query, ms, []*schema.Dataset{bulkDataset(4)}, EvalOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled evaluate: got %v, want context.Canceled", err)
+	}
+	if rep != nil {
+		t.Fatal("canceled evaluate must not return a report")
 	}
 }
 
@@ -65,19 +63,19 @@ func TestEvaluateContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = EvaluateContext(ctx, query, ms, datasets, EvalOptions{Parallelism: 8})
+	_, err = EvaluateContext(ctx, query, ms, datasets, EvalOptions{})
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled mid-run: got %v, want context.Canceled (after %v)", err, elapsed)
 	}
 	// The context is checked before every cell, so the return is prompt:
-	// at most one in-flight cell per worker after the cancel.
+	// at most one in-flight cell after the cancel.
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancellation not prompt: EvaluateContext took %v", elapsed)
 	}
 
-	// All workers must be joined: no goroutines outlive the call
-	// (slack 1 for the canceler goroutine above).
+	// No goroutines outlive the call (slack 1 for the canceler
+	// goroutine above).
 	testutil.RequireNoGoroutineLeak(t, before, 1)
 }

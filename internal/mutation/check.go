@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/qtree"
@@ -30,14 +27,9 @@ type Report struct {
 	Exec engine.ExecCounts
 }
 
-// EvalOptions configure kill-matrix evaluation.
-type EvalOptions struct {
-	// Parallelism is the number of worker goroutines evaluating
-	// (mutant plan, dataset) cells. <= 0 selects runtime.GOMAXPROCS(0);
-	// 1 evaluates sequentially. The Report is identical for every
-	// value.
-	Parallelism int
-}
+// EvalOptions configure kill-matrix evaluation. There is nothing to
+// configure: the kill matrix is evaluated on the calling goroutine.
+type EvalOptions struct{}
 
 // EvalError reports a query-execution failure during kill-matrix
 // evaluation, naming both the mutant (empty for the original query) and
@@ -61,20 +53,18 @@ func (e *EvalError) Unwrap() error { return e.Err }
 
 // Evaluate runs the original query and every mutant on every dataset.
 // A mutant is killed by a dataset when the two results differ as
-// multisets (the paper's definition). It evaluates with default options
-// (all CPUs); see EvaluateOpts for explicit control.
+// multisets (the paper's definition). It evaluates on the calling
+// goroutine, as EvaluateOpts and EvaluateContext do.
 func Evaluate(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset) (*Report, error) {
 	return EvaluateOpts(q, mutants, datasets, EvalOptions{})
 }
 
 // EvaluateContext is EvaluateOpts with cooperative cancellation: the
-// context is checked before every (plan, dataset) cell, in the sequential
-// loop and in every worker, so a canceled evaluation returns promptly
-// (within one cell execution) with the context's error and no report.
-// Workers are always joined before returning; no goroutines outlive the
-// call.
+// context is checked before every (plan, dataset) cell, so a canceled
+// evaluation returns promptly (within one cell execution) with the
+// context's error and no report. It starts no goroutines.
 func EvaluateContext(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
-	return evaluate(ctx, q, mutants, datasets, opts)
+	return evaluate(ctx, q, mutants, datasets)
 }
 
 // planSignature returns a canonical execution identity for a plan: two
@@ -112,8 +102,8 @@ func componentSignature(p *engine.Plan) string {
 	return sb.String()
 }
 
-// EvaluateOpts is Evaluate with explicit options. The evaluation is a
-// parallel pipeline over datasets, each running every unique plan:
+// EvaluateOpts is Evaluate with explicit options. The evaluation runs
+// the datasets in order, each through every unique plan:
 //
 //   - the original query's result is computed once per dataset, first,
 //     and every cell of that dataset is decided against it by
@@ -128,9 +118,9 @@ func componentSignature(p *engine.Plan) string {
 //     signature.
 //
 // Kill bits are pure functions of (plan, dataset), so the Report is
-// deterministic regardless of worker count or scheduling.
+// deterministic.
 func EvaluateOpts(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
-	return evaluate(context.Background(), q, mutants, datasets, opts)
+	return evaluate(context.Background(), q, mutants, datasets)
 }
 
 // evaluator is one kill-matrix evaluation over compiled plans: the
@@ -186,18 +176,25 @@ func newEvaluator(ctx context.Context, q *qtree.Query, mutants []*Mutant, datase
 		planDesc: planDesc,
 		datasets: datasets,
 		stats:    &engine.ExecStats{},
-		killed:   make([][]bool, len(plans)),
-	}
-	for ui := range e.killed {
-		e.killed[ui] = make([]bool, len(datasets))
+		killed:   killRows(len(plans), len(datasets)),
 	}
 	return e, planOf, nil
 }
 
+// killRows returns an n-by-m kill matrix whose rows are carved from one
+// backing array.
+func killRows(n, m int) [][]bool {
+	rows := make([][]bool, n)
+	bits := make([]bool, n*m)
+	for i := range rows {
+		rows[i] = bits[i*m : (i+1)*m : (i+1)*m]
+	}
+	return rows
+}
+
 // runDataset evaluates every plan on dataset di in one unit: the
-// worker's SharedCache is touched by exactly one goroutine (its
-// correctness contract), reset at each dataset boundary, and the
-// family's sharing is maximal within the unit. The context is checked
+// SharedCache is reset at the dataset boundary, and the family's
+// sharing is maximal within the unit. The context is checked
 // before the original's run and before every cell, so a canceled
 // evaluation returns within one cell execution.
 func (e *evaluator) runDataset(di int, sc *engine.SharedCache) error {
@@ -236,11 +233,8 @@ func (e *evaluator) canceled() error {
 	}
 }
 
-func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
-	rep := &Report{Query: q, Mutants: mutants, Datasets: datasets, Killed: make([][]bool, len(mutants))}
-	for i := range rep.Killed {
-		rep.Killed[i] = make([]bool, len(datasets))
-	}
+func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset) (*Report, error) {
+	rep := &Report{Query: q, Mutants: mutants, Datasets: datasets, Killed: killRows(len(mutants), len(datasets))}
 	if len(mutants) == 0 || len(datasets) == 0 {
 		return rep, nil
 	}
@@ -248,61 +242,21 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 	if err != nil {
 		return nil, err
 	}
-	defer func() { rep.Exec = e.stats.Counts() }()
 
-	// Engine strategy: one stats block for the whole evaluation and one
-	// shared subtree cache per worker, reset between datasets. The
-	// plans of a mutant family differ in a single component, so their
-	// compiled trees overlap heavily; the cache evaluates each distinct
-	// subtree once per dataset and every plan sharing it — including
-	// the original query — reuses the batch. Reusing one cache per
-	// worker (instead of one per dataset) keeps its indexes, blocks and
-	// slabs warm: after the worker's largest family and dataset the
-	// cache allocates nothing new.
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(datasets) {
-		workers = len(datasets)
-	}
-	if workers <= 1 {
-		sc := engine.NewSharedCacheSized(len(e.plans))
-		for di := range datasets {
-			if err := e.runDataset(di, sc); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		dsErrs := make([]error, len(datasets))
-		var next int64 = -1
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := engine.NewSharedCacheSized(len(e.plans))
-				for {
-					di := int(atomic.AddInt64(&next, 1))
-					if di >= len(datasets) || failed.Load() {
-						return
-					}
-					if err := e.runDataset(di, sc); err != nil {
-						dsErrs[di] = err
-						failed.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range dsErrs {
-			if err != nil {
-				return nil, err
-			}
+	// One shared subtree cache for the whole evaluation, reset between
+	// datasets. The plans of a mutant family differ in a single
+	// component, so their compiled trees overlap heavily; the cache
+	// evaluates each distinct subtree once per dataset and every plan
+	// sharing it — including the original query — reuses the batch.
+	// Reusing the cache across datasets keeps its indexes, blocks and
+	// slabs warm: after the largest dataset it allocates nothing new.
+	sc := engine.NewSharedCacheSized(len(e.plans))
+	for di := range datasets {
+		if err := e.runDataset(di, sc); err != nil {
+			return nil, err
 		}
 	}
+	rep.Exec = e.stats.Counts()
 
 	// Broadcast unique-plan kill bits to every mutant sharing the plan.
 	for mi := range mutants {

@@ -11,10 +11,9 @@ import (
 
 // TestKillMatrixEngineMetamorphic pins the engine's kill matrix against
 // refeval, the independent reference evaluator: the compiled executor
-// run serially (with family sharing and the whole-result memo) and in
-// parallel must produce the same kill matrix as ReferenceKills on the
-// same (space, suite) input, and the counters must show the family
-// sharing at work.
+// (with family sharing and the whole-result memo) must produce the same
+// kill matrix as ReferenceKills on the same (space, suite) input, and
+// the counters must show the family sharing at work.
 func TestKillMatrixEngineMetamorphic(t *testing.T) {
 	query := q(t, testDDL, `SELECT i.name, c.title FROM instructor i, teaches t, course c
 		WHERE i.id = t.id AND t.course_id = c.course_id AND i.salary > 70000`)
@@ -36,11 +35,7 @@ func TestKillMatrixEngineMetamorphic(t *testing.T) {
 		datasets = append(datasets, ds)
 	}
 
-	serial, err := EvaluateOpts(query, ms, datasets, EvalOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := EvaluateOpts(query, ms, datasets, EvalOptions{Parallelism: 4})
+	rep, err := Evaluate(query, ms, datasets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,20 +43,15 @@ func TestKillMatrixEngineMetamorphic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []struct {
-		name string
-		rep  *Report
-	}{{"serial", serial}, {"parallel", parallel}} {
-		if mi, di, bad := run.rep.FirstDisagreement(ref); bad {
-			t.Errorf("%s compiled run disagrees with refeval: mutant %q dataset %d: compiled=%v refeval=%v",
-				run.name, ms[mi].Desc, di, run.rep.Killed[mi][di], ref[mi][di])
-		}
+	if mi, di, bad := rep.FirstDisagreement(ref); bad {
+		t.Errorf("compiled run disagrees with refeval: mutant %q dataset %d: compiled=%v refeval=%v",
+			ms[mi].Desc, di, rep.Killed[mi][di], ref[mi][di])
 	}
 
-	if serial.Exec.CompiledRuns == 0 {
+	if rep.Exec.CompiledRuns == 0 {
 		t.Errorf("CompiledRuns = 0, want one per executed cell")
 	}
-	if serial.Exec.FamilyPrefixHits == 0 {
+	if rep.Exec.FamilyPrefixHits == 0 {
 		t.Errorf("FamilyPrefixHits = 0 across a mutant family, want sharing")
 	}
 }
@@ -88,7 +78,7 @@ func TestEvaluateConcurrentSharedSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EvaluateOpts(query, fresh, datasets, EvalOptions{Parallelism: 1})
+	want, err := Evaluate(query, fresh, datasets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +94,7 @@ func TestEvaluateConcurrentSharedSpace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[g], errs[g] = EvaluateOpts(query, shared, datasets, EvalOptions{Parallelism: 2})
+			reps[g], errs[g] = Evaluate(query, shared, datasets)
 		}()
 	}
 	wg.Wait()
@@ -118,14 +108,12 @@ func TestEvaluateConcurrentSharedSpace(t *testing.T) {
 	}
 
 	// Re-evaluating the already-evaluated space compiles it afresh as
-	// one family, so it does exactly the sequential run's work.
-	for _, par := range []int{1, 2} {
-		again, err := EvaluateOpts(query, shared, datasets, EvalOptions{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(again.Killed, want.Killed) || again.Exec != want.Exec {
-			t.Errorf("re-evaluation at parallelism %d differs from the sequential one: exec %+v, want %+v", par, again.Exec, want.Exec)
-		}
+	// one family, so it does exactly the first evaluation's work.
+	again, err := Evaluate(query, shared, datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Killed, want.Killed) || again.Exec != want.Exec {
+		t.Errorf("re-evaluation differs from the first one: exec %+v, want %+v", again.Exec, want.Exec)
 	}
 }

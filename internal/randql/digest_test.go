@@ -18,8 +18,8 @@ import (
 // killMatrixDigests pins the digest of every mutant space and kill
 // matrix over digestCorpus, per mutation option set. The values were
 // captured before the kill-matrix verdict path, the per-cache value and
-// index slabs and the path-copied join-type mutants existed; they hold
-// at every evaluation worker count.
+// index slabs and the path-copied join-type mutants existed, and before
+// evaluation moved onto the calling goroutine.
 var killMatrixDigests = map[string]string{
 	"default":    "6e7bb7b8d3f72e66d722ae32b3e6814e2ab6e6e71d6b667de6ba61a6e5f9f4cf",
 	"full-outer": "96f21706ca9ed6ecbd4997d59079425ebd984851d8458cea5c5d0c66caeb3034",
@@ -40,7 +40,7 @@ var matrixWorkFields = [...]string{"mutants", "datasets", "killed", "compiled ru
 // totals BENCH_6.json recorded: 10,634 mutants, 117 datasets, 3,451
 // killed, 97,759 compiled runs, 114,587 batches, 113,947 small joins,
 // no nested-loop join, 405,452 family prefix hits and 52,888 result-memo
-// hits. They hold at every evaluation worker count.
+// hits.
 var killMatrixCellWork = []struct {
 	name string
 	work matrixWork
@@ -116,15 +116,15 @@ func digestCorpus(t *testing.T) []digestCase {
 }
 
 // TestKillMatrixDigest pins the kill-matrix layer end to end. For both
-// mutation option sets (the paper's, and full outer joins included) and
-// at Parallelism 1 and 2, it hashes every mutant's Key, Kind, Desc and
-// tree string, every kill bit, and the engine's work counters over the
-// digest corpus, and requires the pinned sha256. A change to the
-// executor or the mutant space that alters any answer or any counter
-// fails here. Under the paper's options each Table I/II cell must also
-// match its killMatrixCellWork row, so a failure names the cell and the
-// counter, and, outside -race, its Parallelism-1 matrix must match
-// refeval's (mutation.ReferenceKills) in every one of its 97,642 cells.
+// mutation option sets (the paper's, and full outer joins included), it
+// hashes every mutant's Key, Kind, Desc and tree string, every kill
+// bit, and the engine's work counters over the digest corpus, and
+// requires the pinned sha256. A change to the executor or the mutant
+// space that alters any answer or any counter fails here. Under the
+// paper's options each Table I/II cell must also match its
+// killMatrixCellWork row, so a failure names the cell and the counter,
+// and, outside -race, its matrix must match refeval's
+// (mutation.ReferenceKills) in every one of its 97,642 cells.
 func TestKillMatrixDigest(t *testing.T) {
 	corpus := digestCorpus(t)
 	var sum matrixWork
@@ -142,48 +142,44 @@ func TestKillMatrixDigest(t *testing.T) {
 
 	full := mutation.DefaultOptions()
 	full.IncludeFullOuter = true
-	var tableReps []*mutation.Report // the Table I/II cells, paper's options, Parallelism 1
+	var tableReps []*mutation.Report // the Table I/II cells, paper's options
 	for _, set := range []struct {
 		name string
 		opts mutation.Options
 	}{{"default", mutation.DefaultOptions()}, {"full-outer", full}} {
-		for _, par := range []int{1, 2} {
-			h := sha256.New()
-			mutants, cells := 0, 0
-			for ci, c := range corpus {
-				ms, err := mutation.Space(c.q, set.opts)
-				if err != nil {
-					// Cross products are outside the space; the error text
-					// is part of the pinned answer.
-					fmt.Fprintf(h, "%s: space: %v\n", c.name, err)
-					continue
-				}
-				rep, err := mutation.EvaluateOpts(c.q, ms, c.datasets, mutation.EvalOptions{Parallelism: par})
-				if err != nil {
-					t.Fatalf("%s %s: %v", set.name, c.name, err)
-				}
-				digestReport(h, c.name, rep)
-				mutants += len(ms)
-				cells += len(ms) * len(c.datasets)
-				if set.name == "default" && ci < len(killMatrixCellWork) {
-					e := rep.Exec
-					got := matrixWork{int64(len(ms)), int64(len(c.datasets)), int64(rep.KilledCount()), e.CompiledRuns,
-						e.CompiledBatches, e.SmallJoins, e.NestedLoopJoins, e.FamilyPrefixHits, e.ResultMemoHits}
-					for i, field := range matrixWorkFields {
-						if want := killMatrixCellWork[ci].work[i]; got[i] != want {
-							t.Errorf("%s, Parallelism %d: %s %d, want %d", c.name, par, field, got[i], want)
-						}
-					}
-					if par == 1 {
-						tableReps = append(tableReps, rep)
+		h := sha256.New()
+		mutants, cells := 0, 0
+		for ci, c := range corpus {
+			ms, err := mutation.Space(c.q, set.opts)
+			if err != nil {
+				// Cross products are outside the space; the error text
+				// is part of the pinned answer.
+				fmt.Fprintf(h, "%s: space: %v\n", c.name, err)
+				continue
+			}
+			rep, err := mutation.Evaluate(c.q, ms, c.datasets)
+			if err != nil {
+				t.Fatalf("%s %s: %v", set.name, c.name, err)
+			}
+			digestReport(h, c.name, rep)
+			mutants += len(ms)
+			cells += len(ms) * len(c.datasets)
+			if set.name == "default" && ci < len(killMatrixCellWork) {
+				e := rep.Exec
+				got := matrixWork{int64(len(ms)), int64(len(c.datasets)), int64(rep.KilledCount()), e.CompiledRuns,
+					e.CompiledBatches, e.SmallJoins, e.NestedLoopJoins, e.FamilyPrefixHits, e.ResultMemoHits}
+				for i, field := range matrixWorkFields {
+					if want := killMatrixCellWork[ci].work[i]; got[i] != want {
+						t.Errorf("%s: %s %d, want %d", c.name, field, got[i], want)
 					}
 				}
+				tableReps = append(tableReps, rep)
 			}
-			got := hex.EncodeToString(h.Sum(nil))
-			t.Logf("%s, Parallelism %d: %d cases, %d mutants, %d cells, sha256 %s", set.name, par, len(corpus), mutants, cells, got)
-			if want := killMatrixDigests[set.name]; got != want {
-				t.Errorf("%s, Parallelism %d: digest %s, want %s", set.name, par, got, want)
-			}
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		t.Logf("%s: %d cases, %d mutants, %d cells, sha256 %s", set.name, len(corpus), mutants, cells, got)
+		if want := killMatrixDigests[set.name]; got != want {
+			t.Errorf("%s: digest %s, want %s", set.name, got, want)
 		}
 	}
 

@@ -49,7 +49,7 @@ func TestCompiledRefevalDifferential(t *testing.T) {
 		if len(ms) == 0 {
 			continue
 		}
-		compiled, err := mutation.EvaluateOpts(c.Query, ms, datasets, mutation.EvalOptions{Parallelism: 1})
+		compiled, err := mutation.Evaluate(c.Query, ms, datasets)
 		if err != nil {
 			t.Fatalf("seed %d: compiled evaluation: %v", seed, err)
 		}

@@ -502,7 +502,7 @@ func (s *Server) killMatrix(ctx context.Context, q *qtree.Query, suite *core.Sui
 	if err != nil {
 		return AnalyzeResponse{}, fmt.Errorf("mutation space: %w", err)
 	}
-	report, err := mutation.EvaluateContext(ctx, q, mutants, suite.All(), mutation.EvalOptions{Parallelism: 1})
+	report, err := mutation.EvaluateContext(ctx, q, mutants, suite.All(), mutation.EvalOptions{})
 	if err != nil {
 		return AnalyzeResponse{}, fmt.Errorf("kill matrix: %w", err)
 	}

@@ -453,7 +453,7 @@ func TestStatszEngineCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mutation.EvaluateOpts(q, ms, suite.All(), mutation.EvalOptions{Parallelism: 1})
+	rep, err := mutation.Evaluate(q, ms, suite.All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ type Arena struct {
 	rep       []VarID
 	dirty     []VarID
 	merges    [][2]VarID
+	live      []int64 // mergeStore's sorted live values
 	remaining []Con
 	clauses   []kclause
 	cvars     [][]VarID

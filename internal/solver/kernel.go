@@ -886,7 +886,7 @@ func (s *Solver) front(a *Arena, done <-chan struct{}) error {
 			if ra == rb {
 				continue
 			}
-			if mergeStore(&ks, count, uf, ra, rb) == 0 {
+			if mergeStore(&ks, count, uf, ra, rb, &a.live) == 0 {
 				return ErrUnsat
 			}
 			root := uf.find(ra)

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/sqltypes"
 )
@@ -240,7 +241,9 @@ func pinStore(ks *kstore, count []int32, v VarID, val int64) int32 {
 // mergeStore unions a and b (already roots or not; find applied) and
 // intersects the surviving candidate sets by value onto the new root.
 // Returns the root's resulting count (0 = conflict). No-op when a == b.
-func mergeStore(ks *kstore, count []int32, uf *varUF, a, b VarID) int32 {
+// *live is the Arena's scratch for wide merges (see below), so a warm
+// merge allocates nothing.
+func mergeStore(ks *kstore, count []int32, uf *varUF, a, b VarID, live *[]int64) int32 {
 	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
 		return count[ra]
@@ -252,40 +255,28 @@ func mergeStore(ks *kstore, count []int32, uf *varUF, a, b VarID) int32 {
 	}
 	// Keep only the root's candidates whose value survives in other.
 	// Small surviving sets (the common case: per-attribute domains) go
-	// through a stack-allocated array and linear membership scans; the
-	// map is the fallback for wide domains only.
+	// through a stack-allocated array and linear membership scans; wide
+	// ones are collected in the scratch slice, sorted, and searched by
+	// bisection.
 	ow := ks.words[ks.off[other]:ks.off[other+1]]
 	ocand := ks.cand[other]
 	var small [64]int64
-	var nsmall int
-	var live map[int64]bool
-	if count[other] > int32(len(small)) {
-		live = make(map[int64]bool, count[other])
+	vals := small[:0]
+	wide := int(count[other]) > len(small)
+	if wide {
+		*live = grow(*live, int(count[other]))
+		vals = (*live)[:0]
 	}
 	for wi := range ow {
 		word := ow[wi]
 		for word != 0 {
 			bit := uint(bits.TrailingZeros64(word))
 			word &^= 1 << bit
-			val := ocand[wi*64+int(bit)]
-			if live != nil {
-				live[val] = true
-			} else {
-				small[nsmall] = val
-				nsmall++
-			}
+			vals = append(vals, ocand[wi*64+int(bit)])
 		}
 	}
-	isLive := func(val int64) bool {
-		if live != nil {
-			return live[val]
-		}
-		for _, x := range small[:nsmall] {
-			if x == val {
-				return true
-			}
-		}
-		return false
+	if wide {
+		slices.Sort(vals)
 	}
 	w := ks.words[ks.off[root]:ks.off[root+1]]
 	cand := ks.cand[root]
@@ -296,7 +287,14 @@ func mergeStore(ks *kstore, count []int32, uf *varUF, a, b VarID) int32 {
 		for word != 0 {
 			bit := uint(bits.TrailingZeros64(word))
 			word &^= 1 << bit
-			if isLive(cand[wi*64+int(bit)]) {
+			val := cand[wi*64+int(bit)]
+			var live bool
+			if wide {
+				_, live = slices.BinarySearch(vals, val)
+			} else {
+				live = slices.Contains(vals, val)
+			}
+			if live {
 				nw |= 1 << bit
 				kept++
 			}

@@ -58,10 +58,9 @@ type Options struct {
 	CheckEquivalence bool
 	// EquivTrials for the randomized equivalence checker.
 	EquivTrials int
-	// Parallelism is the worker count for both dataset generation and
-	// kill-matrix evaluation (0 = all CPUs, 1 = sequential). Every
-	// reported number is identical for every value; only wall-clock
-	// timings change.
+	// Parallelism is the worker count for dataset generation (0 = all
+	// CPUs, 1 = sequential). Every reported number is identical for
+	// every value; only wall-clock timings change.
 	Parallelism int
 }
 
@@ -105,7 +104,7 @@ func runCell(ctx context.Context, bq university.BenchQuery, fk int, opts Options
 		if err != nil {
 			return row, fmt.Errorf("%s: %w", bq.Name, err)
 		}
-		rep, err := mutation.EvaluateContext(ctx, q, ms, suite.All(), mutation.EvalOptions{Parallelism: opts.Parallelism})
+		rep, err := mutation.EvaluateContext(ctx, q, ms, suite.All(), mutation.EvalOptions{})
 		if err != nil {
 			return row, fmt.Errorf("%s: %w", bq.Name, err)
 		}
@@ -284,13 +283,12 @@ func RunBaseline(ctx context.Context, opts Options) ([]BaselineRow, error) {
 				return rows, err
 			}
 			row.MutantsTotal = len(ms)
-			evalOpts := mutation.EvalOptions{Parallelism: opts.Parallelism}
-			blRep, err := mutation.EvaluateContext(ctx, q, ms, bl, evalOpts)
+			blRep, err := mutation.EvaluateContext(ctx, q, ms, bl, mutation.EvalOptions{})
 			if err != nil {
 				return rows, err
 			}
 			row.BaselineKilled = blRep.KilledCount()
-			xRep, err := mutation.EvaluateContext(ctx, q, ms, suite.All(), evalOpts)
+			xRep, err := mutation.EvaluateContext(ctx, q, ms, suite.All(), mutation.EvalOptions{})
 			if err != nil {
 				return rows, err
 			}

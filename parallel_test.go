@@ -1,7 +1,7 @@
 // Determinism and race-regression tests for the parallel kill-goal
-// pipeline: Generate() must produce a byte-identical Suite for every
-// worker count, and the kill matrix must be invariant under evaluator
-// parallelism (the ISSUE's determinism contract; see internal/core/goals.go).
+// pipeline: Generate() must produce a byte-identical Suite, and so the
+// same kill matrix, for every worker count (the determinism contract;
+// see internal/core/goals.go).
 package xdata_test
 
 import (
@@ -141,22 +141,22 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 			}
 			seq, par := generateSeqPar(t, q, core.DefaultOptions())
 
-			// Kill matrices: byte-identical across generation AND
-			// evaluation parallelism.
+			// Kill matrices: byte-identical across generation
+			// parallelism.
 			ms, err := mutation.Space(q, mutation.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqRep, err := mutation.EvaluateOpts(q, ms, seq.All(), mutation.EvalOptions{Parallelism: 1})
+			seqRep, err := mutation.Evaluate(q, ms, seq.All())
 			if err != nil {
 				t.Fatal(err)
 			}
-			parRep, err := mutation.EvaluateOpts(q, ms, par.All(), mutation.EvalOptions{Parallelism: 8})
+			parRep, err := mutation.Evaluate(q, ms, par.All())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(seqRep.Killed, parRep.Killed) {
-				t.Fatalf("kill matrices differ between sequential and parallel evaluation")
+				t.Fatalf("kill matrices differ between the sequential and the parallel suite")
 			}
 
 			quantified := core.DefaultOptions()
@@ -178,7 +178,7 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 }
 
 // TestParallelGenerateRace exercises a 4-way parallel generation and
-// kill-matrix evaluation; run with -race it is the regression test for
+// scores its suite; run with -race it is the regression test for
 // shared-state mutation inside the pipeline (e.g. the former
 // ForceInputTuples toggle on shared Generator options).
 func TestParallelGenerateRace(t *testing.T) {
@@ -205,11 +205,11 @@ func TestParallelGenerateRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mutation.EvaluateOpts(q, ms, suite.All(), mutation.EvalOptions{Parallelism: 4})
+	rep, err := mutation.Evaluate(q, ms, suite.All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.KilledCount() == 0 {
-		t.Fatal("parallel evaluation killed no mutants")
+		t.Fatal("the parallel suite killed no mutants")
 	}
 }

@@ -72,7 +72,7 @@ type (
 	Mutant = mutation.Mutant
 	// MutationOptions configure the mutant space.
 	MutationOptions = mutation.Options
-	// EvalOptions configure kill-matrix evaluation (worker count).
+	// EvalOptions configure kill-matrix evaluation (it has no fields).
 	EvalOptions = mutation.EvalOptions
 	// Report is the kill matrix of a mutant space against a suite.
 	Report = mutation.Report
@@ -167,18 +167,14 @@ func Mutants(q *Query, opts MutationOptions) ([]*Mutant, error) {
 }
 
 // Analyze generates the kill matrix: which datasets of the suite kill
-// which mutants of the space. Evaluation runs on all CPUs; use
-// AnalyzeContext for an explicit worker count or cancellation.
+// which mutants of the space. Evaluation runs on the calling goroutine;
+// use AnalyzeContext for cancellation.
 func Analyze(q *Query, suite *Suite, opts MutationOptions) (*Report, error) {
 	return AnalyzeContext(context.Background(), q, suite, opts, EvalOptions{})
 }
 
-// AnalyzeContext is Analyze with explicit evaluation options and
-// cooperative cancellation: eopts.Parallelism sets the worker count
-// (<= 0 selects all CPUs, 1 evaluates sequentially), and a canceled
-// context aborts the evaluation promptly with the context's error. The
-// Report is identical for every worker count; only wall-clock time
-// differs.
+// AnalyzeContext is Analyze with cooperative cancellation: a canceled
+// context aborts the evaluation promptly with the context's error.
 func AnalyzeContext(ctx context.Context, q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) (*Report, error) {
 	ms, err := mutation.Space(q, opts)
 	if err != nil {
