@@ -104,7 +104,7 @@ func run() int {
 	if partial && ctx.Err() != nil {
 		evalCtx = context.Background()
 	}
-	rep, err := xdata.AnalyzeContext(evalCtx, q, suite, mopts, xdata.EvalOptions{})
+	rep, err := xdata.AnalyzeContext(evalCtx, q, suite, mopts)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,45 +1,26 @@
-// Command randql drives the randomized differential-testing subsystem
-// from the command line, sharing the exact entry points (NewCase,
-// DiffOne, CheckCompleteness) the test harnesses use, so a seed that
-// fails in CI replays identically here.
+// Command randql prints one randomized test case as a self-contained
+// reproducer: the DDL, the query SQL, and -datasets random datasets as
+// INSERT statements. It derives the case through the same entry point
+// (randql.NewCase) the test harnesses use, so the case a failing test's
+// reproducer names prints identically here.
 //
 // Usage:
 //
-//	randql -mode diff -seed 1 -n 200          # differential oracle soak
-//	randql -mode complete -seed 10001 -q 50   # suite-completeness soak
-//	randql -mode show -seed 10518             # print one case (DDL+SQL+data)
-//	randql -mode diff -config completeness    # restrict to the paper's class
+//	randql -seed 10518                       # a case of the default grammar
+//	randql -seed 10518 -config completeness  # the paper's guaranteed class
+//	randql -seed 30092 -config completeness -subq 1 -having 1 -like 0.6
 //
-// Modes:
+// The soaks themselves are go test runs: TestDifferentialOracle and
+// TestSuiteCompleteness in internal/randql (see the -randql.* flags).
 //
-//	diff      generate n cases (seed, seed+1, …), run -datasets random
-//	          datasets per case through the engine and the reference
-//	          evaluator, and diff a sample of each case's mutants too.
-//	complete  generate q cases and assert the paper's guarantee on each:
-//	          the constraint-based suite kills every non-equivalent
-//	          mutant (survivors are vetted by the random equivalence
-//	          checker and reported with runnable reproducers).
-//	show      print one case as a self-contained reproducer: DDL, query
-//	          SQL, and -datasets random datasets as INSERT statements.
-//
-// Budgets and interruption: -goal-timeout bounds each kill goal in
-// complete mode (exhausted cases are counted as budget-skipped, not
-// failed) and -timeout bounds the whole soak. SIGINT/SIGTERM stop the
-// soak between cases and print the summary of the cases finished so
-// far.
-//
-// Exit status is 0 when every case passes, 1 on any failure (with the
-// reproducer on stderr), 2 on usage errors, 3 when interrupted or timed
-// out before all cases ran (the partial summary is still printed).
+// Exit status is 0 on success, 1 when the case cannot be generated, 2 on
+// usage errors.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/randql"
 )
@@ -49,23 +30,22 @@ func main() {
 }
 
 func run() int {
-	mode := flag.String("mode", "diff", "diff, complete, or show")
-	seed := flag.Int64("seed", 1, "first seed; case i uses seed+i")
-	n := flag.Int("n", 100, "diff mode: number of cases")
-	q := flag.Int("q", 25, "complete mode: number of cases")
-	datasets := flag.Int("datasets", 3, "random datasets per case (diff/show modes)")
-	configName := flag.String("config", "", "grammar preset: default (full engine surface) or completeness (the paper's guaranteed class); complete mode always uses completeness")
-	verbose := flag.Bool("v", false, "log every case, not just failures")
-	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the soak (0 = unlimited); on expiry the partial summary is printed and the exit code is 3")
-	goalTimeout := flag.Duration("goal-timeout", 0, "complete mode: wall-clock budget per kill goal (0 = unlimited); exhausted cases count as budget-skipped")
+	seed := flag.Int64("seed", 1, "case seed")
+	datasets := flag.Int("datasets", 3, "random datasets to print")
+	configName := flag.String("config", "default", "grammar preset: default (full engine surface) or completeness (the paper's guaranteed class)")
 	subq := flag.Float64("subq", -1, "WHERE-subquery probability override (-1 = preset)")
 	having := flag.Float64("having", -1, "HAVING probability override (-1 = preset)")
 	like := flag.Float64("like", -1, "LIKE probability override (-1 = preset)")
 	flag.Parse()
 
-	cfg, err := chooseConfig(*mode, *configName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	var cfg randql.Config
+	switch *configName {
+	case "default":
+		cfg = randql.DefaultConfig()
+	case "completeness":
+		cfg = randql.CompletenessConfig()
+	default:
+		fmt.Fprintf(os.Stderr, "randql: unknown -config %q (want default or completeness)\n", *configName)
 		return 2
 	}
 	if *subq >= 0 {
@@ -77,160 +57,16 @@ func run() int {
 	if *like >= 0 {
 		cfg.LikeProb = *like
 	}
-	randql.GoalTimeout = *goalTimeout
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	switch *mode {
-	case "diff":
-		return runDiff(ctx, cfg, *seed, *n, *datasets, *verbose)
-	case "complete":
-		return runComplete(ctx, cfg, *seed, *q, *verbose)
-	case "show":
-		return runShow(cfg, *seed, *datasets)
-	default:
-		fmt.Fprintf(os.Stderr, "randql: unknown -mode %q (want diff, complete, or show)\n", *mode)
-		return 2
-	}
-}
-
-func chooseConfig(mode, name string) (randql.Config, error) {
-	switch name {
-	case "":
-		if mode == "complete" {
-			return randql.CompletenessConfig(), nil
-		}
-		return randql.DefaultConfig(), nil
-	case "default":
-		return randql.DefaultConfig(), nil
-	case "completeness":
-		return randql.CompletenessConfig(), nil
-	}
-	return randql.Config{}, fmt.Errorf("randql: unknown -config %q (want default or completeness)", name)
-}
-
-func runDiff(ctx context.Context, cfg randql.Config, seed int64, n, datasets int, verbose bool) int {
-	failures, ran := 0, 0
-	cov := randql.NewCoverage()
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		s := seed + int64(i)
-		c, err := randql.NewCase(s, cfg)
-		if err != nil {
-			return fatalf("seed %d: %v", s, err)
-		}
-		cov.Observe(c.Query, c.SQL)
-		for d := 0; d < datasets; d++ {
-			ds, err := c.NextDataset()
-			if err != nil {
-				return fatalf("seed %d: dataset %d: %v", s, d, err)
-			}
-			if err := randql.DiffOne(c, ds); err != nil {
-				failures++
-				fmt.Fprintf(os.Stderr, "FAIL seed %d: %v\n", s, err)
-			}
-		}
-		ran++
-		if verbose {
-			fmt.Printf("seed %d ok: %s\n", s, c.SQL)
-		}
-	}
-	fmt.Printf("diff: %d cases x %d datasets, %d failures\n", ran, datasets, failures)
-	fmt.Printf("coverage: %s\n", cov)
-	switch {
-	case failures > 0:
-		return 1
-	case ran < n:
-		fmt.Fprintf(os.Stderr, "randql: interrupted after %d of %d cases\n", ran, n)
-		return 3
-	case coverageGap(cov, cfg, ran):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// coverageGap reports (and logs) enabled grammar rules the soak never
-// exercised. Only enforced on runs big enough that absence means the
-// grammar starved a rule rather than a short run missing it by chance
-// (the rarest rules appear in roughly 7% of completeness cases).
-func coverageGap(cov *randql.Coverage, cfg randql.Config, ran int) bool {
-	if ran < 60 {
-		return false
-	}
-	missing := cov.Missing(cfg)
-	if len(missing) == 0 {
-		return false
-	}
-	fmt.Fprintf(os.Stderr, "randql: enabled grammar rules never exercised in %d cases: %v\n", ran, missing)
-	return true
-}
-
-func runComplete(ctx context.Context, cfg randql.Config, seed int64, q int, verbose bool) int {
-	failures, budget, ran := 0, 0, 0
-	mutants, killed := 0, 0
-	cov := randql.NewCoverage()
-	for i := 0; i < q && ctx.Err() == nil; i++ {
-		s := seed + int64(i)
-		c, err := randql.NewCase(s, cfg)
-		if err != nil {
-			return fatalf("seed %d: %v", s, err)
-		}
-		cov.Observe(c.Query, c.SQL)
-		res, err := randql.CheckCompleteness(c, s*31+7)
-		ran++
-		if err != nil {
-			failures++
-			fmt.Fprintf(os.Stderr, "FAIL seed %d: %v\n", s, err)
-			continue
-		}
-		if res.BudgetExceeded {
-			budget++
-			fmt.Printf("seed %d: solver budget exceeded, skipped\n", s)
-			continue
-		}
-		mutants += res.Mutants
-		killed += res.Killed
-		for _, surv := range res.NonEquivalent {
-			failures++
-			fmt.Fprintf(os.Stderr, "FAIL seed %d: non-equivalent mutant survived:\n%s\n", s, surv)
-		}
-		if verbose {
-			fmt.Printf("seed %d ok: %d mutants, %d killed, %d suspected equivalent: %s\n",
-				s, res.Mutants, res.Killed, len(res.SuspectedEquivalent), c.SQL)
-		}
-	}
-	fmt.Printf("complete: %d cases, %d mutants, %d killed, %d budget-skipped, %d failures\n",
-		ran, mutants, killed, budget, failures)
-	fmt.Printf("coverage: %s\n", cov)
-	switch {
-	case failures > 0:
-		return 1
-	case ran < q:
-		fmt.Fprintf(os.Stderr, "randql: interrupted after %d of %d cases\n", ran, q)
-		return 3
-	case coverageGap(cov, cfg, ran):
-		return 1
-	default:
-		return 0
-	}
-}
-
-func runShow(cfg randql.Config, seed int64, datasets int) int {
-	c, err := randql.NewCase(seed, cfg)
+	c, err := randql.NewCase(*seed, cfg)
 	if err != nil {
-		return fatalf("seed %d: %v", seed, err)
+		return fatalf("seed %d: %v", *seed, err)
 	}
 	fmt.Print(c.Repro(nil))
-	for d := 0; d < datasets; d++ {
+	for d := 0; d < *datasets; d++ {
 		ds, err := c.NextDataset()
 		if err != nil {
-			return fatalf("seed %d: dataset %d: %v", seed, d, err)
+			return fatalf("seed %d: dataset %d: %v", *seed, d, err)
 		}
 		fmt.Printf("-- dataset %d (%s)\n%s", d+1, ds.Purpose, ds.SQLInserts(c.Schema))
 	}

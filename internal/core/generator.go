@@ -27,10 +27,6 @@ type Options struct {
 	// paper's experiments show this is dramatically faster; it is the
 	// default.
 	Unfold bool `json:"unfold"`
-	// SolverNodeLimit bounds solver search nodes (0 = solver default).
-	SolverNodeLimit int64 `json:"solver_node_limit"`
-	// SolverTimeout bounds each solver call (0 = none).
-	SolverTimeout time.Duration `json:"solver_timeout"`
 	// InputDB, when set, seeds attribute domains with values from an
 	// existing database so generated datasets look familiar (§VI-A).
 	// Excluded from the encoding: it is data, not a setting, so
@@ -75,8 +71,8 @@ type Options struct {
 	// 16x), plus — when Unfold is off — one final fallback attempt in
 	// unfolded mode, the strategy the paper shows to be dramatically
 	// cheaper. If every attempt exhausts its budget the goal lands in
-	// Suite.Incomplete instead of failing the run. SolverNodeLimit, when
-	// also set, remains a hard per-call ceiling.
+	// Suite.Incomplete instead of failing the run. 0 runs one attempt
+	// under the solver's default node limit.
 	GoalNodeLimit int64 `json:"goal_node_limit"`
 	// FailureHook, when set, is called once for each kill goal the
 	// generator abandons (budget exhaustion, recovered panic,
@@ -152,8 +148,7 @@ type Skip struct {
 // Failure reasons recorded in Suite.Incomplete entries.
 const (
 	// ReasonBudget: the goal exhausted its node/time budget on every
-	// attempt (Options.GoalNodeLimit / GoalTimeout / SolverNodeLimit /
-	// SolverTimeout).
+	// attempt (Options.GoalNodeLimit / GoalTimeout).
 	ReasonBudget = "node/time budget exhausted"
 	// ReasonPanic: the goal's worker panicked; the panic was recovered
 	// and isolated to this goal (see Failure.Err, a *GoalError carrying
@@ -651,9 +646,8 @@ func (g *Generator) Generate() (*Suite, error) {
 //     finished before the cancellation stay in the Suite, the rest are
 //     recorded in Suite.Incomplete with ReasonCanceled.
 //   - a goal exhausting its budget (Options.GoalNodeLimit with the
-//     escalating-retry ladder, Options.GoalTimeout, or the per-call
-//     SolverNodeLimit/SolverTimeout) is recorded in Suite.Incomplete
-//     with ReasonBudget; generation continues.
+//     escalating-retry ladder, or Options.GoalTimeout) is recorded in
+//     Suite.Incomplete with ReasonBudget; generation continues.
 //   - a panicking goal worker is recovered, converted into a *GoalError
 //     (purpose + stack) and recorded with ReasonPanic; generation
 //     continues.

@@ -23,9 +23,9 @@
 // Datasets, Skipped, Incomplete and all integer Stats counters are
 // therefore byte-identical for every worker count (the constraint solver
 // itself is deterministic per problem — fixed restart seed, no
-// wall-clock heuristics under default options; wall-clock budgets
-// (GoalTimeout, SolverTimeout) and cancellation trade this determinism
-// for boundedness, exactly as documented on the options). Only the
+// wall-clock heuristics under default options; the wall-clock budget
+// (GoalTimeout) and cancellation trade this determinism for
+// boundedness, exactly as documented on the options). Only the
 // timing fields (Stats.SolveTime, Stats.TotalTime) vary between runs,
 // exactly as they already did sequentially.
 package core
@@ -62,8 +62,7 @@ type killGoal struct {
 type goalBudget struct {
 	ctx context.Context
 	// nodeLimit, when positive, bounds solver search nodes per solve
-	// call of this attempt (tightened by Options.SolverNodeLimit when
-	// that is lower).
+	// call of this attempt (0 = the solver's default).
 	nodeLimit int64
 	// unfold, when non-nil, overrides Options.Unfold for this attempt
 	// (the quantified-mode fallback flips to unfolded solving).
@@ -103,9 +102,8 @@ type goalAttempt struct {
 }
 
 // goalAttempts builds the retry ladder from the generator options. With
-// no per-goal node budget there is a single attempt under the plain
-// options (a budget-exhausted solve is then recorded, not retried: the
-// caller chose the per-call budget deliberately, e.g. randql's soak).
+// no per-goal node budget there is a single attempt under the solver's
+// default node limit.
 func (g *Generator) goalAttempts() []goalAttempt {
 	l := g.opts.GoalNodeLimit
 	if l <= 0 {

@@ -22,21 +22,14 @@ func badOption(field string, format string, args ...any) error {
 
 // Validate checks an Options value for nonsensical settings. Zero
 // values are always valid (they select the documented defaults:
-// Parallelism 0 = all CPUs, SolverNodeLimit 0 = solver default,
-// budgets 0 = unlimited, FreshValues 0 = 8, MaxDomainSize 0 =
-// uncapped); negatives — which the pre-validation code silently
-// coerced into one of those defaults, hiding caller bugs — are
-// rejected with a typed ErrBadOptions. Generate and GenerateContext
-// call Validate before doing any work.
+// Parallelism 0 = all CPUs, budgets 0 = unlimited, FreshValues 0 = 8,
+// MaxDomainSize 0 = uncapped); negatives — which the pre-validation
+// code silently coerced into one of those defaults, hiding caller bugs
+// — are rejected with a typed ErrBadOptions. Generate and
+// GenerateContext call Validate before doing any work.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return badOption("Parallelism", "negative worker count %d (0 selects all CPUs)", o.Parallelism)
-	}
-	if o.SolverNodeLimit < 0 {
-		return badOption("SolverNodeLimit", "negative node limit %d (0 selects the solver default)", o.SolverNodeLimit)
-	}
-	if o.SolverTimeout < 0 {
-		return badOption("SolverTimeout", "negative timeout %v (0 means unlimited)", o.SolverTimeout)
 	}
 	if o.GoalTimeout < 0 {
 		return badOption("GoalTimeout", "negative timeout %v (0 means unlimited)", o.GoalTimeout)

@@ -22,8 +22,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"Parallelism", func(o *Options) { o.Parallelism = -1 }},
-		{"SolverNodeLimit", func(o *Options) { o.SolverNodeLimit = -10 }},
-		{"SolverTimeout", func(o *Options) { o.SolverTimeout = -time.Second }},
 		{"GoalTimeout", func(o *Options) { o.GoalTimeout = -time.Millisecond }},
 		{"GoalNodeLimit", func(o *Options) { o.GoalNodeLimit = -1 }},
 		{"FreshValues", func(o *Options) { o.FreshValues = -3 }},
@@ -51,7 +49,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 	ok.Parallelism = 4
 	ok.GoalTimeout = time.Second
 	ok.GoalNodeLimit = 1000
-	ok.SolverNodeLimit = 1 << 20
 	ok.MaxDomainSize = 100
 	ok.InputDB = schema.NewDataset("db")
 	ok.ForceInputTuples = true

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -820,44 +818,30 @@ func (p *problem) notExistsPred(pr *qtree.Pred, op sqltypes.CmpOp, occ string, s
 	return nil
 }
 
-// solve invokes the constraint solver with the generator's options,
-// tightened by the goal budget: the budget's node limit applies when it
-// is stricter than (or stands in for) Options.SolverNodeLimit, the
-// budget's unfold override replaces Options.Unfold (the quantified-mode
-// fallback attempt), and the budget's context provides cooperative
-// cancellation. Options.SolverTimeout is a child of that context; its
-// expiry while the goal is live is a budget, reported as ErrLimit so
-// the retry ladder escalates past it. label travels to the solver for
+// solve invokes the constraint solver with the generator's options and
+// the goal budget: the budget's node limit bounds the search (0 = the
+// solver's default), the budget's unfold override replaces
+// Options.Unfold (the quantified-mode fallback attempt), and the
+// budget's context — the goal deadline under the caller's context —
+// provides cooperative cancellation. label travels to the solver for
 // fault injection and diagnostics.
 func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 	opts := solver.Options{
 		Unfold:    p.g.opts.Unfold,
-		NodeLimit: p.g.opts.SolverNodeLimit,
+		NodeLimit: gb.nodeLimit,
 		Label:     label,
 		Cache:     p.g.comp,
 	}
-	if gb.nodeLimit > 0 && (opts.NodeLimit <= 0 || gb.nodeLimit < opts.NodeLimit) {
-		opts.NodeLimit = gb.nodeLimit
-	}
 	if gb.unfold != nil {
 		opts.Unfold = *gb.unfold
-	}
-	ctx := gb.ctx
-	if t := p.g.opts.SolverTimeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
 	}
 	// Check an arena out around the call: the solve runs entirely on
 	// this goroutine (cancellation is cooperative), so the arena is free
 	// for the next checkout as soon as SolveContext returns.
 	ar := p.g.getArena()
 	opts.Arena = ar
-	m, err := p.s.SolveContext(ctx, opts)
+	m, err := p.s.SolveContext(gb.ctx, opts)
 	p.g.putArena(ar)
-	if errors.Is(err, solver.ErrCanceled) && ctx.Err() != nil && gb.ctx.Err() == nil {
-		err = solver.ErrLimit
-	}
 	return m, err
 }
 

@@ -37,8 +37,10 @@ import (
 // BundleVersion is bumped whenever the bundle.json shape changes.
 // Version 2 stored the options as core.Options' own JSON encoding
 // (durations in nanoseconds); version 3 is that encoding without the
-// deleted no_joint_nullify field. Other versions are refused.
-const BundleVersion = 3
+// deleted no_joint_nullify field; version 4 is version 3 without the
+// deleted per-call solver budgets (solver_node_limit, solver_timeout).
+// Other versions are refused.
+const BundleVersion = 4
 
 // BundleEvent is the failure evidence a capture site supplies: either a
 // goal abandonment (core.Failure) or a handler panic.

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,11 +234,21 @@ func TestReadBundleRejectsDamage(t *testing.T) {
 	if _, err := ReadBundle(filepath.Join(dir, "no-such-bundle")); err == nil {
 		t.Fatal("missing bundle accepted")
 	}
-	// A bundle of the previous shape is refused, not misread.
-	if err := os.WriteFile(filepath.Join(path, "bundle.json"), []byte(`{"version":1,"kind":"goal","options":{"goal_timeout_ms":1}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBundle(path); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
-		t.Fatalf("version-1 bundle: err = %v, want the version error", err)
+	// Bundles of older shapes are refused, not misread: version 1, and
+	// version 3, whose options still carried the per-call solver budgets.
+	for _, old := range []struct {
+		version int
+		body    string
+	}{
+		{1, `{"version":1,"kind":"goal","options":{"goal_timeout_ms":1}}`},
+		{3, `{"version":3,"kind":"goal","options":{"unfold":true,"solver_node_limit":0,"solver_timeout":0}}`},
+	} {
+		if err := os.WriteFile(filepath.Join(path, "bundle.json"), []byte(old.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d not supported", old.version)
+		if _, err := ReadBundle(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d bundle: err = %v, want the version error", old.version, err)
+		}
 	}
 }

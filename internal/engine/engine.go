@@ -938,12 +938,12 @@ func (s predSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 // RunOptions configures one plan run.
 type RunOptions struct {
 	// Cache shares node batches, whole results and verdicts across
-	// plans of one mutant family on one dataset. Nil disables sharing. A cache must
-	// be confined to one goroutine at a time: callers that parallelize
-	// partition their work per dataset.
+	// plans of one mutant family on one dataset. Nil disables sharing.
+	// A cache must be confined to one goroutine at a time.
 	Cache *SharedCache
-	// Stats receives execution counters; nil counts nothing.
-	Stats *ExecStats
+	// Stats receives the run's execution counters, added once when the
+	// run ends; nil counts nothing.
+	Stats *ExecCounts
 }
 
 // Run executes the plan against a dataset without cross-plan sharing.
@@ -1029,10 +1029,9 @@ func (p *Plan) DiffersFrom(ds *schema.Dataset, want *Result, opt RunOptions) (bo
 	return differs, nil
 }
 
-// root counts the run, binds the cache to the plan's family and returns
-// the plan's root batch.
+// root binds the cache to the plan's family and returns the plan's root
+// batch.
 func (env *execEnv) root(cp *compiledPlan) *batch {
-	env.stats.addCompiledRun()
 	if env.cache != nil {
 		env.cache.bind(cp.fam)
 	}

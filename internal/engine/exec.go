@@ -1,84 +1,37 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/schema"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 )
 
-// ExecStats counts what the executor did. All fields are atomic so one
-// stats block can keep totals across concurrent requests (the daemon's
-// /statsz engine counters); the nil *ExecStats is valid everywhere and
-// counts nothing.
-type ExecStats struct {
-	CompiledRuns     atomic.Int64 // plan executions
-	CompiledBatches  atomic.Int64 // batches actually built (cache hits excluded)
-	SmallJoins       atomic.Int64 // join nodes with equi-pairs
-	NestedLoopJoins  atomic.Int64 // join nodes without equi-pairs
-	FamilyPrefixHits atomic.Int64 // node batches served from a SharedCache
-	ResultMemoHits   atomic.Int64 // whole results or verdicts served from a SharedCache
-}
-
-func (s *ExecStats) addCompiledRun() {
-	if s != nil {
-		s.CompiledRuns.Add(1)
-	}
-}
-
-// ExecCounts is a plain snapshot of ExecStats, for reports and JSON.
+// ExecCounts counts what the executor did. Each run adds into
+// RunOptions.Stats once, when it ends (see execEnv.flush), so one value
+// totals an evaluation on its goroutine; the daemon folds evaluations
+// into its /statsz total with Add under its own lock.
 type ExecCounts struct {
-	CompiledRuns int64 `json:"compiled_runs"`
+	CompiledRuns int64 `json:"compiled_runs"` // plan executions
 	// InterpretedRuns is always zero: the row interpreter it counted is
 	// gone.
 	//
 	// Deprecated: kept only because the perfbench module sums it, and
 	// that module changes only together with the benchmark.
 	InterpretedRuns int64 `json:"interpreted_runs"`
-	CompiledBatches int64 `json:"compiled_batches"`
+	CompiledBatches int64 `json:"compiled_batches"` // batches actually built (cache hits excluded)
 	// HashJoins is always zero: every equi-join runs the direct pair
 	// loop and counts in SmallJoins.
 	//
 	// Deprecated: kept only because the perfbench module sums it, and
 	// that module changes only together with the benchmark.
 	HashJoins        int64 `json:"hash_joins"`
-	SmallJoins       int64 `json:"small_joins"`
-	NestedLoopJoins  int64 `json:"nested_loop_joins"`
-	FamilyPrefixHits int64 `json:"family_prefix_hits"`
-	ResultMemoHits   int64 `json:"result_memo_hits"`
+	SmallJoins       int64 `json:"small_joins"`        // join nodes with equi-pairs
+	NestedLoopJoins  int64 `json:"nested_loop_joins"`  // join nodes without equi-pairs
+	FamilyPrefixHits int64 `json:"family_prefix_hits"` // node batches served from a SharedCache
+	ResultMemoHits   int64 `json:"result_memo_hits"`   // whole results or verdicts served from a SharedCache
 }
 
-// Counts snapshots the stats. Safe on nil.
-func (s *ExecStats) Counts() ExecCounts {
-	if s == nil {
-		return ExecCounts{}
-	}
-	return ExecCounts{
-		CompiledRuns:     s.CompiledRuns.Load(),
-		CompiledBatches:  s.CompiledBatches.Load(),
-		SmallJoins:       s.SmallJoins.Load(),
-		NestedLoopJoins:  s.NestedLoopJoins.Load(),
-		FamilyPrefixHits: s.FamilyPrefixHits.Load(),
-		ResultMemoHits:   s.ResultMemoHits.Load(),
-	}
-}
-
-// Add folds a snapshot into the live counters, for totals kept across
-// evaluations (the service's /statsz). Safe on nil.
-func (s *ExecStats) Add(c ExecCounts) {
-	if s == nil {
-		return
-	}
-	s.CompiledRuns.Add(c.CompiledRuns)
-	s.CompiledBatches.Add(c.CompiledBatches)
-	s.SmallJoins.Add(c.SmallJoins)
-	s.NestedLoopJoins.Add(c.NestedLoopJoins)
-	s.FamilyPrefixHits.Add(c.FamilyPrefixHits)
-	s.ResultMemoHits.Add(c.ResultMemoHits)
-}
-
-// Add folds another snapshot into this one, every field included.
+// Add folds another count into this one, every field included.
 func (c *ExecCounts) Add(o ExecCounts) {
 	c.CompiledRuns += o.CompiledRuns
 	c.InterpretedRuns += o.InterpretedRuns
@@ -109,10 +62,10 @@ func (c *ExecCounts) Add(o ExecCounts) {
 //     whole-result memo serves the original's Result (or a recorded
 //     verdict) without projecting or comparing anything.
 //
-// A cache is valid for a single dataset and must be confined to one
-// goroutine at a time; the kill-matrix evaluator partitions its workers
-// by dataset, so each cache has exactly one owner, and so has every
-// batch it hands out.
+// A cache is valid for a single dataset at a time (Reset rewinds it for
+// the next) and must be confined to one goroutine at a time; the
+// kill-matrix evaluator runs one cache on its calling goroutine, so each
+// cache has exactly one owner, and so has every batch it hands out.
 type SharedCache struct {
 	leaves map[string]*batch // base table scans by relation name
 	// subs resolves whole-subtree slots to evaluations. Slots number
@@ -439,12 +392,12 @@ func (sc *SharedCache) nodeFor(c *cnode, env *execEnv, lb, rb *batch) (*nodeVal,
 }
 
 // execEnv carries the per-run execution context.
-// Counters accumulate as plain ints and are folded into the shared
-// atomic stats once per run (see flush), not once per node.
+// Counters accumulate as plain ints and are added into the caller's
+// counts once per run (see flush), not once per node.
 type execEnv struct {
 	ds    *schema.Dataset
 	cache *SharedCache // nil: no cross-plan sharing
-	stats *ExecStats   // nil: no counting
+	stats *ExecCounts  // nil: no counting
 
 	batches     int64
 	smallJoins  int64
@@ -453,27 +406,18 @@ type execEnv struct {
 	resultHits  int64
 }
 
-// flush folds the run's counters into the shared stats block.
+// flush adds the run, and its counters, into the caller's counts.
 func (env *execEnv) flush() {
 	s := env.stats
 	if s == nil {
 		return
 	}
-	if env.batches > 0 {
-		s.CompiledBatches.Add(env.batches)
-	}
-	if env.smallJoins > 0 {
-		s.SmallJoins.Add(env.smallJoins)
-	}
-	if env.nestedLoops > 0 {
-		s.NestedLoopJoins.Add(env.nestedLoops)
-	}
-	if env.prefixHits > 0 {
-		s.FamilyPrefixHits.Add(env.prefixHits)
-	}
-	if env.resultHits > 0 {
-		s.ResultMemoHits.Add(env.resultHits)
-	}
+	s.CompiledRuns++
+	s.CompiledBatches += env.batches
+	s.SmallJoins += env.smallJoins
+	s.NestedLoopJoins += env.nestedLoops
+	s.FamilyPrefixHits += env.prefixHits
+	s.ResultMemoHits += env.resultHits
 }
 
 // runB produces the node's batch, consulting the shared cache when one

@@ -51,7 +51,7 @@ func TestCacheConfluenceResultMemo(t *testing.T) {
 	loj := lojMutant(t, orig)
 
 	sc := NewSharedCache()
-	stats := &ExecStats{}
+	stats := &ExecCounts{}
 	ro := RunOptions{Cache: sc, Stats: stats}
 
 	r1, err := orig.RunOpts(matchedDS(), ro)
@@ -68,7 +68,7 @@ func TestCacheConfluenceResultMemo(t *testing.T) {
 	if !r1.Equal(r2) {
 		t.Errorf("results must be equal")
 	}
-	if c := stats.Counts(); c.ResultMemoHits == 0 {
+	if stats.ResultMemoHits == 0 {
 		t.Errorf("ResultMemoHits = 0, want > 0")
 	}
 }
@@ -252,11 +252,8 @@ func sameRows(a, b *Result) bool {
 }
 
 // TestExecCountsFold fills every ExecCounts field by reflection and
-// requires ExecCounts.Add, and ExecStats.Add then Counts, to carry each
-// one, so a counter missing from one of the hand-written folds fails
-// here. ExecStats has no live counter for the deprecated
-// InterpretedRuns and HashJoins, so its snapshot always reads zero
-// there.
+// requires ExecCounts.Add to carry each one, so a counter missing from
+// the hand-written fold (the daemon's /statsz total) fails here.
 func TestExecCountsFold(t *testing.T) {
 	var in ExecCounts
 	v := reflect.ValueOf(&in).Elem()
@@ -270,14 +267,6 @@ func TestExecCountsFold(t *testing.T) {
 	sum.Add(in)
 	if sum != in {
 		t.Errorf("ExecCounts.Add = %+v, want %+v", sum, in)
-	}
-	want := in
-	want.InterpretedRuns = 0
-	want.HashJoins = 0
-	var s ExecStats
-	s.Add(in)
-	if got := s.Counts(); got != want {
-		t.Errorf("ExecStats.Add then Counts = %+v, want %+v", got, want)
 	}
 }
 
@@ -294,16 +283,16 @@ func TestCachePrefixSharing(t *testing.T) {
 	mut := orig.WithTree(mt)
 
 	sc := NewSharedCache()
-	stats := &ExecStats{}
+	stats := &ExecCounts{}
 	ro := RunOptions{Cache: sc, Stats: stats}
 	if _, err := orig.RunOpts(universityDS(), ro); err != nil {
 		t.Fatal(err)
 	}
-	before := stats.Counts()
+	before := *stats
 	if _, err := mut.RunOpts(universityDS(), ro); err != nil {
 		t.Fatal(err)
 	}
-	after := stats.Counts()
+	after := *stats
 	if hits := after.FamilyPrefixHits - before.FamilyPrefixHits; hits == 0 {
 		t.Errorf("FamilyPrefixHits delta = 0, want > 0 (shared subtrees must be served from cache)")
 	}

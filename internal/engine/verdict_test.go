@@ -114,7 +114,7 @@ func TestDiffersFromMatchesEqual(t *testing.T) {
 
 			// Result path, then verdict path, each through one cache
 			// shared by the family; the counters must agree.
-			resStats, verStats := &ExecStats{}, &ExecStats{}
+			resStats, verStats := &ExecCounts{}, &ExecCounts{}
 			resOpts := RunOptions{Cache: NewSharedCache(), Stats: resStats}
 			verOpts := RunOptions{Cache: NewSharedCache(), Stats: verStats}
 			if _, err := orig.RunOpts(ds, resOpts); err != nil {
@@ -143,11 +143,11 @@ func TestDiffersFromMatchesEqual(t *testing.T) {
 					}
 				}
 			}
-			if rc, vc := resStats.Counts(), verStats.Counts(); rc != vc {
+			if rc, vc := *resStats, *verStats; rc != vc {
 				t.Errorf("%s dataset %d: counters differ:\nRunOpts     %+v\nDiffersFrom %+v", sql, di, rc, vc)
 			}
 			// Every variant again: the memo answers now.
-			memoStats := &ExecStats{}
+			memoStats := &ExecCounts{}
 			for i, v := range vs {
 				got, err := v.DiffersFrom(ds, cached, RunOptions{Cache: verOpts.Cache, Stats: memoStats})
 				if err != nil {
@@ -157,7 +157,7 @@ func TestDiffersFromMatchesEqual(t *testing.T) {
 					t.Fatalf("%s dataset %d variant %d: memoized DiffersFrom %v, want %v", sql, di, i, got, exp[i])
 				}
 			}
-			if hits := memoStats.ResultMemoHits.Load(); tc.memo && hits != int64(len(vs)) {
+			if hits := memoStats.ResultMemoHits; tc.memo && hits != int64(len(vs)) {
 				t.Errorf("%s dataset %d: %d of %d repeated verdicts came from the memo", sql, di, hits, len(vs))
 			}
 			// Against another want, a recorded verdict must not answer.

@@ -13,7 +13,7 @@ import (
 )
 
 // TestEvaluateAllocs locks the allocations of one cold kill-matrix
-// evaluation: EvaluateOpts over a cell's generated suite compiles the
+// evaluation: Evaluate over a cell's generated suite compiles the
 // family afresh, runs every dataset through one SharedCache and carves
 // the Report's and the evaluator's kill rows from one backing array
 // each, not one row per mutant and per unique plan. The
@@ -64,14 +64,14 @@ func TestEvaluateAllocs(t *testing.T) {
 		}
 		datasets := suite.All()
 		got := testing.AllocsPerRun(5, func() {
-			if _, err := EvaluateOpts(q, ms, datasets, EvalOptions{}); err != nil {
+			if _, err := Evaluate(q, ms, datasets); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%s: %d mutants, %d datasets: %.0f allocations per cold evaluation (bound %.0f)",
 			name, len(ms), len(datasets), got, tc.bound)
 		if got > tc.bound {
-			t.Errorf("%s: a cold EvaluateOpts allocates %.0f objects, bound %.0f", name, got, tc.bound)
+			t.Errorf("%s: a cold Evaluate allocates %.0f objects, bound %.0f", name, got, tc.bound)
 		}
 	}
 }

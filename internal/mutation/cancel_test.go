@@ -31,7 +31,7 @@ func TestEvaluateContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := EvaluateContext(ctx, query, ms, []*schema.Dataset{bulkDataset(4)}, EvalOptions{})
+	rep, err := EvaluateContext(ctx, query, ms, []*schema.Dataset{bulkDataset(4)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled evaluate: got %v, want context.Canceled", err)
 	}
@@ -63,7 +63,7 @@ func TestEvaluateContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = EvaluateContext(ctx, query, ms, datasets, EvalOptions{})
+	_, err = EvaluateContext(ctx, query, ms, datasets)
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.Canceled) {

@@ -27,8 +27,11 @@ type Report struct {
 	Exec engine.ExecCounts
 }
 
-// EvalOptions configure kill-matrix evaluation. There is nothing to
-// configure: the kill matrix is evaluated on the calling goroutine.
+// EvalOptions is EvaluateOpts' options. There is nothing to configure:
+// the kill matrix is evaluated on the calling goroutine.
+//
+// Deprecated: kept only because the perfbench module constructs it, and
+// that module changes only together with the benchmark.
 type EvalOptions struct{}
 
 // EvalError reports a query-execution failure during kill-matrix
@@ -53,17 +56,33 @@ func (e *EvalError) Unwrap() error { return e.Err }
 
 // Evaluate runs the original query and every mutant on every dataset.
 // A mutant is killed by a dataset when the two results differ as
-// multisets (the paper's definition). It evaluates on the calling
-// goroutine, as EvaluateOpts and EvaluateContext do.
+// multisets (the paper's definition). The evaluation runs on the
+// calling goroutine, the datasets in order, each through every unique
+// plan:
+//
+//   - the original query's result is computed once per dataset, first,
+//     and every cell of that dataset is decided against it by
+//     engine.Plan.DiffersFrom: a plain projection hashes its rows
+//     straight from its root batch and compares them with the
+//     original's memoized row multiset, so no mutant result is built;
+//   - mutant plans are deduplicated by plan signature before any cell
+//     runs: distinct join orders frequently compile to the same
+//     canonical tree (e.g. the written tree's mutant re-derived from a
+//     reordered equivalent), and each unique plan executes once per
+//     dataset, with the kill bit broadcast to every mutant sharing the
+//     signature.
+//
+// Kill bits are pure functions of (plan, dataset), so the Report is
+// deterministic.
 func Evaluate(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset) (*Report, error) {
-	return EvaluateOpts(q, mutants, datasets, EvalOptions{})
+	return evaluate(context.Background(), q, mutants, datasets)
 }
 
-// EvaluateContext is EvaluateOpts with cooperative cancellation: the
+// EvaluateContext is Evaluate with cooperative cancellation: the
 // context is checked before every (plan, dataset) cell, so a canceled
 // evaluation returns promptly (within one cell execution) with the
 // context's error and no report. It starts no goroutines.
-func EvaluateContext(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
+func EvaluateContext(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset) (*Report, error) {
 	return evaluate(ctx, q, mutants, datasets)
 }
 
@@ -102,23 +121,10 @@ func componentSignature(p *engine.Plan) string {
 	return sb.String()
 }
 
-// EvaluateOpts is Evaluate with explicit options. The evaluation runs
-// the datasets in order, each through every unique plan:
+// EvaluateOpts is Evaluate; the options have no fields.
 //
-//   - the original query's result is computed once per dataset, first,
-//     and every cell of that dataset is decided against it by
-//     engine.Plan.DiffersFrom: a plain projection hashes its rows
-//     straight from its root batch and compares them with the
-//     original's memoized row multiset, so no mutant result is built;
-//   - mutant plans are deduplicated by plan signature before any cell
-//     runs: distinct join orders frequently compile to the same
-//     canonical tree (e.g. the written tree's mutant re-derived from a
-//     reordered equivalent), and each unique plan executes once per
-//     dataset, with the kill bit broadcast to every mutant sharing the
-//     signature.
-//
-// Kill bits are pure functions of (plan, dataset), so the Report is
-// deterministic.
+// Deprecated: kept only because the perfbench module calls it, and that
+// module changes only together with the benchmark.
 func EvaluateOpts(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset, opts EvalOptions) (*Report, error) {
 	return evaluate(context.Background(), q, mutants, datasets)
 }
@@ -126,14 +132,14 @@ func EvaluateOpts(q *qtree.Query, mutants []*Mutant, datasets []*schema.Dataset,
 // evaluator is one kill-matrix evaluation over compiled plans: the
 // original query, the unique mutant plans (with one representative
 // description each, for errors), the datasets, and the unique-plan kill
-// bits. One stats block counts the whole evaluation.
+// bits. One count totals the whole evaluation.
 type evaluator struct {
 	ctx      context.Context
 	orig     *engine.Plan
 	plans    []*engine.Plan
 	planDesc []string
 	datasets []*schema.Dataset
-	stats    *engine.ExecStats
+	stats    engine.ExecCounts
 	killed   [][]bool // killed[ui][di]
 }
 
@@ -175,7 +181,6 @@ func newEvaluator(ctx context.Context, q *qtree.Query, mutants []*Mutant, datase
 		plans:    compiled[1:],
 		planDesc: planDesc,
 		datasets: datasets,
-		stats:    &engine.ExecStats{},
 		killed:   killRows(len(plans), len(datasets)),
 	}
 	return e, planOf, nil
@@ -200,7 +205,7 @@ func killRows(n, m int) [][]bool {
 func (e *evaluator) runDataset(di int, sc *engine.SharedCache) error {
 	sc.Reset()
 	ds := e.datasets[di]
-	ro := engine.RunOptions{Stats: e.stats, Cache: sc}
+	ro := engine.RunOptions{Stats: &e.stats, Cache: sc}
 	if err := e.canceled(); err != nil {
 		return err
 	}
@@ -256,7 +261,7 @@ func evaluate(ctx context.Context, q *qtree.Query, mutants []*Mutant, datasets [
 			return nil, err
 		}
 	}
-	rep.Exec = e.stats.Counts()
+	rep.Exec = e.stats
 
 	// Broadcast unique-plan kill bits to every mutant sharing the plan.
 	for mi := range mutants {

@@ -24,9 +24,6 @@ func TestBaselineMissesMutantsFullPipelineKills(t *testing.T) {
 	cfg.FKProb = 0 // [14] does not handle foreign keys (§IV-B)
 	cfg.CompositeProb = 0
 
-	opts := core.DefaultOptions()
-	opts.SolverNodeLimit = 2_000_000
-
 	missedKinds := map[mutation.Kind]int{}
 	cases := 0
 	for i := int64(0); i < 40 && cases < 8; i++ {
@@ -56,7 +53,7 @@ func TestBaselineMissesMutantsFullPipelineKills(t *testing.T) {
 			t.Fatalf("seed %d: evaluating baseline suite: %v", seed, err)
 		}
 
-		suite, err := core.NewGenerator(c.Query, opts).Generate()
+		suite, err := core.NewGenerator(c.Query, core.DefaultOptions()).Generate()
 		if err != nil {
 			continue // solver budget; the gap count does not depend on any one seed
 		}

@@ -82,9 +82,9 @@ func (c *Case) Repro(ds *schema.Dataset) string {
 func (c *Case) showCommand() string {
 	preset, flags, ok := grammarFlags(c.Cfg)
 	if !ok {
-		return fmt.Sprintf("go run ./cmd/randql -mode show -seed %d (custom grammar: no preset matches)", c.Seed)
+		return fmt.Sprintf("go run ./cmd/randql -seed %d (custom grammar: no preset matches)", c.Seed)
 	}
-	cmd := fmt.Sprintf("go run ./cmd/randql -mode show -seed %d -config %s", c.Seed, preset)
+	cmd := fmt.Sprintf("go run ./cmd/randql -seed %d -config %s", c.Seed, preset)
 	for _, f := range flags {
 		cmd += " -" + f
 	}

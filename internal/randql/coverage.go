@@ -12,17 +12,16 @@ import (
 // actually exercised. The random grammar is probabilistic, so a knob can
 // be enabled yet silently starved — by a bad interaction of
 // probabilities, by the builder rejecting every instance of a rule, or
-// by a regression that stops emitting a form altogether. The soaks
-// (tests and cmd/randql) feed every accepted case through Observe and
-// fail when a rule that its Config enables was never seen, turning
-// "the soak passed" into "the soak passed AND it tested what we think
-// it tests".
+// by a regression that stops emitting a form altogether. The soak
+// tests feed every accepted case through Observe and fail when a rule
+// that their Config enables was never seen, turning "the soak passed"
+// into "the soak passed AND it tested what we think it tests".
 type Coverage struct {
 	counts map[string]int
 }
 
 // Grammar-rule names tracked by Coverage. Kept as constants so the
-// tests, the CLI and Missing agree on spelling.
+// tests and Missing agree on spelling.
 const (
 	RuleSubIn        = "sub_in"
 	RuleSubNotIn     = "sub_not_in"

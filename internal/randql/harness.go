@@ -20,13 +20,10 @@ import (
 // keeps large mutant spaces cheap while still exercising every kind.
 const maxDiffMutants = 12
 
-// GoalTimeout is the per-kill-goal wall-clock budget applied by
-// CheckCompleteness (0 = unlimited; the per-solve node/time budgets
-// still apply). The nightly soak sets it (via the -randql.goal-timeout
-// test flag or the randql CLI's -goal-timeout flag) so one pathological
-// goal bounds a case instead of stalling the whole run; exhausted goals
-// are counted as BudgetExceeded, like per-solve limits.
-var GoalTimeout time.Duration
+// completenessGoalNodes is CheckCompleteness's GoalNodeLimit: the
+// goal ladder's rungs are 125,000, 500,000 and 2,000,000 nodes per
+// solver call.
+const completenessGoalNodes = 125_000
 
 // DiffOne is the differential oracle for one (case, dataset) pair: the
 // query — and a deterministic sample of its mutant plans — is evaluated
@@ -139,8 +136,8 @@ type CompletenessResult struct {
 	Killed   int
 	Skipped  int
 	Datasets int
-	// BudgetExceeded is set when the constraint solver ran out of its
-	// per-case node/time budget before the suite could be generated.
+	// BudgetExceeded is set when some kill goal ran out of its node or
+	// time budget before the suite could be generated.
 	// Random queries occasionally hit pathological solver instances
 	// (e.g. arithmetic join chains over repeated relations); the harness
 	// counts these rather than failing, and the test asserts they stay
@@ -162,18 +159,20 @@ type CompletenessResult struct {
 // non-equivalent mutants are completeness violations; their witnesses
 // are double-checked against refeval so an engine bug cannot
 // masquerade as a solver bug.
-func CheckCompleteness(c *Case, equivSeed int64) (*CompletenessResult, error) {
+//
+// Each kill goal solves on the goal ladder (completenessGoalNodes)
+// within goalTimeout of wall time (0 = unlimited), so one pathological
+// goal bounds its case, which is then reported as BudgetExceeded.
+func CheckCompleteness(c *Case, equivSeed int64, goalTimeout time.Duration) (*CompletenessResult, error) {
 	opts := core.DefaultOptions()
-	opts.SolverNodeLimit = 2_000_000
-	opts.SolverTimeout = 10 * time.Second
-	opts.GoalTimeout = GoalTimeout
+	opts.GoalNodeLimit = completenessGoalNodes
+	opts.GoalTimeout = goalTimeout
 	suite, err := core.NewGenerator(c.Query, opts).Generate()
 	if err != nil {
 		if errors.Is(err, core.ErrPartialSuite) && suite != nil {
-			// Goal or per-solve budgets exhausted (the goal pipeline
-			// abandons a goal on either): a deliberate skip — unless a
-			// goal actually panicked, which is a real bug the soak must
-			// surface.
+			// A goal exhausted its ladder or its deadline: a deliberate
+			// skip — unless a goal actually panicked, which is a real
+			// bug the soak must surface.
 			for _, f := range suite.Incomplete {
 				if f.Reason == core.ReasonPanic {
 					return nil, fmt.Errorf("randql: seed %d: generate: goal panicked: %w\n%s", c.Seed, f.Err, c.Repro(nil))

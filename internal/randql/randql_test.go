@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/qtree"
@@ -20,15 +21,18 @@ var (
 	flagQ    = flag.Int("randql.q", 70, "number of suite-completeness cases")
 	// flagGoalTimeout bounds each kill goal of a completeness case, so one
 	// pathological solver instance bounds that case (counted as
-	// budget-skipped) instead of stalling the whole soak. The nightly job
-	// sets it explicitly; 0 keeps goals unbounded for local runs.
-	flagGoalTimeout = flag.Duration("randql.goal-timeout", 0, "per-kill-goal wall-clock budget for completeness cases (0 = unlimited)")
+	// budget-skipped) instead of stalling the whole soak.
+	flagGoalTimeout = flag.Duration("randql.goal-timeout", defaultGoalTimeout, "per-kill-goal wall-clock budget for completeness cases (0 = unlimited)")
 	// Extended-class weight knobs. Negative keeps the preset's value;
 	// 0 disables the class (and drops it from the coverage requirement).
 	flagSubq   = flag.Float64("randql.subq", -1, "WHERE-subquery probability override (-1 = preset)")
 	flagHaving = flag.Float64("randql.having", -1, "HAVING probability override (-1 = preset)")
 	flagLike   = flag.Float64("randql.like", -1, "LIKE probability override (-1 = preset)")
 )
+
+// defaultGoalTimeout is -randql.goal-timeout's default; a rerun line
+// names the flag only when it differs.
+const defaultGoalTimeout = 10 * time.Second
 
 // harness is how a randql test derives its cases: case i of a run with
 // base seed b (-randql.seed) is NewCase(b + offset + i, cfg), where cfg
@@ -67,7 +71,8 @@ func (h harness) newCase(base int64, i int) (*Case, error) {
 // rerun renders the go test command that makes the case of base seed
 // base, under grammar cfg, the harness's first case: the test's -run,
 // the base seed, a case count of one, every grammar flag that differs
-// from the preset and, for the completeness test, the goal timeout.
+// from the preset and, for the completeness test, a goal timeout other
+// than the default.
 func (h harness) rerun(base int64, cfg Config) string {
 	cmd := fmt.Sprintf("go test ./internal/randql -run '^%s$' -randql.seed=%d", h.test, base)
 	if h.count != "" {
@@ -78,7 +83,7 @@ func (h harness) rerun(base int64, cfg Config) string {
 			cmd += " -randql." + f
 		}
 	}
-	if h.test == completenessHarness.test && *flagGoalTimeout > 0 {
+	if h.test == completenessHarness.test && *flagGoalTimeout != defaultGoalTimeout {
 		cmd += " -randql.goal-timeout=" + flagGoalTimeout.String()
 	}
 	return cmd
@@ -181,9 +186,6 @@ func TestSuiteCompleteness(t *testing.T) {
 		t.Skip("completeness property is slow; skipped with -short")
 	}
 	cfg := applyFlags(CompletenessConfig())
-	prev := GoalTimeout
-	GoalTimeout = *flagGoalTimeout
-	defer func() { GoalTimeout = prev }()
 	totalMutants, totalKilled, totalSuspected, budgetExceeded := 0, 0, 0, 0
 	cov := NewCoverage()
 	for i := 0; i < *flagQ; i++ {
@@ -193,7 +195,7 @@ func TestSuiteCompleteness(t *testing.T) {
 		}
 		seed := c.Seed
 		cov.Observe(c.Query, c.SQL)
-		res, err := CheckCompleteness(c, seed*31+7)
+		res, err := CheckCompleteness(c, seed*31+7, *flagGoalTimeout)
 		if err != nil {
 			saveFailure(t, seed, c.Repro(nil))
 			t.Fatalf("completeness check failed: %v", err)

@@ -22,9 +22,7 @@ type RequestOptions struct {
 	// Config.MaxGoalTimeout.
 	GoalTimeoutMS int64 `json:"goal_timeout_ms,omitempty"`
 	// GoalNodeLimit bounds each kill goal's solver nodes (with the
-	// escalating-retry ladder); clamped onto Config.MaxGoalNodes. It is
-	// the daemon's only node budget: a per-call ceiling would clip the
-	// ladder's upper rungs.
+	// escalating-retry ladder); clamped onto Config.MaxGoalNodes.
 	GoalNodeLimit int64 `json:"goal_node_limit,omitempty"`
 	// Parallelism is the per-request worker count; clamped onto
 	// Config.MaxParallelism.

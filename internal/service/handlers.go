@@ -502,11 +502,11 @@ func (s *Server) killMatrix(ctx context.Context, q *qtree.Query, suite *core.Sui
 	if err != nil {
 		return AnalyzeResponse{}, fmt.Errorf("mutation space: %w", err)
 	}
-	report, err := mutation.EvaluateContext(ctx, q, mutants, suite.All(), mutation.EvalOptions{})
+	report, err := mutation.EvaluateContext(ctx, q, mutants, suite.All())
 	if err != nil {
 		return AnalyzeResponse{}, fmt.Errorf("kill matrix: %w", err)
 	}
-	s.ctr.engine.Add(report.Exec)
+	s.ctr.addEngine(report.Exec)
 	a := AnalyzeResponse{Mutants: len(mutants), Killed: report.KilledCount()}
 	for _, mi := range report.Survivors() {
 		a.Survivors = append(a.Survivors, mutants[mi].Desc)

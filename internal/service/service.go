@@ -252,14 +252,30 @@ func (d *DurableStatus) UnmarshalJSON(p []byte) error {
 	return nil
 }
 
-// counters is the live atomic backing for Counters.
+// counters is the live backing for Counters.
 type counters struct {
 	received, admitted, shed, rejected atomic.Int64
 	completed, partial, failed         atomic.Int64
 	panics, budgetExpired, disconnects atomic.Int64
 	drained, inFlight, degraded        atomic.Int64
 	bundles, bundleErrs                atomic.Int64
-	engine                             engine.ExecStats
+
+	engineMu sync.Mutex
+	engine   engine.ExecCounts // every kill-matrix evaluation's counts, under engineMu
+}
+
+// addEngine folds one evaluation's engine counts into the total.
+func (c *counters) addEngine(e engine.ExecCounts) {
+	c.engineMu.Lock()
+	c.engine.Add(e)
+	c.engineMu.Unlock()
+}
+
+// engineTotal returns the engine counts of every evaluation so far.
+func (c *counters) engineTotal() engine.ExecCounts {
+	c.engineMu.Lock()
+	defer c.engineMu.Unlock()
+	return c.engine
 }
 
 // Server is the xdatad HTTP service. Create with New, mount via
@@ -399,7 +415,7 @@ func (s *Server) Counters() Counters {
 		Drained:           s.ctr.drained.Load(),
 		Draining:          s.draining.Load(),
 		InFlight:          s.ctr.inFlight.Load(),
-		Engine:            s.ctr.engine.Counts(),
+		Engine:            s.ctr.engineTotal(),
 		DegradedServes:    s.ctr.degraded.Load(),
 		BundlesWritten:    s.ctr.bundles.Load(),
 		BundleErrors:      s.ctr.bundleErrs.Load(),

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,9 +283,7 @@ func TestAdversarialNoSolverBudget(t *testing.T) {
 
 // TestClamp: client budgets are clamped onto the ceilings — absent
 // selects the ceiling, over-ask is pulled down, modest asks pass, and
-// negatives flow through for Validate to reject. The clamped options
-// carry no per-call node ceiling, so the goal ladder's 1x/4x/16x rungs
-// are the daemon's whole node budget.
+// negatives flow through for Validate to reject.
 func TestClamp(t *testing.T) {
 	s := New(Config{
 		MaxTimeout:     10 * time.Second,
@@ -296,9 +295,6 @@ func TestClamp(t *testing.T) {
 	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second ||
 		opts.GoalNodeLimit != 1000 || opts.Parallelism != 3 {
 		t.Fatalf("zero request must select ceilings: budget=%v opts=%+v", budget, opts)
-	}
-	if opts.SolverNodeLimit != 0 || opts.SolverTimeout != 0 {
-		t.Fatalf("per-call budgets %d nodes / %v would clip the goal ladder; want none", opts.SolverNodeLimit, opts.SolverTimeout)
 	}
 	if opts.MaxDomainSize != limits.DefaultMaxDomainSize {
 		t.Fatalf("domain ceiling %d, want server default %d", opts.MaxDomainSize, limits.DefaultMaxDomainSize)
@@ -425,15 +421,35 @@ func TestStatszEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatszEngineCounters: after one /v1/analyze, /statsz's engine
-// counters equal the library Report.Exec of the same analysis, field
-// for field, so a counter the service's fold drops fails here.
+// TestStatszEngineCounters: after concurrent /v1/analyze requests,
+// /statsz's engine counters equal the library Report.Exec of the same
+// analysis folded once per request, field for field, so a counter the
+// service's fold drops fails here, and a fold that races fails under
+// -race.
 func TestStatszEngineCounters(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	status, _ := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{GenerateRequest: GenerateRequest{DDL: testDDL, Query: testSQL}}, nil)
-	if status != http.StatusOK {
-		t.Fatalf("analyze status %d, want 200", status)
+	const clients = 4
+	s, ts := newTestServer(t, Config{MaxConcurrent: clients})
+	raw, err := json.Marshal(AnalyzeRequest{GenerateRequest: GenerateRequest{DDL: testDDL, Query: testSQL}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Errorf("POST /v1/analyze: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("analyze status %d, want 200", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -457,8 +473,12 @@ func TestStatszEngineCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Engine != rep.Exec {
-		t.Errorf("/statsz engine = %+v, want the library Report.Exec %+v", c.Engine, rep.Exec)
+	want := rep.Exec
+	for i := 1; i < clients; i++ {
+		want.Add(rep.Exec)
+	}
+	if c.Engine != want {
+		t.Errorf("/statsz engine = %+v, want the library Report.Exec %+v folded %d times", c.Engine, rep.Exec, clients)
 	}
 	if rep.Exec.SmallJoins == 0 || rep.Exec.ResultMemoHits == 0 {
 		t.Errorf("library Report.Exec = %+v: the analysis must exercise small joins and the result memo", rep.Exec)

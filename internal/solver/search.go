@@ -1,9 +1,6 @@
 package solver
 
 import (
-	"errors"
-	"math/rand"
-
 	"repro/internal/sqltypes"
 )
 
@@ -464,11 +461,11 @@ func (t *trail) undo(st *state, mark int) {
 
 // uprob is a preprocessed unfolded problem: the output of flattening,
 // equality preprocessing, compilation and watch-list construction,
-// built once per solve and read by every restart attempt (each attempt
-// copies the domain table and owns its trail).
+// built once per solve and then searched (the search copies the domain
+// table and owns its trail).
 type uprob struct {
 	// root[v] is v's union-find representative, frozen at prep time so
-	// attempts resolve non-representatives with a table lookup.
+	// the search resolves non-representatives with a table lookup.
 	root    []VarID
 	domains [][]int64
 	clauses []clause
@@ -597,30 +594,19 @@ func (s *Solver) prepUnfolded() (*uprob, error) {
 	}, nil
 }
 
-// attemptUnfolded runs one restart attempt over the preprocessed
-// problem: copy the domain table, shuffle representative value orders
-// with the given rng (nil = preference order), run the initial
-// conflict pre-pass and the DFS. Returns the SAT model, the node
+// attemptUnfolded runs the search over the preprocessed problem: copy
+// the domain table, run the initial conflict pre-pass and the DFS in
+// the caller's preference order. Returns the SAT model, the node
 // count, and nil / ErrUnsat (exhausted) / ErrLimit / ErrCanceled.
-func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64, done <-chan struct{}) (Model, int64, error) {
-	cur := p.domains
-	if rng != nil {
-		cur = make([][]int64, len(p.domains))
-		copy(cur, p.domains)
-		for _, v := range p.reps {
-			d := append([]int64(nil), cur[v]...)
-			rng.Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
-			cur[v] = d
-		}
-	}
+func (s *Solver) attemptUnfolded(p *uprob, budget int64, done <-chan struct{}) (Model, int64, error) {
 	st := &state{
-		domains:  make([][]int64, len(cur)),
-		assigned: make([]bool, len(cur)),
-		value:    make([]int64, len(cur)),
+		domains:  make([][]int64, len(p.domains)),
+		assigned: make([]bool, len(p.domains)),
+		value:    make([]int64, len(p.domains)),
 		limit:    budget,
 		done:     done,
 	}
-	copy(st.domains, cur)
+	copy(st.domains, p.domains)
 	for _, v := range p.nonReps {
 		st.assigned[v] = true // placeholder; filled from root later
 	}
@@ -648,59 +634,20 @@ func (s *Solver) attemptUnfolded(p *uprob, rng *rand.Rand, budget int64, done <-
 }
 
 // solveUnfolded is the list kernel, quantified mode's ground solver:
-// prepUnfolded runs the front end once, then attemptUnfolded runs each
-// rung of the restart ladder over it.
+// prepUnfolded runs the front end once, then attemptUnfolded searches
+// it under the whole node limit. The DFS checks done every ~1024
+// nodes.
 func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64) (Model, error) {
 	p, err := s.prepUnfolded()
 	if err != nil {
 		return nil, err
 	}
-
-	// Randomized restarts with doubling budgets: chronological
-	// backtracking can thrash on combinatorial instances; restarting
-	// with a shuffled value order escapes bad prefixes while keeping
-	// completeness (the per-restart budget doubles, so the search is
-	// eventually exhaustive). The first attempt keeps the caller's
-	// preference order so easy instances yield intuitive datasets.
-	restartBudget := int64(4096)
-	var usedNodes int64
-	// The rng only feeds restart shuffles, and the overwhelming majority
-	// of solves succeed on attempt 0 — seeding it eagerly showed up as
-	// ~13% of generation CPU in profiles, so it is created lazily. The
-	// stream is shared across attempts (attempt N+1's shuffles continue
-	// where N's stopped).
-	var rng *rand.Rand
-	for attempt := 0; ; attempt++ {
-		// Cooperative cancellation between restarts (the DFS itself
-		// checks st.done every ~1024 nodes).
-		if canceled(done) {
-			return nil, ErrCanceled
-		}
-		var shuffle *rand.Rand
-		if attempt > 0 {
-			if rng == nil {
-				rng = rand.New(rand.NewSource(0x9e3779b9))
-			}
-			shuffle = rng
-		}
-		budget := restartBudget
-		if usedNodes+restartBudget > limit {
-			budget = limit - usedNodes
-		}
-		m, nodes, err := s.attemptUnfolded(p, shuffle, budget, done)
-		usedNodes += nodes
-		s.last.Nodes += nodes
-		switch {
-		case err == nil:
-			return m, nil
-		case errors.Is(err, ErrUnsat):
-			return nil, ErrUnsat
-		case errors.Is(err, ErrLimit) && usedNodes < limit:
-			restartBudget *= 2 // restart with shuffled value order
-		default:
-			return nil, err
-		}
+	if canceled(done) {
+		return nil, ErrCanceled
 	}
+	m, nodes, err := s.attemptUnfolded(p, limit, done)
+	s.last.Nodes += nodes
+	return m, err
 }
 
 // varUF is a union-find over variables.

@@ -279,9 +279,10 @@ const defaultNodeLimit = 50_000_000
 // X-Data terms) from resource exhaustion and cooperative cancellation.
 var (
 	ErrUnsat = errors.New("solver: unsatisfiable")
-	// ErrLimit reports an exhausted node limit. Callers that run a
-	// solve under a per-call timeout report its expiry with it too
-	// (core does), hence the message.
+	// ErrLimit reports an exhausted node limit. The solver reads no
+	// clock, so only a node limit raises it; the message still says
+	// "or time" because core.Failure.Err records it verbatim and the
+	// pinned generation digests hash that text.
 	ErrLimit = errors.New("solver: node or time limit exceeded")
 	// ErrCanceled reports that the solve observed context cancellation
 	// (cooperatively, inside the search loop) and stopped early. The

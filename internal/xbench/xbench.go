@@ -104,7 +104,7 @@ func runCell(ctx context.Context, bq university.BenchQuery, fk int, opts Options
 		if err != nil {
 			return row, fmt.Errorf("%s: %w", bq.Name, err)
 		}
-		rep, err := mutation.EvaluateContext(ctx, q, ms, suite.All(), mutation.EvalOptions{})
+		rep, err := mutation.EvaluateContext(ctx, q, ms, suite.All())
 		if err != nil {
 			return row, fmt.Errorf("%s: %w", bq.Name, err)
 		}
@@ -283,12 +283,12 @@ func RunBaseline(ctx context.Context, opts Options) ([]BaselineRow, error) {
 				return rows, err
 			}
 			row.MutantsTotal = len(ms)
-			blRep, err := mutation.EvaluateContext(ctx, q, ms, bl, mutation.EvalOptions{})
+			blRep, err := mutation.EvaluateContext(ctx, q, ms, bl)
 			if err != nil {
 				return rows, err
 			}
 			row.BaselineKilled = blRep.KilledCount()
-			xRep, err := mutation.EvaluateContext(ctx, q, ms, suite.All(), mutation.EvalOptions{})
+			xRep, err := mutation.EvaluateContext(ctx, q, ms, suite.All())
 			if err != nil {
 				return rows, err
 			}

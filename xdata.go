@@ -72,8 +72,6 @@ type (
 	Mutant = mutation.Mutant
 	// MutationOptions configure the mutant space.
 	MutationOptions = mutation.Options
-	// EvalOptions configure kill-matrix evaluation (it has no fields).
-	EvalOptions = mutation.EvalOptions
 	// Report is the kill matrix of a mutant space against a suite.
 	Report = mutation.Report
 	// Result is a query result (a bag of rows).
@@ -170,17 +168,17 @@ func Mutants(q *Query, opts MutationOptions) ([]*Mutant, error) {
 // which mutants of the space. Evaluation runs on the calling goroutine;
 // use AnalyzeContext for cancellation.
 func Analyze(q *Query, suite *Suite, opts MutationOptions) (*Report, error) {
-	return AnalyzeContext(context.Background(), q, suite, opts, EvalOptions{})
+	return AnalyzeContext(context.Background(), q, suite, opts)
 }
 
 // AnalyzeContext is Analyze with cooperative cancellation: a canceled
 // context aborts the evaluation promptly with the context's error.
-func AnalyzeContext(ctx context.Context, q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) (*Report, error) {
+func AnalyzeContext(ctx context.Context, q *Query, suite *Suite, opts MutationOptions) (*Report, error) {
 	ms, err := mutation.Space(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	return mutation.EvaluateContext(ctx, q, ms, suite.All(), eopts)
+	return mutation.EvaluateContext(ctx, q, ms, suite.All())
 }
 
 // Execute runs the original query against a dataset using the built-in
@@ -211,12 +209,7 @@ func ParseInserts(sch *Schema, sql string) (*Dataset, error) {
 // mutants (the dataset-minimization direction the paper lists as future
 // work in §VII). The original-query dataset is always retained.
 func Minimize(q *Query, suite *Suite, opts MutationOptions) ([]*Dataset, error) {
-	return MinimizeOpts(q, suite, opts, EvalOptions{})
-}
-
-// MinimizeOpts is Minimize with explicit kill-matrix evaluation options.
-func MinimizeOpts(q *Query, suite *Suite, opts MutationOptions, eopts EvalOptions) ([]*Dataset, error) {
-	rep, err := AnalyzeContext(context.Background(), q, suite, opts, eopts)
+	rep, err := Analyze(q, suite, opts)
 	if err != nil {
 		return nil, err
 	}
