@@ -13,10 +13,10 @@
 // Phase 2 is budgeted, cancellable and fault-isolated (see
 // Generator.GenerateContext): each goal runs under a per-goal context
 // (Options.GoalTimeout), with an escalating node-limit retry ladder
-// (Options.GoalNodeLimit: 1x, 4x, 16x, plus an unfolded-mode fallback
-// when Unfold is off) and a per-worker recover() that converts panics
-// into *GoalError values. Abandoned goals become Suite.Incomplete
-// entries instead of failing the run.
+// (Options.GoalNodeLimit: 1x, 4x, 16x, in either solve mode) and a
+// per-worker recover() that converts panics into *GoalError values.
+// Abandoned goals become Suite.Incomplete entries instead of failing
+// the run.
 //
 // Determinism contract: each goal writes into its own private Suite;
 // results are merged in goal-enumeration order after all workers finish.
@@ -56,17 +56,14 @@ type killGoal struct {
 }
 
 // goalBudget threads one attempt's runtime budget — the cancellation
-// context plus the attempt's solver node limit and unfold override —
-// from the worker pool down to problem.solve, without mutating the
-// shared Generator options (goals solve concurrently).
+// context plus the attempt's solver node limit — from the worker pool
+// down to problem.solve, without mutating the shared Generator options
+// (goals solve concurrently).
 type goalBudget struct {
 	ctx context.Context
 	// nodeLimit, when positive, bounds solver search nodes per solve
 	// call of this attempt (0 = the solver's default).
 	nodeLimit int64
-	// unfold, when non-nil, overrides Options.Unfold for this attempt
-	// (the quantified-mode fallback flips to unfolded solving).
-	unfold *bool
 }
 
 // enumerateGoals collects the full kill-goal list in the canonical
@@ -95,29 +92,16 @@ func (g *Generator) enumerateGoals() []killGoal {
 	return goals
 }
 
-// goalAttempt is one rung of the escalating-retry ladder.
-type goalAttempt struct {
-	nodeLimit int64
-	unfold    *bool
-}
-
-// goalAttempts builds the retry ladder from the generator options. With
-// no per-goal node budget there is a single attempt under the solver's
-// default node limit.
-func (g *Generator) goalAttempts() []goalAttempt {
+// goalAttempts builds the retry ladder from the generator options: the
+// node limit of each rung, 1x, 4x and 16x the per-goal node budget, all
+// in the generator's solve mode. With no per-goal node budget there is a
+// single attempt under the solver's default node limit (0).
+func (g *Generator) goalAttempts() []int64 {
 	l := g.opts.GoalNodeLimit
 	if l <= 0 {
-		return []goalAttempt{{}}
+		return []int64{0}
 	}
-	ladder := []goalAttempt{{nodeLimit: l}, {nodeLimit: 4 * l}, {nodeLimit: 16 * l}}
-	if !g.opts.Unfold {
-		// Fallback strategy: the paper's own ablation (§VI-B) shows
-		// unfolding is dramatically cheaper, so a quantified-mode goal
-		// that exhausts the ladder gets one last unfolded attempt.
-		t := true
-		ladder = append(ladder, goalAttempt{nodeLimit: 16 * l, unfold: &t})
-	}
-	return ladder
+	return []int64{l, 4 * l, 16 * l}
 }
 
 // runGoal executes one kill goal under the robustness envelope:
@@ -137,10 +121,10 @@ func (g *Generator) runGoal(ctx context.Context, goal killGoal) (*Suite, error) 
 	var acc Stats // stats of failed attempts, folded into the result
 	var lastErr error
 	made := 0
-	for ai, at := range attempts {
+	for ai, nodeLimit := range attempts {
 		made = ai + 1
 		sub := &Suite{}
-		err := g.runGoalAttempt(gctx, at, goal, sub)
+		err := g.runGoalAttempt(gctx, nodeLimit, goal, sub)
 		if err == nil {
 			sub.Stats = addStats(acc, sub.Stats)
 			// Absolute, not +=: acc already carries the running count from
@@ -207,7 +191,7 @@ func (g *Generator) abandonGoal(goal killGoal, reason string, attempts int, star
 // panic anywhere in constraint generation, solving or extraction is
 // recovered into a *GoalError carrying the goal's purpose and the
 // panicking stack.
-func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal killGoal, sub *Suite) (err error) {
+func (g *Generator) runGoalAttempt(ctx context.Context, nodeLimit int64, goal killGoal, sub *Suite) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &GoalError{Purpose: goal.purpose(), Value: r, Stack: debug.Stack()}
@@ -216,7 +200,7 @@ func (g *Generator) runGoalAttempt(ctx context.Context, at goalAttempt, goal kil
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("%w: %w", solver.ErrCanceled, cerr)
 	}
-	gb := &goalBudget{ctx: ctx, nodeLimit: at.nodeLimit, unfold: at.unfold}
+	gb := &goalBudget{ctx: ctx, nodeLimit: nodeLimit}
 	return goal.run(g, gb, sub)
 }
 

@@ -475,10 +475,11 @@ func (p *problem) assertHavingShared(h qtree.HavingCond, n int) error {
 // assertHavingFree asserts one HAVING conjunct over a group of n tuple
 // sets without forcing the aggregated attribute equal across sets, exact
 // per tuple set. COUNT values are n (or 1/n for DISTINCT, whichever
-// satisfies, through pairwise equal or distinct aggregated values); SUM
-// is the linear sum; MIN/MAX decompose into per-element bounds plus an
-// attained witness; AVG uses truncation-safe scaled sums. DISTINCT
-// SUM/AVG have no linear form and fail the goal.
+// satisfies, through pairwise equal or distinct aggregated values, and
+// 2 of 3 when neither does); SUM is the linear sum; MIN/MAX decompose
+// into per-element bounds plus an attained witness; AVG uses
+// truncation-safe scaled sums. DISTINCT SUM/AVG have no linear form and
+// fail the goal.
 func (p *problem) assertHavingFree(h qtree.HavingCond, n int) error {
 	rhs, ok := p.g.encodeValue(h.Rhs)
 	if !ok {
@@ -492,6 +493,8 @@ func (p *problem) assertHavingFree(h qtree.HavingCond, n int) error {
 				return p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpNE)
 			case h.Op.HoldsSign(signOfInt(1 - rhs)):
 				return p.assertArgPairwise(h.Call.Arg, n, sqltypes.OpEQ)
+			case n == 3 && h.Op.HoldsSign(signOfInt(2-rhs)):
+				return p.assertTwoDistinctOfThree(h.Call.Arg)
 			}
 			p.s.Assert(conFalse())
 			return nil
@@ -576,6 +579,25 @@ func (p *problem) assertHavingFree(h qtree.HavingCond, n int) error {
 		// Unknown aggregate: no sound free-form encoding.
 		p.s.Assert(conFalse())
 	}
+	return nil
+}
+
+// assertTwoDistinctOfThree asserts that the aggregated attribute takes
+// exactly two distinct values over tuple sets 0-2: one pair is equal and
+// the third value differs. Algorithm 4's S1 and S2 build such a group.
+func (p *problem) assertTwoDistinctOfThree(arg qtree.AttrRef) error {
+	var v [3]solver.Lin
+	for set := range v {
+		av, err := p.varOf(arg, set)
+		if err != nil {
+			return err
+		}
+		v[set] = solver.V(av)
+	}
+	pair := func(i, j, k int) solver.Con {
+		return solver.NewAnd(solver.Eq(v[i], v[j]), solver.NewCmp(sqltypes.OpNE, v[i], v[k]))
+	}
+	p.s.Assert(solver.NewOr(pair(0, 1, 2), pair(0, 2, 1), pair(1, 2, 0)))
 	return nil
 }
 

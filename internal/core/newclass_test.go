@@ -228,6 +228,12 @@ func TestHavingGoalsUnderCountConjuncts(t *testing.T) {
 			"MAX(e.sal) -> SUM(DISTINCT e.sal)", "MAX(e.sal) -> AVG(DISTINCT e.sal)",
 		}},
 		{"SELECT e.did, COUNT(*) FROM emp e GROUP BY e.did HAVING COUNT(*) = 2 AND SUM(DISTINCT e.sal) > 10 AND MAX(e.sal) < 50", 15, 15, nil},
+		// Algorithm 4's three tuple sets hold two distinct salaries (S1
+		// shares one, S2 adds another), which the COUNT(DISTINCT)
+		// conjunct must admit; asserting only one or three left every
+		// rung unsatisfiable, and SUM -> MAX and SUM -> SUM(DISTINCT)
+		// survived.
+		{"SELECT e.did, SUM(e.sal) FROM emp e GROUP BY e.did HAVING COUNT(DISTINCT e.sal) = 2", 12, 12, nil},
 	} {
 		q := buildQuery(t, ddl, tc.sql)
 		suite := generate(t, q, DefaultOptions())

@@ -22,11 +22,11 @@ func badOption(field string, format string, args ...any) error {
 
 // Validate checks an Options value for nonsensical settings. Zero
 // values are always valid (they select the documented defaults:
-// Parallelism 0 = all CPUs, budgets 0 = unlimited, FreshValues 0 = 8,
-// MaxDomainSize 0 = uncapped); negatives — which the pre-validation
-// code silently coerced into one of those defaults, hiding caller bugs
-// — are rejected with a typed ErrBadOptions. Generate and
-// GenerateContext call Validate before doing any work.
+// Parallelism 0 = all CPUs, budgets 0 = unlimited, MaxDomainSize 0 =
+// uncapped); negatives — which the pre-validation code silently
+// coerced into one of those defaults, hiding caller bugs — are
+// rejected with a typed ErrBadOptions. Generate and GenerateContext
+// call Validate before doing any work.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {
 		return badOption("Parallelism", "negative worker count %d (0 selects all CPUs)", o.Parallelism)
@@ -36,9 +36,6 @@ func (o Options) Validate() error {
 	}
 	if o.GoalNodeLimit < 0 {
 		return badOption("GoalNodeLimit", "negative node budget %d (0 means unlimited)", o.GoalNodeLimit)
-	}
-	if o.FreshValues < 0 {
-		return badOption("FreshValues", "negative fresh-value count %d (0 selects the default of 8)", o.FreshValues)
 	}
 	if o.MaxDomainSize < 0 {
 		return badOption("MaxDomainSize", "negative domain ceiling %d (0 means uncapped)", o.MaxDomainSize)
@@ -54,17 +51,11 @@ func (o Options) Validate() error {
 // pool bound every per-attribute candidate domain, and solver work
 // grows superlinearly in their width. Oversized pools — driven by
 // adversarial constant sets or huge input databases — are rejected
-// with a typed limits.ErrResourceLimit before any solving starts. A
-// FreshValues over the ceiling is rejected first: the integer pool
-// holds at least that many values, and NewGenerator skips building
-// pools it could only reject.
+// with a typed limits.ErrResourceLimit before any solving starts.
 func (g *Generator) checkDomainCeiling() error {
 	max := g.opts.MaxDomainSize
 	if max <= 0 {
 		return nil
-	}
-	if n := g.opts.FreshValues; n > max {
-		return fmt.Errorf("core: %w", limits.Exceeded("candidate domain size (fresh values)", n, max))
 	}
 	if n := len(g.intPool); n > max {
 		return fmt.Errorf("core: %w", limits.Exceeded("candidate domain size (integer pool)", n, max))

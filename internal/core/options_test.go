@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +23,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		{"Parallelism", func(o *Options) { o.Parallelism = -1 }},
 		{"GoalTimeout", func(o *Options) { o.GoalTimeout = -time.Millisecond }},
 		{"GoalNodeLimit", func(o *Options) { o.GoalNodeLimit = -1 }},
-		{"FreshValues", func(o *Options) { o.FreshValues = -3 }},
 		{"MaxDomainSize", func(o *Options) { o.MaxDomainSize = -1 }},
 		{"ForceInputTuples", func(o *Options) { o.ForceInputTuples = true }}, // without InputDB
 	}
@@ -82,8 +80,7 @@ func TestGenerateRejectsBadOptions(t *testing.T) {
 func TestGenerateDomainCeiling(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50")
 	tight := DefaultOptions()
-	tight.MaxDomainSize = 4 // the constant 50 alone contributes boundaries/sums beyond this
-	tight.FreshValues = 2   // under the ceiling, so the built pool is what exceeds it
+	tight.MaxDomainSize = 4 // the fresh values 0..7 alone exceed this
 	suite, err := NewGenerator(q, tight).Generate()
 	if !errors.Is(err, limits.ErrResourceLimit) || !strings.Contains(err.Error(), "integer pool") {
 		t.Fatalf("tight domain ceiling: got %v, want ErrResourceLimit on the integer pool", err)
@@ -101,27 +98,5 @@ func TestGenerateDomainCeiling(t *testing.T) {
 	uncapped := generate(t, q, DefaultOptions())
 	if len(capped.Datasets) != len(uncapped.Datasets) {
 		t.Fatalf("ceiling changed output: %d vs %d datasets", len(capped.Datasets), len(uncapped.Datasets))
-	}
-}
-
-// TestFreshValuesOverCeiling: a FreshValues wider than MaxDomainSize is
-// rejected with limits.ErrResourceLimit before the value pools are
-// built. The string pool's fresh names grow quadratically in bytes:
-// building the pools before the check allocated 160 MB already at
-// FreshValues 60,000.
-func TestFreshValuesOverCeiling(t *testing.T) {
-	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id")
-	opts := DefaultOptions()
-	opts.FreshValues = 200_000
-	opts.MaxDomainSize = 100_000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, limits.ErrResourceLimit) || suite != nil {
-		t.Fatalf("FreshValues over the ceiling: got suite=%v err=%v, want ErrResourceLimit", suite != nil, err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
-		t.Fatalf("rejection allocated %d MB, want under 64 MB", alloc>>20)
 	}
 }

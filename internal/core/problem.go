@@ -126,19 +126,19 @@ type stringPool struct {
 // it contributes to string-typed candidate domains).
 func (p *stringPool) size() int { return len(p.vals) }
 
-func newStringPool(consts map[string]bool, fresh int) *stringPool {
-	set := make(map[string]bool, len(consts)+fresh+2*(fresh/2+1))
+func newStringPool(consts map[string]bool) *stringPool {
+	set := make(map[string]bool, len(consts)+freshValues+2*(freshValues/2+1))
 	for s := range consts {
 		set[s] = true
 	}
-	// Fresh names are str_a .. str_z, then str_az .. str_zz, and so on.
-	for i := 0; i < fresh; i++ {
-		set["str_"+string(rune('a'+i%26))+strings.Repeat("z", i/26)] = true
+	// Fresh names are str_a .. str_h.
+	for i := 0; i < freshValues; i++ {
+		set["str_"+string(rune('a'+i))] = true
 	}
 	// Comparison-operator datasets need values strictly below and above
 	// every constant; '!' sorts below and '~' above all ordinary text.
-	for i := 0; i < fresh/2+1; i++ {
-		letter := string(rune('a' + i%26))
+	for i := 0; i < freshValues/2+1; i++ {
+		letter := string(rune('a' + i))
 		set["!low_"+letter] = true
 		set["~high_"+letter] = true
 	}
@@ -818,22 +818,17 @@ func (p *problem) notExistsPred(pr *qtree.Pred, op sqltypes.CmpOp, occ string, s
 	return nil
 }
 
-// solve invokes the constraint solver with the generator's options and
-// the goal budget: the budget's node limit bounds the search (0 = the
-// solver's default), the budget's unfold override replaces
-// Options.Unfold (the quantified-mode fallback attempt), and the
-// budget's context — the goal deadline under the caller's context —
-// provides cooperative cancellation. label travels to the solver for
-// fault injection and diagnostics.
+// solve invokes the constraint solver in the generator's solve mode
+// under the goal budget: the budget's node limit bounds the search (0 =
+// the solver's default), and the budget's context — the goal deadline
+// under the caller's context — provides cooperative cancellation. label
+// travels to the solver for fault injection and diagnostics.
 func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 	opts := solver.Options{
 		Unfold:    p.g.opts.Unfold,
 		NodeLimit: gb.nodeLimit,
 		Label:     label,
 		Cache:     p.g.comp,
-	}
-	if gb.unfold != nil {
-		opts.Unfold = *gb.unfold
 	}
 	// Check an arena out around the call: the solve runs entirely on
 	// this goroutine (cancellation is cooperative), so the arena is free

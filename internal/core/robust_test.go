@@ -188,47 +188,10 @@ func TestRetryLadderEscalation(t *testing.T) {
 	}
 }
 
-// TestUnfoldFallback verifies the quantified-mode fallback rung: with
-// Unfold off, the ladder has a fourth attempt that flips to unfolded
-// solving, so a goal failing all three quantified attempts still
-// completes.
-func TestUnfoldFallback(t *testing.T) {
-	q := buildQuery(t, ddlNoFK, robustSQL)
-	opts := DefaultOptions()
-	opts.Unfold = false
-	opts.Parallelism = 1
-	opts.GoalNodeLimit = 100_000
-
-	calls := 0
-	defer solver.SetFaultHook(nil)
-	solver.SetFaultHook(func(label string, call int64) solver.Fault {
-		if strings.Contains(label, limitLabelPat) {
-			calls++
-			if calls <= 3 {
-				return solver.FaultLimit
-			}
-		}
-		return solver.FaultNone
-	})
-
-	suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
-	if err != nil {
-		t.Fatalf("GenerateContext: %v (the unfolded fallback should have succeeded)", err)
-	}
-	if len(suite.Incomplete) != 0 {
-		t.Fatalf("Incomplete: got %v, want none", suite.Incomplete)
-	}
-	if calls != 4 {
-		t.Errorf("targeted goal solved %d times, want 4 (1x, 4x, 16x, unfolded)", calls)
-	}
-	if suite.Stats.RetryCount != 3 {
-		t.Errorf("RetryCount: got %d, want 3", suite.Stats.RetryCount)
-	}
-}
-
 // TestRetryLadderExhausted verifies that a goal failing every rung
-// (including the unfolded fallback) lands in Suite.Incomplete with the
-// full attempt count, while the rest of the suite is generated.
+// lands in Suite.Incomplete with the full attempt count, while the rest
+// of the suite is generated. It runs in quantified mode: the ladder
+// stays in one solve mode from its first rung to its last.
 func TestRetryLadderExhausted(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, robustSQL)
 	opts := DefaultOptions()
@@ -252,11 +215,11 @@ func TestRetryLadderExhausted(t *testing.T) {
 		t.Fatalf("Incomplete: got %v, want exactly the exhausted goal", suite.Incomplete)
 	}
 	f := suite.Incomplete[0]
-	if f.Reason != ReasonBudget || f.Attempts != 4 {
-		t.Errorf("failure: reason %q attempts %d, want %q and 4", f.Reason, f.Attempts, ReasonBudget)
+	if f.Reason != ReasonBudget || f.Attempts != 3 {
+		t.Errorf("failure: reason %q attempts %d, want %q and 3", f.Reason, f.Attempts, ReasonBudget)
 	}
-	if suite.Stats.RetryCount != 3 || suite.Stats.LimitCount != 1 {
-		t.Errorf("stats: RetryCount=%d LimitCount=%d, want 3 and 1",
+	if suite.Stats.RetryCount != 2 || suite.Stats.LimitCount != 1 {
+		t.Errorf("stats: RetryCount=%d LimitCount=%d, want 2 and 1",
 			suite.Stats.RetryCount, suite.Stats.LimitCount)
 	}
 }

@@ -38,9 +38,10 @@ import (
 // Version 2 stored the options as core.Options' own JSON encoding
 // (durations in nanoseconds); version 3 is that encoding without the
 // deleted no_joint_nullify field; version 4 is version 3 without the
-// deleted per-call solver budgets (solver_node_limit, solver_timeout).
-// Other versions are refused.
-const BundleVersion = 4
+// deleted per-call solver budgets (solver_node_limit, solver_timeout);
+// version 5 is version 4 without the deleted fresh_values field. Other
+// versions are refused.
+const BundleVersion = 5
 
 // BundleEvent is the failure evidence a capture site supplies: either a
 // goal abandonment (core.Failure) or a handler panic.

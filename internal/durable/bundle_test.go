@@ -234,14 +234,16 @@ func TestReadBundleRejectsDamage(t *testing.T) {
 	if _, err := ReadBundle(filepath.Join(dir, "no-such-bundle")); err == nil {
 		t.Fatal("missing bundle accepted")
 	}
-	// Bundles of older shapes are refused, not misread: version 1, and
-	// version 3, whose options still carried the per-call solver budgets.
+	// Bundles of older shapes are refused, not misread: version 1,
+	// version 3, whose options still carried the per-call solver
+	// budgets, and version 4, whose options still carried fresh_values.
 	for _, old := range []struct {
 		version int
 		body    string
 	}{
 		{1, `{"version":1,"kind":"goal","options":{"goal_timeout_ms":1}}`},
 		{3, `{"version":3,"kind":"goal","options":{"unfold":true,"solver_node_limit":0,"solver_timeout":0}}`},
+		{4, `{"version":4,"kind":"goal","options":{"unfold":true,"fresh_values":8}}`},
 	} {
 		if err := os.WriteFile(filepath.Join(path, "bundle.json"), []byte(old.body), 0o644); err != nil {
 			t.Fatal(err)

@@ -415,6 +415,10 @@ type memoSet struct {
 	// layouts holds one copy of each distinct column layout, by its
 	// bytes.
 	layouts map[string][]int32
+	// pairs carves every join node's class pairs from shared chunks;
+	// pairBuf collects one node's pairs before they are carved.
+	pairs   slab[pairIdx]
+	pairBuf []pairIdx
 }
 
 type subKey struct{ op, l, r int32 }
@@ -876,6 +880,7 @@ func (m *compileMemo) compileJoin(k joinKey) *cnode {
 	for w := range c.placed {
 		c.placed[w] = left.placed[w] | right.placed[w]
 	}
+	pairs := m.set.pairBuf[:0]
 	for _, members := range m.tab.classes {
 		var lbuf, rbuf [8]int
 		ls, rs := lbuf[:0], rbuf[:0]
@@ -890,10 +895,15 @@ func (m *compileMemo) compileJoin(k joinKey) *cnode {
 		// earliest point.
 		for _, l := range ls {
 			for _, r := range rs {
-				c.pairs = append(c.pairs, pairIdx{l, r})
+				pairs = append(pairs, pairIdx{l, r})
 			}
 		}
 	}
+	if len(pairs) > 0 {
+		c.pairs = m.set.pairs.alloc(len(pairs))
+		copy(c.pairs, pairs)
+	}
+	m.set.pairBuf = pairs
 	for i, pr := range m.preds {
 		if len(pr.Occs) < 2 || c.placed.has(i) {
 			continue

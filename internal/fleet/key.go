@@ -61,7 +61,7 @@ func (k Key) Hash64() uint64 { return binary.BigEndian.Uint64(k.sum[:8]) }
 // keySchemaVersion is bumped whenever the canonical rendering below
 // changes shape, so stale cache entries from an older binary can never
 // collide with new keys.
-const keySchemaVersion = 4
+const keySchemaVersion = 5
 
 // ContentKey derives the canonical content key for generating a suite
 // from q against sch under opts.

@@ -58,7 +58,7 @@ func TestContentKeyCanonical(t *testing.T) {
 		t.Fatal("different constants must get different keys")
 	}
 	opts2 := opts
-	opts2.FreshValues = opts.FreshValues + 1
+	opts2.Unfold = !opts.Unfold
 	if ContentKey(sch, qa, opts) == ContentKey(sch, qa, opts2) {
 		t.Fatal("different options must get different keys")
 	}

@@ -33,13 +33,14 @@ func TestEvaluateAllocs(t *testing.T) {
 		fk    int
 		bound float64
 	}{
-		// 1,392 measured; 1,758 with a kill row per mutant and per
-		// unique plan.
-		{"Q4", 0, 1530},
-		// 26,479 measured; 34,973 before.
-		{"Q6", 0, 29100},
-		// 1,077 measured; 1,115 before.
-		{"Q12", 1, 1180},
+		// 882 measured with each compile call's join pairs carved from
+		// shared chunks; 1,392 with a pairs slice grown per join node,
+		// 1,758 with a kill row per mutant and per unique plan.
+		{"Q4", 0, 970},
+		// 14,823 measured; 26,479 with per-node pairs, 34,973 before.
+		{"Q6", 0, 16300},
+		// 1,054 measured; 1,077 with per-node pairs, 1,115 before.
+		{"Q12", 1, 1160},
 	} {
 		name := fmt.Sprintf("%s/fk%d", tc.query, tc.fk)
 		var sql string

@@ -68,9 +68,10 @@ const genDigestNodeLimit = 2000
 
 // generateCellText runs one generation request from its text, as a
 // paper_generate request does: parse the DDL, query and input database,
-// generate with library defaults at the given parallelism, and return
-// the suite with the parsed schema.
-func generateCellText(c university.Cell, par int) (*core.Suite, *schema.Schema, error) {
+// generate with library defaults at the given parallelism (in
+// quantified mode when unfold is false), and return the suite with the
+// parsed schema.
+func generateCellText(c university.Cell, par int, unfold bool) (*core.Suite, *schema.Schema, error) {
 	sch, err := sqlparser.ParseSchema(c.DDL)
 	if err != nil {
 		return nil, nil, err
@@ -81,6 +82,7 @@ func generateCellText(c university.Cell, par int) (*core.Suite, *schema.Schema, 
 	}
 	opts := core.DefaultOptions()
 	opts.Parallelism = par
+	opts.Unfold = unfold
 	if c.Inserts != "" {
 		in, err := sqlparser.ParseInserts(sch, c.Inserts)
 		if err != nil {
@@ -138,7 +140,7 @@ func TestGenerationDigest(t *testing.T) {
 			t.Fatalf("cell %d is %s, pinned row is %s", ci, c.Name, want.name)
 		}
 		for _, par := range []int{1, 2} {
-			suite, sch, err := generateCellText(c, par)
+			suite, sch, err := generateCellText(c, par, true)
 			if err != nil {
 				t.Fatalf("%s, Parallelism %d: %v", c.Name, par, err)
 			}
@@ -197,5 +199,87 @@ func TestGenerationDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != generationRandqlDigest {
 		t.Errorf("randql seeds 30001-30200: digest %s, want %s", got, generationRandqlDigest)
+	}
+}
+
+// quantifiedCellWork pins each Table I/II cell in quantified mode
+// (Options.Unfold off, the §VI-B "w/o unfolding" column): search nodes,
+// lazy-instantiation restarts, datasets and the sha256 prefix of the
+// cell's digest (genDigestSuite). The rows sum to 3,843 nodes and 81
+// restarts (Table I 3,216 and 69, Table II 627 and 12). Quantified mode
+// solves its ground fragment with the list kernel, so these rows hold
+// that kernel's decisions to the models it found when they were
+// captured.
+var quantifiedCellWork = []struct {
+	name            string
+	nodes, restarts int64
+	datasets        int
+	digest          string
+}{
+	{"Q1/fk0", 39, 2, 2, "a2da9091697e7c36"},
+	{"Q1/fk1", 31, 1, 1, "21be896c6a3a24e9"},
+	{"Q2/fk0", 98, 4, 4, "490f9a1dd4f13d95"},
+	{"Q2/fk1", 100, 3, 3, "d9b2ee177158d09c"},
+	{"Q2/fk2", 86, 2, 2, "adbc555a3ac78b7c"},
+	{"Q3/fk0", 168, 6, 6, "5b237e0a7080be21"},
+	{"Q3/fk1", 182, 5, 5, "9791d34215bc66b7"},
+	{"Q3/fk3", 174, 3, 3, "6fab424df9fc9127"},
+	{"Q4/fk0", 239, 7, 7, "c21c64b2c8a5685c"},
+	{"Q4/fk4", 279, 4, 4, "77bbea5608d726dd"},
+	{"Q5/fk0", 341, 9, 9, "3ec672d98bc4200a"},
+	{"Q5/fk4", 437, 6, 6, "31c6f90726ddc7a1"},
+	{"Q6/fk0", 459, 11, 11, "ec98eae5f7564898"},
+	{"Q6/fk6", 583, 6, 6, "8765b96e2748c8c9"},
+	{"Q7/fk0", 20, 0, 3, "9694f5b1904eb48a"},
+	{"Q8/fk0", 15, 0, 1, "cbf541be01644dd1"},
+	{"Q9/fk1", 59, 1, 2, "f5fbc464c8d907a8"},
+	{"Q10/fk1", 156, 4, 6, "aeccb5aa7cabab2c"},
+	{"Q11/fk1", 198, 4, 9, "df7eb185158a63bc"},
+	{"Q12/fk1", 179, 3, 7, "3cc31ba262bc0904"},
+}
+
+// TestQuantifiedGenerationDigest pins quantified-mode generation on the
+// 20 Table I/II cells at Parallelism 1 and 2: the suite bytes, skips,
+// incomplete goals and every work counter, as TestGenerationDigest pins
+// the unfolded default.
+func TestQuantifiedGenerationDigest(t *testing.T) {
+	var cells []university.Cell
+	for _, c := range university.GenerationCells() {
+		if c.Inserts == "" {
+			cells = append(cells, c)
+		}
+	}
+	if len(cells) != len(quantifiedCellWork) {
+		t.Fatalf("%d Table I/II cells, %d pinned rows", len(cells), len(quantifiedCellWork))
+	}
+	var nodes, restarts int64
+	for ci, c := range cells {
+		want := quantifiedCellWork[ci]
+		if want.name != c.Name {
+			t.Fatalf("cell %d is %s, pinned row is %s", ci, c.Name, want.name)
+		}
+		for _, par := range []int{1, 2} {
+			suite, sch, err := generateCellText(c, par, false)
+			if err != nil {
+				t.Fatalf("%s, Parallelism %d: %v", c.Name, par, err)
+			}
+			h := sha256.New()
+			genDigestSuite(h, c.Name, sch, suite, nil)
+			st := suite.Stats
+			digest := hex.EncodeToString(h.Sum(nil))[:16]
+			t.Logf("%s, Parallelism %d: {%q, %d, %d, %d, %q},", c.Name, par, c.Name, st.SolverNodes, st.SolverRestarts, len(suite.Datasets), digest)
+			if st.SolverNodes != want.nodes || st.SolverRestarts != want.restarts || len(suite.Datasets) != want.datasets {
+				t.Errorf("%s, Parallelism %d: nodes %d, restarts %d, datasets %d; want %d, %d, %d",
+					c.Name, par, st.SolverNodes, st.SolverRestarts, len(suite.Datasets), want.nodes, want.restarts, want.datasets)
+			}
+			if digest != want.digest {
+				t.Errorf("%s, Parallelism %d: digest %s, want %s", c.Name, par, digest, want.digest)
+			}
+		}
+		nodes += want.nodes
+		restarts += want.restarts
+	}
+	if nodes != 3843 || restarts != 81 {
+		t.Errorf("pinned rows sum to %d nodes and %d restarts, want 3843 and 81", nodes, restarts)
 	}
 }

@@ -7,13 +7,15 @@ import (
 	"repro/internal/schema"
 )
 
-// RequestOptions is the client-tunable subset of core.Options plus the
-// whole-request budget. Every budget field is clamped server-side onto
-// the Config ceilings before reaching the generator: a zero (absent)
-// field selects the ceiling itself, a positive field is honored up to
-// the ceiling, and a negative field is passed through so
-// core.Options.Validate rejects it with ErrBadOptions (422) — the
-// daemon never silently "fixes" a nonsensical request.
+// RequestOptions are a request's budgets: the whole-request budget and
+// the per-goal budgets of core.Options. Everything else the daemon
+// solves with is fixed: core.DefaultOptions() (unfolded, the library's
+// worker count) under the server's domain ceiling. Every field is
+// clamped server-side onto the Config ceilings before reaching the
+// generator: a zero (absent) field selects the ceiling itself, a
+// positive field is honored up to the ceiling, and a negative field is
+// passed through so core.Options.Validate rejects it with ErrBadOptions
+// (422) — the daemon never silently "fixes" a nonsensical request.
 type RequestOptions struct {
 	// TimeoutMS bounds the whole request (parse + generate + analyze)
 	// in milliseconds. Clamped onto Config.MaxTimeout.
@@ -24,14 +26,6 @@ type RequestOptions struct {
 	// GoalNodeLimit bounds each kill goal's solver nodes (with the
 	// escalating-retry ladder); clamped onto Config.MaxGoalNodes.
 	GoalNodeLimit int64 `json:"goal_node_limit,omitempty"`
-	// Parallelism is the per-request worker count; clamped onto
-	// Config.MaxParallelism.
-	Parallelism int `json:"parallelism,omitempty"`
-	// FreshValues is the synthetic domain width (0 = library default).
-	FreshValues int `json:"fresh_values,omitempty"`
-	// NoUnfold disables quantifier unfolding (ablation; the default
-	// follows the paper and unfolds).
-	NoUnfold bool `json:"no_unfold,omitempty"`
 }
 
 // GenerateRequest is the POST /v1/generate body.
@@ -70,13 +64,6 @@ func clampNodes(client, ceiling int64) int64 {
 	return client
 }
 
-func clampInt(client, ceiling int) int {
-	if client == 0 || client > ceiling {
-		return ceiling
-	}
-	return client
-}
-
 // clamp converts the wire options into (whole-request budget,
 // core.Options) under the server's ceilings. The resource-governance
 // domain ceiling always comes from the server config — it is not
@@ -84,11 +71,8 @@ func clampInt(client, ceiling int) int {
 func (s *Server) clamp(ro RequestOptions) (time.Duration, core.Options) {
 	budget := clampBudget(time.Duration(ro.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 	opts := core.DefaultOptions()
-	opts.Unfold = !ro.NoUnfold
 	opts.GoalTimeout = clampBudget(time.Duration(ro.GoalTimeoutMS)*time.Millisecond, s.cfg.MaxGoalTimeout)
 	opts.GoalNodeLimit = clampNodes(ro.GoalNodeLimit, s.cfg.MaxGoalNodes)
-	opts.Parallelism = clampInt(ro.Parallelism, s.cfg.MaxParallelism)
-	opts.FreshValues = ro.FreshValues
 	opts.MaxDomainSize = s.cfg.Limits.MaxDomainSize
 	return budget, opts
 }

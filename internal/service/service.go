@@ -82,10 +82,6 @@ type Config struct {
 	// MaxGoalNodes caps the client's per-goal solver node budget
 	// (0 = 1<<22).
 	MaxGoalNodes int64
-	// MaxParallelism caps the client's per-request worker count
-	// (0 = MaxConcurrent: one saturated request may use every slot's
-	// worth of CPU, but admission keeps the aggregate bounded).
-	MaxParallelism int
 	// Limits govern input resources: byte caps, parser recursion
 	// depth, schema cardinality, candidate-domain width. The zero
 	// value selects limits.Default(); use limits.Unlimited() only for
@@ -139,9 +135,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.MaxGoalNodes <= 0 {
 		c.MaxGoalNodes = 1 << 22
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = c.MaxConcurrent
 	}
 	if c.Limits == (limits.Limits{}) {
 		c.Limits = limits.Default()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -206,11 +207,58 @@ func TestAnalyzeByKindCoversEveryKind(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMutationSwitches: /v1/analyze's two mutation-space
+// switches reach the kill matrix. For every combination of
+// include_full_outer and no_all_join_orders, the response's mutant and
+// kill counts are those of mutation.Space plus mutation.Evaluate under
+// the same options over the library suite, and the switches change the
+// space on a three-relation join.
+func TestAnalyzeMutationSwitches(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const sql = `SELECT * FROM instructor i, teaches t, teaches t2 WHERE i.id = t.id AND t.course_id = t2.course_id AND i.salary > 50`
+	q, suite := librarySuite(t, s, testDDL, sql)
+	spaces := map[int]bool{}
+	for _, tc := range []struct{ fullOuter, noAllOrders bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		var got AnalyzeResponse
+		status, _ := post(t, ts.URL+"/v1/analyze", AnalyzeRequest{
+			GenerateRequest:  GenerateRequest{DDL: testDDL, Query: sql},
+			IncludeFullOuter: tc.fullOuter,
+			NoAllJoinOrders:  tc.noAllOrders,
+		}, &got)
+		if status != http.StatusOK {
+			t.Fatalf("%+v: status %d, want 200", tc, status)
+		}
+		mopts := mutation.DefaultOptions()
+		mopts.IncludeFullOuter = tc.fullOuter
+		mopts.AllJoinOrders = !tc.noAllOrders
+		ms, err := mutation.Space(q, mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mutation.Evaluate(q, ms, suite.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%+v: %d mutants, %d killed", tc, got.Mutants, got.Killed)
+		if got.Mutants != len(ms) || got.Killed != rep.KilledCount() {
+			t.Errorf("%+v: analyze reports %d mutants, %d killed; the library %d, %d",
+				tc, got.Mutants, got.Killed, len(ms), rep.KilledCount())
+		}
+		spaces[got.Mutants] = true
+	}
+	if len(spaces) != 4 {
+		t.Errorf("the four switch settings gave %d distinct mutant counts, want 4", len(spaces))
+	}
+}
+
 // TestErrorTaxonomy: each failure class maps to its documented status
 // and kind, mirroring the CLI exit codes.
 func TestErrorTaxonomy(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	deep := "SELECT x FROM t WHERE " + strings.Repeat("(", 1000) + "x = 1" + strings.Repeat(")", 1000)
+	withOption := func(name string, v any) map[string]any {
+		return map[string]any{"ddl": testDDL, "query": testSQL, "options": map[string]any{name: v}}
+	}
 	cases := []struct {
 		name   string
 		body   any
@@ -219,8 +267,10 @@ func TestErrorTaxonomy(t *testing.T) {
 	}{
 		{"malformed JSON", "{not json", http.StatusBadRequest, "malformed"},
 		{"unknown field", map[string]any{"ddl": testDDL, "query": testSQL, "bogus": 1}, http.StatusBadRequest, "malformed"},
-		{"deleted solver_node_limit", map[string]any{"ddl": testDDL, "query": testSQL,
-			"options": map[string]any{"solver_node_limit": 5000}}, http.StatusBadRequest, "malformed"},
+		{"deleted solver_node_limit", withOption("solver_node_limit", 5000), http.StatusBadRequest, "malformed"},
+		{"deleted no_unfold", withOption("no_unfold", true), http.StatusBadRequest, "malformed"},
+		{"deleted parallelism", withOption("parallelism", 2), http.StatusBadRequest, "malformed"},
+		{"deleted fresh_values", withOption("fresh_values", 99_000), http.StatusBadRequest, "malformed"},
 		{"bad DDL", GenerateRequest{DDL: "CREATE NONSENSE", Query: testSQL}, http.StatusUnprocessableEntity, "parse"},
 		{"bad query", GenerateRequest{DDL: testDDL, Query: "SELEC *"}, http.StatusUnprocessableEntity, "parse"},
 		{"unsupported OR", GenerateRequest{DDL: testDDL,
@@ -229,36 +279,46 @@ func TestErrorTaxonomy(t *testing.T) {
 			Query: "SELECT * FROM instructor i WHERE i.id NOT IN (SELECT t.id FROM teaches t WHERE t.course_id IN (SELECT t2.course_id FROM teaches t2))"}, http.StatusUnprocessableEntity, "unsupported"},
 		{"resource limit", GenerateRequest{DDL: testDDL, Query: deep}, http.StatusUnprocessableEntity, "resource-limit"},
 		{"bad options", GenerateRequest{DDL: testDDL, Query: testSQL,
-			Options: RequestOptions{Parallelism: -4}}, http.StatusUnprocessableEntity, "bad-options"},
-		{"fresh values over the domain ceiling", GenerateRequest{DDL: testDDL, Query: testSQL,
-			Options: RequestOptions{FreshValues: 10_000_000}}, http.StatusUnprocessableEntity, "resource-limit"},
+			Options: RequestOptions{GoalNodeLimit: -4}}, http.StatusUnprocessableEntity, "bad-options"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var raw []byte
-			if s, ok := tc.body.(string); ok {
-				raw = []byte(s)
-			} else {
-				var err error
-				raw, err = json.Marshal(tc.body)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(raw))
+	check := func(t *testing.T, url string, body any, status int, kind string) {
+		t.Helper()
+		var raw []byte
+		if s, ok := body.(string); ok {
+			raw = []byte(s)
+		} else {
+			var err error
+			raw, err = json.Marshal(body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			var e ErrorResponse
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-				t.Fatalf("decode error body: %v", err)
-			}
-			if resp.StatusCode != tc.status || e.Kind != tc.kind {
-				t.Fatalf("got %d/%q (%s), want %d/%q", resp.StatusCode, e.Kind, e.Error, tc.status, tc.kind)
-			}
-		})
+		}
+		resp, err := http.Post(url+"/v1/generate", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("decode error body: %v", err)
+		}
+		if resp.StatusCode != status || e.Kind != kind {
+			t.Fatalf("got %d/%q (%s), want %d/%q", resp.StatusCode, e.Kind, e.Error, status, kind)
+		}
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { check(t, ts.URL, tc.body, tc.status, tc.kind) })
+	}
+	// A generation-time resource limit, on a server whose domain ceiling
+	// is below the query's candidate pool: the fixed fresh values 0..7
+	// alone exceed it, so generation stops at the ceiling check before
+	// any solving.
+	lim := limits.Default()
+	lim.MaxDomainSize = 4
+	_, tight := newTestServer(t, Config{Limits: lim})
+	t.Run("fresh values over the domain ceiling", func(t *testing.T) {
+		check(t, tight.URL, GenerateRequest{DDL: testDDL, Query: testSQL}, http.StatusUnprocessableEntity, "resource-limit")
+	})
 }
 
 // TestAdversarialNoSolverBudget: a resource-limited request is
@@ -283,41 +343,38 @@ func TestAdversarialNoSolverBudget(t *testing.T) {
 
 // TestClamp: client budgets are clamped onto the ceilings — absent
 // selects the ceiling, over-ask is pulled down, modest asks pass, and
-// negatives flow through for Validate to reject.
+// negatives flow through for Validate to reject. Everything else is the
+// library default under the server's domain ceiling.
 func TestClamp(t *testing.T) {
 	s := New(Config{
 		MaxTimeout:     10 * time.Second,
 		MaxGoalTimeout: 2 * time.Second,
 		MaxGoalNodes:   1000,
-		MaxParallelism: 3,
 	})
 	budget, opts := s.clamp(RequestOptions{})
-	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second ||
-		opts.GoalNodeLimit != 1000 || opts.Parallelism != 3 {
+	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second || opts.GoalNodeLimit != 1000 {
 		t.Fatalf("zero request must select ceilings: budget=%v opts=%+v", budget, opts)
 	}
-	if opts.MaxDomainSize != limits.DefaultMaxDomainSize {
-		t.Fatalf("domain ceiling %d, want server default %d", opts.MaxDomainSize, limits.DefaultMaxDomainSize)
+	want := core.DefaultOptions()
+	want.GoalTimeout, want.GoalNodeLimit = opts.GoalTimeout, opts.GoalNodeLimit
+	want.MaxDomainSize = limits.DefaultMaxDomainSize
+	if opts.FailureHook != nil || !reflect.DeepEqual(opts, want) {
+		t.Fatalf("clamped options %+v, want the library defaults with the budgets and the server's domain ceiling %+v", opts, want)
 	}
-	budget, opts = s.clamp(RequestOptions{
-		TimeoutMS: 3_600_000, GoalTimeoutMS: 3_600_000,
-		GoalNodeLimit: 1 << 40, Parallelism: 64,
-	})
-	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second ||
-		opts.GoalNodeLimit != 1000 || opts.Parallelism != 3 {
+	budget, opts = s.clamp(RequestOptions{TimeoutMS: 3_600_000, GoalTimeoutMS: 3_600_000, GoalNodeLimit: 1 << 40})
+	if budget != 10*time.Second || opts.GoalTimeout != 2*time.Second || opts.GoalNodeLimit != 1000 {
 		t.Fatalf("over-ask must clamp to ceilings: budget=%v opts=%+v", budget, opts)
 	}
-	budget, opts = s.clamp(RequestOptions{TimeoutMS: 500, GoalTimeoutMS: 100, GoalNodeLimit: 7, Parallelism: 2})
-	if budget != 500*time.Millisecond || opts.GoalTimeout != 100*time.Millisecond ||
-		opts.GoalNodeLimit != 7 || opts.Parallelism != 2 {
+	budget, opts = s.clamp(RequestOptions{TimeoutMS: 500, GoalTimeoutMS: 100, GoalNodeLimit: 7})
+	if budget != 500*time.Millisecond || opts.GoalTimeout != 100*time.Millisecond || opts.GoalNodeLimit != 7 {
 		t.Fatalf("modest ask must pass through: budget=%v opts=%+v", budget, opts)
 	}
-	_, opts = s.clamp(RequestOptions{Parallelism: -1})
-	if opts.Parallelism != -1 {
+	_, opts = s.clamp(RequestOptions{GoalNodeLimit: -1})
+	if opts.GoalNodeLimit != -1 {
 		t.Fatal("negative options must flow through to Validate, not be silently fixed")
 	}
 	if err := opts.Validate(); !errors.Is(err, core.ErrBadOptions) {
-		t.Fatalf("negative parallelism after clamp: got %v, want ErrBadOptions", err)
+		t.Fatalf("negative goal node limit after clamp: got %v, want ErrBadOptions", err)
 	}
 }
 

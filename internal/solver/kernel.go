@@ -795,18 +795,8 @@ func (s *Solver) front(a *Arena, done <-chan struct{}) error {
 
 	// Flatten quantifiers and split top-level conjunctions.
 	conjuncts := a.conjuncts[:0]
-	var split func(c Con)
-	split = func(c Con) {
-		if an, ok := c.(*And); ok {
-			for _, x := range an.Cs {
-				split(x)
-			}
-			return
-		}
-		conjuncts = append(conjuncts, c)
-	}
 	for _, c := range s.cons {
-		split(flatten(c))
+		conjuncts = appendConjuncts(conjuncts, flatten(c))
 	}
 	a.conjuncts = conjuncts
 

@@ -128,26 +128,18 @@ func evalCmpBounds(op sqltypes.CmpOp, lo, hi int64) sqltypes.Tristate {
 // tuple constraints — which is exactly the overhead that unfolding all
 // quantifiers up front (the paper's optimization) eliminates.
 func (s *Solver) solveQuantified(done <-chan struct{}, limit int64) (Model, error) {
-	var ground, quantified []Con
-	var split func(c Con)
-	split = func(c Con) {
-		if a, ok := c.(*And); ok {
-			for _, x := range a.Cs {
-				split(x)
-			}
-			return
-		}
+	var conjuncts, active, quantified []Con
+	for _, c := range s.cons {
+		conjuncts = appendConjuncts(conjuncts, c)
+	}
+	for _, c := range conjuncts {
 		if hasQuant(c) {
 			quantified = append(quantified, c)
 		} else {
-			ground = append(ground, c)
+			active = append(active, c)
 		}
 	}
-	for _, c := range s.cons {
-		split(c)
-	}
 
-	active := append([]Con{}, ground...)
 	type pendingQuant struct {
 		con   Con
 		added map[int]bool // universal bodies already instantiated
@@ -461,8 +453,7 @@ func (t *trail) undo(st *state, mark int) {
 
 // uprob is a preprocessed unfolded problem: the output of flattening,
 // equality preprocessing, compilation and watch-list construction,
-// built once per solve and then searched (the search copies the domain
-// table and owns its trail).
+// built once per solve and then searched.
 type uprob struct {
 	// root[v] is v's union-find representative, frozen at prep time so
 	// the search resolves non-representatives with a table lookup.
@@ -470,30 +461,19 @@ type uprob struct {
 	domains [][]int64
 	clauses []clause
 	reps    []VarID
-	nonReps []VarID
 	watch   [][]int32
 }
 
-// prepUnfolded performs the unfolded-mode front end once: flatten and
-// split conjunctions, merge/pin top-level equalities, normalize onto
-// representatives, compile, and build watch lists. Returns ErrUnsat
-// when preprocessing alone refutes the system.
+// prepUnfolded performs the list kernel's front end: flatten and split
+// conjunctions, merge/pin top-level equalities, normalize onto
+// representatives, compile, and build watch lists. The splitting and
+// the equality decisions are the bitset kernel's own (appendConjuncts,
+// classifyEq); only the stores differ. Returns ErrUnsat when
+// preprocessing alone refutes the system.
 func (s *Solver) prepUnfolded() (*uprob, error) {
-	// Flatten quantifiers and split top-level conjunctions into raw
-	// conjunct constraints.
 	var conjuncts []Con
-	var split func(c Con)
-	split = func(c Con) {
-		if a, ok := c.(*And); ok {
-			for _, x := range a.Cs {
-				split(x)
-			}
-			return
-		}
-		conjuncts = append(conjuncts, c)
-	}
 	for _, c := range s.cons {
-		split(flatten(c))
+		conjuncts = appendConjuncts(conjuncts, flatten(c))
 	}
 
 	// Equality preprocessing: top-level x = y conjuncts merge variables
@@ -505,38 +485,26 @@ func (s *Solver) prepUnfolded() (*uprob, error) {
 	copy(domains, s.domains)
 	var remaining []Con
 	for _, c := range conjuncts {
-		cmp, ok := c.(*Cmp)
-		if !ok || cmp.Op != sqltypes.OpEQ {
-			remaining = append(remaining, c)
-			continue
-		}
-		d := cmp.L.Minus(cmp.R)
-		switch {
-		case len(d.Terms) == 0:
-			if d.Const != 0 {
-				return nil, ErrUnsat
-			}
-		case len(d.Terms) == 1 && (d.Terms[0].Coef == 1 || d.Terms[0].Coef == -1):
-			// coef*x + const = 0  =>  x = -const/coef
-			v := uf.find(d.Terms[0].V)
-			val := -d.Const / d.Terms[0].Coef
-			nd := intersect(domains[v], []int64{val})
+		eq, pin, kind := classifyEq(c, uf)
+		switch kind {
+		case eqUnsat:
+			return nil, ErrUnsat
+		case eqPin:
+			nd := intersect(domains[pin.v], []int64{pin.val})
 			if len(nd) == 0 {
 				return nil, ErrUnsat
 			}
-			domains[v] = nd
-		case len(d.Terms) == 2 && d.Const == 0 && d.Terms[0].Coef == -d.Terms[1].Coef &&
-			(d.Terms[0].Coef == 1 || d.Terms[0].Coef == -1):
-			a, b := uf.find(d.Terms[0].V), uf.find(d.Terms[1].V)
+			domains[pin.v] = nd
+		case eqMerge:
+			a, b := eq[0], eq[1]
 			if a != b {
 				nd := intersect(domains[a], domains[b])
 				if len(nd) == 0 {
 					return nil, ErrUnsat
 				}
-				root := uf.union(a, b)
-				domains[root] = nd
+				domains[uf.union(a, b)] = nd
 			}
-		default:
+		case eqNone:
 			remaining = append(remaining, c)
 		}
 	}
@@ -564,13 +532,10 @@ func (s *Solver) prepUnfolded() (*uprob, error) {
 	// end; exclude them from search.
 	root := make([]VarID, len(s.domains))
 	reps := make([]VarID, 0, len(s.domains))
-	nonReps := make([]VarID, 0)
 	for v := range s.domains {
 		root[v] = uf.find(VarID(v))
 		if root[v] == VarID(v) {
 			reps = append(reps, VarID(v))
-		} else {
-			nonReps = append(nonReps, VarID(v))
 		}
 	}
 
@@ -589,54 +554,15 @@ func (s *Solver) prepUnfolded() (*uprob, error) {
 		domains: domains,
 		clauses: clauses,
 		reps:    reps,
-		nonReps: nonReps,
 		watch:   watch,
 	}, nil
 }
 
-// attemptUnfolded runs the search over the preprocessed problem: copy
-// the domain table, run the initial conflict pre-pass and the DFS in
-// the caller's preference order. Returns the SAT model, the node
-// count, and nil / ErrUnsat (exhausted) / ErrLimit / ErrCanceled.
-func (s *Solver) attemptUnfolded(p *uprob, budget int64, done <-chan struct{}) (Model, int64, error) {
-	st := &state{
-		domains:  make([][]int64, len(p.domains)),
-		assigned: make([]bool, len(p.domains)),
-		value:    make([]int64, len(p.domains)),
-		limit:    budget,
-		done:     done,
-	}
-	copy(st.domains, p.domains)
-	for _, v := range p.nonReps {
-		st.assigned[v] = true // placeholder; filled from root later
-	}
-
-	tr := &trail{}
-	for _, cl := range p.clauses {
-		if cl.eval(st) == sqltypes.False || cl.prune(st, tr) {
-			return nil, st.nodes, ErrUnsat
-		}
-	}
-	found, err := s.dfsUnfolded(st, p.clauses, p.watch, tr, p.reps)
-	switch {
-	case err == nil && found:
-		for v := range st.value {
-			if r := p.root[v]; r != VarID(v) {
-				st.value[v] = st.value[r]
-			}
-		}
-		return Model(st.value), st.nodes, nil
-	case err == nil:
-		return nil, st.nodes, ErrUnsat // search space exhausted
-	default:
-		return nil, st.nodes, err
-	}
-}
-
 // solveUnfolded is the list kernel, quantified mode's ground solver:
-// prepUnfolded runs the front end once, then attemptUnfolded searches
-// it under the whole node limit. The DFS checks done every ~1024
-// nodes.
+// prepUnfolded runs the front end, a pre-pass prunes every clause once,
+// and the DFS searches the representatives under the node limit,
+// checking done every ~1024 nodes. It returns the model, or ErrUnsat
+// (refuted or exhausted), ErrLimit or ErrCanceled.
 func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64) (Model, error) {
 	p, err := s.prepUnfolded()
 	if err != nil {
@@ -645,9 +571,37 @@ func (s *Solver) solveUnfolded(done <-chan struct{}, limit int64) (Model, error)
 	if canceled(done) {
 		return nil, ErrCanceled
 	}
-	m, nodes, err := s.attemptUnfolded(p, limit, done)
-	s.last.Nodes += nodes
-	return m, err
+	// The search owns p's domain table: the problem was built for it.
+	st := &state{
+		domains:  p.domains,
+		assigned: make([]bool, len(p.domains)),
+		value:    make([]int64, len(p.domains)),
+		limit:    limit,
+		done:     done,
+	}
+	for v, r := range p.root {
+		// Non-representatives never enter the search; filled from
+		// their roots below.
+		st.assigned[v] = r != VarID(v)
+	}
+	tr := &trail{}
+	for _, cl := range p.clauses {
+		if cl.eval(st) == sqltypes.False || cl.prune(st, tr) {
+			return nil, ErrUnsat
+		}
+	}
+	found, err := s.dfsUnfolded(st, p.clauses, p.watch, tr, p.reps)
+	s.last.Nodes += st.nodes
+	switch {
+	case err != nil:
+		return nil, err
+	case !found:
+		return nil, ErrUnsat // search space exhausted
+	}
+	for v, r := range p.root {
+		st.value[v] = st.value[r]
+	}
+	return Model(st.value), nil
 }
 
 // varUF is a union-find over variables.

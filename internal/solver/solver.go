@@ -483,6 +483,20 @@ func flatten(c Con) Con {
 	}
 }
 
+// appendConjuncts appends c's top-level conjuncts to dst: the leaves of
+// its nested conjunctions in order, or c itself when it is not an And.
+// Both kernels' front ends and quantified mode's ground/quantified
+// split go through it.
+func appendConjuncts(dst []Con, c Con) []Con {
+	if an, ok := c.(*And); ok {
+		for _, x := range an.Cs {
+			dst = appendConjuncts(dst, x)
+		}
+		return dst
+	}
+	return append(dst, c)
+}
+
 // flattenSlice flattens each child, copying the slice only if some child
 // actually changed.
 func flattenSlice(cs []Con) ([]Con, bool) {
