@@ -48,7 +48,6 @@ func run() int {
 	equiv := flag.Bool("equiv", false, "test surviving mutants for equivalence by randomized execution")
 	trials := flag.Int("trials", 120, "randomized trials per surviving mutant")
 	fullOuter := flag.Bool("full-outer", false, "include mutations to FULL OUTER JOIN (the paper's tables exclude them)")
-	parallel := flag.Int("parallel", 0, "kill-goal solver workers (0 = all CPUs, 1 = sequential); output is identical for every value")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = unlimited); on expiry the partial results are reported and the exit code is 3")
 	goalTimeout := flag.Duration("goal-timeout", 0, "wall-clock budget per kill goal (0 = unlimited)")
 	goalNodes := flag.Int64("goal-nodes", 0, "solver node budget per kill goal, with escalating 1x/4x/16x retries (0 = unlimited)")
@@ -80,7 +79,6 @@ func run() int {
 	}
 
 	genOpts := xdata.DefaultOptions()
-	genOpts.Parallelism = *parallel
 	genOpts.GoalTimeout = *goalTimeout
 	genOpts.GoalNodeLimit = *goalNodes
 	suite, err := xdata.GenerateContext(ctx, q, genOpts)
@@ -91,7 +89,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "mutcheck:", err)
 		} else {
 			// Option-validation rejections (e.g. a negative
-			// -parallel) are flag misuse: exit 2, not 1.
+			// -goal-nodes) are flag misuse: exit 2, not 1.
 			return inputFail(err)
 		}
 	}

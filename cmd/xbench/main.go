@@ -46,7 +46,6 @@ func run() int {
 	fast := flag.Bool("fast", false, "skip the quantified (without-unfolding) timing column")
 	equiv := flag.Bool("equiv", false, "verify surviving mutants by randomized equivalence testing")
 	trials := flag.Int("trials", 120, "randomized equivalence trials per surviving mutant")
-	parallel := flag.Int("parallel", 0, "kill-goal solver workers (0 = all CPUs, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = unlimited); partial results are printed on expiry")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -99,7 +98,6 @@ func run() int {
 		SkipQuantified:   *fast,
 		CheckEquivalence: *equiv,
 		EquivTrials:      *trials,
-		Parallelism:      *parallel,
 	}
 
 	exit := 0

@@ -7,7 +7,6 @@
 //	xdata -schema schema.sql -query "SELECT * FROM r, s WHERE r.x = s.x"
 //	xdata -schema schema.sql -queryfile q.sql -format sql
 //	xdata -schema schema.sql -query ... -no-unfold -show-skipped
-//	xdata -schema schema.sql -query ... -parallel 8
 //
 // The schema file contains CREATE TABLE statements (INT/VARCHAR/FLOAT
 // types, PRIMARY KEY, FOREIGN KEY ... REFERENCES, NOT NULL). Output is
@@ -64,7 +63,6 @@ func run() int {
 	inputDB := flag.String("inputdb", "", "optional SQL file of INSERT statements providing an input database (§VI-A)")
 	forceInput := flag.Bool("force-input-tuples", false, "constrain generated tuples to come from the input database")
 	minimize := flag.Bool("minimize", false, "prune datasets whose kills are covered by others (greedy set cover)")
-	parallel := flag.Int("parallel", 0, "kill-goal solver workers (0 = all CPUs, 1 = sequential); output is identical for every value")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for generation (0 = unlimited); on expiry the partial suite is printed and the exit code is 3")
 	goalTimeout := flag.Duration("goal-timeout", 0, "wall-clock budget per kill goal (0 = unlimited)")
 	goalNodes := flag.Int64("goal-nodes", 0, "solver node budget per kill goal, with escalating 1x/4x/16x retries (0 = unlimited)")
@@ -130,7 +128,6 @@ func run() int {
 
 	opts := xdata.DefaultOptions()
 	opts.Unfold = !*noUnfold
-	opts.Parallelism = *parallel
 	opts.GoalTimeout = *goalTimeout
 	opts.GoalNodeLimit = *goalNodes
 	if *inputDB != "" {
@@ -160,7 +157,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "xdata:", err)
 		} else {
 			// Option-validation rejections (e.g. a negative
-			// -parallel) are flag misuse: exit 2, not 1.
+			// -goal-nodes) are flag misuse: exit 2, not 1.
 			return inputFail(err)
 		}
 	}

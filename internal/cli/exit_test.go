@@ -38,9 +38,9 @@ func TestInputExitCode(t *testing.T) {
 		t.Fatal("garbage should not parse")
 	}
 
-	badOpts := (&core.Options{Parallelism: -1}).Validate()
+	badOpts := (&core.Options{GoalNodeLimit: -1}).Validate()
 	if badOpts == nil || !errors.Is(badOpts, core.ErrBadOptions) {
-		t.Fatalf("negative Parallelism should be ErrBadOptions, got %v", badOpts)
+		t.Fatalf("negative GoalNodeLimit should be ErrBadOptions, got %v", badOpts)
 	}
 
 	cases := []struct {

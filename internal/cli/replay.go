@@ -15,8 +15,7 @@ import (
 // Replay re-runs a failure repro bundle written by the daemon's
 // -failure-dir capture (see internal/durable): it loads the bundle's
 // schema.sql, query.sql and canonical options, runs the generator
-// deterministically (byte-identical suites for any worker count), and
-// reports whether the captured failure still reproduces. After the
+// deterministically (byte-identical suites on every run), and reports whether the captured failure still reproduces. After the
 // summary it prints every replayed dataset (the original first) as its
 // INSERT script under its purpose — schema.Dataset.SQLInserts, the
 // bytes the daemon's inserts field carries.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/solver"
@@ -12,8 +11,8 @@ import (
 
 // TestFailureHookFiresOnAbandonedGoals: Options.FailureHook receives
 // exactly the failures that land in Suite.Incomplete, with the same
-// purposes and reasons, even under concurrent goal workers — the
-// contract the daemon's repro-bundle capture relies on.
+// purposes and reasons — the contract the daemon's repro-bundle capture
+// relies on.
 func TestFailureHookFiresOnAbandonedGoals(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, robustSQL)
 
@@ -28,22 +27,14 @@ func TestFailureHookFiresOnAbandonedGoals(t *testing.T) {
 		return solver.FaultNone
 	})
 
-	var mu sync.Mutex
 	var hooked []Failure
 	opts := DefaultOptions()
-	opts.Parallelism = 4
-	opts.FailureHook = func(f Failure) {
-		mu.Lock()
-		defer mu.Unlock()
-		hooked = append(hooked, f)
-	}
+	opts.FailureHook = func(f Failure) { hooked = append(hooked, f) }
 
 	suite, err := NewGenerator(q, opts).GenerateContext(context.Background())
 	if !errors.Is(err, ErrPartialSuite) {
 		t.Fatalf("got error %v, want ErrPartialSuite", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(hooked) != len(suite.Incomplete) {
 		t.Fatalf("hook fired %d times for %d incomplete goals", len(hooked), len(suite.Incomplete))
 	}
@@ -70,7 +61,6 @@ func TestFailureHookSilentOnCompleteSuite(t *testing.T) {
 	opts := DefaultOptions()
 	calls := 0
 	opts.FailureHook = func(Failure) { calls++ }
-	opts.Parallelism = 1
 	if _, err := NewGenerator(q, opts).GenerateContext(context.Background()); err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

@@ -5,39 +5,34 @@
 // one nullification per equivalence-class element (Algorithm 2), one per
 // (non-equi predicate, occurrence) pair (Algorithm 3), one per
 // (predicate, comparison-operator variant) (§V-E), and one per aggregate
-// call (Algorithm 4, including its internal relaxation ladder). Goals
-// share nothing but the read-only Generator, so phase 2 solves them on a
-// worker pool (Options.Parallelism workers) with a fresh problem/solver
-// per goal.
+// call (Algorithm 4, including its internal relaxation ladder). Phase 2
+// solves them one after another on the calling goroutine, in
+// enumeration order, with a fresh problem/solver per goal over the
+// generator's warm caches.
 //
 // Phase 2 is budgeted, cancellable and fault-isolated (see
 // Generator.GenerateContext): each goal runs under a per-goal context
 // (Options.GoalTimeout), with an escalating node-limit retry ladder
 // (Options.GoalNodeLimit: 1x, 4x, 16x, in either solve mode) and a
-// per-worker recover() that converts panics into *GoalError values.
+// per-goal recover() that converts panics into *GoalError values.
 // Abandoned goals become Suite.Incomplete entries instead of failing
 // the run.
 //
-// Determinism contract: each goal writes into its own private Suite;
-// results are merged in goal-enumeration order after all workers finish.
+// Determinism: each goal writes into its own private Suite, merged in
+// goal-enumeration order, and the constraint solver is deterministic
+// per problem (fixed restart seed, no wall-clock heuristics), so
 // Datasets, Skipped, Incomplete and all integer Stats counters are
-// therefore byte-identical for every worker count (the constraint solver
-// itself is deterministic per problem — fixed restart seed, no
-// wall-clock heuristics under default options; the wall-clock budget
-// (GoalTimeout) and cancellation trade this determinism for
-// boundedness, exactly as documented on the options). Only the
-// timing fields (Stats.SolveTime, Stats.TotalTime) vary between runs,
-// exactly as they already did sequentially.
+// byte-identical between runs. The wall-clock budget (GoalTimeout) and
+// cancellation trade this determinism for boundedness, as documented
+// on the options; the timing fields (Stats.SolveTime, Stats.TotalTime)
+// always vary.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/solver"
@@ -56,9 +51,8 @@ type killGoal struct {
 }
 
 // goalBudget threads one attempt's runtime budget — the cancellation
-// context plus the attempt's solver node limit — from the worker pool
-// down to problem.solve, without mutating the shared Generator options
-// (goals solve concurrently).
+// context plus the attempt's solver node limit — from runGoal down to
+// problem.solve, without mutating the Generator's options.
 type goalBudget struct {
 	ctx context.Context
 	// nodeLimit, when positive, bounds solver search nodes per solve
@@ -204,60 +198,18 @@ func (g *Generator) runGoalAttempt(ctx context.Context, nodeLimit int64, goal ki
 	return goal.run(g, gb, sub)
 }
 
-// runGoals solves all goals, concurrently when Options.Parallelism (or
-// GOMAXPROCS) allows, and returns the per-goal sub-suites in goal order.
-// Budget exhaustion, panics and cancellation are absorbed into the
-// sub-suites (see runGoal); only hard errors propagate.
-//
-// The calling goroutine is one of the workers: a pool of n workers
-// starts n-1 goroutines. Besides saving a goroutine per request, this
-// runs goals on a stack that has already grown through the recursive
-// clause evaluation, instead of growing fresh worker stacks every time.
-// Workers claim goals in enumeration order from a shared counter and
-// stop claiming after the first hard error.
+// runGoals solves the goals on the calling goroutine, in enumeration
+// order, and returns their sub-suites in that order. Budget exhaustion,
+// panics and cancellation are absorbed into the sub-suites (see
+// runGoal); the first hard error stops the run and is returned.
 func (g *Generator) runGoals(ctx context.Context, goals []killGoal) ([]*Suite, error) {
-	workers := g.opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(goals) {
-		workers = len(goals)
-	}
 	subs := make([]*Suite, len(goals))
-	errs := make([]error, len(goals))
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
-		for !failed.Load() {
-			i := int(next.Add(1) - 1)
-			if i >= len(goals) {
-				return
-			}
-			sub, err := g.runGoal(ctx, goals[i])
-			if err != nil {
-				errs[i] = err
-				failed.Store(true)
-				return
-			}
-			subs[i] = sub
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	// Report the first error in goal order so failures are deterministic
-	// too.
-	for _, err := range errs {
+	for i, goal := range goals {
+		sub, err := g.runGoal(ctx, goal)
 		if err != nil {
 			return nil, err
 		}
+		subs[i] = sub
 	}
 	return subs, nil
 }

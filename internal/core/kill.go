@@ -247,7 +247,10 @@ func attrList(as []qtree.AttrRef) string {
 // foreign-key closure (Algorithm 2's S set, nullified jointly with
 // target). The closure is computed once per generator.
 func (g *Generator) referencersOf(target schema.ColRef) []schema.ColRef {
-	g.fkOnce.Do(func() { g.fkClosure = g.q.Schema.FKClosure() })
+	if !g.fkDone {
+		g.fkClosure = g.q.Schema.FKClosure()
+		g.fkDone = true
+	}
 	var out []schema.ColRef
 	for _, e := range g.fkClosure {
 		if e.To == target {

@@ -403,8 +403,9 @@ func (g *Generator) neededHavingSets() int {
 // satisfiable. A HAVING comparison goal passes the index of its conjunct,
 // which then holds with op in place of its own operator; there a
 // non-COUNT conjunct holds on a shared aggregated value on a one-row
-// group, where that is exact, and when it is a DISTINCT SUM/AVG, which
-// has no form over free values.
+// group, where that is exact. A DISTINCT SUM/AVG conjunct, which has no
+// form over free values, holds on a shared aggregated value in every
+// goal, targeted or not.
 func (p *problem) assertHavingHolds(n, target int, op sqltypes.CmpOp) error {
 	for _, gbAttr := range p.g.q.Agg.GroupBy {
 		v0, err := p.varOf(gbAttr, 0)
@@ -436,7 +437,7 @@ func (p *problem) assertHavingHolds(n, target int, op sqltypes.CmpOp) error {
 		}
 		distinctSum := h.Call.Distinct && (h.Call.Func == sqlparser.AggSum || h.Call.Func == sqlparser.AggAvg)
 		var err error
-		if target >= 0 && !isCountCall(h.Call) && (n == 1 || distinctSum) {
+		if distinctSum || (target >= 0 && !isCountCall(h.Call) && n == 1) {
 			err = p.assertHavingShared(h, n)
 		} else {
 			err = p.assertHavingFree(h, n)

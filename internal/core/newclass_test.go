@@ -220,11 +220,15 @@ func TestHavingGoalsUnderCountConjuncts(t *testing.T) {
 		// joins (the foreign key leaves no emp row unmatched, and a
 		// padded dept row's group counts no salary).
 		{"SELECT d.did, COUNT(*) FROM dept d, emp e WHERE d.did = e.did GROUP BY d.did HAVING COUNT(DISTINCT e.sal) > 1 AND MIN(e.sal) >= 3", 12, 9, nil},
-		// Every HAVING mutant dies. The SELECT list's MAX(e.sal) mutants
-		// survive: Algorithm 4 asserts the HAVING clause over free
-		// values, where SUM(DISTINCT e.sal) has no form.
-		{"SELECT e.did, MAX(e.sal) FROM emp e GROUP BY e.did HAVING SUM(DISTINCT e.sal) > 10 AND MAX(e.sal) < 50", 17, 12, []string{
-			"MAX(e.sal) -> MIN(e.sal)", "MAX(e.sal) -> SUM(e.sal)", "MAX(e.sal) -> AVG(e.sal)",
+		// Every HAVING mutant dies, and so does MAX -> SUM: every goal
+		// holds SUM(DISTINCT e.sal) on a shared salary, so the original
+		// dataset and Algorithm 4's "dropped S2" rung are satisfiable,
+		// and that rung's three equal salaries tell SUM from MAX. The
+		// other SELECT-list MAX(e.sal) mutants survive: the rungs that
+		// would kill them need the group's values to differ, which the
+		// shared value forbids.
+		{"SELECT e.did, MAX(e.sal) FROM emp e GROUP BY e.did HAVING SUM(DISTINCT e.sal) > 10 AND MAX(e.sal) < 50", 17, 13, []string{
+			"MAX(e.sal) -> MIN(e.sal)", "MAX(e.sal) -> AVG(e.sal)",
 			"MAX(e.sal) -> SUM(DISTINCT e.sal)", "MAX(e.sal) -> AVG(DISTINCT e.sal)",
 		}},
 		{"SELECT e.did, COUNT(*) FROM emp e GROUP BY e.did HAVING COUNT(*) = 2 AND SUM(DISTINCT e.sal) > 10 AND MAX(e.sal) < 50", 15, 15, nil},

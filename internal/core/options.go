@@ -8,8 +8,8 @@ import (
 )
 
 // ErrBadOptions is the sentinel wrapped by every Options validation
-// failure: a nonsensical (negative) budget, worker count, or ceiling,
-// or an inconsistent combination. Test with errors.Is. Bad options are
+// failure: a nonsensical (negative) budget or ceiling, or an
+// inconsistent combination. Test with errors.Is. Bad options are
 // caller errors — the generation never starts, no partial suite is
 // returned.
 var ErrBadOptions = errors.New("core: bad options")
@@ -21,16 +21,12 @@ func badOption(field string, format string, args ...any) error {
 }
 
 // Validate checks an Options value for nonsensical settings. Zero
-// values are always valid (they select the documented defaults:
-// Parallelism 0 = all CPUs, budgets 0 = unlimited, MaxDomainSize 0 =
-// uncapped); negatives — which the pre-validation code silently
-// coerced into one of those defaults, hiding caller bugs — are
-// rejected with a typed ErrBadOptions. Generate and GenerateContext
+// values are always valid (they select the documented defaults: budgets
+// 0 = unlimited, MaxDomainSize 0 = uncapped); negatives — which the
+// pre-validation code silently coerced into one of those defaults,
+// hiding caller bugs — are rejected with a typed ErrBadOptions. Generate and GenerateContext
 // call Validate before doing any work.
 func (o Options) Validate() error {
-	if o.Parallelism < 0 {
-		return badOption("Parallelism", "negative worker count %d (0 selects all CPUs)", o.Parallelism)
-	}
 	if o.GoalTimeout < 0 {
 		return badOption("GoalTimeout", "negative timeout %v (0 means unlimited)", o.GoalTimeout)
 	}

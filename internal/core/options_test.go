@@ -20,7 +20,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		{"Parallelism", func(o *Options) { o.Parallelism = -1 }},
 		{"GoalTimeout", func(o *Options) { o.GoalTimeout = -time.Millisecond }},
 		{"GoalNodeLimit", func(o *Options) { o.GoalNodeLimit = -1 }},
 		{"MaxDomainSize", func(o *Options) { o.MaxDomainSize = -1 }},
@@ -44,7 +43,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		t.Fatalf("DefaultOptions must validate: %v", err)
 	}
 	ok := base
-	ok.Parallelism = 4
 	ok.GoalTimeout = time.Second
 	ok.GoalNodeLimit = 1000
 	ok.MaxDomainSize = 100
@@ -60,7 +58,7 @@ func TestOptionsValidatePerField(t *testing.T) {
 func TestGenerateRejectsBadOptions(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, "SELECT * FROM instructor i, teaches t WHERE i.id = t.id")
 	opts := DefaultOptions()
-	opts.Parallelism = -8
+	opts.GoalNodeLimit = -8
 	suite, err := NewGenerator(q, opts).Generate()
 	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Generate with bad options: got %v, want ErrBadOptions", err)

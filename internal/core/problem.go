@@ -207,7 +207,7 @@ type layoutKey struct {
 // problemLayout is the immutable, shareable part of a problem: the
 // declared solver variable space, the slot arrays, the
 // occurrence-to-slot mapping and the query-condition constraints over
-// them. Built once per layoutKey by Generator.layoutForLocked; problems
+// them. Built once per layoutKey by Generator.layoutFor; problems
 // alias it via solver.NewShared and never mutate it (everything is
 // written only during construction; the per-goal mutable state —
 // skipFK, nullPatches, forceInput, asserted constraints — lives on the
@@ -269,9 +269,7 @@ type baseKey struct {
 // (§V-B). Transitively referenced relations outside the query are always
 // included so the dataset is a legal database instance.
 func (g *Generator) newProblem(tupleSets int, needRepair bool) (*problem, error) {
-	g.mu.Lock()
-	pl, err := g.layoutForLocked(tupleSets, needRepair)
-	g.mu.Unlock()
+	pl, err := g.layoutFor(tupleSets, needRepair)
 	if err != nil {
 		return nil, err
 	}
@@ -290,9 +288,9 @@ func (g *Generator) problemOn(pl *problemLayout) *problem {
 	}
 }
 
-// layoutForLocked returns (building and caching on first use) the
-// shared layout for a problem shape. Caller holds g.mu.
-func (g *Generator) layoutForLocked(tupleSets int, needRepair bool) (*problemLayout, error) {
+// layoutFor returns (building and caching on first use) the shared
+// layout for a problem shape.
+func (g *Generator) layoutFor(tupleSets int, needRepair bool) (*problemLayout, error) {
 	key := layoutKey{tupleSets: tupleSets, needRepair: needRepair}
 	if pl, ok := g.layouts[key]; ok {
 		return pl, nil
@@ -311,18 +309,13 @@ func (g *Generator) layoutForLocked(tupleSets int, needRepair bool) (*problemLay
 // baseFor returns (building and caching on first use) the shared
 // pre-propagated database-constraint core for a problem shape. built
 // reports whether this call performed the build, so the caller can
-// account the propagation work exactly once per distinct core. Builds
-// are serialized under g.mu: concurrent goals needing the same core
-// wait for one build instead of duplicating it, keeping the suite's
-// BasePropagationNodes total deterministic.
+// account the propagation work exactly once per distinct core.
 func (g *Generator) baseFor(tupleSets int, needRepair, forceInput bool) (*solver.Base, bool, error) {
 	key := baseKey{tupleSets: tupleSets, needRepair: needRepair, forceInput: forceInput}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if b, ok := g.bases[key]; ok {
 		return b, false, nil
 	}
-	pl, err := g.layoutForLocked(tupleSets, needRepair)
+	pl, err := g.layoutFor(tupleSets, needRepair)
 	if err != nil {
 		return nil, false, err
 	}
@@ -830,13 +823,17 @@ func (p *problem) solve(gb *goalBudget, label string) (solver.Model, error) {
 		Label:     label,
 		Cache:     p.g.comp,
 	}
-	// Check an arena out around the call: the solve runs entirely on
-	// this goroutine (cancellation is cooperative), so the arena is free
-	// for the next checkout as soon as SolveContext returns.
-	ar := p.g.getArena()
+	// Take the generator's arena for the call and put it back after:
+	// a solve that panics never puts it back, so whatever state the
+	// panic left in it is dropped with it.
+	ar := p.g.arena
+	if ar == nil {
+		ar = &solver.Arena{}
+	}
+	p.g.arena = nil
 	opts.Arena = ar
 	m, err := p.s.SolveContext(gb.ctx, opts)
-	p.g.putArena(ar)
+	p.g.arena = ar
 	return m, err
 }
 

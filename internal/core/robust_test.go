@@ -146,7 +146,6 @@ func TestFaultInjectionPartialSuite(t *testing.T) {
 func TestRetryLadderEscalation(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, robustSQL)
 	opts := DefaultOptions()
-	opts.Parallelism = 1 // deterministic hook call ordering
 	opts.GoalNodeLimit = 100_000
 
 	calls := 0
@@ -196,7 +195,6 @@ func TestRetryLadderExhausted(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, robustSQL)
 	opts := DefaultOptions()
 	opts.Unfold = false
-	opts.Parallelism = 1
 	opts.GoalNodeLimit = 100_000
 
 	defer solver.SetFaultHook(nil)
@@ -226,7 +224,7 @@ func TestRetryLadderExhausted(t *testing.T) {
 
 // TestGenerateContextCancelNoLeaks cancels a generation whose every
 // solve hangs (injected FaultSlow) and asserts the pipeline returns
-// promptly with a deterministic partial result and no leaked worker
+// promptly with a deterministic partial result and no leaked
 // goroutines. Run under -race in CI.
 func TestGenerateContextCancelNoLeaks(t *testing.T) {
 	q := buildQuery(t, ddlNoFK, robustSQL)
@@ -236,7 +234,6 @@ func TestGenerateContextCancelNoLeaks(t *testing.T) {
 	})
 
 	opts := DefaultOptions()
-	opts.Parallelism = 8
 
 	before := testutil.GoroutineSnapshot()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -279,8 +276,8 @@ func TestGenerateContextCancelNoLeaks(t *testing.T) {
 		}
 	}
 
-	// Worker-goroutine leak check: slack 1 for the canceler goroutine
-	// above, which may not have exited yet.
+	// Goroutine leak check: slack 1 for the canceler goroutine above,
+	// which may not have exited yet.
 	testutil.RequireNoGoroutineLeak(t, before, 1)
 }
 

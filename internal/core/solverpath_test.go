@@ -142,9 +142,7 @@ func TestComponentCacheFaultRelease(t *testing.T) {
 		return solver.FaultNone
 	})
 
-	opts := DefaultOptions()
-	opts.Parallelism = 4 // concurrent claimants on shared cache entries
-	g := NewGenerator(q, opts)
+	g := NewGenerator(q, DefaultOptions())
 	suite, err := g.Generate()
 	if err == nil {
 		t.Fatal("injected panic: want ErrPartialSuite, got nil error")
@@ -169,8 +167,8 @@ func TestComponentCacheFaultRelease(t *testing.T) {
 	}
 
 	// Lift the fault: the same warm generator (shared caches intact)
-	// must complete the full suite — an orphaned cache claim would
-	// deadlock or poison this run.
+	// must complete the full suite — a cache entry written by the
+	// panicked solve would poison this run.
 	solver.SetFaultHook(nil)
 	full, err := g.Generate()
 	if err != nil {

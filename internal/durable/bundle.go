@@ -107,7 +107,7 @@ type Bundle struct {
 	// Options are the generation options in core.Options' JSON
 	// encoding, the same encoding ContentKey hashes: every field a
 	// suite depends on, and none that a self-contained bundle cannot
-	// carry (Parallelism, InputDB, FailureHook).
+	// carry (InputDB, FailureHook).
 	Options core.Options `json:"options"`
 
 	// SchemaSQL/QuerySQL are loaded from the bundle's schema.sql and

@@ -92,7 +92,6 @@ func TestBundleWriteReadRoundTrip(t *testing.T) {
 // leaves out ("-"), one reason each. A field newly tagged "-" fails
 // TestBundleOptionsRoundTrip until it is listed here.
 var excludedOptions = map[string]string{
-	"Parallelism": "suites are byte-identical for every worker count",
 	"InputDB":     "data, not a setting: InputDB-seeded generation is never cached, routed or bundled",
 	"FailureHook": "a callback that only observes abandoned goals",
 }

@@ -367,7 +367,7 @@ type pairIdx struct{ l, r int }
 // CompilePlans itself fails only when ctx is done, which it checks
 // between plans.
 func CompilePlans(ctx context.Context, plans []*Plan) ([]*Plan, error) {
-	s := newMemoSet()
+	s := newMemoSet(len(plans))
 	copies := make([]Plan, len(plans))
 	out := make([]*Plan, len(plans))
 	for i, p := range plans {
@@ -419,23 +419,59 @@ type memoSet struct {
 	// pairBuf collects one node's pairs before they are carved.
 	pairs   slab[pairIdx]
 	pairBuf []pairIdx
+	// nodes and plans carve the call's compiled nodes and plans from
+	// shared backing arrays instead of allocating each one. plans holds
+	// one entry per plan the call compiles; nodes is the chunk being
+	// carved (see newNode).
+	nodes []cnode
+	plans []compiledPlan
 }
 
 type subKey struct{ op, l, r int32 }
 
-func newMemoSet() *memoSet {
+// newMemoSet returns the memo set of a call compiling n plans.
+func newMemoSet(n int) *memoSet {
 	return &memoSet{
 		memos:   map[memoKey]*compileMemo{},
 		tabs:    map[*qtree.Query]*attrTable{},
 		slots:   map[subKey]int32{},
 		fam:     &family{},
 		layouts: map[string][]int32{},
+		plans:   make([]compiledPlan, 0, n),
 	}
+}
+
+// maxNodeChunk caps the length of one node chunk.
+const maxNodeChunk = 1024
+
+// newNode returns a zeroed node carved from the call's node chunks. The
+// first chunk holds the first plan's tree, which is the whole of a lazy
+// compile; a family's mutants add their changed paths, and each later
+// chunk is half again its predecessor, up to maxNodeChunk. Doubling
+// chunks allocated more bytes on every TestEvaluateAllocs cell (Q4/fk0
+// 0.481 MB per cold evaluation against 0.477 MB).
+func (s *memoSet) newNode() *cnode {
+	if len(s.nodes) == cap(s.nodes) {
+		s.nodes = make([]cnode, 0, min(cap(s.nodes)+cap(s.nodes)/2+1, maxNodeChunk))
+	}
+	s.nodes = s.nodes[:len(s.nodes)+1]
+	return &s.nodes[len(s.nodes)-1]
+}
+
+// treeNodes counts the nodes of a join tree.
+func treeNodes(n *qtree.Node) int {
+	if n.IsLeaf() {
+		return 1
+	}
+	return 1 + treeNodes(n.Left) + treeNodes(n.Right)
 }
 
 // compile compiles p through the memo of its key, creating the memo on
 // first use.
 func (s *memoSet) compile(p *Plan) (*compiledPlan, error) {
+	if s.nodes == nil {
+		s.nodes = make([]cnode, 0, treeNodes(p.Tree))
+	}
 	k := memoKey{q: p.Query, n: len(p.Preds)}
 	if len(p.Preds) > 0 {
 		k.preds = &p.Preds[0]
@@ -620,7 +656,7 @@ func newCompileMemo(p *Plan, s *memoSet, tab *attrTable) *compileMemo {
 // of its own unless it already has been.
 func (p *Plan) compile() (*compiledPlan, error) {
 	p.compileOnce.Do(func() {
-		s := newMemoSet()
+		s := newMemoSet(1)
 		p.comp, p.compErr = s.compile(p)
 		s.seal()
 	})
@@ -636,7 +672,9 @@ func (p *Plan) doCompile(m *compileMemo) (*compiledPlan, error) {
 			return nil, fmt.Errorf("engine: predicate %s was never applied", pr)
 		}
 	}
-	return &compiledPlan{root: root, fam: m.set.fam, attrs: m.tab, empty: m.constEmpty, output: m.output(p, root)}, nil
+	s := m.set
+	s.plans = append(s.plans, compiledPlan{root: root, fam: s.fam, attrs: m.tab, empty: m.constEmpty, output: m.output(p, root)})
+	return &s.plans[len(s.plans)-1], nil
 }
 
 // output returns p's output stage over root's layout, compiling it on
@@ -787,7 +825,8 @@ func (m *compileMemo) node(n *qtree.Node) *cnode {
 
 // compileLeaf compiles one occurrence's scan and the selections on it.
 func (m *compileMemo) compileLeaf(occ *qtree.Occurrence) *cnode {
-	c := &cnode{
+	c := m.set.newNode()
+	*c = cnode{
 		leaf:    true,
 		relName: occ.Rel.Name,
 		width:   occ.Rel.Arity(),
@@ -857,7 +896,8 @@ func intern(k []byte) int32 {
 // would build.
 func (m *compileMemo) compileJoin(k joinKey) *cnode {
 	left, right := k.l, k.r
-	c := &cnode{
+	c := m.set.newNode()
+	*c = cnode{
 		jt:     k.jt,
 		left:   left,
 		right:  right,

@@ -41,7 +41,7 @@ type CompiledInfo struct {
 // returns what each compile built. The plans' own compiled state is
 // left untouched.
 func CompileShared(plans []*Plan) ([]CompiledInfo, []error) {
-	s := newMemoSet()
+	s := newMemoSet(len(plans))
 	infos := make([]CompiledInfo, len(plans))
 	errs := make([]error, len(plans))
 	for i, p := range plans {
@@ -58,7 +58,7 @@ func CompileShared(plans []*Plan) ([]CompiledInfo, []error) {
 // CompilePrivate compiles p as a lazy compile does, as a family of its
 // own, leaving the plan's own compiled state untouched.
 func CompilePrivate(p *Plan) (CompiledInfo, error) {
-	s := newMemoSet()
+	s := newMemoSet(1)
 	cp, err := s.compile(p)
 	s.seal()
 	if cp == nil {

@@ -80,8 +80,7 @@ const keySchemaVersion = 5
 // the same dataset as an unbudgeted run, and only complete suites are
 // ever cached), but keying on the clamped budgets costs hits only when
 // clients vary their asks and makes the key auditable without that
-// argument. Parallelism is excluded by the encoding: the generator
-// documents byte-identical suites for every worker count.
+// argument.
 //
 // InputDB-seeded generation is not content-addressable by this key
 // (the encoding excludes the dataset); callers must not cache or route

@@ -14,9 +14,10 @@ import (
 
 // TestEvaluateAllocs locks the allocations of one cold kill-matrix
 // evaluation: Evaluate over a cell's generated suite compiles the
-// family afresh, runs every dataset through one SharedCache and carves
-// the Report's and the evaluator's kill rows from one backing array
-// each, not one row per mutant and per unique plan. The
+// family afresh, carving its compiled nodes and plans from per-call
+// chunks, runs every dataset through one SharedCache and carves the
+// Report's and the evaluator's kill rows from one backing array each,
+// not one row per mutant and per unique plan. The
 // cells are the largest Table I family without foreign keys (Q6/fk0,
 // 4,248 mutants), a mid-sized one (Q4/fk0) and an aggregate family
 // (Q12/fk1), whose mutants still build their Results. The mutant space
@@ -33,14 +34,17 @@ func TestEvaluateAllocs(t *testing.T) {
 		fk    int
 		bound float64
 	}{
-		// 882 measured with each compile call's join pairs carved from
-		// shared chunks; 1,392 with a pairs slice grown per join node,
-		// 1,758 with a kill row per mutant and per unique plan.
-		{"Q4", 0, 970},
-		// 14,823 measured; 26,479 with per-node pairs, 34,973 before.
-		{"Q6", 0, 16300},
-		// 1,054 measured; 1,077 with per-node pairs, 1,115 before.
-		{"Q12", 1, 1160},
+		// 330 measured with each compile call's nodes and plans carved
+		// from shared chunks; 882 with a node and a plan allocated
+		// apiece, 1,392 with a pairs slice grown per join node, 1,758
+		// with a kill row per mutant and per unique plan.
+		{"Q4", 0, 365},
+		// 1,299 measured; 14,823 with per-node nodes and plans, 26,479
+		// with per-node pairs, 34,973 before.
+		{"Q6", 0, 1430},
+		// 995 measured; 1,054 with per-node nodes and plans, 1,077 with
+		// per-node pairs, 1,115 before.
+		{"Q12", 1, 1095},
 	} {
 		name := fmt.Sprintf("%s/fk%d", tc.query, tc.fk)
 		var sql string
@@ -53,9 +57,7 @@ func TestEvaluateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		opts := core.DefaultOptions()
-		opts.Parallelism = 1
-		suite, err := core.NewGenerator(q, opts).Generate()
+		suite, err := core.NewGenerator(q, core.DefaultOptions()).Generate()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -101,9 +103,7 @@ func TestWarmRunDatasetAllocs(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("%s/fk%d", bq.Name, fk)
-				opts := core.DefaultOptions()
-				opts.Parallelism = 1
-				suite, err := core.NewGenerator(q, opts).Generate()
+				suite, err := core.NewGenerator(q, core.DefaultOptions()).Generate()
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

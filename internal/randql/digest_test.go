@@ -87,9 +87,7 @@ func digestCorpus(t *testing.T) []digestCase {
 				if err != nil {
 					t.Fatalf("%s: %v", bq.Name, err)
 				}
-				opts := core.DefaultOptions()
-				opts.Parallelism = 1
-				suite, err := core.NewGenerator(q, opts).Generate()
+				suite, err := core.NewGenerator(q, core.DefaultOptions()).Generate()
 				if err != nil {
 					t.Fatalf("%s fk %d: %v", bq.Name, fk, err)
 				}

@@ -57,21 +57,20 @@ var generationCellWork = []struct {
 }
 
 // generationRandqlDigest pins the digest of randql default-grammar seeds
-// 30001–30200 generated under genDigestNodeLimit at Parallelism 1.
+// 30001–30200 generated under genDigestNodeLimit.
 const generationRandqlDigest = "220377c57010c7b269f2131ca6d242d6170926561eab269256d0a23476450808"
 
 // genDigestNodeLimit is the randql window's per-goal node budget. A
-// node budget, unlike a timeout, keeps every counter deterministic; at
-// Parallelism 1 no other goal can pay a shared component's nodes, so
-// which goals exhaust the budget is deterministic too.
+// node budget, unlike a timeout, keeps every counter deterministic, and
+// so is which goals exhaust it: goals solve in enumeration order, so the
+// goal that pays a shared component's nodes is always the same one.
 const genDigestNodeLimit = 2000
 
 // generateCellText runs one generation request from its text, as a
 // paper_generate request does: parse the DDL, query and input database,
-// generate with library defaults at the given parallelism (in
-// quantified mode when unfold is false), and return the suite with the
-// parsed schema.
-func generateCellText(c university.Cell, par int, unfold bool) (*core.Suite, *schema.Schema, error) {
+// generate with library defaults (in quantified mode when unfold is
+// false), and return the suite with the parsed schema.
+func generateCellText(c university.Cell, unfold bool) (*core.Suite, *schema.Schema, error) {
 	sch, err := sqlparser.ParseSchema(c.DDL)
 	if err != nil {
 		return nil, nil, err
@@ -81,7 +80,6 @@ func generateCellText(c university.Cell, par int, unfold bool) (*core.Suite, *sc
 		return nil, nil, err
 	}
 	opts := core.DefaultOptions()
-	opts.Parallelism = par
 	opts.Unfold = unfold
 	if c.Inserts != "" {
 		in, err := sqlparser.ParseInserts(sch, c.Inserts)
@@ -124,10 +122,10 @@ func genDigestSuite(h hash.Hash, name string, sch *schema.Schema, suite *core.Su
 
 // TestGenerationDigest pins the generation layer end to end: the suite
 // bytes, skips, incomplete goals and work counters of the 22 paper
-// generation cells at Parallelism 1 and 2, and of randql default-grammar
-// seeds 30001–30200 under a node-only goal budget. A change to goal
-// construction, solving, extraction or rendering that alters any output
-// byte or any counter fails here, naming the cell and the counter.
+// generation cells, and of randql default-grammar seeds 30001–30200
+// under a node-only goal budget. A change to goal construction,
+// solving, extraction or rendering that alters any output byte or any
+// counter fails here, naming the cell and the counter.
 func TestGenerationDigest(t *testing.T) {
 	cells := university.GenerationCells()
 	if len(cells) != len(generationCellWork) {
@@ -139,34 +137,32 @@ func TestGenerationDigest(t *testing.T) {
 		if want.name != c.Name {
 			t.Fatalf("cell %d is %s, pinned row is %s", ci, c.Name, want.name)
 		}
-		for _, par := range []int{1, 2} {
-			suite, sch, err := generateCellText(c, par, true)
-			if err != nil {
-				t.Fatalf("%s, Parallelism %d: %v", c.Name, par, err)
+		suite, sch, err := generateCellText(c, true)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		h := sha256.New()
+		genDigestSuite(h, c.Name, sch, suite, nil)
+		st := suite.Stats
+		got := cellWork{st.SolverNodes, st.ComponentCount, st.ComponentCacheHits, st.BasePropagationNodes, len(suite.Datasets)}
+		digest := hex.EncodeToString(h.Sum(nil))[:16]
+		t.Logf("%s: %+v digest %s", c.Name, got, digest)
+		for _, f := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"nodes", got.nodes, want.work.nodes},
+			{"components", got.components, want.work.components},
+			{"component-cache hits", got.cacheHits, want.work.cacheHits},
+			{"base-propagation nodes", got.baseNodes, want.work.baseNodes},
+			{"datasets", int64(got.datasets), int64(want.work.datasets)},
+		} {
+			if f.got != f.want {
+				t.Errorf("%s: %s %d, want %d", c.Name, f.name, f.got, f.want)
 			}
-			h := sha256.New()
-			genDigestSuite(h, c.Name, sch, suite, nil)
-			st := suite.Stats
-			got := cellWork{st.SolverNodes, st.ComponentCount, st.ComponentCacheHits, st.BasePropagationNodes, len(suite.Datasets)}
-			digest := hex.EncodeToString(h.Sum(nil))[:16]
-			t.Logf("%s, Parallelism %d: %+v digest %s", c.Name, par, got, digest)
-			for _, f := range []struct {
-				name      string
-				got, want int64
-			}{
-				{"nodes", got.nodes, want.work.nodes},
-				{"components", got.components, want.work.components},
-				{"component-cache hits", got.cacheHits, want.work.cacheHits},
-				{"base-propagation nodes", got.baseNodes, want.work.baseNodes},
-				{"datasets", int64(got.datasets), int64(want.work.datasets)},
-			} {
-				if f.got != f.want {
-					t.Errorf("%s, Parallelism %d: %s %d, want %d", c.Name, par, f.name, f.got, f.want)
-				}
-			}
-			if digest != want.digest {
-				t.Errorf("%s, Parallelism %d: digest %s, want %s", c.Name, par, digest, want.digest)
-			}
+		}
+		if digest != want.digest {
+			t.Errorf("%s: digest %s, want %s", c.Name, digest, want.digest)
 		}
 		if c.Inserts == "" {
 			w := want.work
@@ -192,7 +188,6 @@ func TestGenerationDigest(t *testing.T) {
 			t.Fatalf("NewCase(%d): %v", seed, err)
 		}
 		opts := core.DefaultOptions()
-		opts.Parallelism = 1
 		opts.GoalNodeLimit = genDigestNodeLimit
 		suite, err := core.NewGenerator(c.Query, opts).Generate()
 		genDigestSuite(h, fmt.Sprintf("seed %d", seed), c.Schema, suite, err)
@@ -239,7 +234,7 @@ var quantifiedCellWork = []struct {
 }
 
 // TestQuantifiedGenerationDigest pins quantified-mode generation on the
-// 20 Table I/II cells at Parallelism 1 and 2: the suite bytes, skips,
+// 20 Table I/II cells: the suite bytes, skips,
 // incomplete goals and every work counter, as TestGenerationDigest pins
 // the unfolded default.
 func TestQuantifiedGenerationDigest(t *testing.T) {
@@ -258,23 +253,21 @@ func TestQuantifiedGenerationDigest(t *testing.T) {
 		if want.name != c.Name {
 			t.Fatalf("cell %d is %s, pinned row is %s", ci, c.Name, want.name)
 		}
-		for _, par := range []int{1, 2} {
-			suite, sch, err := generateCellText(c, par, false)
-			if err != nil {
-				t.Fatalf("%s, Parallelism %d: %v", c.Name, par, err)
-			}
-			h := sha256.New()
-			genDigestSuite(h, c.Name, sch, suite, nil)
-			st := suite.Stats
-			digest := hex.EncodeToString(h.Sum(nil))[:16]
-			t.Logf("%s, Parallelism %d: {%q, %d, %d, %d, %q},", c.Name, par, c.Name, st.SolverNodes, st.SolverRestarts, len(suite.Datasets), digest)
-			if st.SolverNodes != want.nodes || st.SolverRestarts != want.restarts || len(suite.Datasets) != want.datasets {
-				t.Errorf("%s, Parallelism %d: nodes %d, restarts %d, datasets %d; want %d, %d, %d",
-					c.Name, par, st.SolverNodes, st.SolverRestarts, len(suite.Datasets), want.nodes, want.restarts, want.datasets)
-			}
-			if digest != want.digest {
-				t.Errorf("%s, Parallelism %d: digest %s, want %s", c.Name, par, digest, want.digest)
-			}
+		suite, sch, err := generateCellText(c, false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		h := sha256.New()
+		genDigestSuite(h, c.Name, sch, suite, nil)
+		st := suite.Stats
+		digest := hex.EncodeToString(h.Sum(nil))[:16]
+		t.Logf("%s: {%q, %d, %d, %d, %q},", c.Name, c.Name, st.SolverNodes, st.SolverRestarts, len(suite.Datasets), digest)
+		if st.SolverNodes != want.nodes || st.SolverRestarts != want.restarts || len(suite.Datasets) != want.datasets {
+			t.Errorf("%s: nodes %d, restarts %d, datasets %d; want %d, %d, %d",
+				c.Name, st.SolverNodes, st.SolverRestarts, len(suite.Datasets), want.nodes, want.restarts, want.datasets)
+		}
+		if digest != want.digest {
+			t.Errorf("%s: digest %s, want %s", c.Name, digest, want.digest)
 		}
 		nodes += want.nodes
 		restarts += want.restarts

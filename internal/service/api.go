@@ -9,8 +9,8 @@ import (
 
 // RequestOptions are a request's budgets: the whole-request budget and
 // the per-goal budgets of core.Options. Everything else the daemon
-// solves with is fixed: core.DefaultOptions() (unfolded, the library's
-// worker count) under the server's domain ceiling. Every field is
+// solves with is fixed: core.DefaultOptions() (unfolded, every kill
+// goal on the request's goroutine) under the server's domain ceiling. Every field is
 // clamped server-side onto the Config ceilings before reaching the
 // generator: a zero (absent) field selects the ceiling itself, a
 // positive field is honored up to the ceiling, and a negative field is

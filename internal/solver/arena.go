@@ -11,9 +11,8 @@ package solver
 // returned model and the delta's freshly compiled clause nodes.
 //
 // An Arena is NOT safe for concurrent use: it must serve at most one
-// solve at a time. Callers running goals on a worker pool keep a pool
-// of arenas (one checked out per in-flight solve) instead of sharing
-// one. The zero value is ready to use; an Arena is never "freed" —
+// solve at a time (a generator keeps one and solves its goals one after
+// another). The zero value is ready to use; an Arena is never "freed" —
 // dropping all references releases it.
 type Arena struct {
 	// Front-end scratch (Solver.front).

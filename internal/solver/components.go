@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
-	"sync"
 
 	"repro/internal/sqltypes"
 )
@@ -25,9 +24,7 @@ import (
 // encoding — variables are searched in canonical order (MRV ties break
 // toward it), values in surviving-candidate order, restart shuffles are
 // seeded per component — so a cache replay is byte-identical to a fresh
-// solve and aggregate statistics stay worker-count-independent (the
-// cache is singleflight: concurrent solves of the same key block on the
-// first claimant instead of duplicating search nodes).
+// solve.
 
 // kcomp is one connected component.
 type kcomp struct {
@@ -272,23 +269,14 @@ type compResult struct {
 	model []int64
 }
 
-// ComponentCache memoizes solved components by canonical key. It is
-// safe for concurrent use and singleflight: when several goals reach
-// the same component simultaneously, one solves while the rest wait for
-// the published result, so search work (and therefore aggregate node
-// statistics) is independent of worker count. A claimant that fails —
-// budget exhaustion, cancellation, or a panic unwinding through the
-// solve — releases its claim without publishing, so a poisoned entry
-// can never be observed; waiters simply re-claim and solve themselves.
+// ComponentCache memoizes solved components by canonical key. Like the
+// generator that owns it, a cache is confined to one goroutine: the
+// solves sharing it run one after another. Only a finished component
+// search writes it (the model on SAT, the verdict on UNSAT), so a solve
+// stopped by its node limit, its context or a panic leaves it
+// unchanged.
 type ComponentCache struct {
-	mu sync.Mutex
-	m  map[string]*compEntry
-}
-
-type compEntry struct {
-	done chan struct{}
-	res  compResult
-	ok   bool
+	m map[string]compResult
 }
 
 // NewComponentCache returns an empty cache. One cache is typically
@@ -296,74 +284,11 @@ type compEntry struct {
 // different variable layouts cannot collide semantically because the
 // encoding is layout-independent (local ids + literal domains).
 func NewComponentCache() *ComponentCache {
-	return &ComponentCache{m: make(map[string]*compEntry)}
+	return &ComponentCache{m: make(map[string]compResult)}
 }
 
-// Len reports the number of published entries (diagnostics/tests).
-func (c *ComponentCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.m {
-		if e.ok {
-			n++
-		}
-	}
-	return n
-}
-
-// acquire returns either a published result (claimed=false) or a claim
-// (claimed=true): the caller must then publish via complete or abandon
-// via release — a panic-safe obligation — using the returned interned
-// key string. key is a scratch byte encoding: lookups go through the
-// compiler's no-alloc map[string] conversion, and the string is
-// materialized only when a claim inserts it, so the steady state (cache
-// hits) allocates nothing. Waiting respects the solve's done channel.
-func (c *ComponentCache) acquire(key []byte, done <-chan struct{}) (compResult, bool, string, error) {
-	for {
-		c.mu.Lock()
-		e, exists := c.m[string(key)]
-		if !exists {
-			skey := string(key)
-			e = &compEntry{done: make(chan struct{})}
-			c.m[skey] = e
-			c.mu.Unlock()
-			return compResult{}, true, skey, nil
-		}
-		if e.ok {
-			res := e.res
-			c.mu.Unlock()
-			return res, false, "", nil
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-done:
-			return compResult{}, false, "", ErrCanceled
-		}
-		// Woken: the claimant either published (loop re-reads e.ok) or
-		// released (entry gone: loop re-claims).
-	}
-}
-
-// complete publishes a claimed entry's result.
-func (c *ComponentCache) complete(key string, res compResult) {
-	c.mu.Lock()
-	e := c.m[key]
-	e.res = res
-	e.ok = true
-	c.mu.Unlock()
-	close(e.done)
-}
-
-// release abandons a claim without publishing; waiters re-claim.
-func (c *ComponentCache) release(key string) {
-	c.mu.Lock()
-	e := c.m[key]
-	delete(c.m, key)
-	c.mu.Unlock()
-	close(e.done)
-}
+// Len reports the number of cached components (diagnostics/tests).
+func (c *ComponentCache) Len() int { return len(c.m) }
 
 // solveComponents is the kernel's solve driver.
 func (s *Solver) solveComponents(st *kstate, cache *ComponentCache) error {
@@ -440,16 +365,15 @@ func compLess(a, b *kcomp) bool {
 }
 
 // solveComp solves one component, consulting the cache when configured.
+// The lookup converts the scratch key without allocating; the key string
+// is materialized only when a finished search stores its result (the
+// search does not touch the key buffer).
 func (s *Solver) solveComp(st *kstate, c *kcomp, cache *ComponentCache) error {
 	if cache == nil {
 		return st.searchVars(c.vars)
 	}
 	key := st.canonicalKey(c)
-	res, claimed, skey, err := cache.acquire(key, st.done)
-	if err != nil {
-		return err
-	}
-	if !claimed {
+	if res, ok := cache.m[string(key)]; ok {
 		s.last.ComponentCacheHits++
 		if res.unsat {
 			return ErrUnsat
@@ -459,24 +383,16 @@ func (s *Solver) solveComp(st *kstate, c *kcomp, cache *ComponentCache) error {
 		}
 		return nil
 	}
-	published := false
-	defer func() {
-		if !published {
-			cache.release(skey)
-		}
-	}()
-	err = st.searchVars(c.vars)
+	err := st.searchVars(c.vars)
 	switch {
 	case err == nil:
 		model := make([]int64, len(c.vars))
 		for i, v := range c.vars {
 			model[i] = st.value[v]
 		}
-		cache.complete(skey, compResult{model: model})
-		published = true
+		cache.m[string(key)] = compResult{model: model}
 	case errors.Is(err, ErrUnsat):
-		cache.complete(skey, compResult{unsat: true})
-		published = true
+		cache.m[string(key)] = compResult{unsat: true}
 	}
 	return err
 }

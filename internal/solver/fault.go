@@ -21,7 +21,7 @@ const (
 	// as if the node budget had been exhausted on entry.
 	FaultLimit
 	// FaultPanic makes the solve panic, exercising the caller's
-	// per-worker recovery path.
+	// per-goal recovery path.
 	FaultPanic
 	// FaultSlow blocks the solve until its context is done (canceled
 	// or past its deadline), returning ErrCanceled. With a context that
@@ -33,8 +33,9 @@ const (
 // FaultFunc decides the fault for one solve. label is Options.Label
 // (the caller's goal purpose; empty when unset) and call is the 1-based
 // global sequence number of SolveContext calls since the hook was
-// installed. Matching on label is stable under any worker count;
-// matching on call requires sequential execution to be deterministic.
+// installed. Matching on label is stable; matching on call is
+// deterministic too, because a generator solves its goals one after
+// another.
 type FaultFunc func(label string, call int64) Fault
 
 var (

@@ -42,7 +42,6 @@ func TestLCVOrderOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := core.DefaultOptions()
-		opts.Parallelism = 1
 		if c.Inserts != "" {
 			if opts.InputDB, err = sqlparser.ParseInserts(sch, c.Inserts); err != nil {
 				t.Fatal(err)
@@ -61,7 +60,6 @@ func TestLCVOrderOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := core.DefaultOptions()
-			opts.Parallelism = 1
 			opts.GoalNodeLimit = 2000
 			// Errors and partial suites are TestGenerationDigest's concern.
 			_, _ = core.NewGenerator(c.Query, opts).Generate()

@@ -263,8 +263,8 @@ type Options struct {
 	Label string
 	// Cache, when non-nil, memoizes solved components by canonical key
 	// so identical sub-problems shared across kill goals (and across
-	// datasets) are solved once. Unfolded mode only. Safe for
-	// concurrent use; see ComponentCache.
+	// datasets) are solved once. Unfolded mode only. Confined to one
+	// goroutine; see ComponentCache.
 	Cache *ComponentCache
 	// Arena, when non-nil, recycles the kernel's per-solve allocations
 	// (see Arena). The arena must not be shared by concurrent solves.

@@ -58,10 +58,6 @@ type Options struct {
 	CheckEquivalence bool
 	// EquivTrials for the randomized equivalence checker.
 	EquivTrials int
-	// Parallelism is the worker count for dataset generation (0 = all
-	// CPUs, 1 = sequential). Every reported number is identical for
-	// every value; only wall-clock timings change.
-	Parallelism int
 }
 
 // runCell measures one (query, fkCount) cell. Cancelling ctx stops it
@@ -75,7 +71,6 @@ func runCell(ctx context.Context, bq university.BenchQuery, fk int, opts Options
 	}
 
 	genOpts := core.DefaultOptions()
-	genOpts.Parallelism = opts.Parallelism
 
 	t0 := time.Now()
 	suite, err := core.NewGenerator(q, genOpts).GenerateContext(ctx)
@@ -263,10 +258,8 @@ func RunBaseline(ctx context.Context, opts Options) ([]BaselineRow, error) {
 		}
 		blTime := time.Since(t0)
 
-		genOpts := core.DefaultOptions()
-		genOpts.Parallelism = opts.Parallelism
 		t1 := time.Now()
-		suite, err := core.NewGenerator(q, genOpts).GenerateContext(ctx)
+		suite, err := core.NewGenerator(q, core.DefaultOptions()).GenerateContext(ctx)
 		if err != nil {
 			return rows, err
 		}

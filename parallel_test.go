@@ -1,7 +1,8 @@
-// Determinism and race-regression tests for the parallel kill-goal
-// pipeline: Generate() must produce a byte-identical Suite, and so the
-// same kill matrix, for every worker count (the determinism contract;
-// see internal/core/goals.go).
+// Determinism test for concurrent generation: generators running on
+// separate goroutines over one query, as the daemon runs concurrent
+// requests, must produce byte-identical suites, work counters and kill
+// matrices. Each generator is confined to its own goroutine and shares
+// only the read-only query (see internal/core/goals.go).
 package xdata_test
 
 import (
@@ -86,28 +87,27 @@ func outcomeSequence(s *core.Suite) []string {
 	return out
 }
 
-// generateSeqPar generates q under opts at Parallelism 1 and 8 and
-// fails unless both runs give identical suite fingerprints and
-// deterministic work counters.
-func generateSeqPar(t *testing.T, q *qtree.Query, opts core.Options) (seq, par *core.Suite) {
+// generatePair generates q under opts on two fresh generators running
+// on separate goroutines and fails unless both runs give identical
+// suite fingerprints and deterministic work counters.
+func generatePair(t *testing.T, q *qtree.Query, opts core.Options) (a, b *core.Suite) {
 	t.Helper()
-	seqOpts, parOpts := opts, opts
-	seqOpts.Parallelism = 1
-	parOpts.Parallelism = 8
-
-	seq, err := core.NewGenerator(q, seqOpts).Generate()
-	if err != nil {
-		t.Fatalf("sequential generate: %v", err)
+	var errA error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a, errA = core.NewGenerator(q, opts).Generate()
+	}()
+	b, errB := core.NewGenerator(q, opts).Generate()
+	<-done
+	if errA != nil || errB != nil {
+		t.Fatalf("generate: %v / %v", errA, errB)
 	}
-	par, err = core.NewGenerator(q, parOpts).Generate()
-	if err != nil {
-		t.Fatalf("parallel generate: %v", err)
-	}
 
-	sf, pf := suiteFingerprint(seq), suiteFingerprint(par)
-	if !reflect.DeepEqual(sf, pf) {
-		t.Fatalf("suite fingerprints differ between Parallelism=1 and 8:\n--- sequential (%d entries)\n%v\n--- parallel (%d entries)\n%v",
-			len(sf), sf, len(pf), pf)
+	af, bf := suiteFingerprint(a), suiteFingerprint(b)
+	if !reflect.DeepEqual(af, bf) {
+		t.Fatalf("suite fingerprints differ between two concurrent generators:\n--- first (%d entries)\n%v\n--- second (%d entries)\n%v",
+			len(af), af, len(bf), bf)
 	}
 
 	// Deterministic work counters must match too (solve wall times
@@ -116,20 +116,21 @@ func generateSeqPar(t *testing.T, q *qtree.Query, opts core.Options) (seq, par *
 		Calls, Sat, Unsat     int
 		Nodes, Restarts, Size int64
 	}
-	sc := counters{seq.Stats.SolverCalls, seq.Stats.SatCount, seq.Stats.UnsatCount, seq.Stats.SolverNodes, seq.Stats.SolverRestarts, seq.Stats.SolverProblemSize}
-	pc := counters{par.Stats.SolverCalls, par.Stats.SatCount, par.Stats.UnsatCount, par.Stats.SolverNodes, par.Stats.SolverRestarts, par.Stats.SolverProblemSize}
-	if sc != pc {
-		t.Fatalf("solver work counters differ: sequential %+v, parallel %+v", sc, pc)
+	ac := counters{a.Stats.SolverCalls, a.Stats.SatCount, a.Stats.UnsatCount, a.Stats.SolverNodes, a.Stats.SolverRestarts, a.Stats.SolverProblemSize}
+	bc := counters{b.Stats.SolverCalls, b.Stats.SatCount, b.Stats.UnsatCount, b.Stats.SolverNodes, b.Stats.SolverRestarts, b.Stats.SolverProblemSize}
+	if ac != bc {
+		t.Fatalf("solver work counters differ: first %+v, second %+v", ac, bc)
 	}
-	return seq, par
+	return a, b
 }
 
-// TestParallelGenerateDeterminism asserts that Generate() with
-// Parallelism=1 and Parallelism=8 produce identical Suite.Datasets,
+// TestParallelGenerateDeterminism asserts that two generators running
+// concurrently over one query produce identical Suite.Datasets,
 // Skipped, work counters, and kill matrices for the university bench
 // queries, on the default solver path and in quantified mode (the list
 // kernel's restart ladder), and that quantified mode reaches the
-// default's dataset/skip sequence (the list-kernel leg).
+// default's dataset/skip sequence (the list-kernel leg). Under -race it
+// also checks that generators share no mutable state.
 func TestParallelGenerateDeterminism(t *testing.T) {
 	for _, tc := range benchQueriesUnderTest(t) {
 		tc := tc
@@ -139,29 +140,28 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, par := generateSeqPar(t, q, core.DefaultOptions())
+			a, b := generatePair(t, q, core.DefaultOptions())
 
-			// Kill matrices: byte-identical across generation
-			// parallelism.
+			// Kill matrices: byte-identical across the two suites.
 			ms, err := mutation.Space(q, mutation.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqRep, err := mutation.Evaluate(q, ms, seq.All())
+			aRep, err := mutation.Evaluate(q, ms, a.All())
 			if err != nil {
 				t.Fatal(err)
 			}
-			parRep, err := mutation.Evaluate(q, ms, par.All())
+			bRep, err := mutation.Evaluate(q, ms, b.All())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(seqRep.Killed, parRep.Killed) {
-				t.Fatalf("kill matrices differ between the sequential and the parallel suite")
+			if !reflect.DeepEqual(aRep.Killed, bRep.Killed) {
+				t.Fatalf("kill matrices differ between the two concurrent generators' suites")
 			}
 
 			quantified := core.DefaultOptions()
 			quantified.Unfold = false
-			t.Run("quantified", func(t *testing.T) { generateSeqPar(t, q, quantified) })
+			t.Run("quantified", func(t *testing.T) { generatePair(t, q, quantified) })
 			// The list kernel is quantified mode's ground solver: its
 			// suite must reach the default kernel's outcome sequence.
 			t.Run("list-kernel", func(t *testing.T) {
@@ -169,47 +169,10 @@ func TestParallelGenerateDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := outcomeSequence(qs), outcomeSequence(seq); !reflect.DeepEqual(got, want) {
+				if got, want := outcomeSequence(qs), outcomeSequence(a); !reflect.DeepEqual(got, want) {
 					t.Fatalf("quantified outcomes differ from the default's:\n%v\nvs\n%v", got, want)
 				}
 			})
 		})
-	}
-}
-
-// TestParallelGenerateRace exercises a 4-way parallel generation and
-// scores its suite; run with -race it is the regression test for
-// shared-state mutation inside the pipeline (e.g. the former
-// ForceInputTuples toggle on shared Generator options).
-func TestParallelGenerateRace(t *testing.T) {
-	bq := university.TableIQueries()[2] // Q3: 3 joins, enough goals to contend
-	sch := university.Schema(1)
-	q, err := qtree.BuildSQL(sch, bq.SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.DefaultOptions()
-	opts.Parallelism = 4
-	// Input-database constraints exercise the per-problem forceInput
-	// threading (the retry path runs with and without them).
-	opts.InputDB = university.SampleDB(sch, 3)
-	opts.ForceInputTuples = true
-	suite, err := core.NewGenerator(q, opts).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(suite.Datasets) == 0 {
-		t.Fatal("parallel generate produced no datasets")
-	}
-	ms, err := mutation.Space(q, mutation.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mutation.Evaluate(q, ms, suite.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.KilledCount() == 0 {
-		t.Fatal("the parallel suite killed no mutants")
 	}
 }

@@ -90,9 +90,9 @@ type (
 var ErrPartialSuite = core.ErrPartialSuite
 
 // ErrBadOptions is the sentinel wrapped by every Options validation
-// failure (negative budgets, worker counts or ceilings, inconsistent
-// combinations): Generate and GenerateContext refuse to start rather
-// than silently coercing a caller bug. Test with errors.Is.
+// failure (negative budgets or ceilings, inconsistent combinations):
+// Generate and GenerateContext refuse to start rather than silently
+// coercing a caller bug. Test with errors.Is.
 var ErrBadOptions = core.ErrBadOptions
 
 // ErrUnsupported is the sentinel matched by every rejection of a
